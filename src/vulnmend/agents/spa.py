@@ -42,9 +42,9 @@ ASSERT_PRELUDE = '''\
 def install_assert_prelude(sandbox) -> None:
     """Place the assertion header at the workspace root.
 
-    Must happen before the edit history takes its baseline, so that
-    rolling back all edits keeps the header and instrumented builds stay
-    possible throughout the session.
+    Rollbacks only restore the files an edit set rewrote, so the header
+    outlives every rollback and instrumented builds stay possible
+    throughout the session.
     """
     sandbox.write_file(ASSERT_PRELUDE_NAME, ASSERT_PRELUDE)
 

@@ -10,33 +10,30 @@ reliably:
     replacement lines
     >>>>>>> REPLACE
 
-Marker lines tolerate any run of 7 or more marker characters. Applied
-edit sets become git commits in the workspace, which makes rollback an
-O(1) reset instead of a bookkeeping exercise.
+Marker lines tolerate any run of 7 or more marker characters. Applying
+an edit set remembers the original content of the files it rewrites;
+rolling it back writes that content back, and diffs compare the
+touched files with it.
 """
 
 from __future__ import annotations
 
 import difflib
 import re
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (EmptyHistory, MalformedBlock, NoChanges,
                      SearchTextAmbiguous, SearchTextNotFound)
 from .naming import dedupe_name
-from .repo_model import DEFAULT_IGNORE_DIRS, read_text, write_text
+from .repo_model import read_text, write_text
 
 _HEADER_RE = re.compile(r"^###\s+(\S.*?)\s*$")
 _OPEN_RE = re.compile(r"^<{7,}\s*SEARCH\s*$")
 _DIVIDER_RE = re.compile(r"^={7,}\s*$")
 _CLOSE_RE = re.compile(r"^>{7,}\s*REPLACE\s*$")
 _FENCE_RE = re.compile(r"^```")
-
-_GIT_ID = ["-c", "user.name=vulnmend", "-c", "user.email=vulnmend@localhost",
-           "-c", "commit.gpgsign=false"]
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,6 @@ class HistoryView:
 @dataclass(frozen=True)
 class ApplyResult:
     fixed_name: str
-    commit_id: str
     files: tuple
     history: HistoryView
 
@@ -207,56 +203,32 @@ def apply_edits_to_text(content: str, edits: Sequence[SearchReplaceEdit]) -> str
 
 
 class EditHistory:
-    """Stack of applied edit sets, each one a git commit.
+    """Stack of applied edit sets, each kept with the original content of
+    the files it rewrote.
 
-    The workspace is turned into a git repository on first use (an
-    existing checkout is adopted as-is, with a baseline commit added only
-    if the tree is dirty). Rollbacks are hard resets, so untracked build
-    artifacts survive them.
+    apply_edits only rewrites files that already exist, so writing that
+    content back undoes a set exactly (read_text/write_text round-trip
+    any bytes). Rollbacks touch nothing else: files
+    no edit set wrote, build artifacts among them, stay as they are.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
-        self._applied: list[tuple[str, str]] = []
+        self._applied: list[tuple[str, dict[str, str]]] = []
         self._name_counts: dict[str, int] = {}
-        self._assume_clean = False
-        if not (self.root / ".git").exists():
-            self._git("init", "-q")
-        if not self._has_head() or self._dirty():
-            self._git("add", "-A")
-            self._git("commit", "-q", "--allow-empty", "-m", "baseline")
-        self.base_commit = self._rev_parse("HEAD")
-        self._assume_clean = True
-
-    # -- git plumbing -----------------------------------------------------
-
-    def _git(self, *args: str) -> str:
-        proc = subprocess.run(["git", *_GIT_ID, "-C", str(self.root), *args],
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(f"git {' '.join(args)} failed: "
-                               f"{proc.stderr.strip()}")
-        return proc.stdout
-
-    def _has_head(self) -> bool:
-        proc = subprocess.run(
-            ["git", "-C", str(self.root), "rev-parse", "--verify", "-q",
-             "HEAD"], capture_output=True, text=True)
-        return proc.returncode == 0
-
-    def _dirty(self) -> bool:
-        out = self._git("status", "--porcelain", "-uno")
-        return bool(out.strip())
-
-    def _rev_parse(self, ref: str) -> str:
-        return self._git("rev-parse", ref).strip()
-
-    # -- public surface ---------------------------------------------------
 
     def history_view(self) -> HistoryView:
         names = tuple(name for name, _ in self._applied)
         return HistoryView(count=len(names), names=names,
                            latest=names[-1] if names else None)
+
+    def originals(self) -> dict[str, str]:
+        """Content of every file an applied set rewrote, from before the
+        first set that touched it."""
+        out: dict[str, str] = {}
+        for _, saved in reversed(self._applied):
+            out.update(saved)
+        return out
 
     def fix_name(self, unique_name: str) -> str:
         return dedupe_name(self._name_counts, unique_name)
@@ -267,11 +239,9 @@ class EditHistory:
             edits = parse_edit_blocks(edits)
         if not edits:
             raise NoChanges("no changes: empty edit set")
-        if not self._assume_clean and self._dirty():
-            raise RuntimeError("workspace has uncommitted changes outside "
-                               "the edit history")
 
         # locate and rewrite in memory first: apply is all-or-nothing
+        saved: dict[str, str] = {}
         new_contents: dict[str, str] = {}
         by_file: dict[str, list[SearchReplaceEdit]] = {}
         for edit in edits:
@@ -283,61 +253,38 @@ class EditHistory:
             content = read_text(path)
             updated = apply_edits_to_text(content, file_edits)
             if updated != content:
+                saved[rel] = content
                 new_contents[rel] = updated
         if not new_contents:
             raise NoChanges("no changes: edits leave every file unmodified")
 
         fixed_name = self.fix_name(unique_name)
-        for rel, content in new_contents.items():
-            write_text(self.root / rel, content)
-        files = sorted(new_contents)
-        self._git("commit", "-q", "-m", fixed_name, "--", *files)
-        commit_id = self._rev_parse("HEAD")
-        self._applied.append((fixed_name, commit_id))
-        self._assume_clean = True
-        return ApplyResult(fixed_name=fixed_name, commit_id=commit_id,
-                           files=tuple(files), history=self.history_view())
+        for rel, text in new_contents.items():
+            write_text(self.root / rel, text)
+        self._applied.append((fixed_name, saved))
+        return ApplyResult(fixed_name=fixed_name, files=tuple(sorted(saved)),
+                           history=self.history_view())
+
+    def _undo_latest(self) -> None:
+        _, saved = self._applied.pop()
+        for rel, text in saved.items():
+            write_text(self.root / rel, text)
 
     def rollback_latest(self) -> HistoryView:
         if not self._applied:
             raise EmptyHistory("empty rollback history")
-        self._applied.pop()
-        target = self._applied[-1][1] if self._applied else self.base_commit
-        self._git("reset", "-q", "--hard", target)
-        self._assume_clean = True
+        self._undo_latest()
         return self.history_view()
 
     def rollback_all(self) -> HistoryView:
         if not self._applied:
             raise EmptyHistory("empty rollback history")
-        self._applied.clear()
-        self._git("reset", "-q", "--hard", self.base_commit)
-        self._assume_clean = True
+        while self._applied:
+            self._undo_latest()
         return self.history_view()
 
 
 # -- unified diffs ---------------------------------------------------------
-
-
-def _tracked_files(root: Path) -> set[str]:
-    # in a git tree only tracked files count, so build artifacts dropped
-    # by the PoC runner never leak into diffs
-    if (root / ".git").is_dir():
-        proc = subprocess.run(
-            ["git", "-C", str(root), "ls-files", "-z"],
-            capture_output=True, text=True)
-        if proc.returncode == 0:
-            return {rel for rel in proc.stdout.split("\0")
-                    if rel and (root / rel).is_file()}
-    out = set()
-    for path in root.rglob("*"):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(root)
-        if any(part in DEFAULT_IGNORE_DIRS for part in rel.parts):
-            continue
-        out.add(rel.as_posix())
-    return out
 
 
 def _range_header(start: int, length: int) -> str:
@@ -381,40 +328,22 @@ def _file_hunks(old: str, new: str) -> list[str]:
     return out
 
 
-def to_unified_diff(before_root: Path | str, after_root: Path | str) -> str:
-    """Git-consumable unified diff between two trees.
+def to_unified_diff(root: Path | str, originals: Mapping[str, str]) -> str:
+    """Git-consumable unified diff of the files in `originals`.
 
-    Covers every added, removed or modified file, in lexicographic path
-    order. The empty string means the trees match.
+    Each file's current content under root is compared with its original
+    content, in lexicographic path order. The empty string means every
+    file matches its original.
     """
-    before_root = Path(before_root)
-    after_root = Path(after_root)
-    before = _tracked_files(before_root)
-    after = _tracked_files(after_root)
-
+    root = Path(root)
     chunks: list[str] = []
-    for rel in sorted(before | after):
-        old = read_text(before_root / rel) if rel in before else None
-        new = read_text(after_root / rel) if rel in after else None
+    for rel in sorted(originals):
+        old = originals[rel]
+        new = read_text(root / rel)
         if old == new:
             continue
-        header = [f"diff --git a/{rel} b/{rel}"]
-        if old is None:
-            header.append("new file mode 100644")
-            header.append("--- /dev/null")
-            header.append(f"+++ b/{rel}")
-        elif new is None:
-            header.append("deleted file mode 100644")
-            header.append(f"--- a/{rel}")
-            header.append("+++ /dev/null")
-        else:
-            header.append(f"--- a/{rel}")
-            header.append(f"+++ b/{rel}")
-        hunks = _file_hunks(old or "", new or "")
-        if not hunks:
-            continue
-        chunks.extend(header)
-        chunks.extend(hunks)
+        chunks.extend([f"diff --git a/{rel} b/{rel}", f"--- a/{rel}",
+                       f"+++ b/{rel}", *_file_hunks(old, new)])
     if not chunks:
         return ""
     return "\n".join(chunks) + "\n"

@@ -105,27 +105,8 @@ class ReportParseFailure(VulnmendError):
 # --- localization ---------------------------------------------------------
 
 
-class EmbedderError(VulnmendError):
-    pass
-
-
 class JSONParseFailure(VulnmendError):
     pass
-
-
-# --- repair ---------------------------------------------------------------
-
-
-class ElementVanished(VulnmendError):
-    pass
-
-
-class NormalizerUnavailable(VulnmendError):
-    pass
-
-
-class NoPatch(VulnmendError):
-    """Selection found no acceptable candidate."""
 
 
 # --- harness --------------------------------------------------------------

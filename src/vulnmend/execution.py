@@ -1,20 +1,19 @@
 """Running things: sandboxes, the PoC pipeline and the script sandbox.
 
-A sandbox is a place where the repro command can run. The local adapter
-covers plain directories; the container adapter drives a container
-runtime CLI with the same surface. Everything above them is
-adapter-agnostic.
+A sandbox is a place where the repro command can run. The local sandbox
+covers plain directories; everything above it only needs its `exec`
+surface.
 """
 
 from __future__ import annotations
 
 import builtins as _real_builtins
 import io
+import os
 import re
-import shlex
+import signal
 import subprocess
 import traceback
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -64,21 +63,22 @@ class LocalSandbox:
 
     def exec(self, command: str,
              timeout: float = DEFAULT_POC_TIMEOUT) -> ExecResult:
-        try:
-            proc = subprocess.run(command, shell=True, cwd=self.workspace,
-                                  capture_output=True, text=True,
-                                  timeout=timeout)
-        except subprocess.TimeoutExpired as exc:
-            def _decode(raw):
-                if raw is None:
-                    return ""
-                if isinstance(raw, bytes):
-                    return raw.decode("utf-8", errors="replace")
-                return raw
-            return ExecResult(exit_code=124, stdout=_decode(exc.stdout),
-                              stderr=_decode(exc.stderr), timed_out=True)
-        return ExecResult(exit_code=proc.returncode, stdout=proc.stdout,
-                          stderr=proc.stderr)
+        # a session of its own, so a timeout kills the command's children
+        # along with its shell; surrogateescape keeps any output bytes
+        with subprocess.Popen(command, shell=True, cwd=self.workspace,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, errors="surrogateescape",
+                              start_new_session=True) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout)
+                exit_code, timed_out = proc.returncode, False
+            except subprocess.TimeoutExpired:
+                # the shell is not reaped yet, so its group still exists
+                os.killpg(proc.pid, signal.SIGKILL)
+                stdout, stderr = proc.communicate()
+                exit_code, timed_out = 124, True
+        return ExecResult(exit_code=exit_code, stdout=stdout, stderr=stderr,
+                          timed_out=timed_out)
 
     def read_file(self, rel: str) -> str:
         return read_text(self.workspace / rel)
@@ -93,76 +93,6 @@ class LocalSandbox:
 
     def close(self) -> None:
         pass
-
-
-class ContainerSandbox:
-    """The same surface against `docker`/`podman`.
-
-    The container is started once and kept alive; commands run via exec.
-    """
-
-    def __init__(self, image: str, runtime: str = "docker",
-                 workdir: str = "/workspace", start: bool = True):
-        self.image = image
-        self.runtime = runtime
-        self.workdir = workdir
-        self.container = f"vulnmend-{uuid.uuid4().hex[:12]}"
-        if start:
-            argv = self.start_argv()
-            proc = subprocess.run(argv, capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise SandboxUnavailable(
-                    f"cannot start container from {image}: "
-                    f"{proc.stderr.strip()}")
-
-    @property
-    def descriptor(self) -> str:
-        return f"container:{self.image}:{self.container}"
-
-    def start_argv(self) -> list[str]:
-        return [self.runtime, "run", "-d", "--name", self.container,
-                "-w", self.workdir, self.image, "sleep", "infinity"]
-
-    def exec_argv(self, command: str) -> list[str]:
-        return [self.runtime, "exec", "-w", self.workdir, self.container,
-                "sh", "-c", command]
-
-    def read_argv(self, rel: str) -> list[str]:
-        return [self.runtime, "exec", self.container, "cat",
-                f"{self.workdir}/{rel}"]
-
-    def stop_argv(self) -> list[str]:
-        return [self.runtime, "rm", "-f", self.container]
-
-    def exec(self, command: str,
-             timeout: float = DEFAULT_POC_TIMEOUT) -> ExecResult:
-        try:
-            proc = subprocess.run(self.exec_argv(command),
-                                  capture_output=True, text=True,
-                                  timeout=timeout)
-        except subprocess.TimeoutExpired as exc:
-            return ExecResult(exit_code=124, stdout=str(exc.stdout or ""),
-                              stderr=str(exc.stderr or ""), timed_out=True)
-        return ExecResult(exit_code=proc.returncode, stdout=proc.stdout,
-                          stderr=proc.stderr)
-
-    def read_file(self, rel: str) -> str:
-        proc = subprocess.run(self.read_argv(rel), capture_output=True,
-                              text=True)
-        if proc.returncode != 0:
-            raise FileNotFoundError(rel)
-        return proc.stdout
-
-    def write_file(self, rel: str, text: str) -> None:
-        quoted = shlex.quote(f"{self.workdir}/{rel}")
-        proc = subprocess.run(
-            self.exec_argv(f"cat > {quoted}"),
-            input=text, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise WriteFailure(f"cannot write {rel}: {proc.stderr.strip()}")
-
-    def close(self) -> None:
-        subprocess.run(self.stop_argv(), capture_output=True)
 
 
 # -- log plumbing ------------------------------------------------------------

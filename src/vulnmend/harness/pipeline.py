@@ -29,8 +29,8 @@ from ..execution import LocalSandbox, LogStore, PocRunner, PythonScriptSandbox
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
-from ..repair import (Normalizer, build_patch_context, generate_patches,
-                      select_patch, validate_candidate)
+from ..repair import (build_patch_context, generate_patches, select_patch,
+                      validate_candidate)
 from ..symbol_analysis import make_symbol_backend
 from .config import RunConfig
 from .instances import IssueInstance
@@ -96,7 +96,6 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     if instance_dir.exists():
         shutil.rmtree(instance_dir)
     workspace = instance_dir / "workspace"
-    base = instance_dir / "base"
     shutil.copytree(instance.workspace_path, workspace)
 
     stage = _Stage()
@@ -116,10 +115,9 @@ def run_instance(instance: IssueInstance, config: RunConfig,
 
     sandbox = LocalSandbox(workspace)
     if config.enable_spa:
-        # before the baseline commit and the pristine copy, so rollbacks
-        # keep it and prediction diffs never mention it
+        # rollbacks and prediction diffs cover only the files edit sets
+        # rewrote, so the header stays and no prediction mentions it
         install_assert_prelude(sandbox)
-    shutil.copytree(workspace, base)
 
     log_store = LogStore()
     history = EditHistory(workspace)
@@ -223,14 +221,13 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         llm, gen_text, context, t=config.candidates), fallback=[])
 
     outcomes = []
-    normalizer = Normalizer()
     for candidate in candidates:
         _write(instance_dir / "candidates" / f"candidate-{candidate.index}.md",
                candidate.raw_text)
         outcome = stage.run(
             f"validate-{candidate.index}",
-            lambda c=candidate: validate_candidate(
-                c, history, runner, base, workspace, normalizer=normalizer))
+            lambda c=candidate: validate_candidate(c, history, runner,
+                                                   workspace))
         if outcome is None:
             continue
         outcomes.append(outcome)
@@ -277,10 +274,9 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     symbols.shutdown()
     sandbox.close()
     if not config.keep_workspaces:
-        # scratch trees carry volatile state (git metadata, build
-        # artifacts); dropping them leaves only reproducible artifacts
+        # the workspace carries volatile state (build artifacts);
+        # dropping it leaves only reproducible artifacts
         shutil.rmtree(workspace, ignore_errors=True)
-        shutil.rmtree(base, ignore_errors=True)
     return InstanceResult(
         instance_id=instance.instance_id, instance_dir=instance_dir,
         prediction=prediction, winner=selection.winner,

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
 from .edit_engine import EditHistory, parse_edit_blocks, to_unified_diff
-from .errors import (MalformedBlock, NoChanges, NormalizerUnavailable,
-                     SearchTextAmbiguous, SearchTextNotFound)
+from .errors import (MalformedBlock, NoChanges, SearchTextAmbiguous,
+                     SearchTextNotFound)
 from .execution import PocRunner
 from .llm import ChatRequest, LLMBackend
 from .repo_model import read_text
@@ -177,40 +176,14 @@ def normalize_source(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-class Normalizer:
-    """Builtin comment/whitespace normalization, or an external formatter
-    command reading stdin and writing stdout (e.g. a code formatter)."""
-
-    def __init__(self, command: list[str] | None = None,
-                 timeout: float = 30.0):
-        self.command = command
-        self.timeout = timeout
-
-    def normalize(self, text: str) -> str:
-        if not self.command:
-            return normalize_source(text)
-        try:
-            proc = subprocess.run(
-                self.command, input=text, capture_output=True, text=True,
-                timeout=self.timeout)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise NormalizerUnavailable(str(exc))
-        if proc.returncode != 0:
-            raise NormalizerUnavailable(
-                f"normalizer exited {proc.returncode}: "
-                f"{proc.stderr.strip()[:200]}")
-        return proc.stdout
-
-
-def patch_fingerprint(root: Path | str, files, normalizer: Normalizer,
-                      ) -> str:
+def patch_fingerprint(root: Path | str, files) -> str:
     """Digest of the normalized content of the files a patch modified."""
     root = Path(root)
     h = hashlib.sha256()
     for rel in sorted(set(files)):
         h.update(rel.encode())
         h.update(b"\0")
-        h.update(normalizer.normalize(read_text(root / rel)).encode(
+        h.update(normalize_source(read_text(root / rel)).encode(
             "utf-8", "surrogateescape"))
         h.update(b"\0")
     return h.hexdigest()
@@ -232,9 +205,7 @@ class CandidateOutcome:
 
 
 def validate_candidate(candidate: CandidatePatch, history: EditHistory,
-                       runner: PocRunner, base_root: Path | str,
-                       work_root: Path | str,
-                       normalizer: Normalizer | None = None,
+                       runner: PocRunner, work_root: Path | str,
                        ) -> CandidateOutcome:
     """Apply one candidate alone, replay the PoC, capture diff and
     fingerprint, then roll the workspace back."""
@@ -251,9 +222,8 @@ def validate_candidate(candidate: CandidatePatch, history: EditHistory,
                                 failure=f"{type(exc).__name__}: {exc}")
     try:
         result = runner.run_poc(f"validate-{candidate.index}")
-        fingerprint = patch_fingerprint(work_root, applied.files,
-                                        normalizer or Normalizer())
-        diff = to_unified_diff(base_root, work_root)
+        fingerprint = patch_fingerprint(work_root, applied.files)
+        diff = to_unified_diff(work_root, history.originals())
         return CandidateOutcome(
             index=candidate.index, applied=True, compiled=result.compiled,
             sanitizer_triggered=result.sanitizer_triggered,

@@ -1,14 +1,12 @@
 """Read-only model of a C/C++ workspace.
 
 Everything here treats the tree as data: directory listings, top-level
-element extraction, body-elided skeletons and content snapshots. Nothing
-in this module writes to the workspace.
+element extraction and body-elided skeletons. Nothing in this module
+writes to the workspace.
 """
 
 from __future__ import annotations
 
-import hashlib
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -19,7 +17,6 @@ from .errors import ParseFailure
 __all__ = [
     "ElementKind",
     "CodeElement",
-    "RepoSnapshot",
     "DEFAULT_EXTENSIONS",
     "DEFAULT_IGNORE_DIRS",
     "read_text",
@@ -28,7 +25,6 @@ __all__ = [
     "render_repo_tree",
     "parse_elements",
     "skeletonize",
-    "snapshot",
 ]
 
 DEFAULT_EXTENSIONS = (".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh")
@@ -65,14 +61,6 @@ class CodeElement:
     @property
     def qualified_name(self) -> str:
         return f"{self.qualifier}::{self.name}" if self.qualifier else self.name
-
-
-@dataclass(frozen=True)
-class RepoSnapshot:
-    """Content digest of every tracked file; timestamps play no part."""
-
-    digest: str
-    file_count: int
 
 
 def source_files(root: Path | str,
@@ -189,37 +177,3 @@ def skeletonize(text: str) -> str:
     for start, end in sorted(replacements, reverse=True):
         text = text[:start] + " ... " + text[end:]
     return text
-
-
-def snapshot(root: Path | str) -> RepoSnapshot:
-    """Digest the tracked content of the workspace.
-
-    Inside a git checkout "tracked" means git-tracked, so build artifacts
-    and other strays do not disturb the digest; elsewhere it means every
-    file outside the ignored directories.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise NotADirectoryError(str(root))
-    if (root / ".git").exists():
-        proc = subprocess.run(["git", "-C", str(root), "ls-files", "-z"],
-                              capture_output=True, text=True, check=True)
-        rels = sorted(p for p in proc.stdout.split("\0") if p)
-    else:
-        rels = sorted(
-            p.relative_to(root).as_posix()
-            for p in root.rglob("*")
-            if p.is_file() and not any(
-                part in DEFAULT_IGNORE_DIRS
-                for part in p.relative_to(root).parts[:-1]))
-    acc = hashlib.sha256()
-    count = 0
-    for rel in rels:
-        path = root / rel
-        acc.update(rel.encode() + b"\0")
-        if path.is_file():
-            acc.update(hashlib.sha256(path.read_bytes()).digest())
-        else:
-            acc.update(b"<missing>")
-        count += 1
-    return RepoSnapshot(digest=acc.hexdigest(), file_count=count)

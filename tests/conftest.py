@@ -1,7 +1,11 @@
+import hashlib
 import shutil
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+
+from vulnmend.repo_model import DEFAULT_IGNORE_DIRS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CREPO = FIXTURES / "crepo"
@@ -27,6 +31,39 @@ class ScriptedLLM:
     @property
     def tags(self):
         return [r.tag for r in self.requests]
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """Content digest of a list of workspace files; timestamps play no
+    part."""
+
+    digest: str
+    files: tuple
+
+
+def snapshot(root, files=None) -> Snapshot:
+    """Digest the content of `files` (relative paths) under root.
+
+    By default every file outside version-control directories counts.
+    Pass the `files` of an earlier snapshot to digest the same files
+    again, so that build artifacts a PoC run drops in between do not
+    count.
+    """
+    root = Path(root)
+    if files is None:
+        files = sorted(
+            p.relative_to(root).as_posix() for p in root.rglob("*")
+            if p.is_file() and not any(
+                part in DEFAULT_IGNORE_DIRS
+                for part in p.relative_to(root).parts[:-1]))
+    acc = hashlib.sha256()
+    for rel in files:
+        path = root / rel
+        acc.update(rel.encode() + b"\0")
+        acc.update(hashlib.sha256(path.read_bytes()).digest()
+                   if path.is_file() else b"<missing>")
+    return Snapshot(digest=acc.hexdigest(), files=tuple(files))
 
 
 @pytest.hookimpl(wrapper=True)

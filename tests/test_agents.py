@@ -1,5 +1,5 @@
 import pytest
-from conftest import ScriptedLLM
+from conftest import ScriptedLLM, snapshot
 from replay_scripts import CPC_REPORT, PROBE_EDITS, SPA_REPORT
 
 from vulnmend.agents.cpc import initial_message, load_prompt, run_cpc_agent
@@ -27,7 +27,6 @@ from vulnmend.errors import (LLMBackendError, MaxStepsExceededWithoutReport,
 from vulnmend.execution import (ExecResult, LocalSandbox, PocRunner,
                                 PythonScriptSandbox)
 from vulnmend.llm import ChatResponse, ToolCall
-from vulnmend.repo_model import snapshot
 from vulnmend.symbol_analysis import IndexBackend
 
 ASAN_LOG = ("==77==ERROR: AddressSanitizer: stack-buffer-overflow\n"

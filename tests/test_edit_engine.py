@@ -2,6 +2,7 @@ import random
 import subprocess
 
 import pytest
+from conftest import snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from vulnmend.edit_engine import (EditHistory, SearchReplaceEdit,
                                   to_unified_diff)
 from vulnmend.errors import (EmptyHistory, MalformedBlock, NoChanges,
                              SearchTextAmbiguous, SearchTextNotFound)
-from vulnmend.repo_model import read_text, snapshot, write_text
+from vulnmend.repo_model import read_text, write_text
 
 GOOD_BLOCK = """### src/buf.c
 <<<<<<< SEARCH
@@ -264,6 +265,30 @@ def test_history_untracked_artifacts_survive_rollback(scratch_crepo):
     assert artifact.exists()
 
 
+def test_history_originals_predate_stacked_sets(scratch_crepo):
+    history = EditHistory(scratch_crepo)
+    original = read_text(scratch_crepo / "src" / "buf.c")
+    history.apply_edits("one", GOOD_BLOCK)
+    history.apply_edits("two", SECOND_BLOCK)
+    assert history.originals() == {"src/buf.c": original}
+    diff = to_unified_diff(scratch_crepo, history.originals())
+    assert "+    if (len >= cap) {" in diff
+    history.rollback_all()
+    assert history.originals() == {}
+    assert read_text(scratch_crepo / "src" / "buf.c") == original
+
+
+def test_history_rollback_restores_non_utf8_bytes(tmp_path):
+    raw = b"int a; /* caf\xe9 */\nint b;\n"
+    (tmp_path / "x.c").write_bytes(raw)
+    history = EditHistory(tmp_path)
+    history.apply_edits("b", [SearchReplaceEdit("x.c", "int b;",
+                                                "int b = 1;")])
+    assert (tmp_path / "x.c").read_bytes() == raw.replace(b"b;", b"b = 1;")
+    history.rollback_latest()
+    assert (tmp_path / "x.c").read_bytes() == raw
+
+
 def test_history_view_render(scratch_crepo):
     history = EditHistory(scratch_crepo)
     assert "no applied edit sets" in history.history_view().render()
@@ -292,68 +317,63 @@ def _git_apply(diff, cwd):
                           cwd=cwd, capture_output=True)
 
 
+def _originals(root, *rels):
+    return {rel: read_text(root / rel) for rel in rels}
+
+
 def test_unified_diff_round_trips_through_git_apply(tmp_path, crepo):
     import shutil
-    before = tmp_path / "before"
     after = tmp_path / "after"
-    shutil.copytree(crepo, before)
     shutil.copytree(crepo, after)
-    # modify, add, delete
     buf = after / "src" / "buf.c"
+    main = after / "src" / "main.c"
     write_text(buf, read_text(buf).replace("len = cap;", "len = cap - 1;"))
-    write_text(after / "src" / "new.c", "int added;\n")
-    (after / "src" / "main.c").unlink()
+    write_text(main, read_text(main) + "/* trailer */\n")
 
-    diff = to_unified_diff(before, after)
+    diff = to_unified_diff(after, _originals(crepo, "src/main.c",
+                                             "src/buf.c", "src/buf.h"))
     assert "diff --git a/src/buf.c b/src/buf.c" in diff
-    assert "new file mode" in diff and "deleted file mode" in diff
+    # lexicographic order; unchanged files are left out
+    assert diff.index("a/src/buf.c") < diff.index("a/src/main.c")
+    assert "src/buf.h" not in diff
 
     target = tmp_path / "target"
-    shutil.copytree(before, target)
+    shutil.copytree(crepo, target)
     proc = _git_apply(diff, target)
     assert proc.returncode == 0, proc.stderr
     assert read_text(target / "src" / "buf.c") == read_text(buf)
-    assert (target / "src" / "new.c").exists()
-    assert not (target / "src" / "main.c").exists()
+    assert read_text(target / "src" / "main.c") == read_text(main)
 
 
 def test_unified_diff_handles_missing_trailing_newline(tmp_path):
-    import shutil
-    before = tmp_path / "b"
-    after = tmp_path / "a"
-    before.mkdir()
-    after.mkdir()
-    (before / "x.c").write_text("int a;\n")
-    (after / "x.c").write_text("int a;\nint b; /* no newline */")
-    diff = to_unified_diff(before, after)
+    root = tmp_path / "a"
+    root.mkdir()
+    (root / "x.c").write_text("int a;\nint b; /* no newline */")
+    diff = to_unified_diff(root, {"x.c": "int a;\n"})
     assert "\\ No newline at end of file" in diff
     target = tmp_path / "t"
-    shutil.copytree(before, target)
+    target.mkdir()
+    (target / "x.c").write_text("int a;\n")
     proc = _git_apply(diff, target)
     assert proc.returncode == 0, proc.stderr
-    assert (target / "x.c").read_text() == (after / "x.c").read_text()
+    assert (target / "x.c").read_text() == (root / "x.c").read_text()
 
 
-def test_unified_diff_empty_for_identical_trees(tmp_path, crepo):
-    import shutil
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    shutil.copytree(crepo, a)
-    shutil.copytree(crepo, b)
-    assert to_unified_diff(a, b) == ""
+def test_unified_diff_empty_for_identical_trees(crepo):
+    assert to_unified_diff(crepo, {}) == ""
+    assert to_unified_diff(crepo, _originals(crepo, "src/buf.c",
+                                             "cpp/fileio.cpp")) == ""
 
 
 def test_unified_diff_patch_p1_compatible(tmp_path, crepo):
     import shutil
-    before = tmp_path / "before"
     after = tmp_path / "after"
-    shutil.copytree(crepo, before)
     shutil.copytree(crepo, after)
     buf = after / "src" / "buf.c"
     write_text(buf, read_text(buf).replace("len = cap;", "len = cap - 1;"))
-    diff = to_unified_diff(before, after)
+    diff = to_unified_diff(after, _originals(crepo, "src/buf.c"))
     target = tmp_path / "t"
-    shutil.copytree(before, target)
+    shutil.copytree(crepo, target)
     proc = subprocess.run(["patch", "-p1"], input=diff, text=True,
                           cwd=target, capture_output=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,13 @@
 import random
 import shutil
+import time
 
 import pytest
 
 from vulnmend.errors import SandboxUnavailable, UnknownLogName
-from vulnmend.execution import (ContainerSandbox, ExecResult, LocalSandbox,
-                                LogStore, PocRunner, PythonScriptSandbox,
-                                summarize_assertions, truncate_log)
+from vulnmend.execution import (ExecResult, LocalSandbox, LogStore, PocRunner,
+                                PythonScriptSandbox, summarize_assertions,
+                                truncate_log)
 from vulnmend.repo_model import read_text, write_text
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
@@ -157,32 +158,31 @@ def test_local_sandbox_timeout(tmp_path):
     assert res.exit_code == 124
 
 
+def test_local_sandbox_keeps_non_utf8_output(tmp_path):
+    box = LocalSandbox(tmp_path)
+    res = box.exec(r"printf 'ok\377\376'; printf '\377' >&2")
+    assert res.exit_code == 0
+    assert res.stdout.encode("utf-8", "surrogateescape") == b"ok\xff\xfe"
+    assert res.stderr.encode("utf-8", "surrogateescape") == b"\xff"
+    # the timeout path decodes what it caught the same way
+    cut = box.exec(r"printf 'ok\377'; sleep 5", timeout=0.3)
+    assert cut.timed_out is True
+    assert cut.stdout.encode("utf-8", "surrogateescape") == b"ok\xff"
+
+
+def test_local_sandbox_timeout_kills_children(tmp_path):
+    started = time.monotonic()
+    res = LocalSandbox(tmp_path).exec("(sleep 1.5; touch marker) & wait",
+                                      timeout=0.3)
+    assert res.timed_out is True
+    assert time.monotonic() - started < 1.5
+    time.sleep(max(0.0, started + 2.0 - time.monotonic()))
+    assert not (tmp_path / "marker").exists()
+
+
 def test_local_sandbox_rejects_missing_dir(tmp_path):
     with pytest.raises(SandboxUnavailable):
         LocalSandbox(tmp_path / "ghost")
-
-
-# -- container sandbox argv shapes ----------------------------------------------
-
-
-def test_container_sandbox_argv_builders():
-    box = ContainerSandbox("img:tag", runtime="podman", start=False)
-    assert box.container.startswith("vulnmend-")
-    assert box.start_argv() == ["podman", "run", "-d", "--name",
-                                box.container, "-w", "/workspace",
-                                "img:tag", "sleep", "infinity"]
-    assert box.exec_argv("make check") == ["podman", "exec", "-w",
-                                           "/workspace", box.container,
-                                           "sh", "-c", "make check"]
-    assert box.read_argv("src/a.c") == ["podman", "exec", box.container,
-                                        "cat", "/workspace/src/a.c"]
-    assert box.stop_argv() == ["podman", "rm", "-f", box.container]
-    assert box.descriptor == f"container:img:tag:{box.container}"
-
-
-def test_container_sandbox_start_failure():
-    with pytest.raises(SandboxUnavailable):
-        ContainerSandbox("img", runtime="false")
 
 
 # -- PoC runner over a stub sandbox ----------------------------------------------

@@ -1,13 +1,16 @@
 """Harness layer: instance schema, config variants, backends, telemetry,
 metrics and the command line."""
 
+import dataclasses
 import json
 import shutil
+import subprocess
 from decimal import Decimal
 from types import SimpleNamespace
 
 import pytest
 import requests
+from replay_scripts import build_entries
 
 from vulnmend.agents.react import Step, Transcript
 from vulnmend.errors import (LLMBackendError, ReplayDesync, SchemaViolation,
@@ -19,6 +22,7 @@ from vulnmend.harness.instances import (IssueInstance, load_instances,
                                         parse_instance)
 from vulnmend.harness.metrics import (Metrics, cost_of_records, evaluate_run,
                                       verify_prediction)
+from vulnmend.harness.pipeline import run_instance
 from vulnmend.harness.telemetry import (classify_script,
                                         classify_script_calls,
                                         transcript_summary)
@@ -754,6 +758,35 @@ def test_evaluate_missing_prediction_counts_as_no_patch(tmp_path):
     metrics, verdicts = evaluate_run(run_dir, [instance])
     assert metrics.patched == 0
     assert verdicts[0].has_patch is False
+
+
+# --- pipeline -------------------------------------------------------------
+
+
+@needs_gcc
+def test_replay_run_instance_spawns_no_git(fixtures_dir, tmp_path,
+                                           monkeypatch):
+    spawned = []
+
+    class RecordingPopen(subprocess.Popen):
+        # subprocess.run starts its processes through Popen too
+        def __init__(self, args, *rest, **kwargs):
+            spawned.append(args.split() if isinstance(args, str)
+                           else list(args))
+            super().__init__(args, *rest, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    config = dataclasses.replace(variant("full"), keep_workspaces=True)
+    result = run_instance(instance, config,
+                          ReplayBackend(build_entries(True, True)), tmp_path)
+
+    assert result.winner is not None and not result.errors
+    assert spawned  # the PoC builds were seen
+    assert [argv for argv in spawned if argv[:1] == ["git"]] == []
+    instance_dir = tmp_path / instance.instance_id
+    assert not (instance_dir / "base").exists()
+    assert not (instance_dir / "workspace" / ".git").exists()
 
 
 # --- command line ---------------------------------------------------------

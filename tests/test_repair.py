@@ -1,7 +1,7 @@
 import shutil
 
 import pytest
-from conftest import ScriptedLLM
+from conftest import ScriptedLLM, snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from replay_scripts import (COMMENT_ONLY_PATCH, COMMENTED_FIX, REFERENCE_FIX,
@@ -9,16 +9,15 @@ from replay_scripts import (COMMENT_ONLY_PATCH, COMMENTED_FIX, REFERENCE_FIX,
 
 from vulnmend.edit_engine import (EditHistory, apply_edits_to_text,
                                   parse_edit_blocks)
-from vulnmend.errors import NormalizerUnavailable
 from vulnmend.execution import LocalSandbox, PocRunner
 from vulnmend.llm import ChatResponse
 from vulnmend.localization import ElementSelection
-from vulnmend.repair import (CandidateOutcome, CandidatePatch, Normalizer,
+from vulnmend.repair import (CandidateOutcome, CandidatePatch,
                              build_patch_context, generate_patches,
                              normalize_source, patch_fingerprint,
                              select_patch, temperature_schedule,
                              validate_candidate, _merge_ranges)
-from vulnmend.repo_model import parse_elements, read_text, snapshot
+from vulnmend.repo_model import parse_elements, read_text
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
                                reason="no C compiler on this machine")
@@ -167,28 +166,15 @@ def test_normalize_equates_comment_variants(crepo):
     assert normalize_source(plain) != normalize_source(original)
 
 
-def test_normalizer_external_command():
-    assert Normalizer(["tr", "a-z", "A-Z"]).normalize("abc\n") == "ABC\n"
-
-
-def test_normalizer_failures():
-    with pytest.raises(NormalizerUnavailable):
-        Normalizer(["/nonexistent/formatter"]).normalize("x")
-    with pytest.raises(NormalizerUnavailable, match="exited 3"):
-        Normalizer(["sh", "-c", "exit 3"]).normalize("x")
-
-
 def test_fingerprint_ignores_comment_differences(scratch_crepo):
     history = EditHistory(scratch_crepo)
-    normalizer = Normalizer()
 
     history.apply_edits("plain", REFERENCE_FIX)
-    fp_plain = patch_fingerprint(scratch_crepo, ["src/buf.c"], normalizer)
+    fp_plain = patch_fingerprint(scratch_crepo, ["src/buf.c"])
     history.rollback_all()
 
     history.apply_edits("commented", COMMENTED_FIX)
-    fp_commented = patch_fingerprint(scratch_crepo, ["src/buf.c"],
-                                     normalizer)
+    fp_commented = patch_fingerprint(scratch_crepo, ["src/buf.c"])
     history.rollback_all()
 
     assert fp_plain == fp_commented
@@ -204,69 +190,61 @@ def test_fingerprint_ignores_comment_differences(scratch_crepo):
     }
 >>>>>>> REPLACE
 """)
-    fp_other = patch_fingerprint(scratch_crepo, ["src/buf.c"], normalizer)
+    fp_other = patch_fingerprint(scratch_crepo, ["src/buf.c"])
     assert fp_other != fp_plain
 
 
 def test_fingerprint_binds_path_and_sorts_file_set(tmp_path):
     (tmp_path / "a.c").write_text("int v;\n")
     (tmp_path / "b.c").write_text("int v;\n")
-    normalizer = Normalizer()
-    assert (patch_fingerprint(tmp_path, ["a.c"], normalizer)
-            != patch_fingerprint(tmp_path, ["b.c"], normalizer))
-    assert (patch_fingerprint(tmp_path, ["a.c", "b.c"], normalizer)
-            == patch_fingerprint(tmp_path, ["b.c", "a.c", "a.c"],
-                                 normalizer))
+    assert (patch_fingerprint(tmp_path, ["a.c"])
+            != patch_fingerprint(tmp_path, ["b.c"]))
+    assert (patch_fingerprint(tmp_path, ["a.c", "b.c"])
+            == patch_fingerprint(tmp_path, ["b.c", "a.c", "a.c"]))
 
 
 # -- validation ------------------------------------------------------------------
 
 
 @needs_gcc
-def test_validate_candidate_poc_verdicts(tmp_path, scratch_crepo):
-    base = tmp_path / "base"
-    shutil.copytree(scratch_crepo, base)
+def test_validate_candidate_poc_verdicts(scratch_crepo):
     history = EditHistory(scratch_crepo)
     runner = PocRunner(LocalSandbox(scratch_crepo), "sh secb.sh")
-    before = snapshot(scratch_crepo).digest
+    before = snapshot(scratch_crepo)
 
     fixed = validate_candidate(_candidate(0, REFERENCE_FIX), history,
-                               runner, base, scratch_crepo)
+                               runner, scratch_crepo)
     assert fixed.applied and fixed.compiled and fixed.poc_pass
     assert fixed.sanitizer_triggered is False
     assert fixed.fingerprint
     assert "len = cap - 1;" in fixed.diff
     assert fixed.diff.startswith("diff --git")
-    assert snapshot(scratch_crepo).digest == before
+    assert snapshot(scratch_crepo, before.files) == before
 
     cosmetic = validate_candidate(_candidate(1, COMMENT_ONLY_PATCH),
-                                  history, runner, base, scratch_crepo)
+                                  history, runner, scratch_crepo)
     assert cosmetic.applied and cosmetic.compiled
     assert cosmetic.sanitizer_triggered is True
     assert cosmetic.poc_pass is False
-    assert snapshot(scratch_crepo).digest == before
+    assert snapshot(scratch_crepo, before.files) == before
 
 
-def test_validate_candidate_unmatched_search(scratch_crepo, tmp_path):
-    base = tmp_path / "base"
-    shutil.copytree(scratch_crepo, base)
+def test_validate_candidate_unmatched_search(scratch_crepo):
     history = EditHistory(scratch_crepo)
     runner = PocRunner(LocalSandbox(scratch_crepo), "true")
     outcome = validate_candidate(_candidate(2, UNMATCHED_PATCH), history,
-                                 runner, base, scratch_crepo)
+                                 runner, scratch_crepo)
     assert outcome.applied is False
     assert outcome.failure.startswith("SearchTextNotFound")
     assert history.history_view().count == 0
 
 
-def test_validate_candidate_parse_error_short_circuits(scratch_crepo,
-                                                       tmp_path):
+def test_validate_candidate_parse_error_short_circuits(scratch_crepo):
     candidate = CandidatePatch(index=3, temperature=1.0, raw_text="junk",
                                edits=(), parse_error="no edit blocks found")
     outcome = validate_candidate(
         candidate, EditHistory(scratch_crepo),
-        PocRunner(LocalSandbox(scratch_crepo), "true"),
-        tmp_path, scratch_crepo)
+        PocRunner(LocalSandbox(scratch_crepo), "true"), scratch_crepo)
     assert outcome.applied is False
     assert outcome.failure == "no edit blocks found"
 

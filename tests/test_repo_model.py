@@ -1,13 +1,13 @@
 import os
 
 import pytest
+from conftest import snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnmend.cparse import ElementKind
 from vulnmend.repo_model import (parse_elements, read_text, render_repo_tree,
-                                 skeletonize, snapshot, source_files,
-                                 write_text)
+                                 skeletonize, source_files, write_text)
 
 
 def test_read_write_round_trip_is_byte_lossless(tmp_path):
@@ -139,7 +139,7 @@ def test_snapshot_ignores_timestamps(scratch_crepo):
     os.utime(scratch_crepo / "src" / "buf.c", (1, 1))
     second = snapshot(scratch_crepo)
     assert first.digest == second.digest
-    assert first.file_count == second.file_count
+    assert first.files == second.files
 
 
 def test_snapshot_detects_content_change(scratch_crepo):
@@ -149,16 +149,12 @@ def test_snapshot_detects_content_change(scratch_crepo):
     assert snapshot(scratch_crepo).digest != before
 
 
-def test_snapshot_in_git_tree_ignores_untracked(scratch_crepo):
-    import subprocess
-    subprocess.run(["git", "init", "-q"], cwd=scratch_crepo, check=True)
-    subprocess.run(["git", "add", "-A"], cwd=scratch_crepo, check=True)
-    subprocess.run(["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                    "commit", "-qm", "x"], cwd=scratch_crepo, check=True)
-    before = snapshot(scratch_crepo).digest
+def test_snapshot_over_baseline_files_ignores_new_artifacts(scratch_crepo):
+    before = snapshot(scratch_crepo)
     (scratch_crepo / "build").mkdir()
     (scratch_crepo / "build" / "artifact.o").write_bytes(b"\x7fELF junk")
-    assert snapshot(scratch_crepo).digest == before
+    assert snapshot(scratch_crepo, before.files) == before
+    assert snapshot(scratch_crepo) != before
 
 
 def test_parse_elements_missing_file_raises(crepo):

@@ -4,11 +4,12 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from conftest import snapshot
 
 from vulnmend.errors import (BackendUnavailable, MalformedBlock,
                              NoMarkersFound, VulnmendError)
 from vulnmend.lsp_client import LspBackend
-from vulnmend.repo_model import read_text, snapshot, source_files
+from vulnmend.repo_model import read_text, source_files
 from vulnmend.symbol_analysis import (IndexBackend, SymbolLocation,
                                       make_symbol_backend, plan_queries,
                                       resolve_code_symbol)
