@@ -7,7 +7,7 @@ from pathlib import Path
 
 from ..errors import ReportParseFailure
 from ..llm import ChatRequest, LLMBackend
-from ..repo_model import render_repo_tree
+from ..repo_model import RepoIndex, render_repo_tree
 from ..symbol_analysis import SymbolBackend
 from .react import AgentSpec, Transcript, run_react
 from .reports import ContextAnalysisReport, parse_context_report
@@ -49,7 +49,8 @@ def reparse_with_retry(llm: LLMBackend, tag: str, raw: str, parse_fn,
         return None
 
 
-def run_cpc_agent(llm: LLMBackend, root: Path | str, backend: SymbolBackend,
+def run_cpc_agent(llm: LLMBackend, repo: RepoIndex | Path | str,
+                  backend: SymbolBackend,
                   issue_text: str,
                   max_steps: int = DEFAULT_CPC_MAX_STEPS,
                   ) -> tuple[ContextAnalysisReport, Transcript]:
@@ -59,15 +60,15 @@ def run_cpc_agent(llm: LLMBackend, root: Path | str, backend: SymbolBackend,
     too, the raw text is kept with parse_ok=False so the pipeline can
     still splice it into the enhanced report.
     """
-    root = Path(root)
+    index = RepoIndex.of(repo)
     spec = AgentSpec(
         name="cpc",
         system_prompt=load_prompt("cpc"),
         max_steps=max_steps,
-        tools=cpc_toolkit(root, backend),
+        tools=cpc_toolkit(index, backend),
     )
-    transcript = run_react(spec, llm,
-                           initial_message(issue_text, render_repo_tree(root)))
+    transcript = run_react(
+        spec, llm, initial_message(issue_text, render_repo_tree(index.root)))
     raw = transcript.final_text or ""
     try:
         report = parse_context_report(raw)

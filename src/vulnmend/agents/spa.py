@@ -8,7 +8,7 @@ from ..edit_engine import EditHistory
 from ..errors import EmptyHistory, ReportParseFailure
 from ..execution import PocRunner, PythonScriptSandbox
 from ..llm import LLMBackend
-from ..repo_model import render_repo_tree
+from ..repo_model import RepoIndex, render_repo_tree
 from ..symbol_analysis import SymbolBackend
 from .cpc import initial_message, load_prompt, reparse_with_retry
 from .react import AgentSpec, Transcript, run_react
@@ -49,7 +49,8 @@ def install_assert_prelude(sandbox) -> None:
     sandbox.write_file(ASSERT_PRELUDE_NAME, ASSERT_PRELUDE)
 
 
-def run_spa_agent(llm: LLMBackend, root: Path | str, backend: SymbolBackend,
+def run_spa_agent(llm: LLMBackend, repo: RepoIndex | Path | str,
+                  backend: SymbolBackend,
                   history: EditHistory, runner: PocRunner,
                   script_sandbox: PythonScriptSandbox, issue_text: str,
                   max_steps: int = DEFAULT_SPA_MAX_STEPS,
@@ -59,16 +60,17 @@ def run_spa_agent(llm: LLMBackend, root: Path | str, backend: SymbolBackend,
     Whatever the agent leaves applied is rolled back afterwards, so the
     workspace the repair stage sees is the baseline one.
     """
-    root = Path(root)
+    index = RepoIndex.of(repo)
     spec = AgentSpec(
         name="spa",
         system_prompt=load_prompt("spa"),
         max_steps=max_steps,
-        tools=spa_toolkit(root, backend, history, runner, script_sandbox),
+        tools=spa_toolkit(index, backend, history, runner, script_sandbox),
     )
     try:
         transcript = run_react(
-            spec, llm, initial_message(issue_text, render_repo_tree(root)))
+            spec, llm,
+            initial_message(issue_text, render_repo_tree(index.root)))
     finally:
         try:
             history.rollback_all()

@@ -13,6 +13,7 @@ from pathlib import Path
 from ..code_search import read_code, search_code_element
 from ..edit_engine import EditHistory
 from ..execution import PocRunner, PythonScriptSandbox
+from ..repo_model import RepoIndex
 from ..symbol_analysis import SymbolBackend, resolve_code_symbol
 from .react import Tool, ToolOutcome
 
@@ -46,10 +47,10 @@ _MARK_SCHEMA = {
 }
 
 
-def build_search_tool(root: Path) -> Tool:
+def build_search_tool(repo: RepoIndex | Path) -> Tool:
     def fn(args: dict) -> ToolOutcome:
         result = search_code_element(
-            root, str(_req(args, "name")),
+            repo, str(_req(args, "name")),
             file=args.get("file") or None,
             mark_lines=_opt_lines(args))
         return ToolOutcome(observation=result.render(),
@@ -255,21 +256,24 @@ def build_run_python_tool(sandbox: PythonScriptSandbox) -> Tool:
     )
 
 
-def cpc_toolkit(root: Path | str, backend: SymbolBackend) -> dict[str, Tool]:
+def cpc_toolkit(repo: RepoIndex | Path | str,
+                backend: SymbolBackend) -> dict[str, Tool]:
     """Read-only exploration tools for the context pre-collection agent."""
-    root = Path(root)
-    tools = [build_search_tool(root), build_read_tool(root),
+    index = RepoIndex.of(repo)
+    root = index.root
+    tools = [build_search_tool(index), build_read_tool(root),
              build_resolve_tool(root, backend)]
     return {t.name: t for t in tools}
 
 
-def spa_toolkit(root: Path | str, backend: SymbolBackend,
+def spa_toolkit(repo: RepoIndex | Path | str, backend: SymbolBackend,
                 history: EditHistory, runner: PocRunner,
                 script_sandbox: PythonScriptSandbox) -> dict[str, Tool]:
     """Full toolset for the safety-property analysis agent."""
-    root = Path(root)
+    index = RepoIndex.of(repo)
+    root = index.root
     tools = [
-        build_search_tool(root),
+        build_search_tool(index),
         build_read_tool(root),
         build_resolve_tool(root, backend),
         build_run_poc_tool(runner),

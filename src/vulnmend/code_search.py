@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ElementNotFound
-from .repo_model import CodeElement, parse_elements, read_text, source_files
+from .repo_model import CodeElement, RepoIndex, read_text
+from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 MARKER_RE = re.compile(r"// <<<<< (\S+):(\d+)\s*$")
 
@@ -94,7 +95,7 @@ def _name_matches(element: CodeElement, name: str) -> bool:
     return element.name == name
 
 
-def search_code_element(root: Path | str, name: str,
+def search_code_element(repo: RepoIndex | Path | str, name: str,
                         file: str | None = None,
                         mark_lines: Iterable[int] | None = None,
                         limit: int = DEFAULT_SEARCH_LIMIT) -> SearchResult:
@@ -102,19 +103,21 @@ def search_code_element(root: Path | str, name: str,
 
     Every match is returned (ambiguity is the caller's problem), subject
     to the result cap; the result says when the cap truncated the list.
+    Given a directory instead of its index, the search parses that
+    directory's files once, for this call only.
     """
-    root = Path(root)
+    index = RepoIndex.of(repo)
     if file is not None:
-        if not (root / file).is_file():
+        if not (index.root / file).is_file():
             raise FileNotFoundError(file)
         candidates = [file]
     else:
-        candidates = source_files(root)
+        candidates = index.files()
 
     matches = []
     truncated = False
     for rel in candidates:
-        for element in parse_elements(root, rel):
+        for element in index.elements(rel):
             if _name_matches(element, name):
                 if len(matches) >= limit:
                     truncated = True

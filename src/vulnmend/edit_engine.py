@@ -22,7 +22,7 @@ import difflib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (EmptyHistory, MalformedBlock, NoChanges,
                      SearchTextAmbiguous, SearchTextNotFound)
@@ -347,16 +347,3 @@ def to_unified_diff(root: Path | str, originals: Mapping[str, str]) -> str:
     if not chunks:
         return ""
     return "\n".join(chunks) + "\n"
-
-
-def iter_block_texts(edits: Iterable[SearchReplaceEdit]) -> str:
-    """Render edits back into block text (the inverse of parsing)."""
-    parts = []
-    for e in edits:
-        parts.append(f"### {e.file}")
-        parts.append("<<<<<<< SEARCH")
-        parts.append(e.search)
-        parts.append("=======")
-        parts.append(e.replace)
-        parts.append(">>>>>>> REPLACE")
-    return "\n".join(parts) + "\n"

@@ -61,10 +61,6 @@ class NoMarkersFound(VulnmendError):
     pass
 
 
-class BackendUnavailable(VulnmendError):
-    pass
-
-
 # --- execution ------------------------------------------------------------
 
 

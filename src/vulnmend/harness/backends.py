@@ -28,9 +28,18 @@ class ReplayBackend:
     {"text": "..."} or {"tool": "<name>", "args": {...}} with an optional
     "thought". A tag mismatch or an exhausted script is an error naming
     the step, because a desync means the pipeline under test changed.
+    A multi-instance script {"instances": {"<id>": {"entries": [...]}}}
+    holds one such script per instance; pass one of them.
     """
 
     def __init__(self, script: dict | list):
+        if isinstance(script, dict) and "instances" in script:
+            raise ValueError(
+                "replay script is in the per-instance form "
+                '{"instances": {...}} with instances '
+                f"{', '.join(sorted(script['instances']))}; build one "
+                "ReplayBackend per instance from "
+                'script["instances"][<id>]')
         entries = script["entries"] if isinstance(script, dict) else script
         self.entries = list(entries)
         self.position = 0

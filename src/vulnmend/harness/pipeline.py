@@ -31,6 +31,7 @@ from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
 from ..repair import (build_patch_context, generate_patches, select_patch,
                       validate_candidate)
+from ..repo_model import RepoIndex
 from ..symbol_analysis import make_symbol_backend
 from .config import RunConfig
 from .instances import IssueInstance
@@ -48,8 +49,10 @@ class InstanceResult:
 
 
 def _write(path: Path, text: str) -> None:
+    # a diff of a non-UTF-8 source carries its raw bytes as surrogate
+    # escapes (see repo_model.read_text); write them back unchanged
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -127,8 +130,10 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         timeout=config.poc_timeout)
     script_sandbox = PythonScriptSandbox(
         log_provider=log_store.get, output_cap=config.script_output_cap)
-    symbols = make_symbol_backend(workspace, lsp_command=None,
-                                  language_id=instance.language)
+    # one index for every element lookup of this instance; it lists and
+    # parses lazily, inside the stage that first needs it
+    index = RepoIndex(workspace)
+    symbols = make_symbol_backend(index)
 
     telemetry: dict = {"instance_id": instance.instance_id,
                        "agents": {}, "stages": {}}
@@ -136,7 +141,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     context_report = None
     if config.enable_cpc:
         cpc_out = stage.run("cpc", lambda: run_cpc_agent(
-            llm, workspace, symbols, issue_text,
+            llm, index, symbols, issue_text,
             max_steps=config.cpc_max_steps))
         if cpc_out is not None:
             context_report, transcript = cpc_out
@@ -152,7 +157,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
                 issue_text=issue_text,
                 context_report=context_report).render()
         spa_out = stage.run("spa", lambda: run_spa_agent(
-            llm, workspace, symbols, history, runner, script_sandbox,
+            llm, index, symbols, history, runner, script_sandbox,
             spa_issue, max_steps=config.spa_max_steps))
         if spa_out is not None:
             property_report, transcript = spa_out
@@ -185,7 +190,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
             chunk_lines=config.chunk_lines), fallback=[])
     merged = merge_rankings(prompt_files, retrieval_files, config.top_files)
     element_loc = stage.run("localize_elements", lambda: localize_elements(
-        llm, workspace, merged, loc_text, limit=config.element_limit))
+        llm, index, merged, loc_text, limit=config.element_limit))
     selections = element_loc.selections if element_loc is not None else ()
 
     _write_json(instance_dir / "rankings" / "files.json", {

@@ -11,9 +11,10 @@ code skeletons.
 
 from __future__ import annotations
 
+import hashlib
 import json
-import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import JSONParseFailure
 from .llm import ChatRequest, LLMBackend
-from .repo_model import (CodeElement, parse_elements, read_text,
-                         render_repo_tree, skeletonize, source_files)
+from .repo_model import (CodeElement, RepoIndex, read_text, render_repo_tree,
+                         skeletonize, source_files)
 
 DEFAULT_CHUNK_LINES = 512
 DEFAULT_EMBED_DIM = 256
@@ -49,7 +50,6 @@ class HashingEmbedder:
         self.dim = dim
 
     def _slot(self, token: str) -> tuple[int, float]:
-        import hashlib
         h = hashlib.sha256(token.encode("utf-8", "surrogateescape")).digest()
         idx = int.from_bytes(h[:4], "big") % self.dim
         sign = 1.0 if h[4] & 1 else -1.0
@@ -58,9 +58,15 @@ class HashingEmbedder:
     def embed(self, texts: list[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
         for i, text in enumerate(texts):
-            for token in _TOKEN_RE.findall(text.lower()):
+            # each distinct token is hashed once per text; the sums stay
+            # small integers, so adding sign * count gives the same bits
+            # as adding sign once per occurrence
+            row = [0.0] * self.dim
+            for token, count in Counter(
+                    _TOKEN_RE.findall(text.lower())).items():
                 idx, sign = self._slot(token)
-                out[i, idx] += sign
+                row[idx] += sign * count
+            out[i] = row
             norm = np.linalg.norm(out[i])
             if norm > 0:
                 out[i] /= norm
@@ -247,16 +253,16 @@ _ELEMENTS_SYSTEM = (
     "suspicious first, and nothing else. Use Scope::name for members.")
 
 
-def _element_index(root: Path, rel: str) -> dict[str, CodeElement]:
-    index: dict[str, CodeElement] = {}
-    for element in parse_elements(root, rel):
-        index.setdefault(element.name, element)
-        index.setdefault(element.qualified_name, element)
-    return index
+def _element_index(index: RepoIndex, rel: str) -> dict[str, CodeElement]:
+    by_name: dict[str, CodeElement] = {}
+    for element in index.elements(rel):
+        by_name.setdefault(element.name, element)
+        by_name.setdefault(element.qualified_name, element)
+    return by_name
 
 
-def localize_elements(llm: LLMBackend, root: Path | str, files: list[str],
-                      issue_text: str, limit: int = 10,
+def localize_elements(llm: LLMBackend, repo: RepoIndex | Path | str,
+                      files: list[str], issue_text: str, limit: int = 10,
                       ) -> ElementLocalization:
     """Narrow ranked files to concrete elements over their skeletons.
 
@@ -264,11 +270,12 @@ def localize_elements(llm: LLMBackend, root: Path | str, files: list[str],
     result is empty with parse_ok=False and the repair stage falls back
     to whole-file context.
     """
-    root = Path(root)
+    index = RepoIndex.of(repo)
     sections = []
     for rel in files:
+        text, elements = index.read(rel)
         sections.append(f"## {rel}\n\n```\n"
-                        f"{skeletonize(read_text(root / rel)).rstrip()}\n```")
+                        f"{skeletonize(text, elements).rstrip()}\n```")
     user = (f"# Issue\n\n{issue_text.strip()}\n\n# Candidate files\n\n"
             + "\n\n".join(sections)
             + f"\n\nName up to {limit} elements.")
@@ -297,7 +304,7 @@ def localize_elements(llm: LLMBackend, root: Path | str, files: list[str],
         if not rel or not ident or rel not in files:
             continue
         if rel not in indexes:
-            indexes[rel] = _element_index(root, rel)
+            indexes[rel] = _element_index(index, rel)
         element = indexes[rel].get(ident)
         if element is None or (rel, element.name, element.start_line) in seen:
             continue
@@ -307,8 +314,3 @@ def localize_elements(llm: LLMBackend, root: Path | str, files: list[str],
             break
     return ElementLocalization(selections=tuple(selections),
                                parse_ok=parse_ok)
-
-
-def expected_chunk_count(line_count: int,
-                         chunk_lines: int = DEFAULT_CHUNK_LINES) -> int:
-    return math.ceil(line_count / chunk_lines)

@@ -1,12 +1,13 @@
 """Read-only model of a C/C++ workspace.
 
 Everything here treats the tree as data: directory listings, top-level
-element extraction and body-elided skeletons. Nothing in this module
-writes to the workspace.
+element extraction, a content-keyed element index and body-elided
+skeletons. Nothing in this module writes to the workspace.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -24,6 +25,7 @@ __all__ = [
     "source_files",
     "render_repo_tree",
     "parse_elements",
+    "RepoIndex",
     "skeletonize",
 ]
 
@@ -47,7 +49,8 @@ class CodeElement:
     """One named top-level element of a source file.
 
     Lines are 1-based and inclusive; text is the exact content of those
-    lines, newlines included.
+    lines, newlines included. body holds the character offsets, in the
+    whole file's text, of a function body's braces.
     """
 
     name: str
@@ -57,6 +60,7 @@ class CodeElement:
     start_line: int
     end_line: int
     text: str
+    body: tuple[int, int] | None = None
 
     @property
     def qualified_name(self) -> str:
@@ -118,15 +122,10 @@ def render_repo_tree(root: Path | str,
 
 def parse_elements(root: Path | str, relpath: str):
     """Top-level elements of one file, ordered by start line."""
-    root = Path(root)
-    path = root / relpath
-    if not path.is_file():
-        raise FileNotFoundError(relpath)
-    try:
-        text = read_text(path)
-    except OSError as exc:
-        raise ParseFailure(f"cannot read {relpath}: {exc}") from exc
+    return RepoIndex(root).elements(relpath)
 
+
+def _elements_of(text: str, relpath: str) -> tuple[CodeElement, ...]:
     lines = text.splitlines(keepends=True)
     # offsets of line starts, for charpos -> line conversion
     starts = [0]
@@ -155,22 +154,75 @@ def parse_elements(root: Path | str, relpath: str):
             start_line=start_line,
             end_line=end_line,
             text="".join(lines[start_line - 1:end_line]),
+            body=raw.body,
         ))
-    return out
+    return tuple(out)
 
 
-def skeletonize(text: str) -> str:
+class RepoIndex:
+    """The source files of one workspace and their top-level elements.
+
+    The file list is taken once, on first use: edit sets rewrite files
+    but never add or remove one. A file is parsed again only when the
+    digest of its current bytes differs from the digest it was last
+    parsed at, so lookups always answer from the text on disk. Per file
+    only (digest, elements) is kept, never the text.
+    """
+
+    def __init__(self, root: Path | str):
+        self.root = Path(root)
+        self._files: list[str] | None = None
+        self._parsed: dict[str, tuple[bytes, tuple[CodeElement, ...]]] = {}
+        # bumped on every parse; a consumer that derives data from the
+        # elements rebuilds it when this moved
+        self.generation = 0
+
+    @classmethod
+    def of(cls, repo: "RepoIndex | Path | str") -> "RepoIndex":
+        """repo itself, or a new index over the directory repo."""
+        return repo if isinstance(repo, RepoIndex) else cls(repo)
+
+    def files(self) -> list[str]:
+        if self._files is None:
+            self._files = source_files(self.root)
+        return self._files
+
+    def read(self, relpath: str) -> tuple[str, tuple[CodeElement, ...]]:
+        """Current text of one file and its elements, by start line."""
+        path = self.root / relpath
+        if not path.is_file():
+            raise FileNotFoundError(relpath)
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise ParseFailure(f"cannot read {relpath}: {exc}") from exc
+        text = data.decode("utf-8", errors="surrogateescape")
+        digest = hashlib.blake2b(data, digest_size=16).digest()
+        cached = self._parsed.get(relpath)
+        if cached is None or cached[0] != digest:
+            cached = (digest, _elements_of(text, relpath))
+            self._parsed[relpath] = cached
+            self.generation += 1
+        return text, cached[1]
+
+    def elements(self, relpath: str) -> tuple[CodeElement, ...]:
+        return self.read(relpath)[1]
+
+
+def skeletonize(text: str,
+                elements: Iterable[CodeElement] | None = None) -> str:
     """Collapse every function body to `{ ... }`.
 
     Declarations, type definitions, macros, globals and comments outside
     bodies survive verbatim. Bodies already shorter than the placeholder
-    are left alone so the result never grows.
+    are left alone so the result never grows. Pass the elements of text
+    (as RepoIndex.read returns them) to skip scanning it again.
     """
     replacements = []
-    for raw in scan_elements(text):
-        if raw.kind is not ElementKind.FUNCTION or raw.body is None:
+    for element in scan_elements(text) if elements is None else elements:
+        if element.kind is not ElementKind.FUNCTION or element.body is None:
             continue
-        open_pos, close_pos = raw.body
+        open_pos, close_pos = element.body
         inner = text[open_pos + 1:close_pos]
         if len(inner) > len(" ... "):
             replacements.append((open_pos + 1, close_pos))

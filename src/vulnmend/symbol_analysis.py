@@ -15,12 +15,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from .edit_engine import locate_search, parse_edit_blocks
-from .errors import (BackendUnavailable, MalformedBlock, NoMarkersFound,
-                     VulnmendError)
-from .repo_model import ElementKind, parse_elements, read_text, source_files
+from .errors import MalformedBlock, NoMarkersFound, VulnmendError
+from .repo_model import ElementKind, RepoIndex, read_text
+from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 _MARKER_RE = re.compile(
     r"\b(FIND_DEFINITION|FIND_REFERENCES)\(\s*([A-Za-z_]\w*)\s*\)")
@@ -235,31 +235,41 @@ class IndexBackend:
     Definitions come from the element index (a marker placed on the
     definition itself therefore finds itself, too). References are
     word-boundary token occurrences across every source file, declaration
-    sites included.
+    sites included. Both answer from the files as they are now: the name
+    table is rebuilt whenever the repo index parsed a changed file, and
+    lines are read fresh on every lookup.
     """
 
     includes_declaration = True
 
-    def __init__(self, root: Path | str):
-        self.root = Path(root)
+    def __init__(self, repo: RepoIndex | Path | str):
+        self.index = RepoIndex.of(repo)
+        self.root = self.index.root
         self._by_name: dict[str, list[SymbolLocation]] = {}
-        self._line_cache: dict[str, list[str]] = {}
-        for rel in source_files(self.root):
+        self._generation: int | None = None
+
+    def _names(self) -> dict[str, list[SymbolLocation]]:
+        parsed = []
+        for rel in self.index.files():
             try:
-                elements = parse_elements(self.root, rel)
+                parsed.append((rel, self.index.elements(rel)))
             except VulnmendError:
                 continue
-            for e in elements:
-                loc = self._name_site(e, rel)
-                if loc is not None:
-                    self._by_name.setdefault(e.name, []).append(loc)
-        for locs in self._by_name.values():
-            locs.sort(key=lambda l: (l.file, l.line, l.col))
+        if self._generation != self.index.generation:
+            by_name: dict[str, list[SymbolLocation]] = {}
+            for rel, elements in parsed:
+                for e in elements:
+                    loc = self._name_site(e, rel)
+                    if loc is not None:
+                        by_name.setdefault(e.name, []).append(loc)
+            for locs in by_name.values():
+                locs.sort(key=lambda l: (l.file, l.line, l.col))
+            self._by_name = by_name
+            self._generation = self.index.generation
+        return self._by_name
 
     def _lines(self, rel: str) -> list[str]:
-        if rel not in self._line_cache:
-            self._line_cache[rel] = read_text(self.root / rel).split("\n")
-        return self._line_cache[rel]
+        return read_text(self.root / rel).split("\n")
 
     def _name_site(self, element, rel: str) -> SymbolLocation | None:
         pattern = re.compile(rf"\b{re.escape(element.name)}\b")
@@ -285,7 +295,7 @@ class IndexBackend:
         token = self._token_at(file, line, col)
         if token is None:
             return []
-        return list(self._by_name.get(token, ()))
+        return list(self._names().get(token, ()))
 
     def references(self, file: str, line: int, col: int):
         token = self._token_at(file, line, col)
@@ -293,7 +303,7 @@ class IndexBackend:
             return []
         pattern = re.compile(rf"\b{re.escape(token)}\b")
         out = []
-        for rel in source_files(self.root):
+        for rel in self.index.files():
             for idx, text in enumerate(self._lines(rel), 1):
                 for m in pattern.finditer(text):
                     out.append(SymbolLocation(file=rel, line=idx,
@@ -305,15 +315,6 @@ class IndexBackend:
         pass
 
 
-def make_symbol_backend(root: Path | str,
-                        lsp_command: Sequence[str] | None = None,
-                        language_id: str = "c") -> SymbolBackend:
-    """LSP-backed resolution when a server command is configured and
-    starts; the in-process index otherwise."""
-    if lsp_command:
-        from .lsp_client import LspBackend
-        try:
-            return LspBackend(root, lsp_command, language_id=language_id)
-        except BackendUnavailable:
-            pass
-    return IndexBackend(root)
+def make_symbol_backend(repo: RepoIndex | Path | str) -> SymbolBackend:
+    """The symbol backend for one workspace: the in-process index."""
+    return IndexBackend(repo)

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnmend.edit_engine import (EditHistory, SearchReplaceEdit,
-                                  apply_edits_to_text, iter_block_texts,
-                                  locate_search, parse_edit_blocks,
-                                  to_unified_diff)
+                                  apply_edits_to_text, locate_search,
+                                  parse_edit_blocks, to_unified_diff)
 from vulnmend.errors import (EmptyHistory, MalformedBlock, NoChanges,
                              SearchTextAmbiguous, SearchTextNotFound)
 from vulnmend.repo_model import read_text, write_text
@@ -378,6 +377,15 @@ def test_unified_diff_patch_p1_compatible(tmp_path, crepo):
                           cwd=target, capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert read_text(target / "src" / "buf.c") == read_text(buf)
+
+
+def iter_block_texts(edits):
+    """Render edits back into block text (the inverse of parsing)."""
+    parts = []
+    for e in edits:
+        parts += [f"### {e.file}", "<<<<<<< SEARCH", e.search, "=======",
+                  e.replace, ">>>>>>> REPLACE"]
+    return "\n".join(parts) + "\n"
 
 
 def test_iter_block_texts_round_trip():

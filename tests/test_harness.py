@@ -2,9 +2,11 @@
 metrics and the command line."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 import subprocess
+from collections import Counter
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -12,7 +14,9 @@ import pytest
 import requests
 from replay_scripts import build_entries
 
+import vulnmend.repo_model as repo_model
 from vulnmend.agents.react import Step, Transcript
+from vulnmend.edit_engine import EditHistory, to_unified_diff
 from vulnmend.errors import (LLMBackendError, ReplayDesync, SchemaViolation,
                              ScriptExhausted, VerifierFailure)
 from vulnmend.harness.backends import HttpChatBackend, ReplayBackend
@@ -22,7 +26,7 @@ from vulnmend.harness.instances import (IssueInstance, load_instances,
                                         parse_instance)
 from vulnmend.harness.metrics import (Metrics, cost_of_records, evaluate_run,
                                       verify_prediction)
-from vulnmend.harness.pipeline import run_instance
+from vulnmend.harness.pipeline import _write, run_instance
 from vulnmend.harness.telemetry import (classify_script,
                                         classify_script_calls,
                                         transcript_summary)
@@ -286,6 +290,11 @@ def test_replay_from_file(tmp_path):
     path.write_text(json.dumps(
         {"entries": [{"expect": "x", "response": {"text": "y"}}]}))
     assert ReplayBackend.from_file(path).chat(_request("x")).text == "y"
+
+
+def test_replay_rejects_per_instance_script(fixtures_dir):
+    with pytest.raises(ValueError, match=r'"instances".*namecache-obo-1'):
+        ReplayBackend.from_file(fixtures_dir / "replays" / "full.json")
 
 
 def test_replay_desync_names_both_stages():
@@ -787,6 +796,52 @@ def test_replay_run_instance_spawns_no_git(fixtures_dir, tmp_path,
     instance_dir = tmp_path / instance.instance_id
     assert not (instance_dir / "base").exists()
     assert not (instance_dir / "workspace" / ".git").exists()
+
+
+@needs_gcc
+def test_replay_run_instance_parses_each_content_once(fixtures_dir, tmp_path,
+                                                      monkeypatch):
+    # scan_elements sees only text, so scans are counted per content
+    # digest; the fixture holds no two source files with equal bytes, so
+    # that is one count per (file, digest)
+    scans = Counter()
+    scan = repo_model.scan_elements
+
+    def counting_scan(text):
+        scans[hashlib.blake2b(
+            text.encode("utf-8", "surrogateescape")).hexdigest()] += 1
+        return scan(text)
+
+    monkeypatch.setattr(repo_model, "scan_elements", counting_scan)
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    result = run_instance(instance, variant("full"),
+                          ReplayBackend(build_entries(True, True)), tmp_path)
+
+    assert result.winner is not None and not result.errors
+    # the repo-wide searches parsed the whole tree ...
+    assert len(scans) >= len(repo_model.source_files(
+        fixtures_dir / "crepo"))
+    # ... and nothing was parsed twice at the same content
+    assert max(scans.values()) == 1
+
+
+def test_write_keeps_non_utf8_diff_bytes(tmp_path):
+    source = b"/* caf\xe9 */\nint x = 1;\n"
+    for side in ("before", "after"):
+        (tmp_path / side / "src").mkdir(parents=True)
+        (tmp_path / side / "src" / "a.c").write_bytes(source)
+    history = EditHistory(tmp_path / "after")
+    history.apply_edits("bump", "### src/a.c\n<<<<<<< SEARCH\nint x = 1;\n"
+                                "=======\nint x = 2;\n>>>>>>> REPLACE\n")
+    diff = to_unified_diff(tmp_path / "after", history.originals())
+    path = tmp_path / "out" / "candidate-0.diff"
+    _write(path, diff)
+
+    assert b" /* caf\xe9 */\n" in path.read_bytes()
+    subprocess.run(["git", "apply", str(path)], cwd=tmp_path / "before",
+                   check=True, capture_output=True)
+    assert (tmp_path / "before" / "src" / "a.c").read_bytes() \
+        == (tmp_path / "after" / "src" / "a.c").read_bytes()
 
 
 # --- command line ---------------------------------------------------------

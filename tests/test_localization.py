@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from vulnmend.errors import JSONParseFailure
 from vulnmend.llm import ChatResponse
-from vulnmend.localization import (HashingEmbedder, chunk_file, cosine,
-                                   expected_chunk_count, extract_json_array,
+from vulnmend.localization import (DEFAULT_CHUNK_LINES, HashingEmbedder,
+                                   chunk_file, cosine, extract_json_array,
                                    ignore_folders, localize_elements,
                                    localize_files_prompt,
                                    localize_files_retrieval, merge_rankings)
@@ -19,6 +20,10 @@ from vulnmend.repo_model import read_text, source_files
 
 def _text(t):
     return ChatResponse(text=t)
+
+
+def expected_chunk_count(line_count, chunk_lines=DEFAULT_CHUNK_LINES):
+    return math.ceil(line_count / chunk_lines)
 
 
 # -- chunking -------------------------------------------------------------------
@@ -52,6 +57,24 @@ def test_expected_chunk_count_pins():
 
 
 # -- embedding -------------------------------------------------------------------
+
+
+def test_embed_matches_token_by_token_sha256(crepo):
+    texts = ["copy_name writes past cap", "Copy_Name copy_name 42 cap cap",
+             "", "caf\udce9 x",
+             read_text(crepo / "njs" / "src" / "njs_array.c")]
+    dim = 64
+    expected = np.zeros((len(texts), dim))
+    for i, text in enumerate(texts):
+        for token in re.findall(r"[A-Za-z_]\w*|\d+", text.lower()):
+            h = hashlib.sha256(
+                token.encode("utf-8", "surrogateescape")).digest()
+            expected[i, int.from_bytes(h[:4], "big") % dim] += \
+                1.0 if h[4] & 1 else -1.0
+        norm = np.linalg.norm(expected[i])
+        if norm > 0:
+            expected[i] /= norm
+    assert np.array_equal(HashingEmbedder(dim).embed(texts), expected)
 
 
 def test_embedder_deterministic_and_normalized():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnmend.cparse import ElementKind
-from vulnmend.repo_model import (parse_elements, read_text, render_repo_tree,
-                                 skeletonize, source_files, write_text)
+from vulnmend.repo_model import (RepoIndex, parse_elements, read_text,
+                                 render_repo_tree, skeletonize, source_files,
+                                 write_text)
 
 
 def test_read_write_round_trip_is_byte_lossless(tmp_path):
@@ -127,6 +128,13 @@ def test_skeletonize_shortens_and_keeps_signatures(crepo):
     assert "{ ... }" in skeleton
     # body internals are gone
     assert "njs_uint32_to_string(&index, i);" not in skeleton
+
+
+def test_skeletonize_from_index_elements_matches_scan(crepo):
+    index = RepoIndex(crepo)
+    for rel in index.files():
+        text, elements = index.read(rel)
+        assert skeletonize(text, elements) == skeletonize(text), rel
 
 
 def test_skeletonize_never_grows():

@@ -1,14 +1,11 @@
 import re
-import sys
-import textwrap
 from pathlib import Path
 
 import pytest
 from conftest import snapshot
 
-from vulnmend.errors import (BackendUnavailable, MalformedBlock,
-                             NoMarkersFound, VulnmendError)
-from vulnmend.lsp_client import LspBackend
+from vulnmend.edit_engine import EditHistory
+from vulnmend.errors import MalformedBlock, NoMarkersFound, VulnmendError
 from vulnmend.repo_model import read_text, source_files
 from vulnmend.symbol_analysis import (IndexBackend, SymbolLocation,
                                       make_symbol_backend, plan_queries,
@@ -203,6 +200,43 @@ def test_cross_file_references_for_struct_member(crepo):
     assert any(l.file == "njs/src/njs_array.c" for l in outcome.locations)
 
 
+# three comment lines above copy_name's definition at src/buf.c:8
+SHIFT_COPY_NAME = """### src/buf.c
+<<<<<<< SEARCH
+int g_count = 0;
+=======
+int g_count = 0;
+/* one */
+/* two */
+/* three */
+>>>>>>> REPLACE
+"""
+
+
+def test_lookups_follow_applied_edits(scratch_crepo):
+    backend = IndexBackend(scratch_crepo)
+    call_col = _col_of(scratch_crepo, "src/main.c", 14, "copy_name")
+
+    def buf_sites():
+        defs = backend.definition("src/main.c", 14, call_col)
+        refs = backend.references("src/main.c", 14, call_col)
+        return ({l.line for l in defs if l.file == "src/buf.c"},
+                [(l.file, l.line, l.col) for l in refs])
+
+    assert buf_sites() == ({8}, _grep_references(scratch_crepo, "copy_name"))
+    history = EditHistory(scratch_crepo)
+    history.apply_edits("shift", SHIFT_COPY_NAME)
+    defs, refs = buf_sites()
+    assert defs == {11}
+    assert ("src/buf.c", 11, 6) in refs
+    assert refs == _grep_references(scratch_crepo, "copy_name")
+    # the token under the cursor comes from the edited text, too
+    assert {l.line for l in backend.definition("src/buf.c", 11, 6)
+            if l.file == "src/buf.c"} == {11}
+    history.rollback_all()
+    assert buf_sites()[0] == {8}
+
+
 def test_token_lookup_off_identifier_is_empty(crepo):
     backend = IndexBackend(crepo)
     assert backend.references("src/buf.c", 13, 8) == []
@@ -262,150 +296,5 @@ def test_backend_error_isolated_per_query(crepo):
     assert "error: backend exploded" in result.render()
 
 
-# -- language server wire protocol --------------------------------------------
-
-_FAKE_SERVER = textwrap.dedent('''\
-    import json
-    import os
-    import sys
-
-    log = open(sys.argv[1], "a", buffering=1)
-
-    def send(msg):
-        data = json.dumps(msg).encode()
-        sys.stdout.buffer.write(
-            b"Content-Length: %d\\r\\n\\r\\n" % len(data) + data)
-        sys.stdout.buffer.flush()
-
-    def read_msg():
-        length = None
-        while True:
-            line = sys.stdin.buffer.readline()
-            if not line:
-                return None
-            line = line.strip()
-            if not line:
-                break
-            if line.lower().startswith(b"content-length:"):
-                length = int(line.split(b":")[1])
-        if length is None:
-            return None
-        return json.loads(sys.stdin.buffer.read(length))
-
-    def uri(rel):
-        return "file://" + os.path.join(os.getcwd(), rel)
-
-    while True:
-        msg = read_msg()
-        if msg is None:
-            break
-        method = msg.get("method")
-        if method:
-            print(method, file=log)
-        if method == "initialize":
-            send({"jsonrpc": "2.0", "id": msg["id"],
-                  "result": {"capabilities": {}}})
-        elif method == "textDocument/definition":
-            if msg["params"]["position"]["character"] == 98:
-                send({"jsonrpc": "2.0", "id": msg["id"],
-                      "error": {"code": -32600, "message": "boom"}})
-                continue
-            send({"jsonrpc": "2.0", "method": "window/logMessage",
-                  "params": {"type": 3, "message": "noise"}})
-            send({"jsonrpc": "2.0", "id": 999,
-                  "method": "workspace/configuration",
-                  "params": {"items": []}})
-            send({"jsonrpc": "2.0", "id": msg["id"], "result": [
-                {"uri": uri("src/buf.c"),
-                 "range": {"start": {"line": 7, "character": 5},
-                           "end": {"line": 7, "character": 14}}}]})
-        elif method == "textDocument/references":
-            ctx = msg["params"]["context"]
-            print("includeDeclaration=%s" % ctx["includeDeclaration"],
-                  file=log)
-            send({"jsonrpc": "2.0", "id": msg["id"], "result": [
-                {"uri": uri("src/main.c"),
-                 "range": {"start": {"line": 13, "character": 4},
-                           "end": {"line": 13, "character": 13}}},
-                {"targetUri": uri("src/buf.c"),
-                 "targetRange": {"start": {"line": 7, "character": 0},
-                                 "end": {"line": 20, "character": 1}},
-                 "targetSelectionRange": {
-                     "start": {"line": 7, "character": 5},
-                     "end": {"line": 7, "character": 14}}}]})
-        elif method == "shutdown":
-            send({"jsonrpc": "2.0", "id": msg["id"], "result": None})
-        elif method == "exit":
-            break
-''')
-
-
-@pytest.fixture
-def fake_lsp(tmp_path):
-    server = tmp_path / "server.py"
-    server.write_text(_FAKE_SERVER)
-    log = tmp_path / "wire.log"
-    return [sys.executable, str(server), str(log)], log
-
-
-def test_lsp_backend_definition_over_wire(crepo, fake_lsp):
-    command, log = fake_lsp
-    backend = LspBackend(crepo, command)
-    try:
-        locs = backend.definition("src/main.c", 14, 5)
-    finally:
-        backend.shutdown()
-    assert [(l.file, l.line, l.col) for l in locs] == [("src/buf.c", 8, 6)]
-    assert locs[0].preview == ("void copy_name(char *dst, size_t cap, "
-                               "const char *src)")
-    methods = log.read_text().splitlines()
-    assert methods.index("initialize") < methods.index("initialized")
-    assert methods.index("initialized") < methods.index(
-        "textDocument/didOpen")
-    assert methods.index("textDocument/didOpen") < methods.index(
-        "textDocument/definition")
-    # the exit notification races with process termination, so only the
-    # acknowledged shutdown request is asserted
-    assert "shutdown" in methods
-
-
-def test_lsp_backend_references_mixes_location_shapes(crepo, fake_lsp):
-    command, log = fake_lsp
-    backend = LspBackend(crepo, command)
-    try:
-        locs = backend.references("src/main.c", 14, 5)
-    finally:
-        backend.shutdown()
-    # Location and LocationLink payloads both map, sorted by position
-    assert [(l.file, l.line, l.col) for l in locs] == [
-        ("src/buf.c", 8, 6), ("src/main.c", 14, 5)]
-    assert "includeDeclaration=True" in log.read_text()
-
-
-def test_lsp_backend_error_response_raises(crepo, fake_lsp):
-    command, _ = fake_lsp
-    backend = LspBackend(crepo, command)
-    try:
-        with pytest.raises(BackendUnavailable, match="boom"):
-            backend.definition("src/main.c", 14, 99)
-    finally:
-        backend.shutdown()
-
-
-def test_make_backend_falls_back_when_server_missing(crepo):
-    backend = make_symbol_backend(
-        crepo, lsp_command=["/nonexistent/lang-server-binary"])
-    assert isinstance(backend, IndexBackend)
-
-
 def test_make_backend_default_is_index(crepo):
     assert isinstance(make_symbol_backend(crepo), IndexBackend)
-
-
-def test_make_backend_prefers_running_server(crepo, fake_lsp):
-    command, _ = fake_lsp
-    backend = make_symbol_backend(crepo, lsp_command=command)
-    try:
-        assert isinstance(backend, LspBackend)
-    finally:
-        backend.shutdown()
