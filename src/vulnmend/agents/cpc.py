@@ -68,7 +68,7 @@ def run_cpc_agent(llm: LLMBackend, repo: RepoIndex | Path | str,
         tools=cpc_toolkit(index, backend),
     )
     transcript = run_react(
-        spec, llm, initial_message(issue_text, render_repo_tree(index.root)))
+        spec, llm, initial_message(issue_text, render_repo_tree(index)))
     raw = transcript.final_text or ""
     try:
         report = parse_context_report(raw)

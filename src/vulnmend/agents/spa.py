@@ -70,7 +70,7 @@ def run_spa_agent(llm: LLMBackend, repo: RepoIndex | Path | str,
     try:
         transcript = run_react(
             spec, llm,
-            initial_message(issue_text, render_repo_tree(index.root)))
+            initial_message(issue_text, render_repo_tree(index)))
     finally:
         try:
             history.rollback_all()

@@ -16,28 +16,28 @@ import subprocess
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import SandboxUnavailable, UnknownLogName, WriteFailure
 from .naming import dedupe_name
-from .repo_model import read_text, write_text
+from .repo_model import write_text
 
 DEFAULT_HEAD_LINES = 100
 DEFAULT_TAIL_LINES = 100
 DEFAULT_SCRIPT_OUTPUT_CAP = 8192
 DEFAULT_POC_TIMEOUT = 300.0
 
-DEFAULT_SANITIZER_SIGNATURES = (
+SANITIZER_SIGNATURES = tuple(re.compile(p, re.MULTILINE) for p in (
     r"^==\d+==\s*ERROR:",
     r"^SUMMARY: ",
-)
+))
 
-DEFAULT_COMPILE_ERROR_SIGNATURES = (
+COMPILE_ERROR_SIGNATURES = tuple(re.compile(p, re.MULTILINE) for p in (
     r"^[^:\n]+:\d+(:\d+)?: (fatal )?error:",
     r"^collect2: error:",
     r"undefined reference to",
     r"\bBUILD FAILED\b",
-)
+))
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,6 @@ class LocalSandbox:
         if not self.workspace.is_dir():
             raise SandboxUnavailable(f"workspace {workspace} is not a "
                                      f"directory")
-
-    @property
-    def descriptor(self) -> str:
-        return f"local:{self.workspace}"
 
     def exec(self, command: str,
              timeout: float = DEFAULT_POC_TIMEOUT) -> ExecResult:
@@ -80,9 +76,6 @@ class LocalSandbox:
         return ExecResult(exit_code=exit_code, stdout=stdout, stderr=stderr,
                           timed_out=timed_out)
 
-    def read_file(self, rel: str) -> str:
-        return read_text(self.workspace / rel)
-
     def write_file(self, rel: str, text: str) -> None:
         path = self.workspace / rel
         try:
@@ -90,9 +83,6 @@ class LocalSandbox:
             write_text(path, text)
         except OSError as exc:
             raise WriteFailure(f"cannot write {rel}: {exc}") from exc
-
-    def close(self) -> None:
-        pass
 
 
 # -- log plumbing ------------------------------------------------------------
@@ -195,6 +185,13 @@ class PocResult:
     summary: AssertionSummary
     log: str                   # truncated, for observations
 
+    @property
+    def passed(self) -> bool:
+        """The one PoC verdict, for validation and evaluation alike: the
+        run finished in time, exited 0 and no sanitizer reported."""
+        return (self.exit_code == 0 and not self.sanitizer_triggered
+                and not self.timed_out)
+
     def render(self) -> str:
         if self.phase == "compile_error":
             head = (f"PoC run '{self.name}': compilation FAILED "
@@ -221,20 +218,12 @@ class PocRunner:
                  log_store: LogStore | None = None,
                  head_lines: int = DEFAULT_HEAD_LINES,
                  tail_lines: int = DEFAULT_TAIL_LINES,
-                 sanitizer_signatures: Iterable[str] =
-                 DEFAULT_SANITIZER_SIGNATURES,
-                 compile_error_signatures: Iterable[str] =
-                 DEFAULT_COMPILE_ERROR_SIGNATURES,
                  timeout: float = DEFAULT_POC_TIMEOUT):
         self.sandbox = sandbox
         self.repro_command = repro_command
         self.log_store = log_store if log_store is not None else LogStore()
         self.head_lines = head_lines
         self.tail_lines = tail_lines
-        self.sanitizer_res = [re.compile(p, re.MULTILINE)
-                              for p in sanitizer_signatures]
-        self.compile_res = [re.compile(p, re.MULTILINE)
-                            for p in compile_error_signatures]
         self.timeout = timeout
 
     def run_poc(self, unique_name: str) -> PocResult:
@@ -246,10 +235,10 @@ class PocRunner:
         full_log += res.stderr
         self.log_store.put(fixed, full_log)
 
-        sanitizer = any(rx.search(full_log) for rx in self.sanitizer_res)
+        sanitizer = any(rx.search(full_log) for rx in SANITIZER_SIGNATURES)
         compile_error = (res.exit_code != 0 and not sanitizer
                          and any(rx.search(full_log)
-                                 for rx in self.compile_res))
+                                 for rx in COMPILE_ERROR_SIGNATURES))
         # the summary always reflects the complete log, not the excerpt
         summary = summarize_assertions(full_log)
         truncated = truncate_log(full_log, self.head_lines, self.tail_lines,
@@ -307,9 +296,11 @@ class PythonScriptSandbox:
 
     Scripts get pure-computation builtins, a short import allowlist and a
     `get_poc_output(name)` bridge. File, process and network access is
-    stubbed to record a violation and raise. This guards against honest
-    mistakes, not a hostile adversary, which matches how the scripts are
-    produced (by our own prompts) and consumed (their text output only).
+    stubbed to record a violation and raise. The scripts come from a
+    model that reads the issue text, and that text is attacker-supplied,
+    so a script may be hostile. This cage only catches honest mistakes:
+    it is not a security boundary. It runs in the calling process with
+    no time limit, and object introspection reaches past its stubs.
     """
 
     def __init__(self, log_provider: Callable[[str], str] | None = None,

@@ -2,15 +2,14 @@
 
 Money is Decimal end to end; rates render at one decimal place from
 exact fractions. The built-in verifier re-applies each prediction to a
-fresh workspace copy and replays the repro command: resolved means the
-patch applies cleanly, the program exits 0 and the log carries no
-sanitizer signature.
+fresh workspace copy and replays the verify command through the same
+PocRunner that validation uses: resolved means the patch applies
+cleanly and the run passes by the one PoC verdict, PocResult.passed.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import shutil
 import subprocess
 import tempfile
@@ -19,7 +18,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
 from ..errors import VerifierFailure
-from ..execution import DEFAULT_SANITIZER_SIGNATURES
+from ..execution import LocalSandbox, PocRunner
 from ..llm import RequestRecord
 from .config import RunConfig
 from .instances import IssueInstance
@@ -94,12 +93,7 @@ class Metrics:
                 f"average ${self.average_cost_usd} per instance")
 
 
-def _sanitizer_hit(log: str) -> bool:
-    return any(re.search(p, log, re.MULTILINE)
-               for p in DEFAULT_SANITIZER_SIGNATURES)
-
-
-def verify_prediction(instance: IssueInstance, diff: str,
+def verify_prediction(instance: IssueInstance, diff: str | bytes,
                       timeout: float = 300.0) -> InstanceVerdict:
     """Apply a prediction to a fresh workspace copy and replay the PoC."""
     if not diff.strip():
@@ -111,36 +105,32 @@ def verify_prediction(instance: IssueInstance, diff: str,
         raise VerifierFailure(
             f"{instance.instance_id}: built-in verification needs a "
             "directory workspace")
+    if isinstance(diff, str):
+        diff = diff.encode("utf-8", errors="surrogateescape")
 
     scratch = Path(tempfile.mkdtemp(prefix="verify-"))
     try:
         work = scratch / "workspace"
         shutil.copytree(instance.workspace_path, work)
+        # bytes in, so a diff of a non-UTF-8 source applies as written
         apply_proc = subprocess.run(
             ["git", "apply", "--whitespace=nowarn", "-"], input=diff,
-            text=True, cwd=work, capture_output=True)
+            cwd=work, capture_output=True)
         if apply_proc.returncode != 0:
+            stderr = apply_proc.stderr.decode("utf-8", errors="replace")
             return InstanceVerdict(
                 instance.instance_id, has_patch=True, applied=False,
                 exit_code=None, sanitizer_triggered=False, resolved=False,
-                detail=f"patch does not apply: "
-                       f"{apply_proc.stderr.strip()[:200]}")
+                detail=f"patch does not apply: {stderr.strip()[:200]}")
         command = instance.verify_command or instance.repro_command
-        try:
-            proc = subprocess.run(command, shell=True, cwd=work,
-                                  capture_output=True, text=True,
-                                  errors="surrogateescape",
-                                  timeout=timeout)
-            exit_code, log = proc.returncode, proc.stdout + proc.stderr
-        except subprocess.TimeoutExpired:
-            exit_code, log = 124, "verification timed out"
-        sanitizer = _sanitizer_hit(log)
-        resolved = exit_code == 0 and not sanitizer
+        result = PocRunner(LocalSandbox(work), command,
+                           timeout=timeout).run_poc("verify")
+        sanitizer = result.sanitizer_triggered
         return InstanceVerdict(
             instance.instance_id, has_patch=True, applied=True,
-            exit_code=exit_code, sanitizer_triggered=sanitizer,
-            resolved=resolved,
-            detail="" if resolved else f"exit {exit_code}"
+            exit_code=result.exit_code, sanitizer_triggered=sanitizer,
+            resolved=result.passed,
+            detail="" if result.passed else f"exit {result.exit_code}"
                    + (", sanitizer still fires" if sanitizer else ""))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -159,7 +149,7 @@ def evaluate_run(run_dir: Path | str, instances: list[IssueInstance],
         if instance is None:
             continue
         diff_path = instance_dir / "prediction.diff"
-        diff = diff_path.read_text() if diff_path.exists() else ""
+        diff = diff_path.read_bytes() if diff_path.exists() else b""
         verdict = verify_prediction(instance, diff, timeout=timeout)
         verdicts.append(verdict)
         patched += verdict.has_patch

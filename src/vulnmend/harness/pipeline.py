@@ -130,8 +130,9 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         timeout=config.poc_timeout)
     script_sandbox = PythonScriptSandbox(
         log_provider=log_store.get, output_cap=config.script_output_cap)
-    # one index for every element lookup of this instance; it lists and
-    # parses lazily, inside the stage that first needs it
+    # one index for every file listing and element lookup of this
+    # instance; it lists and parses lazily, inside the stage that first
+    # needs it
     index = RepoIndex(workspace)
     symbols = make_symbol_backend(index)
 
@@ -183,10 +184,10 @@ def run_instance(instance: IssueInstance, config: RunConfig,
                 if has_reports and "localization" in config.enhance_stages
                 else issue_text)
     prompt_files = stage.run("localize_files", lambda: localize_files_prompt(
-        llm, workspace, loc_text, config.top_files), fallback=[])
+        llm, index, loc_text, config.top_files), fallback=[])
     retrieval_files = stage.run(
         "localize_retrieval", lambda: localize_files_retrieval(
-            llm, workspace, loc_text, config.top_files,
+            llm, index, loc_text, config.top_files,
             chunk_lines=config.chunk_lines), fallback=[])
     merged = merge_rankings(prompt_files, retrieval_files, config.top_files)
     element_loc = stage.run("localize_elements", lambda: localize_elements(
@@ -276,8 +277,6 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         _write_json(instance_dir / "cost.json",
                     cost_of_records(records[records_start:], config))
 
-    symbols.shutdown()
-    sandbox.close()
     if not config.keep_workspaces:
         # the workspace carries volatile state (build artifacts);
         # dropping it leaves only reproducible artifacts

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import JSONParseFailure
 from .llm import ChatRequest, LLMBackend
 from .repo_model import (CodeElement, RepoIndex, read_text, render_repo_tree,
-                         skeletonize, source_files)
+                         skeletonize)
+from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 DEFAULT_CHUNK_LINES = 512
 DEFAULT_EMBED_DIM = 256
@@ -137,11 +138,11 @@ _IGNORE_SYSTEM = (
     "[] if nothing should be ignored.")
 
 
-def localize_files_prompt(llm: LLMBackend, root: Path | str,
+def localize_files_prompt(llm: LLMBackend, repo: RepoIndex | Path | str,
                           issue_text: str, n: int) -> list[str]:
     """Ask the model directly which files are suspicious."""
-    root = Path(root)
-    tree = render_repo_tree(root)
+    index = RepoIndex.of(repo)
+    tree = render_repo_tree(index)
     raw = _chat_text(
         llm, "localize_files", _FILES_SYSTEM,
         f"# Issue\n\n{issue_text.strip()}\n\n# Repository tree\n\n"
@@ -155,18 +156,17 @@ def localize_files_prompt(llm: LLMBackend, root: Path | str,
         if not isinstance(name, str):
             continue
         rel = name.strip().lstrip("./")
-        if (root / rel).is_file() and rel not in out:
+        if (index.root / rel).is_file() and rel not in out:
             out.append(rel)
     return out[:n]
 
 
-def ignore_folders(llm: LLMBackend, root: Path | str,
+def ignore_folders(llm: LLMBackend, repo: RepoIndex | Path | str,
                    issue_text: str) -> list[str]:
-    root = Path(root)
     raw = _chat_text(
         llm, "ignore_folders", _IGNORE_SYSTEM,
         f"# Issue\n\n{issue_text.strip()}\n\n# Repository tree\n\n"
-        f"```\n{render_repo_tree(root).rstrip()}\n```")
+        f"```\n{render_repo_tree(repo).rstrip()}\n```")
     try:
         names = extract_json_array(raw)
     except JSONParseFailure:
@@ -182,7 +182,7 @@ def _under(rel: str, folders: list[str]) -> bool:
     return any(rel == f or rel.startswith(f + "/") for f in folders)
 
 
-def localize_files_retrieval(llm: LLMBackend, root: Path | str,
+def localize_files_retrieval(llm: LLMBackend, repo: RepoIndex | Path | str,
                              issue_text: str, n: int,
                              embedder: HashingEmbedder | None = None,
                              chunk_lines: int = DEFAULT_CHUNK_LINES,
@@ -193,16 +193,16 @@ def localize_files_retrieval(llm: LLMBackend, root: Path | str,
     embedding arithmetic. Ties break lexicographically so the ranking is
     total and reproducible.
     """
-    root = Path(root)
+    index = RepoIndex.of(repo)
     embedder = embedder or HashingEmbedder()
-    skipped = ignore_folders(llm, root, issue_text)
+    skipped = ignore_folders(llm, index, issue_text)
 
     chunks: list[str] = []
     owners: list[str] = []
-    for rel in source_files(root):
+    for rel in index.files():
         if _under(rel, skipped):
             continue
-        for chunk in chunk_file(read_text(root / rel), chunk_lines):
+        for chunk in chunk_file(read_text(index.root / rel), chunk_lines):
             chunks.append(chunk)
             owners.append(rel)
     if not chunks:

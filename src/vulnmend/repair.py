@@ -227,7 +227,7 @@ def validate_candidate(candidate: CandidatePatch, history: EditHistory,
         return CandidateOutcome(
             index=candidate.index, applied=True, compiled=result.compiled,
             sanitizer_triggered=result.sanitizer_triggered,
-            poc_pass=result.compiled and not result.sanitizer_triggered,
+            poc_pass=result.passed,
             fingerprint=fingerprint, diff=diff)
     finally:
         history.rollback_latest()

@@ -89,26 +89,24 @@ def source_files(root: Path | str,
     return found
 
 
-def render_repo_tree(root: Path | str,
-                     extensions: Iterable[str] = DEFAULT_EXTENSIONS,
-                     ignore_dirs: Iterable[str] = DEFAULT_IGNORE_DIRS) -> str:
-    """Indented listing of the source files under root.
+def render_repo_tree(repo: RepoIndex | Path | str) -> str:
+    """Indented listing of the source files of a workspace.
 
     Two spaces per level, directories carry a trailing slash, children are
     sorted lexicographically. Directories without any source file beneath
-    them are omitted entirely.
+    them are omitted entirely. Given a directory instead of its index,
+    the listing is taken for this call only.
     """
-    root = Path(root)
-    files = source_files(root, extensions, ignore_dirs)
+    index = RepoIndex.of(repo)
     tree: dict = {}
-    for rel in files:
+    for rel in index.files():
         node = tree
         parts = rel.split("/")
         for part in parts[:-1]:
             node = node.setdefault(part + "/", {})
         node[parts[-1]] = None
 
-    lines = [root.name + "/"]
+    lines = [index.root.name + "/"]
 
     def emit(node: dict, depth: int) -> None:
         for name in sorted(node):

@@ -95,8 +95,6 @@ class SymbolBackend(Protocol):
     def references(self, file: str, line: int,
                    col: int) -> list[SymbolLocation]: ...
 
-    def shutdown(self) -> None: ...
-
 
 def _strip_markers(replace: str):
     """Remove marker wrappers, keeping the wrapped identifiers.
@@ -310,9 +308,6 @@ class IndexBackend:
                                               col=m.start() + 1,
                                               preview=text))
         return out
-
-    def shutdown(self) -> None:
-        pass
 
 
 def make_symbol_backend(repo: RepoIndex | Path | str) -> SymbolBackend:

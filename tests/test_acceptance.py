@@ -246,9 +246,6 @@ class _CannedSandbox:
         self.stdout = stdout
         self.exit_code = exit_code
 
-    def descriptor(self):
-        return "canned"
-
     def exec(self, command, timeout=None):
         return ExecResult(exit_code=self.exit_code, stdout=self.stdout,
                           stderr="")

@@ -141,14 +141,13 @@ def test_summarize_assertions_randomized_tally_oracle():
 
 def test_local_sandbox_exec_and_files(tmp_path):
     sandbox = LocalSandbox(tmp_path)
-    assert sandbox.descriptor == f"local:{tmp_path}"
     res = sandbox.exec("echo hello && pwd")
     assert res.exit_code == 0
     assert "hello" in res.stdout
     assert str(tmp_path) in res.stdout
     assert res.timed_out is False
     sandbox.write_file("deep/nested/note.txt", "payload\n")
-    assert sandbox.read_file("deep/nested/note.txt") == "payload\n"
+    assert read_text(tmp_path / "deep/nested/note.txt") == "payload\n"
     assert sandbox.exec("exit 7").exit_code == 7
 
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import shutil
 import subprocess
+import time
 from collections import Counter
 from decimal import Decimal
 from types import SimpleNamespace
@@ -16,9 +17,11 @@ from replay_scripts import build_entries
 
 import vulnmend.repo_model as repo_model
 from vulnmend.agents.react import Step, Transcript
-from vulnmend.edit_engine import EditHistory, to_unified_diff
+from vulnmend.edit_engine import (EditHistory, parse_edit_blocks,
+                                  to_unified_diff)
 from vulnmend.errors import (LLMBackendError, ReplayDesync, SchemaViolation,
                              ScriptExhausted, VerifierFailure)
+from vulnmend.execution import LocalSandbox, PocRunner
 from vulnmend.harness.backends import HttpChatBackend, ReplayBackend
 from vulnmend.harness.cli import _backend_factory, _load_config, main
 from vulnmend.harness.config import VARIANTS, RunConfig, variant
@@ -31,6 +34,7 @@ from vulnmend.harness.telemetry import (classify_script,
                                         classify_script_calls,
                                         transcript_summary)
 from vulnmend.llm import ChatRequest, RequestRecord, Usage
+from vulnmend.repair import CandidatePatch, validate_candidate
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
                                reason="gcc not available")
@@ -719,6 +723,51 @@ def test_verify_timeout_maps_to_124(tmp_path):
     assert verdict.detail == "exit 124"
 
 
+def test_verify_timeout_kills_children(tmp_path):
+    marker = tmp_path / "marker"
+    instance = _mini_instance(tmp_path,
+                              f"(sleep 1.5; touch '{marker}') & wait")
+    started = time.monotonic()
+    verdict = verify_prediction(instance, HELLO_DIFF, timeout=0.3)
+    assert verdict.exit_code == 124
+    assert verdict.resolved is False
+    assert time.monotonic() - started < 1.5
+    time.sleep(max(0.0, started + 2.0 - time.monotonic()))
+    assert not marker.exists()
+
+
+HELLO_EDIT = CandidatePatch(
+    index=0, temperature=0.0, raw_text="",
+    edits=tuple(parse_edit_blocks("### hello.txt\n<<<<<<< SEARCH\nold\n"
+                                  "=======\nnew\n>>>>>>> REPLACE\n")))
+
+_ASAN_LINE = "echo '==9==ERROR: AddressSanitizer: heap-buffer-overflow' >&2"
+
+
+@pytest.mark.parametrize("command, timeout, passed", [
+    ("exit 0", 10.0, True),
+    ("exit 3", 10.0, False),
+    ("sleep 5", 0.3, False),
+    (f"{_ASAN_LINE}; exit 0", 10.0, False),
+    (f"{_ASAN_LINE}; exit 1", 10.0, False),
+    # no newline after stdout, so the sanitizer line follows it directly
+    (f"printf x; {_ASAN_LINE}", 10.0, False),
+], ids=["exit-0", "exit-3", "timeout", "asan-exit-0", "asan-exit-1",
+        "asan-after-unterminated-stdout"])
+def test_validation_and_evaluation_agree_on_the_poc(tmp_path, command,
+                                                    timeout, passed):
+    instance = _mini_instance(tmp_path, command)
+    workspace = tmp_path / "ws-mini-1"
+    outcome = validate_candidate(
+        HELLO_EDIT, EditHistory(workspace),
+        PocRunner(LocalSandbox(workspace), command, timeout=timeout),
+        workspace)
+    verdict = verify_prediction(instance, HELLO_DIFF, timeout=timeout)
+    assert outcome.applied and verdict.applied
+    assert outcome.poc_pass is verdict.resolved is passed
+    assert outcome.sanitizer_triggered is verdict.sanitizer_triggered
+
+
 def test_evaluate_run_aggregates_and_persists(tmp_path):
     run_dir = tmp_path / "run"
     solved = run_dir / "mini-1"
@@ -842,6 +891,27 @@ def test_write_keeps_non_utf8_diff_bytes(tmp_path):
                    check=True, capture_output=True)
     assert (tmp_path / "before" / "src" / "a.c").read_bytes() \
         == (tmp_path / "after" / "src" / "a.c").read_bytes()
+
+
+def test_evaluate_applies_non_utf8_prediction(tmp_path):
+    workspace = tmp_path / "ws"
+    (workspace / "src").mkdir(parents=True)
+    (workspace / "src" / "a.c").write_bytes(b"/* caf\xe9 */\nint x = 1;\n")
+    patched = tmp_path / "patched"
+    shutil.copytree(workspace, patched)
+    history = EditHistory(patched)
+    history.apply_edits("bump", "### src/a.c\n<<<<<<< SEARCH\nint x = 1;\n"
+                                "=======\nint x = 2;\n>>>>>>> REPLACE\n")
+    run_dir = tmp_path / "run"
+    _write(run_dir / "mini-1" / "prediction.diff",
+           to_unified_diff(patched, history.originals()))
+    instance = IssueInstance(instance_id="mini-1", issue_report="r",
+                             repro_command="grep -q 'x = 2' src/a.c",
+                             workspace_path=str(workspace))
+
+    metrics, (verdict,) = evaluate_run(run_dir, [instance])
+    assert verdict.applied and verdict.resolved
+    assert metrics.resolved == 1
 
 
 # --- command line ---------------------------------------------------------

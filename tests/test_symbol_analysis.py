@@ -273,9 +273,6 @@ class _FlakyBackend:
     def references(self, file, line, col):
         raise VulnmendError("backend exploded")
 
-    def shutdown(self):
-        pass
-
 
 def test_backend_error_isolated_per_query(crepo):
     blocks = """### src/main.c
