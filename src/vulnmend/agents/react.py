@@ -13,11 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import (LLMBackendError, MaxStepsExceededWithoutReport,
-                      VulnmendError)
-from ..llm import ChatRequest, ChatResponse, LLMBackend
-
-_TRANSIENT_RETRIES = 2
+from ..errors import MaxStepsExceededWithoutReport, VulnmendError
+from ..llm import ChatRequest, LLMBackend
 
 FINALIZE_PROMPT = ("You have reached the step limit. Produce your final "
                    "report now in the required output format. Do not call "
@@ -71,17 +68,6 @@ class Transcript:
         return Counter(s.tool for s in self.steps if s.tool)
 
 
-def _chat_with_retry(llm: LLMBackend, request: ChatRequest) -> ChatResponse:
-    attempts = 0
-    while True:
-        try:
-            return llm.chat(request)
-        except LLMBackendError as exc:
-            attempts += 1
-            if not exc.retryable or attempts > _TRANSIENT_RETRIES:
-                raise
-
-
 def _execute(tool: Tool, args: dict) -> ToolOutcome:
     try:
         return tool.fn(args or {})
@@ -106,7 +92,7 @@ def run_react(spec: AgentSpec, llm: LLMBackend,
     ]
 
     for _ in range(spec.max_steps):
-        response = _chat_with_retry(llm, ChatRequest(
+        response = llm.chat(ChatRequest(
             tag=spec.name, messages=tuple(messages), tools=tool_schemas,
             temperature=0.0))
         if response.tool_call is None:
@@ -139,7 +125,7 @@ def run_react(spec: AgentSpec, llm: LLMBackend,
 
     transcript.hit_step_limit = True
     messages.append({"role": "user", "content": FINALIZE_PROMPT})
-    response = _chat_with_retry(llm, ChatRequest(
+    response = llm.chat(ChatRequest(
         tag=spec.name, messages=tuple(messages), tools=tool_schemas,
         temperature=0.0))
     if response.tool_call is not None:

@@ -44,15 +44,6 @@ class SearchReplaceEdit:
     search: str
     replace: str
 
-    def is_noop(self) -> bool:
-        return _normalize_ws(self.search) == _normalize_ws(self.replace)
-
-
-@dataclass(frozen=True)
-class EditSet:
-    name: str
-    edits: tuple
-
 
 @dataclass(frozen=True)
 class HistoryView:
@@ -75,11 +66,6 @@ class ApplyResult:
     fixed_name: str
     files: tuple
     history: HistoryView
-
-
-def _normalize_ws(text: str) -> str:
-    return "\n".join(re.sub(r"[ \t]+", " ", ln).rstrip()
-                     for ln in text.split("\n"))
 
 
 def _checked_path(raw: str, offset: int) -> str:

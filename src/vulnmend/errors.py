@@ -80,14 +80,7 @@ class WriteFailure(VulnmendError):
 
 
 class LLMBackendError(VulnmendError):
-    """Backend failed to produce a response.
-
-    ``retryable`` tells the agent loop whether another attempt makes sense.
-    """
-
-    def __init__(self, message: str, retryable: bool = False):
-        super().__init__(message)
-        self.retryable = retryable
+    """Backend failed to produce a response, after any retries."""
 
 
 class MaxStepsExceededWithoutReport(VulnmendError):
@@ -117,10 +110,6 @@ class SchemaViolation(VulnmendError):
         super().__init__(detail)
         self.field = field
         self.line = line
-
-
-class VerifierFailure(VulnmendError):
-    pass
 
 
 class ReplayDesync(VulnmendError):

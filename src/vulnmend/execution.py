@@ -77,10 +77,8 @@ class LocalSandbox:
                           timed_out=timed_out)
 
     def write_file(self, rel: str, text: str) -> None:
-        path = self.workspace / rel
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_text(path, text)
+            write_text(self.workspace / rel, text)
         except OSError as exc:
             raise WriteFailure(f"cannot write {rel}: {exc}") from exc
 
@@ -106,9 +104,6 @@ class LogStore:
             known = ", ".join(sorted(self._logs)) or "<none>"
             raise UnknownLogName(f"no log named {name!r} (known: {known})")
         return self._logs[name]
-
-    def names(self) -> list[str]:
-        return sorted(self._logs)
 
 
 def truncate_log(log: str, head_lines: int = DEFAULT_HEAD_LINES,
@@ -253,9 +248,6 @@ class PocRunner:
             summary=summary,
             log=truncated,
         )
-
-    def get_poc_output(self, name: str) -> str:
-        return self.log_store.get(name)
 
 
 # -- python script sandbox -----------------------------------------------------

@@ -8,11 +8,18 @@ matter which backend ran.
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 from ..errors import LLMBackendError, ReplayDesync, ScriptExhausted
 from ..llm import (ChatRequest, ChatResponse, RequestRecord, ToolCall, Usage,
                    messages_digest)
+
+
+# the one retry policy for live model calls: after the n-th transient
+# failure sleep RETRY_BACKOFF_S[n - 1] seconds and try again
+RETRY_BACKOFF_S = (1.0, 2.0)
+MAX_ATTEMPTS = len(RETRY_BACKOFF_S) + 1
 
 
 def _approx_tokens(char_count: int) -> int:
@@ -96,9 +103,12 @@ class ReplayBackend:
 class HttpChatBackend:
     """OpenAI-compatible chat-completions client.
 
-    Network problems and 429/5xx answers raise retryable errors; other
-    HTTP failures are permanent. Tool definitions and calls map onto the
-    provider's function-call shape.
+    Network problems and 429/5xx answers are transient: the call is
+    tried up to MAX_ATTEMPTS times with exponential backoff, then fails.
+    Other HTTP failures and malformed bodies fail at once. Only a
+    successful call keeps a RequestRecord, so retries cost nothing in
+    cost.json. Tool definitions and calls map onto the provider's
+    function-call shape.
     """
 
     def __init__(self, base_url: str, model: str, api_key: str = "",
@@ -149,27 +159,33 @@ class HttpChatBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            http = requests.post(
-                f"{self.base_url}/chat/completions",
-                json=self._payload(request), headers=headers,
-                timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise LLMBackendError(f"request failed: {exc}", retryable=True)
-        if http.status_code == 429 or http.status_code >= 500:
-            raise LLMBackendError(f"HTTP {http.status_code}",
-                                  retryable=True)
+        payload = self._payload(request)
+        for attempt in range(MAX_ATTEMPTS):
+            if attempt:
+                time.sleep(RETRY_BACKOFF_S[attempt - 1])
+            try:
+                http = requests.post(
+                    f"{self.base_url}/chat/completions", json=payload,
+                    headers=headers, timeout=self.timeout)
+            except requests.RequestException as exc:
+                failure = f"request failed: {exc}"
+                continue
+            if http.status_code == 429 or http.status_code >= 500:
+                failure = f"HTTP {http.status_code}"
+                continue
+            break
+        else:
+            raise LLMBackendError(
+                f"{failure} (after {MAX_ATTEMPTS} attempts)")
         if http.status_code != 200:
             raise LLMBackendError(
-                f"HTTP {http.status_code}: {http.text[:300]}",
-                retryable=False)
+                f"HTTP {http.status_code}: {http.text[:300]}")
 
         try:
             body = http.json()
             choice = body["choices"][0]["message"]
         except (ValueError, KeyError, IndexError) as exc:
-            raise LLMBackendError(f"malformed response: {exc}",
-                                  retryable=False)
+            raise LLMBackendError(f"malformed response: {exc}")
         usage_raw = body.get("usage") or {}
         usage = Usage(input_tokens=int(usage_raw.get("prompt_tokens", 0)),
                       output_tokens=int(

@@ -1,9 +1,9 @@
 """Issue instances: the JSONL input format of a run.
 
 One line per instance. Required: instance_id, issue_report, repro_command
-and exactly one workspace source (a directory path or a container image).
-Optional: sanitizer_log, language, verify_command. Relative workspace
-paths resolve against the instances file's directory.
+and a workspace directory, {"path": ...}. Optional: sanitizer_log,
+language, verify_command. Relative workspace paths resolve against the
+instances file's directory.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ class IssueInstance:
     instance_id: str
     issue_report: str
     repro_command: str
-    workspace_path: str | None = None
-    workspace_image: str | None = None
+    workspace_path: str
     sanitizer_log: str | None = None
     language: str = "c"
     verify_command: str | None = None
@@ -53,20 +52,17 @@ def parse_instance(obj: dict, line: int, base_dir: Path) -> IssueInstance:
         raise SchemaViolation("missing workspace object",
                               field="workspace", line=line)
     path = workspace.get("path")
-    image = workspace.get("image")
-    if (path is None) == (image is None):
+    if "image" in workspace or not isinstance(path, str):
         raise SchemaViolation(
-            "workspace needs exactly one of 'path' or 'image'",
-            field="workspace", line=line)
-    if path is not None:
-        resolved = Path(path)
-        if not resolved.is_absolute():
-            resolved = base_dir / resolved
-        if not resolved.is_dir():
-            raise SchemaViolation(
-                f"workspace path {str(resolved)!r} is not a directory",
-                field="workspace.path", line=line)
-        path = str(resolved)
+            "workspace needs a directory 'path' (image workspaces are "
+            "not supported)", field="workspace", line=line)
+    resolved = Path(path)
+    if not resolved.is_absolute():
+        resolved = base_dir / resolved
+    if not resolved.is_dir():
+        raise SchemaViolation(
+            f"workspace path {str(resolved)!r} is not a directory",
+            field="workspace.path", line=line)
 
     sanitizer_log = obj.get("sanitizer_log")
     if sanitizer_log is not None and not isinstance(sanitizer_log, str):
@@ -85,8 +81,7 @@ def parse_instance(obj: dict, line: int, base_dir: Path) -> IssueInstance:
         instance_id=instance_id,
         issue_report=_field(obj, "issue_report", line),
         repro_command=_field(obj, "repro_command", line),
-        workspace_path=path,
-        workspace_image=image,
+        workspace_path=str(resolved),
         sanitizer_log=sanitizer_log,
         language=language,
         verify_command=verify_command,

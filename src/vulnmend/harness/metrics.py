@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
-from ..errors import VerifierFailure
 from ..execution import LocalSandbox, PocRunner
 from ..llm import RequestRecord
+from ..repo_model import write_json
 from .config import RunConfig
 from .instances import IssueInstance
 
@@ -101,10 +101,6 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
                                applied=False, exit_code=None,
                                sanitizer_triggered=False, resolved=False,
                                detail="empty prediction")
-    if instance.workspace_path is None:
-        raise VerifierFailure(
-            f"{instance.instance_id}: built-in verification needs a "
-            "directory workspace")
     if isinstance(diff, str):
         diff = diff.encode("utf-8", errors="surrogateescape")
 
@@ -179,7 +175,5 @@ def evaluate_run(run_dir: Path | str, instances: list[IssueInstance],
             "detail": v.detail,
         } for v in verdicts],
     }
-    with open(run_dir / "evaluation.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run_dir / "evaluation.json", payload)
     return metrics, verdicts

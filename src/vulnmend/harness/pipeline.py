@@ -14,7 +14,6 @@ replay script write identical bytes.
 
 from __future__ import annotations
 
-import json
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,15 +22,14 @@ from ..agents.cpc import run_cpc_agent
 from ..agents.reports import EnhancedIssueReport
 from ..agents.spa import install_assert_prelude, run_spa_agent
 from ..edit_engine import EditHistory
-from ..errors import (ReplayDesync, SandboxUnavailable, ScriptExhausted,
-                      VulnmendError)
+from ..errors import ReplayDesync, ScriptExhausted, VulnmendError
 from ..execution import LocalSandbox, LogStore, PocRunner, PythonScriptSandbox
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
 from ..repair import (build_patch_context, generate_patches, select_patch,
                       validate_candidate)
-from ..repo_model import RepoIndex
+from ..repo_model import RepoIndex, write_json, write_text
 from ..symbol_analysis import make_symbol_backend
 from .config import RunConfig
 from .instances import IssueInstance
@@ -46,20 +44,6 @@ class InstanceResult:
     prediction: str
     winner: int | None
     errors: list
-
-
-def _write(path: Path, text: str) -> None:
-    # a diff of a non-UTF-8 source carries its raw bytes as surrogate
-    # escapes (see repo_model.read_text); write them back unchanged
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", errors="surrogateescape")
-
-
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 class _Stage:
@@ -89,11 +73,6 @@ def run_instance(instance: IssueInstance, config: RunConfig,
                  llm: LLMBackend, out_dir: Path | str) -> InstanceResult:
     """Resolve one instance into out_dir/<instance_id>/."""
     config.validate()
-    if instance.workspace_path is None:
-        raise SandboxUnavailable(
-            f"{instance.instance_id}: the built-in pipeline works on "
-            "directory workspaces; image workspaces need a container "
-            "runtime and a local checkout")
 
     instance_dir = Path(out_dir) / instance.instance_id
     if instance_dir.exists():
@@ -170,13 +149,13 @@ def run_instance(instance: IssueInstance, config: RunConfig,
                                    context_report=context_report,
                                    property_report=property_report)
     enhanced_text = enhanced.render()
-    _write(instance_dir / "reports" / "enhanced.md", enhanced_text)
+    write_text(instance_dir / "reports" / "enhanced.md", enhanced_text)
     if context_report is not None:
-        _write(instance_dir / "reports" / "context.md",
-               context_report.render())
+        write_text(instance_dir / "reports" / "context.md",
+                   context_report.render())
     if property_report is not None:
-        _write(instance_dir / "reports" / "property.md",
-               property_report.render())
+        write_text(instance_dir / "reports" / "property.md",
+                   property_report.render())
 
     has_reports = context_report is not None or property_report is not None
 
@@ -194,12 +173,12 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         llm, index, merged, loc_text, limit=config.element_limit))
     selections = element_loc.selections if element_loc is not None else ()
 
-    _write_json(instance_dir / "rankings" / "files.json", {
+    write_json(instance_dir / "rankings" / "files.json", {
         "prompt": prompt_files,
         "retrieval": retrieval_files,
         "merged": merged,
     })
-    _write_json(instance_dir / "rankings" / "elements.json", [{
+    write_json(instance_dir / "rankings" / "elements.json", [{
         "file": sel.file,
         "id": sel.element.qualified_name,
         "kind": sel.element.kind.value,
@@ -228,8 +207,8 @@ def run_instance(instance: IssueInstance, config: RunConfig,
 
     outcomes = []
     for candidate in candidates:
-        _write(instance_dir / "candidates" / f"candidate-{candidate.index}.md",
-               candidate.raw_text)
+        write_text(instance_dir / "candidates"
+                   / f"candidate-{candidate.index}.md", candidate.raw_text)
         outcome = stage.run(
             f"validate-{candidate.index}",
             lambda c=candidate: validate_candidate(c, history, runner,
@@ -238,9 +217,9 @@ def run_instance(instance: IssueInstance, config: RunConfig,
             continue
         outcomes.append(outcome)
         if outcome.applied:
-            _write(instance_dir / "candidates"
-                   / f"candidate-{outcome.index}.diff", outcome.diff)
-    _write_json(instance_dir / "candidates" / "outcomes.json", [{
+            write_text(instance_dir / "candidates"
+                       / f"candidate-{outcome.index}.diff", outcome.diff)
+    write_json(instance_dir / "candidates" / "outcomes.json", [{
         "index": o.index,
         "applied": o.applied,
         "compiled": o.compiled,
@@ -254,7 +233,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     by_index = {o.index: o for o in outcomes}
     prediction = (by_index[selection.winner].diff
                   if selection.winner is not None else "")
-    _write(instance_dir / "prediction.diff", prediction)
+    write_text(instance_dir / "prediction.diff", prediction)
 
     telemetry["stages"]["generation"] = {
         "enhanced_input": gen_text is enhanced_text,
@@ -270,12 +249,12 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         "reason": selection.reason,
     }
     telemetry["errors"] = stage.errors
-    _write_json(instance_dir / "telemetry.json", telemetry)
+    write_json(instance_dir / "telemetry.json", telemetry)
 
     records = getattr(llm, "records", None)
     if records is not None:
-        _write_json(instance_dir / "cost.json",
-                    cost_of_records(records[records_start:], config))
+        write_json(instance_dir / "cost.json",
+                   cost_of_records(records[records_start:], config))
 
     if not config.keep_workspaces:
         # the workspace carries volatile state (build artifacts);
@@ -291,8 +270,7 @@ def run_all(instances, config: RunConfig, backend_for,
             out_dir: Path | str) -> list[InstanceResult]:
     """Run every instance; backend_for(instance_id) supplies its model."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "config.json", config.to_dict())
+    write_json(out_dir / "config.json", config.to_dict())
     results = []
     for instance in instances:
         results.append(run_instance(instance, config,

@@ -28,7 +28,6 @@ from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 DEFAULT_CHUNK_LINES = 512
 DEFAULT_EMBED_DIM = 256
-DEFAULT_TOP_FILES = 3
 
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d+")
 
@@ -151,12 +150,15 @@ def localize_files_prompt(llm: LLMBackend, repo: RepoIndex | Path | str,
         names = extract_json_array(raw)
     except JSONParseFailure:
         return []
+    # only names the tree listed: a path the model made up (or one that
+    # climbs out of the workspace) is never read into a later prompt
+    listed = set(index.files())
     out = []
     for name in names:
         if not isinstance(name, str):
             continue
-        rel = name.strip().lstrip("./")
-        if (index.root / rel).is_file() and rel not in out:
+        rel = name.strip().removeprefix("./")
+        if rel in listed and rel not in out:
             out.append(rel)
     return out[:n]
 
@@ -280,7 +282,6 @@ def localize_elements(llm: LLMBackend, repo: RepoIndex | Path | str,
             + "\n\n".join(sections)
             + f"\n\nName up to {limit} elements.")
 
-    parse_ok = True
     try:
         items = extract_json_array(_chat_text(llm, "localize_elements",
                                               _ELEMENTS_SYSTEM, user))
@@ -299,7 +300,7 @@ def localize_elements(llm: LLMBackend, repo: RepoIndex | Path | str,
     for item in items:
         if not isinstance(item, dict):
             continue
-        rel = str(item.get("file", "")).strip().lstrip("./")
+        rel = str(item.get("file", "")).strip().removeprefix("./")
         ident = str(item.get("id", "")).strip()
         if not rel or not ident or rel not in files:
             continue
@@ -312,5 +313,4 @@ def localize_elements(llm: LLMBackend, repo: RepoIndex | Path | str,
         selections.append(ElementSelection(file=rel, element=element))
         if len(selections) >= limit:
             break
-    return ElementLocalization(selections=tuple(selections),
-                               parse_ok=parse_ok)
+    return ElementLocalization(selections=tuple(selections))

@@ -1,13 +1,15 @@
-"""Read-only model of a C/C++ workspace.
+"""Model of a C/C++ workspace, and the package's file writers.
 
 Everything here treats the tree as data: directory listings, top-level
 element extraction, a content-keyed element index and body-elided
-skeletons. Nothing in this module writes to the workspace.
+skeletons. The index and listings never write; write_text and
+write_json are the one place the package writes a file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -22,6 +24,7 @@ __all__ = [
     "DEFAULT_IGNORE_DIRS",
     "read_text",
     "write_text",
+    "write_json",
     "source_files",
     "render_repo_tree",
     "parse_elements",
@@ -41,7 +44,16 @@ def read_text(path: Path | str) -> str:
 
 
 def write_text(path: Path | str, text: str) -> None:
-    Path(path).write_bytes(text.encode("utf-8", errors="surrogateescape"))
+    """Write text as read_text decoded it, creating missing parent
+    directories; surrogate escapes go back out as their raw bytes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
+
+
+def write_json(path: Path | str, payload) -> None:
+    """Deterministic JSON: sorted keys, two-space indent, final newline."""
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)

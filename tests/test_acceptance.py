@@ -302,7 +302,7 @@ def test_log_pipeline_at_hundred_thousand_lines(criterion):
     assert result.phase == "ran"
     assert result.sanitizer_triggered is False
     assert result.summary == summarize_assertions(
-        runner.get_poc_output("big-run"))
+        runner.log_store.get("big-run"))
     assert result.summary == summary
     assert "full log stored as 'big-run'" in result.log
     assert len(result.log.split("\n")) == head + tail + 1

@@ -229,30 +229,12 @@ def test_react_tool_exception_becomes_observation():
     assert step.meta == {"error": "ValueError"}
 
 
-def _raise_backend_error(retryable):
-    def turn(request):
-        raise LLMBackendError("hiccup", retryable=retryable)
-    return turn
+def test_react_backend_error_propagates_after_one_request():
+    # retrying is the backend's job; the loop never asks twice
+    def fail(request):
+        raise LLMBackendError("HTTP 503 (after 3 attempts)")
 
-
-def test_react_retries_transient_backend_errors():
-    llm = ScriptedLLM([_raise_backend_error(True),
-                       _raise_backend_error(True),
-                       _text("recovered")])
-    transcript = run_react(_spec([]), llm, "go")
-    assert transcript.final_text == "recovered"
-    assert len(llm.requests) == 3
-
-
-def test_react_gives_up_after_retry_budget():
-    llm = ScriptedLLM([_raise_backend_error(True)] * 4)
-    with pytest.raises(LLMBackendError):
-        run_react(_spec([]), llm, "go")
-    assert len(llm.requests) == 3
-
-
-def test_react_nonretryable_error_is_immediate():
-    llm = ScriptedLLM([_raise_backend_error(False), _text("never")])
+    llm = ScriptedLLM([fail, _text("never")])
     with pytest.raises(LLMBackendError):
         run_react(_spec([]), llm, "go")
     assert len(llm.requests) == 1

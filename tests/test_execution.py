@@ -52,7 +52,6 @@ def test_log_store_dedupes_names():
     store.put("run-2", "second")
     assert store.get("run") == "first"
     assert store.get("run-2") == "second"
-    assert store.names() == ["run", "run-2"]
 
 
 def test_log_store_unknown_name():
@@ -205,7 +204,7 @@ def test_poc_runner_stores_full_log_returns_excerpt():
                        tail_lines=5)
     result = runner.run_poc("probe")
     assert result.name == "probe"
-    full = runner.get_poc_output("probe")
+    full = runner.log_store.get("probe")
     assert full == body + "tail-err\n"
     assert "[32 lines elided; full log stored as 'probe']" in result.log
     assert result.log != full
@@ -215,7 +214,7 @@ def test_poc_runner_merges_streams_with_newline():
     runner = PocRunner(_StubSandbox(ExecResult(0, "no newline", "err")),
                        "cmd", log_store=LogStore())
     runner.run_poc("merge")
-    assert runner.get_poc_output("merge") == "no newline\nerr"
+    assert runner.log_store.get("merge") == "no newline\nerr"
 
 
 def test_poc_runner_sanitizer_detection():
@@ -271,8 +270,8 @@ def test_poc_runner_name_dedup_keeps_old_logs():
     assert runner.run_poc("run").name == "run"
     runner.sandbox.result = ExecResult(0, "second\n", "")
     assert runner.run_poc("run").name == "run-2"
-    assert runner.get_poc_output("run") == "first\n"
-    assert runner.get_poc_output("run-2") == "second\n"
+    assert runner.log_store.get("run") == "first\n"
+    assert runner.log_store.get("run-2") == "second\n"
 
 
 # -- PoC runner against the real fixture ------------------------------------------
@@ -286,7 +285,7 @@ def test_poc_fixture_baseline_triggers_sanitizer(scratch_crepo):
     assert result.compiled is True
     assert result.sanitizer_triggered is True
     assert result.exit_code != 0
-    assert "AddressSanitizer" in runner.get_poc_output("baseline")
+    assert "AddressSanitizer" in runner.log_store.get("baseline")
 
 
 @needs_gcc

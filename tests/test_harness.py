@@ -20,7 +20,7 @@ from vulnmend.agents.react import Step, Transcript
 from vulnmend.edit_engine import (EditHistory, parse_edit_blocks,
                                   to_unified_diff)
 from vulnmend.errors import (LLMBackendError, ReplayDesync, SchemaViolation,
-                             ScriptExhausted, VerifierFailure)
+                             ScriptExhausted)
 from vulnmend.execution import LocalSandbox, PocRunner
 from vulnmend.harness.backends import HttpChatBackend, ReplayBackend
 from vulnmend.harness.cli import _backend_factory, _load_config, main
@@ -29,12 +29,13 @@ from vulnmend.harness.instances import (IssueInstance, load_instances,
                                         parse_instance)
 from vulnmend.harness.metrics import (Metrics, cost_of_records, evaluate_run,
                                       verify_prediction)
-from vulnmend.harness.pipeline import _write, run_instance
+from vulnmend.harness.pipeline import run_instance
 from vulnmend.harness.telemetry import (classify_script,
                                         classify_script_calls,
                                         transcript_summary)
 from vulnmend.llm import ChatRequest, RequestRecord, Usage
-from vulnmend.repair import CandidatePatch, validate_candidate
+from vulnmend.repair import (CandidatePatch, PatchContext, generate_patches,
+                             validate_candidate)
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
                                reason="gcc not available")
@@ -100,13 +101,6 @@ def test_absolute_workspace_kept_verbatim(tmp_path, instances_file):
     assert load_instances(path)[0].workspace_path == str(absolute)
 
 
-def test_image_workspace_needs_no_directory(instances_file):
-    path = instances_file([_row(workspace={"image": "repro:latest"})])
-    inst = load_instances(path)[0]
-    assert inst.workspace_image == "repro:latest"
-    assert inst.workspace_path is None
-
-
 @pytest.mark.parametrize("mutation, field", [
     (dict(instance_id=None), "instance_id"),
     (dict(instance_id="   "), "instance_id"),
@@ -122,6 +116,8 @@ def test_image_workspace_needs_no_directory(instances_file):
     (dict(language="rust"), "language"),
     (dict(sanitizer_log=42), "sanitizer_log"),
     (dict(verify_command=3.5), "verify_command"),
+    # image workspaces were never runnable; they are refused at load time
+    (dict(workspace={"image": "repro:latest"}), "workspace"),
 ])
 def test_schema_violations_name_field_and_line(instances_file, mutation,
                                                field):
@@ -444,43 +440,109 @@ def test_http_unparseable_tool_arguments_become_empty(monkeypatch):
     assert response.tool_call.args == {}
 
 
+_OK = {"choices": [{"message": {"content": "done"}}],
+       "usage": {"prompt_tokens": 5, "completion_tokens": 2}}
+
+
+def _serve(monkeypatch, *outcomes):
+    """Answer successive posts with outcomes (an exception is raised);
+    returns the posts made and the sleeps taken."""
+    posts, sleeps = [], []
+    pending = list(outcomes)
+
+    def fake_post(*args, **kwargs):
+        posts.append(kwargs)
+        outcome = pending.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return posts, sleeps
+
+
+_TRANSIENT = [_Response(status_code=429), _Response(status_code=500),
+              _Response(status_code=503),
+              requests.ConnectionError("connection reset")]
+
+
+@pytest.mark.parametrize("transient", _TRANSIENT,
+                         ids=["429", "500", "503", "network"])
+def test_http_transient_failures_are_retried_with_backoff(monkeypatch,
+                                                          transient):
+    posts, sleeps = _serve(monkeypatch, transient, transient,
+                           _Response(body=_OK))
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    response = backend.chat(_request("generate"))
+    assert response.text == "done"
+    assert len(posts) == 3
+    assert sleeps == [1.0, 2.0]
+    # only the answered call is recorded, so cost.json counts no retries
+    assert len(backend.records) == 1
+    assert backend.records[0].usage == Usage(input_tokens=5,
+                                             output_tokens=2)
+
+
 @pytest.mark.parametrize("status", [429, 500, 503])
 def test_http_throttling_and_server_errors_retryable(monkeypatch, status):
-    monkeypatch.setattr(requests, "post",
-                        lambda *a, **k: _Response(status_code=status))
+    posts, sleeps = _serve(monkeypatch, *[_Response(status_code=status)] * 4)
     backend = HttpChatBackend(base_url="http://api.test", model="m")
-    with pytest.raises(LLMBackendError, match=f"HTTP {status}") as excinfo:
+    with pytest.raises(LLMBackendError, match=f"HTTP {status}"):
         backend.chat(_request("x"))
-    assert excinfo.value.retryable is True
+    assert len(posts) == 3
+    assert sleeps == [1.0, 2.0]
+    assert backend.records == []
 
 
 def test_http_client_error_permanent(monkeypatch):
-    monkeypatch.setattr(requests, "post", lambda *a, **k: _Response(
-        status_code=404, text="nope"))
+    posts, sleeps = _serve(monkeypatch,
+                           _Response(status_code=404, text="nope"),
+                           _Response(body=_OK))
     backend = HttpChatBackend(base_url="http://api.test", model="m")
-    with pytest.raises(LLMBackendError, match="HTTP 404") as excinfo:
+    with pytest.raises(LLMBackendError, match="HTTP 404"):
         backend.chat(_request("x"))
-    assert excinfo.value.retryable is False
+    assert len(posts) == 1
+    assert sleeps == []
 
 
 def test_http_network_failure_retryable(monkeypatch):
-    def boom(*args, **kwargs):
-        raise requests.RequestException("connection reset")
-
-    monkeypatch.setattr(requests, "post", boom)
+    posts, sleeps = _serve(
+        monkeypatch, *[requests.RequestException("connection reset")] * 4)
     backend = HttpChatBackend(base_url="http://api.test", model="m")
-    with pytest.raises(LLMBackendError, match="request failed") as excinfo:
+    with pytest.raises(LLMBackendError, match="request failed"):
         backend.chat(_request("x"))
-    assert excinfo.value.retryable is True
+    assert len(posts) == 3
+    assert sleeps == [1.0, 2.0]
 
 
 def test_http_malformed_body_permanent(monkeypatch):
-    monkeypatch.setattr(requests, "post",
-                        lambda *a, **k: _Response(body={"unexpected": 1}))
+    posts, sleeps = _serve(monkeypatch, _Response(body={"unexpected": 1}),
+                           _Response(body=_OK))
     backend = HttpChatBackend(base_url="http://api.test", model="m")
-    with pytest.raises(LLMBackendError, match="malformed") as excinfo:
+    with pytest.raises(LLMBackendError, match="malformed"):
         backend.chat(_request("x"))
-    assert excinfo.value.retryable is False
+    assert len(posts) == 1
+    assert sleeps == []
+    assert backend.records == []
+
+
+def test_generate_survives_a_throttled_call(monkeypatch):
+    # generation has no retry of its own: the backend's retry turns one
+    # 429 into a 1 s wait, not a lost sample
+    block = ("### hello.txt\n<<<<<<< SEARCH\nold\n=======\nnew\n"
+             ">>>>>>> REPLACE\n")
+    fix = {"choices": [{"message": {"content": block}}]}
+    posts, sleeps = _serve(monkeypatch, _Response(status_code=429),
+                           *[_Response(body=fix)] * 3)
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    candidates = generate_patches(backend, "crash", PatchContext(windows=()),
+                                  t=3)
+    assert [c.index for c in candidates] == [0, 1, 2]
+    assert all(c.edits and c.parse_error is None for c in candidates)
+    assert len(posts) == 4
+    assert sleeps == [1.0]
+    assert [r.tag for r in backend.records] == ["generate"] * 3
 
 
 # --- telemetry ------------------------------------------------------------
@@ -660,14 +722,6 @@ def test_verify_empty_prediction_is_not_a_patch(tmp_path):
     assert verdict.resolved is False
     assert verdict.exit_code is None
     assert verdict.detail == "empty prediction"
-
-
-def test_verify_image_workspace_refused(tmp_path):
-    instance = IssueInstance(instance_id="img-1", issue_report="r",
-                             repro_command="true",
-                             workspace_image="repro:latest")
-    with pytest.raises(VerifierFailure, match="directory workspace"):
-        verify_prediction(instance, HELLO_DIFF)
 
 
 def test_verify_resolved_when_patched_command_exits_clean(tmp_path):
@@ -884,7 +938,7 @@ def test_write_keeps_non_utf8_diff_bytes(tmp_path):
                                 "=======\nint x = 2;\n>>>>>>> REPLACE\n")
     diff = to_unified_diff(tmp_path / "after", history.originals())
     path = tmp_path / "out" / "candidate-0.diff"
-    _write(path, diff)
+    repo_model.write_text(path, diff)
 
     assert b" /* caf\xe9 */\n" in path.read_bytes()
     subprocess.run(["git", "apply", str(path)], cwd=tmp_path / "before",
@@ -903,8 +957,8 @@ def test_evaluate_applies_non_utf8_prediction(tmp_path):
     history.apply_edits("bump", "### src/a.c\n<<<<<<< SEARCH\nint x = 1;\n"
                                 "=======\nint x = 2;\n>>>>>>> REPLACE\n")
     run_dir = tmp_path / "run"
-    _write(run_dir / "mini-1" / "prediction.diff",
-           to_unified_diff(patched, history.originals()))
+    repo_model.write_text(run_dir / "mini-1" / "prediction.diff",
+                          to_unified_diff(patched, history.originals()))
     instance = IssueInstance(instance_id="mini-1", issue_report="r",
                              repro_command="grep -q 'x = 2' src/a.c",
                              workspace_path=str(workspace))

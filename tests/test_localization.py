@@ -174,6 +174,23 @@ def test_prompt_route_filters_and_caps(crepo, issue_text):
     assert "Name up to 2 files." in request.messages[1]["content"]
 
 
+def test_named_files_must_be_listed_in_the_tree(scratch_crepo, issue_text):
+    # a dot directory is listed and kept; a path that climbs out of the
+    # workspace names a real file but is never listed, so never read
+    (scratch_crepo / ".ci").mkdir()
+    (scratch_crepo / ".ci" / "probe.c").write_text(
+        "int probe(int x) { return x + 1; }\n")
+    (scratch_crepo.parent / "secret.c").write_text("int secret;\n")
+    llm = ScriptedLLM([
+        _text('[".ci/probe.c", "src/../../secret.c", "./src/buf.c"]'),
+        _text('[{"file": ".ci/probe.c", "id": "probe"}]')])
+    files = localize_files_prompt(llm, scratch_crepo, issue_text, n=3)
+    assert files == [".ci/probe.c", "src/buf.c"]
+    result = localize_elements(llm, scratch_crepo, files[:1], issue_text)
+    assert [(s.file, s.element.name) for s in result.selections] == [
+        (".ci/probe.c", "probe")]
+
+
 def test_prompt_route_tolerates_junk_reply(crepo, issue_text):
     assert localize_files_prompt(ScriptedLLM([_text("cannot help")]),
                                  crepo, issue_text, n=3) == []
