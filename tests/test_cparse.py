@@ -105,14 +105,32 @@ def test_renamed_fixture_concatenations_scan_as_the_reference_does(seed):
     _assert_matches_reference(text)
 
 
+# single characters that steer the lexer, keywords that steer the
+# classifier, and whole declarations, so that runs of noise sit between
+# units the scanner can recognise
 C_LIKE = st.lists(st.sampled_from([
     "/", "*", '"', "'", "\\", "\n", "{", "}", "(", ")", "[", "]", ";",
-    "=", "#", ",", ":", " ", "\t", "\r", "\f", "a", "f", "x", "1",
+    "=", "#", ",", ":", " ", "\t", "\r", "\f", "\v", "a", "1",
     "struct ", "class ", "namespace ", 'extern "C" ', "#define ",
-    "public:", "int ", "::"]), max_size=80).map("".join)
+    "public:", "int ", "::", "int a;", "int f(int x)", "{ return x; }",
+    "S::", "(*p)", "\r\n", "\n\f"]), max_size=60).map("".join)
 
 
 @settings(max_examples=400, deadline=None)
 @given(C_LIKE)
 def test_c_like_text_scans_as_the_reference_does(text):
     _assert_matches_reference(text)
+
+
+@pytest.mark.parametrize("blank", ["\r\n", "\n\f\n", "\v\n"],
+                         ids=["crlf", "form-feed", "vertical-tab"])
+def test_every_c_whitespace_character_separates_tokens(blank):
+    text = (f"int a;{blank}int S{blank}::{blank}f{blank}(int x){blank}"
+            f"{{ return x; }}{blank}int (*fp){blank}(int);{blank}")
+    elements = scan_elements(text)
+    assert [(e.name, e.qualifier, e.kind) for e in elements] == [
+        ("a", None, ElementKind.GLOBAL_VARIABLE),
+        ("f", "S", ElementKind.FUNCTION),
+        ("fp", None, ElementKind.GLOBAL_VARIABLE)]
+    assert [e.start for e in elements] == [
+        0, text.index("int S"), text.index("int (*fp)")]

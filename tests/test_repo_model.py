@@ -120,6 +120,16 @@ def test_multiline_macro_span(crepo):
     assert clamp.end_line > clamp.start_line
 
 
+def test_crlf_source_elements_start_on_their_own_line(tmp_path):
+    write_text(tmp_path / "m.c", "int a;\r\nint f(int x)\r\n{\r\n"
+                                 "  return x;\r\n}\r\nint b;\r\n")
+    by_name = {e.name: e for e in parse_elements(tmp_path, "m.c")}
+    f = by_name["f"]
+    assert (f.start_line, f.end_line) == (2, 5)
+    assert f.text == "int f(int x)\r\n{\r\n  return x;\r\n}\r\n"
+    assert (by_name["b"].start_line, by_name["b"].text) == (6, "int b;\r\n")
+
+
 def test_skeletonize_shortens_and_keeps_signatures(crepo):
     text = read_text(crepo / "njs" / "src" / "njs_array.c")
     skeleton = skeletonize(text)
