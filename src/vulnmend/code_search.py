@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ElementNotFound
-from .repo_model import CodeElement, RepoIndex, read_text
+from .repo_model import CodeElement, RepoIndex, read_text, split_lines
 from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 MARKER_RE = re.compile(r"// <<<<< (\S+):(\d+)\s*$")
@@ -79,9 +79,15 @@ class SearchResult:
         return "\n".join(parts)
 
 
+def _display_lines(text: str) -> list[str]:
+    """The lines split_lines numbers, without their line endings."""
+    return [line.removesuffix("\n").removesuffix("\r")
+            for line in split_lines(text)]
+
+
 def _window_for_element(element: CodeElement,
                         mark_lines: Iterable[int] | None) -> CodeWindow:
-    lines = element.text.splitlines()
+    lines = _display_lines(element.text)
     marked = frozenset(
         n for n in (mark_lines or ())
         if element.start_line <= n <= element.end_line)
@@ -142,7 +148,7 @@ def read_code(root: Path | str, file: str, center: int, num: int,
     path = root / file
     if not path.is_file():
         raise FileNotFoundError(file)
-    all_lines = read_text(path).splitlines()
+    all_lines = _display_lines(read_text(path))
     total = len(all_lines)
     if total == 0:
         return CodeWindow(file=file, start_line=1, end_line=0, lines=(),

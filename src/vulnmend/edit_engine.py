@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 from .errors import (EmptyHistory, MalformedBlock, NoChanges,
                      SearchTextAmbiguous, SearchTextNotFound)
 from .naming import dedupe_name
-from .repo_model import read_text, write_text
+from .repo_model import read_text, split_lines, write_text
 
 _HEADER_RE = re.compile(r"^###\s+(\S.*?)\s*$")
 _OPEN_RE = re.compile(r"^<{7,}\s*SEARCH\s*$")
@@ -291,8 +291,8 @@ def _emit(out: list, prefix: str, token: str) -> None:
 
 
 def _file_hunks(old: str, new: str) -> list[str]:
-    a = old.splitlines(keepends=True)
-    b = new.splitlines(keepends=True)
+    a = split_lines(old)
+    b = split_lines(new)
     sm = difflib.SequenceMatcher(a=a, b=b, autojunk=False)
     out: list[str] = []
     for group in sm.get_grouped_opcodes(3):

@@ -107,7 +107,8 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
     scratch = Path(tempfile.mkdtemp(prefix="verify-"))
     try:
         work = scratch / "workspace"
-        shutil.copytree(instance.workspace_path, work)
+        shutil.copytree(instance.workspace_path, work,
+                        ignore_dangling_symlinks=True)
         # bytes in, so a diff of a non-UTF-8 source applies as written
         apply_proc = subprocess.run(
             ["git", "apply", "--whitespace=nowarn", "-"], input=diff,

@@ -78,7 +78,8 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     if instance_dir.exists():
         shutil.rmtree(instance_dir)
     workspace = instance_dir / "workspace"
-    shutil.copytree(instance.workspace_path, workspace)
+    shutil.copytree(instance.workspace_path, workspace,
+                    ignore_dangling_symlinks=True)
 
     stage = _Stage()
     records_start = len(getattr(llm, "records", []) or [])

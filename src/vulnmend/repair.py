@@ -20,7 +20,7 @@ from .errors import (MalformedBlock, NoChanges, SearchTextAmbiguous,
                      SearchTextNotFound)
 from .execution import PocRunner
 from .llm import ChatRequest, LLMBackend
-from .repo_model import read_text
+from .repo_model import read_text, split_lines
 
 DEFAULT_CONTEXT_MARGIN = 10
 DEFAULT_CANDIDATES = 5
@@ -78,7 +78,7 @@ def build_patch_context(root: Path | str, selections,
 
     windows = []
     for rel in sorted(per_file):
-        lines = read_text(root / rel).splitlines(keepends=True)
+        lines = split_lines(read_text(root / rel))
         for start, end in _merge_ranges(per_file[rel]):
             end = min(end, len(lines))
             windows.append(ContextWindow(
@@ -89,7 +89,7 @@ def build_patch_context(root: Path | str, selections,
             continue
         text = read_text(root / rel)
         windows.append(ContextWindow(
-            file=rel, start_line=1, end_line=len(text.splitlines()),
+            file=rel, start_line=1, end_line=len(split_lines(text)),
             text=text))
     return PatchContext(windows=tuple(windows))
 

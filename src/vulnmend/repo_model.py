@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -23,6 +24,7 @@ __all__ = [
     "DEFAULT_EXTENSIONS",
     "DEFAULT_IGNORE_DIRS",
     "read_text",
+    "split_lines",
     "write_text",
     "write_json",
     "source_files",
@@ -41,6 +43,16 @@ def read_text(path: Path | str) -> str:
     byte-lossless even when the file is not valid UTF-8."""
     data = Path(path).read_bytes()
     return data.decode("utf-8", errors="surrogateescape")
+
+
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
+def split_lines(text: str) -> list[str]:
+    """Lines of text, each with its "\n". Only "\n" ends a line, as
+    gcc, sanitizers and git apply count lines; a "\r", "\f" or other
+    break that str.splitlines honours stays inside its line."""
+    return _LINE.findall(text)
 
 
 def write_text(path: Path | str, text: str) -> None:
@@ -136,7 +148,7 @@ def parse_elements(root: Path | str, relpath: str):
 
 
 def _elements_of(text: str, relpath: str) -> tuple[CodeElement, ...]:
-    lines = text.splitlines(keepends=True)
+    lines = split_lines(text)
     # offsets of line starts, for charpos -> line conversion
     starts = [0]
     for ln in lines:

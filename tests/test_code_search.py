@@ -1,4 +1,5 @@
 import re
+import subprocess
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from vulnmend.code_search import (format_marker, parse_annotations,
                                   read_code, search_code_element)
 from vulnmend.errors import ElementNotFound
-from vulnmend.repo_model import read_text
+from vulnmend.repo_model import read_text, write_text
 
 _PATH_CHARS = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789_./-"),
@@ -95,6 +96,23 @@ def test_search_qualified_member(crepo):
     result = search_code_element(crepo, "File::open")
     assert any(element.file == "cpp/fileio.cpp"
                for element, _ in result.matches)
+
+
+@pytest.mark.parametrize("brk", ["\f", "\r", "\x1c", "\x85", "\u2028"],
+                         ids=["ff", "cr", "fs", "nel", "ls"])
+def test_line_numbers_count_newlines_only(tmp_path, brk):
+    # a break str.splitlines honours, inside a comment on line 1
+    write_text(tmp_path / "m.c", f"int a; /* {brk} */\nint f(int x)\n{{\n"
+                                 "  return x;\n}\n")
+    grep = subprocess.run(["grep", "-a", "-n", "return x;", "m.c"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          check=True)
+    line = int(grep.stdout.split(":")[0])
+
+    (element, window), = search_code_element(tmp_path, "f").matches
+    assert (element.start_line, element.end_line) == (line - 2, line + 1)
+    assert window.lines[line - element.start_line] == "  return x;"
+    assert read_code(tmp_path, "m.c", line, 1).lines == ("  return x;",)
 
 
 def test_search_unknown_name_raises(crepo):

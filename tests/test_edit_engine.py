@@ -358,6 +358,20 @@ def test_unified_diff_handles_missing_trailing_newline(tmp_path):
     assert (target / "x.c").read_text() == (root / "x.c").read_text()
 
 
+def test_unified_diff_next_to_a_form_feed_line_applies(tmp_path):
+    # git counts only "\n" as a line end: a form-feed line is one line
+    old = "int a;\n\f\nint f(int x)\n{\n  return x;\n}\n"
+    after = tmp_path / "after"
+    write_text(after / "m.c", old.replace("return x;", "return x + 1;"))
+    diff = to_unified_diff(after, {"m.c": old})
+    assert "No newline" not in diff
+    target = tmp_path / "target"
+    write_text(target / "m.c", old)
+    proc = _git_apply(diff, target)
+    assert proc.returncode == 0, proc.stderr
+    assert read_text(target / "m.c") == read_text(after / "m.c")
+
+
 def test_unified_diff_empty_for_identical_trees(crepo):
     assert to_unified_diff(crepo, {}) == ""
     assert to_unified_diff(crepo, _originals(crepo, "src/buf.c",

@@ -29,7 +29,7 @@ from vulnmend.harness.instances import (IssueInstance, load_instances,
                                         parse_instance)
 from vulnmend.harness.metrics import (Metrics, cost_of_records, evaluate_run,
                                       verify_prediction)
-from vulnmend.harness.pipeline import run_instance
+from vulnmend.harness.pipeline import run_all, run_instance
 from vulnmend.harness.telemetry import (classify_script,
                                         classify_script_calls,
                                         transcript_summary)
@@ -926,6 +926,24 @@ def test_replay_run_instance_parses_each_content_once(fixtures_dir, tmp_path,
         fixtures_dir / "crepo"))
     # ... and nothing was parsed twice at the same content
     assert max(scans.values()) == 1
+
+
+@needs_gcc
+def test_dangling_symlink_in_workspace_is_skipped(fixtures_dir,
+                                                 scratch_crepo, tmp_path):
+    (scratch_crepo / "src" / "stale.h").symlink_to("nowhere.h")
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        workspace_path=str(scratch_crepo))
+    run_dir = tmp_path / "run"
+    (result,) = run_all([instance], variant("full"),
+                        lambda _: ReplayBackend(build_entries(True, True)),
+                        run_dir)
+    assert result.winner is not None and not result.errors
+
+    metrics, (verdict,) = evaluate_run(run_dir, [instance])
+    assert verdict.applied and verdict.resolved
+    assert metrics.resolved == 1
 
 
 def test_write_keeps_non_utf8_diff_bytes(tmp_path):
