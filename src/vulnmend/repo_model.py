@@ -49,9 +49,10 @@ _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 def split_lines(text: str) -> list[str]:
-    """Lines of text, each with its "\n". Only "\n" ends a line, as
-    gcc, sanitizers and git apply count lines; a "\r", "\f" or other
-    break that str.splitlines honours stays inside its line."""
+    r"""Lines of text, each keeping its "\n" (the last may have none).
+    Only "\n" ends a line, as gcc, the sanitizers and git apply count
+    lines; a "\r", "\f" or other break that str.splitlines honours stays
+    inside its line."""
     return _LINE.findall(text)
 
 

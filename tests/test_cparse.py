@@ -55,10 +55,11 @@ def test_quote_in_character_literal_opens_no_string():
     assert [e.name for e in scan_elements(text)] == ["q", "seen"]
 
 
-@pytest.mark.parametrize("text", ['"\\', "'\\", "// \\", "x = \\",
-                                  "#define A \\"])
-def test_trailing_backslash_at_eof_does_not_raise(text):
-    assert len(shadow_source(text)) == len(text)
+@pytest.mark.parametrize("text, shadow", [
+    ('"\\', '" '), ("'\\", "' "), ("// \\", "    "), ("x = \\", "x = \\"),
+    ("#define A \\", "#define A \\")])
+def test_trailing_backslash_at_eof_does_not_raise(text, shadow):
+    assert shadow_source(text) == shadow
     scan_elements(text)
 
 
@@ -70,9 +71,9 @@ def test_escaped_quote_stays_inside_the_string():
 def test_directive_on_a_continued_line_is_a_macro_of_its_own():
     text = "#define A \\\n#define B 1\nint x;\n"
     elements = scan_elements(text)
-    assert [(e.name, e.kind) for e in elements] == [
-        ("A", ElementKind.MACRO), ("B", ElementKind.MACRO),
-        ("x", ElementKind.GLOBAL_VARIABLE)]
+    assert [(e.name, e.kind, e.start, e.end) for e in elements] == [
+        ("A", ElementKind.MACRO, 0, 23), ("B", ElementKind.MACRO, 12, 23),
+        ("x", ElementKind.GLOBAL_VARIABLE, 24, 30)]
 
 
 # -- differential check against the reference lexer ----------------------------
@@ -93,6 +94,26 @@ def _renamed(text: str, tag: str) -> str:
                      else f"{m.group()}_{tag}", text)
 
 
+# inputs that reach the scanner's rarer branches
+TRICKY = [
+    "int a[(1)];", "int a), (b;", "int (*fp)(int), g;", "T x[] = {1, {2}};",
+    "struct { int x; } s, t;", "typedef struct S { int x; } S_t;",
+    "int N::M::f(int x) { return x; }", "namespace N { int f(); }",
+    'extern "C" { int g(void); }', "class C { public: int m(int); };",
+    "enum { A, B } e;", "int f(int x)\n{ { } }\nint g;", "int f(int x) {",
+    "int a = (1, 2), b;", "#define A \\\n  B\nint x;", "} int y;",
+    "int f) (;", '"a\\\nb" int z;', "'x' int c;", "/* a */ /**/ /***/ int d;",
+    "int a;\n  #define A 1\n\t# if B\nint x;",
+    "#define A \\ \t\nint x;\nint y;",
+    "int 1x(int);", "int a; /* open\n", 'char *s = "a\\\n',
+]
+
+
+@pytest.mark.parametrize("text", TRICKY)
+def test_tricky_inputs_scan_as_the_reference_does(text):
+    _assert_matches_reference(text)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_renamed_fixture_concatenations_scan_as_the_reference_does(seed):
     # the way the benchmark's seeded tree builds its files: shuffled
@@ -105,18 +126,19 @@ def test_renamed_fixture_concatenations_scan_as_the_reference_does(seed):
     _assert_matches_reference(text)
 
 
-# single characters that steer the lexer, keywords that steer the
-# classifier, and whole declarations, so that runs of noise sit between
-# units the scanner can recognise
-C_LIKE = st.lists(st.sampled_from([
-    "/", "*", '"', "'", "\\", "\n", "{", "}", "(", ")", "[", "]", ";",
-    "=", "#", ",", ":", " ", "\t", "\r", "\f", "\v", "a", "1",
-    "struct ", "class ", "namespace ", 'extern "C" ', "#define ",
-    "public:", "int ", "::", "int a;", "int f(int x)", "{ return x; }",
-    "S::", "(*p)", "\r\n", "\n\f"]), max_size=60).map("".join)
+# code tokens, weighted over the characters that open a comment, a
+# literal or a directive, since one of those can swallow the rest; the
+# length is drawn first, as lists would otherwise stay short
+_CODE = ["a", "f", "1", " ", "\t", "\n", "\r\n", "\f", "\v", "(", ")", "[",
+         "]", "{", "}", ";", "=", ",", ":", "::", "*", "int ", "struct ",
+         "class ", "namespace ", 'extern "C" ', "public:"]
+_LEXICAL = ["/", "*", '"', "'", "\\", "#", "#define ", "//", "/*", "*/"]
+C_LIKE = st.integers(0, 80).flatmap(lambda n: st.lists(
+    st.sampled_from(_CODE * 3 + _LEXICAL), min_size=n, max_size=n)).map(
+        "".join)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(C_LIKE)
 def test_c_like_text_scans_as_the_reference_does(text):
     _assert_matches_reference(text)
