@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ..execution import LocalSandbox, PocRunner
 from ..llm import RequestRecord
-from ..repo_model import write_json
+from ..repo_model import skip_dangling_links, write_json
 from .config import RunConfig
 from .instances import IssueInstance
 
@@ -108,7 +108,7 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
     try:
         work = scratch / "workspace"
         shutil.copytree(instance.workspace_path, work,
-                        ignore_dangling_symlinks=True)
+                        ignore=skip_dangling_links)
         # bytes in, so a diff of a non-UTF-8 source applies as written
         apply_proc = subprocess.run(
             ["git", "apply", "--whitespace=nowarn", "-"], input=diff,

@@ -29,7 +29,8 @@ from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
 from ..repair import (build_patch_context, generate_patches, select_patch,
                       validate_candidate)
-from ..repo_model import RepoIndex, write_json, write_text
+from ..repo_model import (RepoIndex, skip_dangling_links, write_json,
+                          write_text)
 from ..symbol_analysis import make_symbol_backend
 from .config import RunConfig
 from .instances import IssueInstance
@@ -79,7 +80,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         shutil.rmtree(instance_dir)
     workspace = instance_dir / "workspace"
     shutil.copytree(instance.workspace_path, workspace,
-                    ignore_dangling_symlinks=True)
+                    ignore=skip_dangling_links)
 
     stage = _Stage()
     records_start = len(getattr(llm, "records", []) or [])

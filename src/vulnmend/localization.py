@@ -23,7 +23,7 @@ import numpy as np
 from .errors import JSONParseFailure
 from .llm import ChatRequest, LLMBackend
 from .repo_model import (CodeElement, RepoIndex, read_text, render_repo_tree,
-                         skeletonize)
+                         skeletonize, split_lines)
 from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 DEFAULT_CHUNK_LINES = 512
@@ -84,12 +84,13 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 def chunk_file(text: str, chunk_lines: int = DEFAULT_CHUNK_LINES) -> list[str]:
     """Split into consecutive chunks of at most chunk_lines lines.
 
-    Lines keep their endings, so the concatenation of the chunks is the
-    original text, and len(chunks) == ceil(line_count / chunk_lines).
+    Only "\n" ends a line (see split_lines). Lines keep their endings,
+    so the concatenation of the chunks is the original text, and
+    len(chunks) == ceil(line_count / chunk_lines).
     """
     if chunk_lines <= 0:
         raise ValueError("chunk_lines must be positive")
-    lines = text.splitlines(keepends=True)
+    lines = split_lines(text)
     return ["".join(lines[i:i + chunk_lines])
             for i in range(0, len(lines), chunk_lines)]
 

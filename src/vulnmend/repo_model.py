@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,7 @@ __all__ = [
     "DEFAULT_IGNORE_DIRS",
     "read_text",
     "split_lines",
+    "skip_dangling_links",
     "write_text",
     "write_json",
     "source_files",
@@ -54,6 +56,15 @@ def split_lines(text: str) -> list[str]:
     lines; a "\r", "\f" or other break that str.splitlines honours stays
     inside its line."""
     return _LINE.findall(text)
+
+
+def skip_dangling_links(directory: str, names: list[str]) -> set[str]:
+    """shutil.copytree ignore= callable that drops links whose target is
+    missing. The target is looked up from the link's own directory, so a
+    valid relative link is kept and copied as the file it points to."""
+    return {name for name in names
+            if os.path.islink(os.path.join(directory, name))
+            and not os.path.exists(os.path.join(directory, name))}
 
 
 def write_text(path: Path | str, text: str) -> None:

@@ -932,18 +932,34 @@ def test_replay_run_instance_parses_each_content_once(fixtures_dir, tmp_path,
 def test_dangling_symlink_in_workspace_is_skipped(fixtures_dir,
                                                  scratch_crepo, tmp_path):
     (scratch_crepo / "src" / "stale.h").symlink_to("nowhere.h")
+    # valid relative links, whose targets do not exist from the process's
+    # working directory: they are copied as the files they point to
+    (scratch_crepo / "src" / "alias.h").symlink_to("buf.h")
+    (scratch_crepo / "cpp" / "buf.h").symlink_to("../src/buf.h")
     instance = dataclasses.replace(
         load_instances(fixtures_dir / "instances.jsonl")[0],
         workspace_path=str(scratch_crepo))
     run_dir = tmp_path / "run"
-    (result,) = run_all([instance], variant("full"),
+    config = dataclasses.replace(variant("full"), keep_workspaces=True)
+    (result,) = run_all([instance], config,
                         lambda _: ReplayBackend(build_entries(True, True)),
                         run_dir)
     assert result.winner is not None and not result.errors
+    workspace = run_dir / instance.instance_id / "workspace"
+    header = (scratch_crepo / "src" / "buf.h").read_bytes()
+    for rel in ("src/alias.h", "cpp/buf.h"):
+        assert not (workspace / rel).is_symlink()
+        assert (workspace / rel).read_bytes() == header
+    assert not (workspace / "src" / "stale.h").exists()
 
     metrics, (verdict,) = evaluate_run(run_dir, [instance])
     assert verdict.applied and verdict.resolved
     assert metrics.resolved == 1
+
+    first = header.decode().splitlines(keepends=True)[0]
+    touch_alias = ("--- a/src/alias.h\n+++ b/src/alias.h\n"
+                   "@@ -1,1 +1,2 @@\n+/* alias */\n " + first)
+    assert verify_prediction(instance, touch_alias).applied
 
 
 def test_write_keeps_non_utf8_diff_bytes(tmp_path):

@@ -41,6 +41,11 @@ def test_chunk_concat_and_count_invariants(text, chunk_lines):
         assert len(chunk.splitlines(keepends=True)) == chunk_lines
 
 
+def test_chunk_lines_end_at_newline_only():
+    text = "a\f\nb\rc\n\x85d\u2028e\nf"
+    assert chunk_file(text, 2) == ["a\f\nb\rc\n", "\x85d\u2028e\nf"]
+
+
 def test_chunk_rejects_nonpositive_size():
     with pytest.raises(ValueError):
         chunk_file("x", 0)
