@@ -169,6 +169,24 @@ def summarize_assertions(log: str) -> AssertionSummary:
 # -- PoC runner ---------------------------------------------------------------
 
 
+_SANITIZER_PID_RE = re.compile(r"^==\d+==", re.MULTILINE)
+
+
+def _workspace_re(workspace: Path) -> re.Pattern:
+    """The workspace's absolute path, as given and resolved, where it is
+    not the start of a longer file name."""
+    forms = {os.path.abspath(workspace), str(workspace.resolve())}
+    alternation = "|".join(
+        re.escape(f) for f in sorted(forms, key=len, reverse=True))
+    return re.compile(rf"(?:{alternation})(?![\w.-])")
+
+
+def _placeless(log: str, workspace_re: re.Pattern) -> str:
+    """A log as the agents see it: the same wherever the workspace lives
+    and whatever process id the PoC ran as."""
+    return _SANITIZER_PID_RE.sub("==PID==", workspace_re.sub(".", log))
+
+
 @dataclass(frozen=True)
 class PocResult:
     name: str
@@ -178,7 +196,7 @@ class PocResult:
     sanitizer_triggered: bool
     timed_out: bool
     summary: AssertionSummary
-    log: str                   # truncated, for observations
+    log: str                   # truncated and placeless, for observations
 
     @property
     def passed(self) -> bool:
@@ -205,8 +223,11 @@ class PocRunner:
     """Compile-and-run of the instance's repro command, with log capture.
 
     One instance descriptor, one runner. Each run gets a caller-chosen
-    name (deduplicated with numeric suffixes) under which the full log
-    stays retrievable for the life of the process.
+    name (deduplicated with numeric suffixes) under which the full raw
+    log stays retrievable for the life of the process. The excerpt in
+    the result, which goes into prompts, names the workspace `.` and
+    every sanitizer process `==PID==`, so prompts do not depend on where
+    the checkout lives; verdicts and summaries read the raw log.
     """
 
     def __init__(self, sandbox, repro_command: str,
@@ -220,6 +241,7 @@ class PocRunner:
         self.head_lines = head_lines
         self.tail_lines = tail_lines
         self.timeout = timeout
+        self._workspace_re = _workspace_re(sandbox.workspace)
 
     def run_poc(self, unique_name: str) -> PocResult:
         fixed = self.log_store.reserve(unique_name)
@@ -236,8 +258,9 @@ class PocRunner:
                                  for rx in COMPILE_ERROR_SIGNATURES))
         # the summary always reflects the complete log, not the excerpt
         summary = summarize_assertions(full_log)
-        truncated = truncate_log(full_log, self.head_lines, self.tail_lines,
-                                 name=fixed)
+        excerpt = _placeless(truncate_log(full_log, self.head_lines,
+                                          self.tail_lines, name=fixed),
+                             self._workspace_re)
         return PocResult(
             name=fixed,
             phase="compile_error" if compile_error else "ran",
@@ -246,7 +269,7 @@ class PocRunner:
             sanitizer_triggered=sanitizer,
             timed_out=res.timed_out,
             summary=summary,
-            log=truncated,
+            log=excerpt,
         )
 
 

@@ -33,8 +33,10 @@ class ReplayBackend:
     The script is JSON: {"entries": [{"expect": "<stage tag>",
     "response": {...}}, ...]} where a response is either
     {"text": "..."} or {"tool": "<name>", "args": {...}} with an optional
-    "thought". A tag mismatch or an exhausted script is an error naming
-    the step, because a desync means the pipeline under test changed.
+    "thought". A request for n choices consumes the next n entries and
+    is recorded once, with their usages summed. A tag mismatch or an
+    exhausted script is an error naming the step, because a desync means
+    the pipeline under test changed.
     A multi-instance script {"instances": {"<id>": {"entries": [...]}}}
     holds one such script per instance; pass one of them.
     """
@@ -58,30 +60,34 @@ class ReplayBackend:
             return cls(json.load(fh))
 
     def chat(self, request: ChatRequest) -> ChatResponse:
-        if self.position >= len(self.entries):
-            raise ScriptExhausted(
-                f"replay script exhausted: stage {request.tag!r} asked for "
-                f"call {self.position + 1}, script has {len(self.entries)}")
-        entry = self.entries[self.position]
-        expect = entry.get("expect")
-        if expect != request.tag:
-            raise ReplayDesync(
-                f"replay step {self.position + 1}: script expects stage "
-                f"{expect!r}, pipeline asked as {request.tag!r}")
-        self.position += 1
+        # a request for n choices consumes n consecutive entries, each of
+        # which must expect the request's stage
+        for step in range(self.position, self.position + request.n):
+            if step >= len(self.entries):
+                raise ScriptExhausted(
+                    f"replay script exhausted: stage {request.tag!r} asked "
+                    f"for call {step + 1}, script has {len(self.entries)}")
+            expect = self.entries[step].get("expect")
+            if expect != request.tag:
+                raise ReplayDesync(
+                    f"replay step {step + 1}: script expects stage "
+                    f"{expect!r}, pipeline asked as {request.tag!r}")
+        entries = self.entries[self.position:self.position + request.n]
+        self.position += request.n
 
-        spec = entry.get("response", {})
-        usage = self._usage(entry)
-        if "tool" in spec:
-            response = ChatResponse(
-                tool_call=ToolCall(name=spec["tool"],
-                                   args=spec.get("args", {})),
-                thought=spec.get("thought"),
-                usage=usage, model="replay")
-        else:
-            response = ChatResponse(
-                text=spec.get("text", ""), thought=spec.get("thought"),
-                usage=usage, model="replay")
+        spec = entries[0].get("response", {})
+        usages = [self._usage(entry) for entry in entries]
+        usage = Usage(
+            input_tokens=sum(u.input_tokens for u in usages),
+            output_tokens=sum(u.output_tokens for u in usages))
+        more_texts = tuple(entry.get("response", {}).get("text", "")
+                           for entry in entries[1:])
+        tool_call = (ToolCall(name=spec["tool"], args=spec.get("args", {}))
+                     if "tool" in spec else None)
+        response = ChatResponse(
+            text=None if tool_call else spec.get("text", ""),
+            tool_call=tool_call, thought=spec.get("thought"),
+            usage=usage, model="replay", more_texts=more_texts)
         self.records.append(RequestRecord(
             tag=request.tag, temperature=request.temperature,
             messages_sha256=messages_digest(request.messages),
@@ -100,15 +106,22 @@ class ReplayBackend:
                      output_tokens=_approx_tokens(len(out_text)))
 
 
+class _Refused(LLMBackendError):
+    """A 4xx other than 429: the server will not answer this payload."""
+
+
 class HttpChatBackend:
     """OpenAI-compatible chat-completions client.
 
     Network problems and 429/5xx answers are transient: the call is
     tried up to MAX_ATTEMPTS times with exponential backoff, then fails.
-    Other HTTP failures and malformed bodies fail at once. Only a
-    successful call keeps a RequestRecord, so retries cost nothing in
-    cost.json. Tool definitions and calls map onto the provider's
-    function-call shape.
+    Other HTTP failures and malformed bodies fail at once. Only an
+    answered POST keeps a RequestRecord, so retries cost nothing in
+    cost.json. A request for n > 1 choices sends `n`; when the server
+    answers with fewer choices, the rest are asked for in further POSTs,
+    and when it refuses `n` with a client error, one choice per POST.
+    Tool definitions and calls map onto the provider's function-call
+    shape.
     """
 
     def __init__(self, base_url: str, model: str, api_key: str = "",
@@ -153,13 +166,14 @@ class HttpChatBackend:
                                 for schema in request.tools]
         return payload
 
-    def chat(self, request: ChatRequest) -> ChatResponse:
+    def _post(self, payload: dict) -> tuple[dict, list[dict]]:
+        """One answered POST, through the retry policy: the parsed body
+        and its choices' messages, at least one."""
         import requests
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = self._payload(request)
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 time.sleep(RETRY_BACKOFF_S[attempt - 1])
@@ -178,21 +192,54 @@ class HttpChatBackend:
             raise LLMBackendError(
                 f"{failure} (after {MAX_ATTEMPTS} attempts)")
         if http.status_code != 200:
-            raise LLMBackendError(
-                f"HTTP {http.status_code}: {http.text[:300]}")
-
+            error = (_Refused if 400 <= http.status_code < 500
+                     else LLMBackendError)
+            raise error(f"HTTP {http.status_code}: {http.text[:300]}")
         try:
             body = http.json()
-            choice = body["choices"][0]["message"]
-        except (ValueError, KeyError, IndexError) as exc:
+            choices = [c["message"] for c in body["choices"]]
+        except (ValueError, KeyError, TypeError) as exc:
             raise LLMBackendError(f"malformed response: {exc}")
-        usage_raw = body.get("usage") or {}
-        usage = Usage(input_tokens=int(usage_raw.get("prompt_tokens", 0)),
-                      output_tokens=int(
-                          usage_raw.get("completion_tokens", 0)))
+        if not choices:
+            raise LLMBackendError("malformed response: no choices")
+        return body, choices
+
+    def chat(self, request: ChatRequest) -> ChatResponse:
+        payload = self._payload(request)
+        choices: list[dict] = []
+        input_tokens = output_tokens = 0
+        model = None
+        send_n = True
+        # some OpenAI-compatible servers ignore n and answer with fewer
+        # choices, others refuse any n but 1; ask again for the rest, one
+        # choice a post after a refusal. Every answered body holds at
+        # least one choice, so this takes at most n + 1 posts.
+        while len(choices) < request.n:
+            missing = request.n - len(choices)
+            if send_n and missing > 1:
+                try:
+                    body, answered = self._post({**payload, "n": missing})
+                except _Refused:
+                    send_n = False
+                    continue
+            else:
+                body, answered = self._post(payload)
+            choices += answered
+            usage_raw = body.get("usage") or {}
+            usage = Usage(input_tokens=int(usage_raw.get("prompt_tokens", 0)),
+                          output_tokens=int(
+                              usage_raw.get("completion_tokens", 0)))
+            input_tokens += usage.input_tokens
+            output_tokens += usage.output_tokens
+            model = model or str(body.get("model", self.model))
+            self.records.append(RequestRecord(
+                tag=request.tag, temperature=request.temperature,
+                messages_sha256=messages_digest(request.messages),
+                model=model, usage=usage))
+        choices = choices[:request.n]
 
         tool_call = None
-        calls = choice.get("tool_calls") or []
+        calls = choices[0].get("tool_calls") or []
         if calls:
             fn = calls[0]["function"]
             try:
@@ -200,11 +247,9 @@ class HttpChatBackend:
             except ValueError:
                 args = {}
             tool_call = ToolCall(name=fn["name"], args=args)
-        response = ChatResponse(
-            text=choice.get("content"), tool_call=tool_call,
-            usage=usage, model=str(body.get("model", self.model)))
-        self.records.append(RequestRecord(
-            tag=request.tag, temperature=request.temperature,
-            messages_sha256=messages_digest(request.messages),
-            model=response.model, usage=usage))
-        return response
+        return ChatResponse(
+            text=choices[0].get("content"), tool_call=tool_call,
+            usage=Usage(input_tokens=input_tokens,
+                        output_tokens=output_tokens),
+            model=model,
+            more_texts=tuple(c.get("content") for c in choices[1:]))

@@ -10,6 +10,7 @@ cleanly and the run passes by the one PoC verdict, PocResult.passed.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import tempfile
@@ -107,12 +108,24 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
     scratch = Path(tempfile.mkdtemp(prefix="verify-"))
     try:
         work = scratch / "workspace"
-        shutil.copytree(instance.workspace_path, work,
-                        ignore=skip_dangling_links)
-        # bytes in, so a diff of a non-UTF-8 source applies as written
+        try:
+            shutil.copytree(instance.workspace_path, work,
+                            ignore=skip_dangling_links)
+        except OSError as exc:
+            # this instance's data is broken (say, its workspace is gone);
+            # that must not cost the verdicts of the rest
+            return InstanceVerdict(
+                instance.instance_id, has_patch=True, applied=False,
+                exit_code=None, sanitizer_triggered=False, resolved=False,
+                detail=f"workspace copy failed: {type(exc).__name__}: {exc}")
+        # bytes in, so a diff of a non-UTF-8 source applies as written.
+        # The ceiling keeps git from finding a repository that encloses
+        # the temp directory: it would resolve the diff's paths against
+        # that repository's top level and skip them without an error.
         apply_proc = subprocess.run(
             ["git", "apply", "--whitespace=nowarn", "-"], input=diff,
-            cwd=work, capture_output=True)
+            cwd=work, capture_output=True,
+            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(scratch)})
         if apply_proc.returncode != 0:
             stderr = apply_proc.stderr.decode("utf-8", errors="replace")
             return InstanceVerdict(

@@ -3,7 +3,9 @@
 Every model interaction in the package goes through one `chat` call shape
 so that a live HTTP backend and the deterministic replay backend are
 interchangeable. Requests carry a caller tag naming the pipeline stage;
-replay scripts key on it, cost accounting groups by it.
+replay scripts key on it, cost accounting groups by it. A request may
+ask for n independent choices of the same prompt; one response carries
+them all.
 """
 
 from __future__ import annotations
@@ -32,15 +34,22 @@ class ChatRequest:
     messages: tuple               # ({"role": ..., "content": ...}, ...)
     tools: tuple = ()             # tool schema dicts, may be empty
     temperature: float = 0.0
+    n: int = 1                    # independent choices to sample
 
 
 @dataclass(frozen=True)
 class ChatResponse:
-    text: str | None = None
+    text: str | None = None       # the first choice
     tool_call: ToolCall | None = None
     thought: str | None = None
     usage: Usage = field(default_factory=Usage)
     model: str = ""
+    more_texts: tuple = ()        # choices 2..n of a request for n > 1
+
+    @property
+    def texts(self) -> tuple:
+        """Every choice's text, in the order the choices came back."""
+        return (self.text, *self.more_texts)
 
 
 class LLMBackend(Protocol):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 from .edit_engine import EditHistory, parse_edit_blocks, to_unified_diff
@@ -131,25 +132,31 @@ def temperature_schedule(t: int) -> tuple[float, ...]:
 def generate_patches(llm: LLMBackend, issue_text: str,
                      context: PatchContext,
                      t: int = DEFAULT_CANDIDATES) -> list[CandidatePatch]:
+    """Sample t candidates: one request per run of equal temperatures in
+    the schedule, asking for as many choices as the run is long.
+    Candidates are numbered in schedule order, choices in the order they
+    came back."""
     user = (f"# Issue analysis\n\n{issue_text.strip()}\n\n"
             f"# Relevant code\n\n{context.render()}\n\n"
             "Write the fix as SEARCH/REPLACE blocks.")
     candidates = []
-    for index, temp in enumerate(temperature_schedule(t)):
+    for temp, run in groupby(temperature_schedule(t)):
+        n = len(list(run))
         response = llm.chat(ChatRequest(
             tag="generate",
             messages=({"role": "system", "content": _GENERATE_SYSTEM},
                       {"role": "user", "content": user}),
-            tools=(), temperature=temp))
-        raw = response.text or ""
-        try:
-            edits = tuple(parse_edit_blocks(raw))
-            error = None if edits else "no edit blocks found"
-        except MalformedBlock as exc:
-            edits, error = (), f"{exc} (offset {exc.offset})"
-        candidates.append(CandidatePatch(
-            index=index, temperature=temp, raw_text=raw, edits=edits,
-            parse_error=error))
+            tools=(), temperature=temp, n=n))
+        for text in response.texts[:n]:
+            raw = text or ""
+            try:
+                edits = tuple(parse_edit_blocks(raw))
+                error = None if edits else "no edit blocks found"
+            except MalformedBlock as exc:
+                edits, error = (), f"{exc} (offset {exc.offset})"
+            candidates.append(CandidatePatch(
+                index=len(candidates), temperature=temp, raw_text=raw,
+                edits=edits, parse_error=error))
     return candidates
 
 

@@ -19,7 +19,7 @@ from typing import Protocol
 
 from .edit_engine import locate_search, parse_edit_blocks
 from .errors import MalformedBlock, NoMarkersFound, VulnmendError
-from .repo_model import ElementKind, RepoIndex, read_text
+from .repo_model import RepoIndex, read_text
 from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 _MARKER_RE = re.compile(
@@ -220,13 +220,6 @@ def resolve_code_symbol(root: Path | str, blocks_text: str,
     return ResolutionResult(outcomes=tuple(outcomes))
 
 
-_DEFINITION_KINDS = {
-    ElementKind.FUNCTION, ElementKind.STRUCT, ElementKind.CLASS,
-    ElementKind.UNION, ElementKind.ENUM, ElementKind.MACRO,
-    ElementKind.GLOBAL_VARIABLE,
-}
-
-
 class IndexBackend:
     """Symbol backend built from the element scanner plus token scanning.
 
@@ -266,9 +259,6 @@ class IndexBackend:
             self._generation = self.index.generation
         return self._by_name
 
-    def _lines(self, rel: str) -> list[str]:
-        return read_text(self.root / rel).split("\n")
-
     def _name_site(self, element, rel: str) -> SymbolLocation | None:
         pattern = re.compile(rf"\b{re.escape(element.name)}\b")
         for idx, text in enumerate(element.text.split("\n")):
@@ -280,7 +270,7 @@ class IndexBackend:
         return None
 
     def _token_at(self, file: str, line: int, col: int) -> str | None:
-        lines = self._lines(file)
+        lines = read_text(self.root / file).split("\n")
         if not (1 <= line <= len(lines)):
             return None
         text = lines[line - 1]
@@ -302,7 +292,13 @@ class IndexBackend:
         pattern = re.compile(rf"\b{re.escape(token)}\b")
         out = []
         for rel in self.index.files():
-            for idx, text in enumerate(self._lines(rel), 1):
+            content = read_text(self.root / rel)
+            if token not in content:
+                # no line of this file can match
+                continue
+            for idx, text in enumerate(content.split("\n"), 1):
+                if token not in text:
+                    continue
                 for m in pattern.finditer(text):
                     out.append(SymbolLocation(file=rel, line=idx,
                                               col=m.start() + 1,

@@ -17,6 +17,7 @@ import socket
 import time
 from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -242,6 +243,8 @@ def test_symbol_queries_and_agent_runs_leave_tree_pristine(
 
 
 class _CannedSandbox:
+    workspace = Path("/nonexistent")
+
     def __init__(self, stdout, exit_code=1):
         self.stdout = stdout
         self.exit_code = exit_code

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from conftest import ScriptedLLM, snapshot
 from replay_scripts import CPC_REPORT, PROBE_EDITS, SPA_REPORT
@@ -352,6 +354,8 @@ def test_run_python_tool_flags_violation():
 
 
 class _CannedSandbox:
+    workspace = Path("/nonexistent")
+
     def __init__(self, result):
         self.result = result
 

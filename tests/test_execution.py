@@ -1,6 +1,7 @@
 import random
 import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +188,8 @@ def test_local_sandbox_rejects_missing_dir(tmp_path):
 
 
 class _StubSandbox:
+    workspace = Path("/nonexistent")
+
     def __init__(self, result):
         self.result = result
         self.commands = []

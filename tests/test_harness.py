@@ -6,6 +6,7 @@ import hashlib
 import json
 import shutil
 import subprocess
+import tempfile
 import time
 from collections import Counter
 from decimal import Decimal
@@ -342,6 +343,52 @@ def test_replay_usage_ignores_live_message_content():
     assert usages[0] == usages[1]
 
 
+def _n_request(tag, n, temperature=1.0):
+    return dataclasses.replace(_request(tag, temperature=temperature), n=n)
+
+
+def test_replay_n_request_consumes_n_entries():
+    entries = [{"expect": "generate", "response": {"text": f"s{k}"}}
+               for k in range(4)] + [{"expect": "x", "response": {}}]
+    backend = ReplayBackend(list(entries))
+    response = backend.chat(_n_request("generate", 4))
+    assert response.texts == ("s0", "s1", "s2", "s3")
+    assert backend.position == 4
+    # one request, one record, costed as the four entries it consumed
+    (record,) = backend.records
+    singles = ReplayBackend(list(entries))
+    for _ in range(4):
+        singles.chat(_request("generate", temperature=1.0))
+    assert record.usage == Usage(
+        input_tokens=sum(r.usage.input_tokens for r in singles.records),
+        output_tokens=sum(r.usage.output_tokens for r in singles.records))
+
+
+def test_replay_n_request_desyncs_on_any_foreign_entry():
+    backend = ReplayBackend([
+        {"expect": "generate", "response": {"text": "s0"}},
+        {"expect": "generate", "response": {"text": "s1"}},
+        {"expect": "localize_files", "response": {"text": "[]"}},
+        {"expect": "generate", "response": {"text": "s3"}},
+    ])
+    with pytest.raises(ReplayDesync) as excinfo:
+        backend.chat(_n_request("generate", 4))
+    assert str(excinfo.value) == (
+        "replay step 3: script expects stage 'localize_files', pipeline "
+        "asked as 'generate'")
+    assert backend.position == 0 and backend.records == []
+
+
+def test_replay_n_request_past_the_end_is_exhaustion():
+    backend = ReplayBackend([{"expect": "generate",
+                              "response": {"text": "s0"}}] * 2)
+    with pytest.raises(ScriptExhausted) as excinfo:
+        backend.chat(_n_request("generate", 3))
+    assert str(excinfo.value) == ("replay script exhausted: stage "
+                                  "'generate' asked for call 3, script "
+                                  "has 2")
+
+
 # --- http backend ---------------------------------------------------------
 
 
@@ -527,22 +574,88 @@ def test_http_malformed_body_permanent(monkeypatch):
     assert backend.records == []
 
 
+def _choices(*texts, prompt_tokens=5, completion_tokens=2):
+    return _Response(body={
+        "choices": [{"message": {"content": t}} for t in texts],
+        "usage": {"prompt_tokens": prompt_tokens,
+                  "completion_tokens": completion_tokens}})
+
+
+def test_http_sends_n_and_tops_up_a_short_answer(monkeypatch):
+    # a server that ignores n answers with one choice; the rest are asked
+    # for until all four are in
+    posts, sleeps = _serve(monkeypatch, _choices("a"), _choices("b", "c"),
+                           _choices("d"))
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    response = backend.chat(_n_request("generate", 4))
+    assert [p["json"].get("n") for p in posts] == [4, 3, None]
+    assert all(p["json"]["temperature"] == 1.0 for p in posts)
+    assert response.texts == ("a", "b", "c", "d")
+    assert response.usage == Usage(input_tokens=15, output_tokens=6)
+    # one record per answered post, so cost.json counts real requests
+    assert len(backend.records) == 3
+    assert sleeps == []
+
+
+def test_http_refused_n_falls_back_to_single_posts(monkeypatch):
+    # a server that refuses any n but 1 answers the n post with a 400;
+    # the choices are then asked for one a post, without n
+    posts, sleeps = _serve(monkeypatch,
+                           _Response(status_code=400, text="n must be 1"),
+                           _choices("a"), _choices("b"), _choices("c"),
+                           _choices("d"))
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    response = backend.chat(_n_request("generate", 4))
+    assert [p["json"].get("n") for p in posts] == [4, None, None, None, None]
+    assert response.texts == ("a", "b", "c", "d")
+    assert response.usage == Usage(input_tokens=20, output_tokens=8)
+    # the refused post is not an answer, so it keeps no record
+    assert len(backend.records) == 4
+    assert sleeps == []
+
+
+def test_http_client_error_without_n_stays_permanent(monkeypatch):
+    # after a refused n, a client error on the single post still fails
+    posts, _ = _serve(monkeypatch, _Response(status_code=401, text="key"),
+                      _Response(status_code=401, text="key"), _choices("a"))
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    with pytest.raises(LLMBackendError, match="HTTP 401"):
+        backend.chat(_n_request("generate", 4))
+    assert [p["json"].get("n") for p in posts] == [4, None]
+
+
+def test_http_single_choice_request_sends_no_n(monkeypatch):
+    posts, _ = _serve(monkeypatch, _choices("a", "b"))
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    response = backend.chat(_request("x"))
+    assert "n" not in posts[0]["json"]
+    assert response.texts == ("a",)
+
+
+def test_http_body_without_choices_is_malformed(monkeypatch):
+    # what bounds the top-up loop: an answer with no choice fails at once
+    posts, _ = _serve(monkeypatch, _choices("a"), _choices())
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    with pytest.raises(LLMBackendError, match="malformed response"):
+        backend.chat(_n_request("generate", 4))
+    assert len(posts) == 2
+
+
 def test_generate_survives_a_throttled_call(monkeypatch):
     # generation has no retry of its own: the backend's retry turns one
     # 429 into a 1 s wait, not a lost sample
     block = ("### hello.txt\n<<<<<<< SEARCH\nold\n=======\nnew\n"
              ">>>>>>> REPLACE\n")
-    fix = {"choices": [{"message": {"content": block}}]}
     posts, sleeps = _serve(monkeypatch, _Response(status_code=429),
-                           *[_Response(body=fix)] * 3)
+                           _choices(block), _choices(block, block))
     backend = HttpChatBackend(base_url="http://api.test", model="m")
     candidates = generate_patches(backend, "crash", PatchContext(windows=()),
                                   t=3)
     assert [c.index for c in candidates] == [0, 1, 2]
     assert all(c.edits and c.parse_error is None for c in candidates)
-    assert len(posts) == 4
+    assert [p["json"].get("n") for p in posts] == [None, None, 2]
     assert sleeps == [1.0]
-    assert [r.tag for r in backend.records] == ["generate"] * 3
+    assert [r.tag for r in backend.records] == ["generate"] * 2
 
 
 # --- telemetry ------------------------------------------------------------
@@ -790,6 +903,55 @@ def test_verify_timeout_kills_children(tmp_path):
     assert not marker.exists()
 
 
+def test_verify_ignores_an_enclosing_git_work_tree(tmp_path, monkeypatch):
+    # with the temp directory inside a repository, `git apply` would
+    # resolve the diff's paths against that repository's top level and
+    # skip them without an error
+    enclosing = tmp_path / "enclosing"
+    (enclosing / "tmp").mkdir(parents=True)
+    subprocess.run(["git", "init", "-q", str(enclosing)], check=True)
+    monkeypatch.delenv("GIT_CEILING_DIRECTORIES", raising=False)
+    monkeypatch.setattr(tempfile, "tempdir", str(enclosing / "tmp"))
+    instance = _mini_instance(tmp_path, "grep -q new hello.txt")
+    verdict = verify_prediction(instance, HELLO_DIFF)
+    assert verdict.applied and verdict.resolved, verdict.detail
+
+
+def test_evaluate_goes_on_past_a_broken_instance(tmp_path):
+    run_dir = tmp_path / "run"
+    for iid in ("mini-1", "mini-2"):
+        (run_dir / iid).mkdir(parents=True)
+        (run_dir / iid / "prediction.diff").write_text(HELLO_DIFF)
+    gone = _mini_instance(tmp_path, "true", instance_id="mini-1")
+    shutil.rmtree(gone.workspace_path)
+    fine = _mini_instance(tmp_path, "grep -q new hello.txt",
+                          instance_id="mini-2")
+
+    metrics, (broken, solved) = evaluate_run(run_dir, [gone, fine])
+    assert broken.has_patch and not broken.applied
+    assert broken.resolved is False
+    assert broken.detail.startswith("workspace copy failed: "
+                                    "FileNotFoundError")
+    assert solved.resolved is True
+    assert (metrics.total, metrics.patched, metrics.resolved) == (2, 2, 1)
+    payload = json.loads((run_dir / "evaluation.json").read_text())
+    assert [row["resolved"] for row in payload["instances"]] == [False, True]
+
+
+def test_evaluate_aborts_without_git(tmp_path, monkeypatch):
+    # a fault of the environment, unlike one of an instance's data, would
+    # fail every instance alike, so it stops the batch instead of reading
+    # as a resolve rate of 0
+    run_dir = tmp_path / "run"
+    (run_dir / "mini-1").mkdir(parents=True)
+    (run_dir / "mini-1" / "prediction.diff").write_text(HELLO_DIFF)
+    instance = _mini_instance(tmp_path, "true", instance_id="mini-1")
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    with pytest.raises(FileNotFoundError):
+        evaluate_run(run_dir, [instance])
+    assert not (run_dir / "evaluation.json").exists()
+
+
 HELLO_EDIT = CandidatePatch(
     index=0, temperature=0.0, raw_text="",
     edits=tuple(parse_edit_blocks("### hello.txt\n<<<<<<< SEARCH\nold\n"
@@ -960,6 +1122,33 @@ def test_dangling_symlink_in_workspace_is_skipped(fixtures_dir,
     touch_alias = ("--- a/src/alias.h\n+++ b/src/alias.h\n"
                    "@@ -1,1 +1,2 @@\n+/* alias */\n " + first)
     assert verify_prediction(instance, touch_alias).applied
+
+
+class _PromptSizes(ReplayBackend):
+    """Replay that also counts the characters of every prompt it is sent."""
+
+    sent = 0
+
+    def chat(self, request):
+        _PromptSizes.sent += sum(len(m.get("content") or "")
+                                 for m in request.messages)
+        return super().chat(request)
+
+
+@needs_gcc
+def test_prompts_do_not_depend_on_the_workspace_path(fixtures_dir,
+                                                     tmp_path, monkeypatch):
+    # PoC logs name the binary by its absolute path and carry the
+    # sanitizer's pid; both are masked before a log enters a prompt
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    sizes = []
+    for out in (tmp_path / "a", tmp_path / "a-much-longer-run-directory"):
+        monkeypatch.setattr(_PromptSizes, "sent", 0)
+        (result,) = run_all([instance], variant("full"),
+                            lambda _: _PromptSizes(build_entries()), out)
+        assert result.winner is not None and not result.errors
+        sizes.append(_PromptSizes.sent)
+    assert sizes[0] == sizes[1]
 
 
 def test_write_keeps_non_utf8_diff_bytes(tmp_path):

@@ -12,7 +12,7 @@ from vulnmend.edit_engine import (EditHistory, apply_edits_to_text,
 from vulnmend.execution import LocalSandbox, PocRunner
 from vulnmend.llm import ChatResponse
 from vulnmend.localization import ElementSelection
-from vulnmend.repair import (CandidateOutcome, CandidatePatch,
+from vulnmend.repair import (CandidateOutcome, CandidatePatch, PatchContext,
                              build_patch_context, generate_patches,
                              normalize_source, patch_fingerprint,
                              select_patch, temperature_schedule,
@@ -119,14 +119,15 @@ def test_generate_patches_parses_and_records(crepo, issue_text):
     llm = ScriptedLLM([
         ChatResponse(text=REFERENCE_FIX),
         ChatResponse(text="### src/buf.c\n<<<<<<< SEARCH\nno divider\n"
-                          ">>>>>>> REPLACE\n"),
-        ChatResponse(text="I cannot produce a patch."),
+                          ">>>>>>> REPLACE\n",
+                     more_texts=("I cannot produce a patch.",)),
     ])
     candidates = generate_patches(llm, issue_text, context, t=3)
     assert [c.index for c in candidates] == [0, 1, 2]
     assert [c.temperature for c in candidates] == [0.0, 1.0, 1.0]
-    assert [r.temperature for r in llm.requests] == [0.0, 1.0, 1.0]
-    assert llm.tags == ["generate"] * 3
+    assert [(r.temperature, r.n) for r in llm.requests] == [(0.0, 1),
+                                                             (1.0, 2)]
+    assert llm.tags == ["generate"] * 2
 
     good, malformed, empty = candidates
     assert good.parse_error is None
@@ -140,6 +141,25 @@ def test_generate_patches_parses_and_records(crepo, issue_text):
     assert issue_text.strip() in user
     assert "## src/buf.c" in user
     assert "SEARCH/REPLACE" in llm.requests[0].messages[0]["content"]
+
+
+def test_generate_patches_asks_once_per_temperature():
+    # the four diverse samples share one prompt and one temperature, so
+    # they are one request for four choices, not four requests
+    texts = [f"sample {k}" for k in range(5)]
+    llm = ScriptedLLM([
+        ChatResponse(text=texts[0]),
+        ChatResponse(text=texts[1], more_texts=tuple(texts[2:])),
+    ])
+    candidates = generate_patches(llm, "crash", PatchContext(windows=()),
+                                  t=5)
+    assert [(r.temperature, r.n) for r in llm.requests] == [(0.0, 1),
+                                                             (1.0, 4)]
+    assert llm.requests[0].messages == llm.requests[1].messages
+    assert [c.index for c in candidates] == [0, 1, 2, 3, 4]
+    assert [c.temperature for c in candidates] == list(
+        temperature_schedule(5))
+    assert [c.raw_text for c in candidates] == texts
 
 
 # -- normalization and fingerprints --------------------------------------------------
