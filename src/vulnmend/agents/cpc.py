@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from importlib.resources import files
-from pathlib import Path
 
 from ..errors import ReportParseFailure
 from ..llm import ChatRequest, LLMBackend
 from ..repo_model import RepoIndex, render_repo_tree
-from ..symbol_analysis import SymbolBackend
+from ..symbol_analysis import IndexBackend
 from .react import AgentSpec, Transcript, run_react
 from .reports import ContextAnalysisReport, parse_context_report
 from .toolkits import cpc_toolkit
@@ -49,8 +48,7 @@ def reparse_with_retry(llm: LLMBackend, tag: str, raw: str, parse_fn,
         return None
 
 
-def run_cpc_agent(llm: LLMBackend, repo: RepoIndex | Path | str,
-                  backend: SymbolBackend,
+def run_cpc_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
                   issue_text: str,
                   max_steps: int = DEFAULT_CPC_MAX_STEPS,
                   ) -> tuple[ContextAnalysisReport, Transcript]:
@@ -60,7 +58,6 @@ def run_cpc_agent(llm: LLMBackend, repo: RepoIndex | Path | str,
     too, the raw text is kept with parse_ok=False so the pipeline can
     still splice it into the enhanced report.
     """
-    index = RepoIndex.of(repo)
     spec = AgentSpec(
         name="cpc",
         system_prompt=load_prompt("cpc"),

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..edit_engine import EditHistory
 from ..errors import EmptyHistory, ReportParseFailure
 from ..execution import PocRunner, PythonScriptSandbox
 from ..llm import LLMBackend
 from ..repo_model import RepoIndex, render_repo_tree
-from ..symbol_analysis import SymbolBackend
+from ..symbol_analysis import IndexBackend
 from .cpc import initial_message, load_prompt, reparse_with_retry
 from .react import AgentSpec, Transcript, run_react
 from .reports import PropertyAnalysisReport, parse_property_report
@@ -49,8 +47,7 @@ def install_assert_prelude(sandbox) -> None:
     sandbox.write_file(ASSERT_PRELUDE_NAME, ASSERT_PRELUDE)
 
 
-def run_spa_agent(llm: LLMBackend, repo: RepoIndex | Path | str,
-                  backend: SymbolBackend,
+def run_spa_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
                   history: EditHistory, runner: PocRunner,
                   script_sandbox: PythonScriptSandbox, issue_text: str,
                   max_steps: int = DEFAULT_SPA_MAX_STEPS,
@@ -60,7 +57,6 @@ def run_spa_agent(llm: LLMBackend, repo: RepoIndex | Path | str,
     Whatever the agent leaves applied is rolled back afterwards, so the
     workspace the repair stage sees is the baseline one.
     """
-    index = RepoIndex.of(repo)
     spec = AgentSpec(
         name="spa",
         system_prompt=load_prompt("spa"),

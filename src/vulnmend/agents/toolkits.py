@@ -14,7 +14,7 @@ from ..code_search import read_code, search_code_element
 from ..edit_engine import EditHistory
 from ..execution import PocRunner, PythonScriptSandbox
 from ..repo_model import RepoIndex
-from ..symbol_analysis import SymbolBackend, resolve_code_symbol
+from ..symbol_analysis import IndexBackend, resolve_code_symbol
 from .react import Tool, ToolOutcome
 
 
@@ -47,10 +47,10 @@ _MARK_SCHEMA = {
 }
 
 
-def build_search_tool(repo: RepoIndex | Path) -> Tool:
+def build_search_tool(index: RepoIndex) -> Tool:
     def fn(args: dict) -> ToolOutcome:
         result = search_code_element(
-            repo, str(_req(args, "name")),
+            index, str(_req(args, "name")),
             file=args.get("file") or None,
             mark_lines=_opt_lines(args))
         return ToolOutcome(observation=result.render(),
@@ -108,7 +108,7 @@ def build_read_tool(root: Path) -> Tool:
     )
 
 
-def build_resolve_tool(root: Path, backend: SymbolBackend) -> Tool:
+def build_resolve_tool(root: Path, backend: IndexBackend) -> Tool:
     def fn(args: dict) -> ToolOutcome:
         result = resolve_code_symbol(root, str(_req(args, "queries")),
                                      backend)
@@ -256,26 +256,21 @@ def build_run_python_tool(sandbox: PythonScriptSandbox) -> Tool:
     )
 
 
-def cpc_toolkit(repo: RepoIndex | Path | str,
-                backend: SymbolBackend) -> dict[str, Tool]:
+def cpc_toolkit(index: RepoIndex, backend: IndexBackend) -> dict[str, Tool]:
     """Read-only exploration tools for the context pre-collection agent."""
-    index = RepoIndex.of(repo)
-    root = index.root
-    tools = [build_search_tool(index), build_read_tool(root),
-             build_resolve_tool(root, backend)]
+    tools = [build_search_tool(index), build_read_tool(index.root),
+             build_resolve_tool(index.root, backend)]
     return {t.name: t for t in tools}
 
 
-def spa_toolkit(repo: RepoIndex | Path | str, backend: SymbolBackend,
+def spa_toolkit(index: RepoIndex, backend: IndexBackend,
                 history: EditHistory, runner: PocRunner,
                 script_sandbox: PythonScriptSandbox) -> dict[str, Tool]:
     """Full toolset for the safety-property analysis agent."""
-    index = RepoIndex.of(repo)
-    root = index.root
     tools = [
         build_search_tool(index),
-        build_read_tool(root),
-        build_resolve_tool(root, backend),
+        build_read_tool(index.root),
+        build_resolve_tool(index.root, backend),
         build_run_poc_tool(runner),
         build_apply_edits_tool(history),
         build_rollback_latest_tool(history),

@@ -11,6 +11,7 @@ without guessing.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,7 +102,20 @@ def _name_matches(element: CodeElement, name: str) -> bool:
     return element.name == name
 
 
-def search_code_element(repo: RepoIndex | Path | str, name: str,
+def _workspace_file(root: Path, file: str) -> Path:
+    """root / file, for a file that exists inside root. File names come
+    from model output, so a path that climbs above root (even to come
+    back), an absolute path elsewhere and a symlink out are refused."""
+    path = root / file
+    climbs = os.path.normpath(file).split(os.sep)[0] == ".."
+    if climbs or not path.resolve().is_relative_to(root.resolve()):
+        raise ValueError(f"{file} is outside the workspace")
+    if not path.is_file():
+        raise FileNotFoundError(file)
+    return path
+
+
+def search_code_element(index: RepoIndex | Path, name: str,
                         file: str | None = None,
                         mark_lines: Iterable[int] | None = None,
                         limit: int = DEFAULT_SEARCH_LIMIT) -> SearchResult:
@@ -109,13 +123,13 @@ def search_code_element(repo: RepoIndex | Path | str, name: str,
 
     Every match is returned (ambiguity is the caller's problem), subject
     to the result cap; the result says when the cap truncated the list.
-    Given a directory instead of its index, the search parses that
-    directory's files once, for this call only.
     """
-    index = RepoIndex.of(repo)
+    if not isinstance(index, RepoIndex):
+        # the bench's probe self-test (bench/test_bench.py) passes a
+        # directory; every caller in the package passes its index
+        index = RepoIndex(index)
     if file is not None:
-        if not (index.root / file).is_file():
-            raise FileNotFoundError(file)
+        _workspace_file(index.root, file)
         candidates = [file]
     else:
         candidates = index.files()
@@ -144,11 +158,7 @@ def read_code(root: Path | str, file: str, center: int, num: int,
 
     A center beyond EOF clamps to the trailing window; it is not an error.
     """
-    root = Path(root)
-    path = root / file
-    if not path.is_file():
-        raise FileNotFoundError(file)
-    all_lines = _display_lines(read_text(path))
+    all_lines = _display_lines(read_text(_workspace_file(Path(root), file)))
     total = len(all_lines)
     if total == 0:
         return CodeWindow(file=file, start_line=1, end_line=0, lines=(),

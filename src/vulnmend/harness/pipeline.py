@@ -60,11 +60,7 @@ class _Stage:
             # a replay mismatch means the test script and the pipeline
             # disagree; degrading would hide exactly what it must expose
             raise
-        except VulnmendError as exc:
-            self.errors.append({"stage": name,
-                                "error": f"{type(exc).__name__}: {exc}"})
-            return fallback
-        except (OSError, ValueError, KeyError) as exc:
+        except (VulnmendError, OSError, ValueError, KeyError) as exc:
             self.errors.append({"stage": name,
                                 "error": f"{type(exc).__name__}: {exc}"})
             return fallback
@@ -204,8 +200,10 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     gen_text = (enhanced_text
                 if has_reports and "generation" in config.enhance_stages
                 else issue_text)
-    candidates = stage.run("generate", lambda: generate_patches(
-        llm, gen_text, context, t=config.candidates), fallback=[])
+    # a failed request keeps the candidates answered before it
+    candidates: list = []
+    stage.run("generate", lambda: generate_patches(
+        llm, gen_text, context, t=config.candidates, out=candidates))
 
     outcomes = []
     for candidate in candidates:

@@ -16,7 +16,6 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -138,10 +137,9 @@ _IGNORE_SYSTEM = (
     "[] if nothing should be ignored.")
 
 
-def localize_files_prompt(llm: LLMBackend, repo: RepoIndex | Path | str,
+def localize_files_prompt(llm: LLMBackend, index: RepoIndex,
                           issue_text: str, n: int) -> list[str]:
     """Ask the model directly which files are suspicious."""
-    index = RepoIndex.of(repo)
     tree = render_repo_tree(index)
     raw = _chat_text(
         llm, "localize_files", _FILES_SYSTEM,
@@ -164,12 +162,12 @@ def localize_files_prompt(llm: LLMBackend, repo: RepoIndex | Path | str,
     return out[:n]
 
 
-def ignore_folders(llm: LLMBackend, repo: RepoIndex | Path | str,
+def ignore_folders(llm: LLMBackend, index: RepoIndex,
                    issue_text: str) -> list[str]:
     raw = _chat_text(
         llm, "ignore_folders", _IGNORE_SYSTEM,
         f"# Issue\n\n{issue_text.strip()}\n\n# Repository tree\n\n"
-        f"```\n{render_repo_tree(repo).rstrip()}\n```")
+        f"```\n{render_repo_tree(index).rstrip()}\n```")
     try:
         names = extract_json_array(raw)
     except JSONParseFailure:
@@ -185,7 +183,7 @@ def _under(rel: str, folders: list[str]) -> bool:
     return any(rel == f or rel.startswith(f + "/") for f in folders)
 
 
-def localize_files_retrieval(llm: LLMBackend, repo: RepoIndex | Path | str,
+def localize_files_retrieval(llm: LLMBackend, index: RepoIndex,
                              issue_text: str, n: int,
                              embedder: HashingEmbedder | None = None,
                              chunk_lines: int = DEFAULT_CHUNK_LINES,
@@ -196,7 +194,6 @@ def localize_files_retrieval(llm: LLMBackend, repo: RepoIndex | Path | str,
     embedding arithmetic. Ties break lexicographically so the ranking is
     total and reproducible.
     """
-    index = RepoIndex.of(repo)
     embedder = embedder or HashingEmbedder()
     skipped = ignore_folders(llm, index, issue_text)
 
@@ -264,7 +261,7 @@ def _element_index(index: RepoIndex, rel: str) -> dict[str, CodeElement]:
     return by_name
 
 
-def localize_elements(llm: LLMBackend, repo: RepoIndex | Path | str,
+def localize_elements(llm: LLMBackend, index: RepoIndex,
                       files: list[str], issue_text: str, limit: int = 10,
                       ) -> ElementLocalization:
     """Narrow ranked files to concrete elements over their skeletons.
@@ -273,7 +270,6 @@ def localize_elements(llm: LLMBackend, repo: RepoIndex | Path | str,
     result is empty with parse_ok=False and the repair stage falls back
     to whole-file context.
     """
-    index = RepoIndex.of(repo)
     sections = []
     for rel in files:
         text, elements = index.read(rel)

@@ -131,15 +131,17 @@ def temperature_schedule(t: int) -> tuple[float, ...]:
 
 def generate_patches(llm: LLMBackend, issue_text: str,
                      context: PatchContext,
-                     t: int = DEFAULT_CANDIDATES) -> list[CandidatePatch]:
+                     t: int = DEFAULT_CANDIDATES,
+                     out: list | None = None) -> list[CandidatePatch]:
     """Sample t candidates: one request per run of equal temperatures in
     the schedule, asking for as many choices as the run is long.
     Candidates are numbered in schedule order, choices in the order they
-    came back."""
+    came back. Each is appended to out as its request is answered, so a
+    caller that catches a later request's error still holds it."""
     user = (f"# Issue analysis\n\n{issue_text.strip()}\n\n"
             f"# Relevant code\n\n{context.render()}\n\n"
             "Write the fix as SEARCH/REPLACE blocks.")
-    candidates = []
+    candidates = [] if out is None else out
     for temp, run in groupby(temperature_schedule(t)):
         n = len(list(run))
         response = llm.chat(ChatRequest(

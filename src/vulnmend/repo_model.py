@@ -31,7 +31,6 @@ __all__ = [
     "write_json",
     "source_files",
     "render_repo_tree",
-    "parse_elements",
     "RepoIndex",
     "skeletonize",
 ]
@@ -125,15 +124,13 @@ def source_files(root: Path | str,
     return found
 
 
-def render_repo_tree(repo: RepoIndex | Path | str) -> str:
+def render_repo_tree(index: RepoIndex) -> str:
     """Indented listing of the source files of a workspace.
 
     Two spaces per level, directories carry a trailing slash, children are
     sorted lexicographically. Directories without any source file beneath
-    them are omitted entirely. Given a directory instead of its index,
-    the listing is taken for this call only.
+    them are omitted entirely.
     """
-    index = RepoIndex.of(repo)
     tree: dict = {}
     for rel in index.files():
         node = tree
@@ -152,11 +149,6 @@ def render_repo_tree(repo: RepoIndex | Path | str) -> str:
 
     emit(tree, 1)
     return "\n".join(lines)
-
-
-def parse_elements(root: Path | str, relpath: str):
-    """Top-level elements of one file, ordered by start line."""
-    return RepoIndex(root).elements(relpath)
 
 
 def _elements_of(text: str, relpath: str) -> tuple[CodeElement, ...]:
@@ -210,11 +202,6 @@ class RepoIndex:
         # bumped on every parse; a consumer that derives data from the
         # elements rebuilds it when this moved
         self.generation = 0
-
-    @classmethod
-    def of(cls, repo: "RepoIndex | Path | str") -> "RepoIndex":
-        """repo itself, or a new index over the directory repo."""
-        return repo if isinstance(repo, RepoIndex) else cls(repo)
 
     def files(self) -> list[str]:
         if self._files is None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
 
 from .edit_engine import locate_search, parse_edit_blocks
 from .errors import MalformedBlock, NoMarkersFound, VulnmendError
@@ -25,6 +24,7 @@ from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 _MARKER_RE = re.compile(
     r"\b(FIND_DEFINITION|FIND_REFERENCES)\(\s*([A-Za-z_]\w*)\s*\)")
 _MARKER_NAMES = ("FIND_DEFINITION(", "FIND_REFERENCES(")
+_WORD_RE = re.compile(r"\w+")
 
 DEFAULT_REFERENCE_CAP = 50
 
@@ -84,16 +84,6 @@ class ResolutionResult:
                 parts.append(f"  ... {len(oc.locations)} of {oc.total} "
                              f"shown; list truncated ...")
         return "\n".join(parts)
-
-
-class SymbolBackend(Protocol):
-    includes_declaration: bool
-
-    def definition(self, file: str, line: int,
-                   col: int) -> list[SymbolLocation]: ...
-
-    def references(self, file: str, line: int,
-                   col: int) -> list[SymbolLocation]: ...
 
 
 def _strip_markers(replace: str):
@@ -192,7 +182,7 @@ def plan_queries(root: Path | str, blocks_text: str) -> list[MarkerQuery]:
 
 
 def resolve_code_symbol(root: Path | str, blocks_text: str,
-                        backend: SymbolBackend,
+                        backend: IndexBackend,
                         reference_cap: int = DEFAULT_REFERENCE_CAP
                         ) -> ResolutionResult:
     """Plan queries from blocks_text and run them against the backend.
@@ -233,9 +223,9 @@ class IndexBackend:
 
     includes_declaration = True
 
-    def __init__(self, repo: RepoIndex | Path | str):
-        self.index = RepoIndex.of(repo)
-        self.root = self.index.root
+    def __init__(self, index: RepoIndex):
+        self.index = index
+        self.root = index.root
         self._by_name: dict[str, list[SymbolLocation]] = {}
         self._generation: int | None = None
 
@@ -260,13 +250,14 @@ class IndexBackend:
         return self._by_name
 
     def _name_site(self, element, rel: str) -> SymbolLocation | None:
-        pattern = re.compile(rf"\b{re.escape(element.name)}\b")
+        # element names are identifiers, so a whole-word occurrence of
+        # the name is exactly a maximal word run equal to it
         for idx, text in enumerate(element.text.split("\n")):
-            m = pattern.search(text)
-            if m:
-                line_no = element.start_line + idx
-                return SymbolLocation(file=rel, line=line_no,
-                                      col=m.start() + 1, preview=text)
+            for m in _WORD_RE.finditer(text):
+                if m.group() == element.name:
+                    return SymbolLocation(file=rel,
+                                          line=element.start_line + idx,
+                                          col=m.start() + 1, preview=text)
         return None
 
     def _token_at(self, file: str, line: int, col: int) -> str | None:
@@ -306,6 +297,6 @@ class IndexBackend:
         return out
 
 
-def make_symbol_backend(repo: RepoIndex | Path | str) -> SymbolBackend:
+def make_symbol_backend(index: RepoIndex) -> IndexBackend:
     """The symbol backend for one workspace: the in-process index."""
-    return IndexBackend(repo)
+    return IndexBackend(index)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from vulnmend.repo_model import DEFAULT_IGNORE_DIRS
+from vulnmend.repo_model import DEFAULT_IGNORE_DIRS, RepoIndex
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CREPO = FIXTURES / "crepo"
@@ -90,6 +90,13 @@ def _crepo_stays_pristine():
 @pytest.fixture
 def crepo():
     return CREPO
+
+
+@pytest.fixture
+def crepo_index(crepo):
+    """A fresh index over the shared fixture tree. Tests that start from
+    another directory build RepoIndex(root) themselves."""
+    return RepoIndex(crepo)
 
 
 @pytest.fixture

@@ -43,7 +43,7 @@ from vulnmend.localization import (HashingEmbedder, chunk_file,
                                    localize_files_retrieval)
 from vulnmend.repair import (CandidateOutcome, select_patch,
                              temperature_schedule)
-from vulnmend.repo_model import parse_elements, read_text, source_files
+from vulnmend.repo_model import RepoIndex, read_text, source_files
 from vulnmend.symbol_analysis import (IndexBackend, plan_queries,
                                       resolve_code_symbol)
 
@@ -150,7 +150,7 @@ def test_randomized_edit_sets_round_trip(criterion, scratch_crepo):
 # --- criterion: marker-resolution oracle equivalence -----------------------
 
 
-def test_marker_resolution_matches_text_scan(criterion, crepo):
+def test_marker_resolution_matches_text_scan(criterion, crepo, crepo_index):
     criterion("marker-resolution oracle equivalence")
     started = time.monotonic()
 
@@ -170,7 +170,7 @@ def test_marker_resolution_matches_text_scan(criterion, crepo):
     expected = {}
     for rel in source_files(crepo):
         lines = read_text(crepo / rel).split("\n")
-        for element in parse_elements(crepo, rel):
+        for element in crepo_index.elements(rel):
             for ln in range(element.start_line, element.end_line + 1):
                 m = re.search(rf"\b{re.escape(element.name)}\b",
                               lines[ln - 1])
@@ -179,7 +179,7 @@ def test_marker_resolution_matches_text_scan(criterion, crepo):
                         (rel, ln, m.start() + 1))
                     break
     assert len(expected) >= 10
-    backend = IndexBackend(crepo)
+    backend = IndexBackend(crepo_index)
     for name, sites_for_name in expected.items():
         rel, ln, col = sorted(sites_for_name)[0]
         got = {(loc.file, loc.line, loc.col)
@@ -201,7 +201,7 @@ def test_symbol_queries_and_agent_runs_leave_tree_pristine(
     history = EditHistory(scratch_crepo)
     base = snapshot(scratch_crepo)
 
-    backend = IndexBackend(scratch_crepo)
+    backend = IndexBackend(RepoIndex(scratch_crepo))
     for rel, _, text, token, _ in _identifier_sites(scratch_crepo, cap=25):
         for kind in ("FIND_DEFINITION", "FIND_REFERENCES"):
             wrapped = re.sub(rf"\b{re.escape(token)}\b",
@@ -230,7 +230,7 @@ def test_symbol_queries_and_agent_runs_leave_tree_pristine(
         {"expect": "spa", "response": {"text": SPA_REPORT}},
     ])
     report, transcript = run_spa_agent(
-        forgetful, scratch_crepo, backend, history, runner, scripts,
+        forgetful, backend.index, backend, history, runner, scripts,
         issue_text, max_steps=10)
     assert report.parse_ok
     assert transcript.steps
@@ -377,10 +377,11 @@ def test_selection_matches_exhaustive_enumeration(criterion):
 
 
 _CORPUS_FILES = tuple(source_files(CREPO))
+_CORPUS_INDEX = RepoIndex(CREPO)
 _CORPUS_ELEMENTS = tuple(
     (rel, element.name, element.start_line)
     for rel in _CORPUS_FILES
-    for element in parse_elements(CREPO, rel))
+    for element in _CORPUS_INDEX.elements(rel))
 
 
 @settings(max_examples=200, deadline=None,
@@ -408,7 +409,7 @@ def test_annotated_lines_parse_back(criterion, data):
 
     # search output round-trips the same way
     erel, name, start = data.draw(st.sampled_from(_CORPUS_ELEMENTS))
-    result = search_code_element(CREPO, name, file=erel,
+    result = search_code_element(_CORPUS_INDEX, name, file=erel,
                                  mark_lines=[start])
     assert (erel, start) in parse_annotations(result.render())
 
@@ -443,8 +444,8 @@ def test_retrieval_ranking_matches_brute_force(criterion, crepo,
                             for row in rows[:-1])
         want = sorted(best, key=lambda rel: (-best[rel], rel))
         llm = ScriptedLLM([ChatResponse(text="[]")])
-        got = localize_files_retrieval(llm, root, issue_text, n=len(files),
-                                       embedder=embedder)
+        got = localize_files_retrieval(llm, RepoIndex(root), issue_text,
+                                       n=len(files), embedder=embedder)
         assert got == want, str(root)
 
     # multi-chunk files split at exactly 512 lines and reassemble

@@ -29,6 +29,7 @@ from vulnmend.errors import (LLMBackendError, MaxStepsExceededWithoutReport,
 from vulnmend.execution import (ExecResult, LocalSandbox, PocRunner,
                                 PythonScriptSandbox)
 from vulnmend.llm import ChatResponse, ToolCall
+from vulnmend.repo_model import RepoIndex
 from vulnmend.symbol_analysis import IndexBackend
 
 ASAN_LOG = ("==77==ERROR: AddressSanitizer: stack-buffer-overflow\n"
@@ -263,12 +264,12 @@ def test_react_step_limit_tool_insistence_raises():
 
 
 def test_toolkit_composition(scratch_crepo):
-    backend = IndexBackend(scratch_crepo)
-    assert set(cpc_toolkit(scratch_crepo, backend)) == {
+    backend = IndexBackend(RepoIndex(scratch_crepo))
+    assert set(cpc_toolkit(backend.index, backend)) == {
         "search_code_element", "read_code", "resolve_code_symbol"}
     history = EditHistory(scratch_crepo)
     runner = PocRunner(LocalSandbox(scratch_crepo), "true")
-    spa_tools = spa_toolkit(scratch_crepo, backend, history, runner,
+    spa_tools = spa_toolkit(backend.index, backend, history, runner,
                             PythonScriptSandbox())
     assert set(spa_tools) == {
         "search_code_element", "read_code", "resolve_code_symbol",
@@ -277,10 +278,10 @@ def test_toolkit_composition(scratch_crepo):
 
 
 def test_toolkit_schemas_are_wellformed(scratch_crepo):
-    backend = IndexBackend(scratch_crepo)
+    backend = IndexBackend(RepoIndex(scratch_crepo))
     history = EditHistory(scratch_crepo)
     runner = PocRunner(LocalSandbox(scratch_crepo), "true")
-    for tool in spa_toolkit(scratch_crepo, backend, history, runner,
+    for tool in spa_toolkit(backend.index, backend, history, runner,
                             PythonScriptSandbox()).values():
         schema = tool.schema()
         assert schema["name"] == tool.name
@@ -290,8 +291,8 @@ def test_toolkit_schemas_are_wellformed(scratch_crepo):
         assert set(params["required"]) <= set(params["properties"])
 
 
-def test_search_tool_marks_lines(crepo):
-    tool = build_search_tool(crepo)
+def test_search_tool_marks_lines(crepo_index):
+    tool = build_search_tool(crepo_index)
     out = tool.fn({"name": "copy_name", "mark_lines": [19]})
     assert "// <<<<< src/buf.c:19" in out.observation
     assert out.meta["matches"] >= 1
@@ -304,8 +305,8 @@ def test_read_tool_meta_span(crepo):
     assert "1 " in out.observation
 
 
-def test_resolve_tool_renders_definitions(crepo):
-    tool = build_resolve_tool(crepo, IndexBackend(crepo))
+def test_resolve_tool_renders_definitions(crepo, crepo_index):
+    tool = build_resolve_tool(crepo, IndexBackend(crepo_index))
     queries = """### src/main.c
 <<<<<<< SEARCH
     copy_name(name, sizeof(name), argv[1]);
@@ -318,11 +319,11 @@ def test_resolve_tool_renders_definitions(crepo):
     assert out.meta == {"queries": 1}
 
 
-def test_tools_reject_missing_required_args(crepo):
+def test_tools_reject_missing_required_args(crepo, crepo_index):
     with pytest.raises(ValueError):
         build_read_tool(crepo).fn({"center": 3})
     with pytest.raises(ValueError):
-        build_search_tool(crepo).fn({})
+        build_search_tool(crepo_index).fn({})
 
 
 def test_apply_and_rollback_tools(scratch_crepo):
@@ -394,13 +395,14 @@ def test_prompts_cover_tools_and_grammar():
     assert "### Property" in spa_prompt
 
 
-def test_run_cpc_agent_tool_walk(crepo, issue_text):
+def test_run_cpc_agent_tool_walk(crepo_index, issue_text):
     llm = ScriptedLLM([
         _tool("search_code_element", {"name": "copy_name"}),
         _tool("read_code", {"file": "src/main.c", "center": 14, "num": 7}),
         _text(CPC_REPORT),
     ])
-    report, transcript = run_cpc_agent(llm, crepo, IndexBackend(crepo),
+    report, transcript = run_cpc_agent(llm, crepo_index,
+                                       IndexBackend(crepo_index),
                                        issue_text)
     assert report.parse_ok is True
     assert len(report.items) == 3
@@ -413,10 +415,32 @@ def test_run_cpc_agent_tool_walk(crepo, issue_text):
     assert "src/buf.c" in first[1]["content"]
 
 
-def test_run_cpc_agent_reformat_recovers(crepo, issue_text):
+def test_tools_refuse_paths_outside_the_workspace(crepo_index, issue_text):
+    # tool arguments come from a model that read attacker-written issue
+    # text; a path out of the workspace gets an error, not a file
+    llm = ScriptedLLM([
+        _tool("read_code", {"file": "../crepo_issue.md", "center": 1,
+                            "num": 3}),
+        _tool("search_code_element", {"name": "main",
+                                      "file": "../crepo/src/main.c"}),
+        _tool("read_code", {"file": "secb.sh", "center": 1, "num": 3}),
+        _text(CPC_REPORT),
+    ])
+    _, transcript = run_cpc_agent(llm, crepo_index,
+                                  IndexBackend(crepo_index), issue_text)
+    read, search, script = transcript.steps
+    assert read.observation == \
+        "Error: ../crepo_issue.md is outside the workspace"
+    assert search.observation == \
+        "Error: ../crepo/src/main.c is outside the workspace"
+    assert script.meta == {"start": 1, "end": 3}
+
+
+def test_run_cpc_agent_reformat_recovers(crepo_index, issue_text):
     llm = ScriptedLLM([_text("prose summary, not the required format"),
                        _text(CPC_REPORT)])
-    report, _ = run_cpc_agent(llm, crepo, IndexBackend(crepo), issue_text)
+    report, _ = run_cpc_agent(llm, crepo_index, IndexBackend(crepo_index),
+                              issue_text)
     assert report.parse_ok is True
     assert len(report.items) == 3
     assert llm.tags == ["cpc", "cpc_reformat"]
@@ -425,9 +449,11 @@ def test_run_cpc_agent_reformat_recovers(crepo, issue_text):
     assert "prose summary, not the required format" in reformat_msg
 
 
-def test_run_cpc_agent_keeps_raw_text_when_reformat_fails(crepo, issue_text):
+def test_run_cpc_agent_keeps_raw_text_when_reformat_fails(crepo_index,
+                                                         issue_text):
     llm = ScriptedLLM([_text("junk one"), _text("junk two")])
-    report, _ = run_cpc_agent(llm, crepo, IndexBackend(crepo), issue_text)
+    report, _ = run_cpc_agent(llm, crepo_index, IndexBackend(crepo_index),
+                              issue_text)
     assert report.parse_ok is False
     assert report.raw_text == "junk one"
     assert report.items == ()
@@ -446,8 +472,8 @@ def test_run_spa_agent_rolls_back_forgotten_edits(scratch_crepo, issue_text):
         _tool("run_poc", {"unique_name": "instrumented"}),
         _text(SPA_REPORT),
     ])
-    report, transcript = run_spa_agent(llm, scratch_crepo, None, history,
-                                       runner, PythonScriptSandbox(),
+    report, transcript = run_spa_agent(llm, RepoIndex(scratch_crepo), None,
+                                       history, runner, PythonScriptSandbox(),
                                        issue_text)
     assert report.parse_ok is True
     assert report.properties[0].result == "FAIL"
@@ -461,8 +487,8 @@ def test_run_spa_agent_tolerates_empty_history(scratch_crepo, issue_text):
     history = EditHistory(scratch_crepo)
     runner = PocRunner(_CannedSandbox(ExecResult(0, "", "")), "cmd")
     llm = ScriptedLLM([_text(SPA_REPORT)])
-    report, transcript = run_spa_agent(llm, scratch_crepo, None, history,
-                                       runner, PythonScriptSandbox(),
+    report, transcript = run_spa_agent(llm, RepoIndex(scratch_crepo), None,
+                                       history, runner, PythonScriptSandbox(),
                                        issue_text)
     assert report.parse_ok is True
     assert transcript.steps == []

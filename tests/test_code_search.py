@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from vulnmend.code_search import (format_marker, parse_annotations,
                                   read_code, search_code_element)
 from vulnmend.errors import ElementNotFound
-from vulnmend.repo_model import read_text, write_text
+from vulnmend.repo_model import RepoIndex, read_text, write_text
 
 _PATH_CHARS = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789_./-"),
@@ -68,8 +68,8 @@ def test_read_code_whole_short_file(crepo):
     assert list(window.lines) == raw_lines
 
 
-def test_search_finds_definition_with_span_oracle(crepo):
-    result = search_code_element(crepo, "copy_name", file="src/buf.c")
+def test_search_finds_definition_with_span_oracle(crepo, crepo_index):
+    result = search_code_element(crepo_index, "copy_name", file="src/buf.c")
     assert len(result.matches) == 1
     element, window = result.matches[0]
     # oracle: independent substring scan for the definition line
@@ -80,20 +80,20 @@ def test_search_finds_definition_with_span_oracle(crepo):
     assert window.start_line == def_line
 
 
-def test_search_across_files(crepo):
-    result = search_code_element(crepo, "copy_name")
+def test_search_across_files(crepo_index):
+    result = search_code_element(crepo_index, "copy_name")
     files = {element.file for element, _ in result.matches}
     assert {"src/buf.c", "src/buf.h"} <= files
 
 
-def test_search_with_mark_lines(crepo):
-    result = search_code_element(crepo, "copy_name", file="src/buf.c",
-                                 mark_lines=[19])
+def test_search_with_mark_lines(crepo_index):
+    result = search_code_element(crepo_index, "copy_name",
+                                 file="src/buf.c", mark_lines=[19])
     assert parse_annotations(result.render()) == [("src/buf.c", 19)]
 
 
-def test_search_qualified_member(crepo):
-    result = search_code_element(crepo, "File::open")
+def test_search_qualified_member(crepo_index):
+    result = search_code_element(crepo_index, "File::open")
     assert any(element.file == "cpp/fileio.cpp"
                for element, _ in result.matches)
 
@@ -109,19 +109,37 @@ def test_line_numbers_count_newlines_only(tmp_path, brk):
                           check=True)
     line = int(grep.stdout.split(":")[0])
 
-    (element, window), = search_code_element(tmp_path, "f").matches
+    (element, window), = search_code_element(RepoIndex(tmp_path),
+                                             "f").matches
     assert (element.start_line, element.end_line) == (line - 2, line + 1)
     assert window.lines[line - element.start_line] == "  return x;"
     assert read_code(tmp_path, "m.c", line, 1).lines == ("  return x;",)
 
 
-def test_search_unknown_name_raises(crepo):
+def test_paths_outside_the_workspace_are_refused(scratch_crepo):
+    secret = scratch_crepo.parent / "secret.c"
+    secret.write_text("int secret(void) { return 1; }\n")
+    (scratch_crepo / "src" / "leak.c").symlink_to(secret)
+    (scratch_crepo / "src" / "alias.c").symlink_to("buf.c")
+    index = RepoIndex(scratch_crepo)
+    for name in ("../secret.c", str(secret), "src/leak.c",
+                 "src/../../secret.c", "../crepo/src/buf.c"):
+        with pytest.raises(ValueError, match="outside the workspace"):
+            read_code(scratch_crepo, name, 1, 3)
+        with pytest.raises(ValueError, match="outside the workspace"):
+            search_code_element(index, "secret", file=name)
+    # a link that stays inside the tree and a non-source file still read
+    assert search_code_element(index, "copy_name", file="src/alias.c")
+    assert read_code(scratch_crepo, "secb.sh", 1, 3).lines
+
+
+def test_search_unknown_name_raises(crepo_index):
     with pytest.raises(ElementNotFound):
-        search_code_element(crepo, "definitely_not_here")
+        search_code_element(crepo_index, "definitely_not_here")
 
 
-def test_search_result_render_lists_location(crepo):
-    rendered = search_code_element(crepo, "NAME_CAP").render()
+def test_search_result_render_lists_location(crepo_index):
+    rendered = search_code_element(crepo_index, "NAME_CAP").render()
     assert re.search(r"src/buf\.h:\d+", rendered)
 
 

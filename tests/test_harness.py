@@ -1124,6 +1124,46 @@ def test_dangling_symlink_in_workspace_is_skipped(fixtures_dir,
     assert verify_prediction(instance, touch_alias).applied
 
 
+class _SecondGenerateFails(ReplayBackend):
+    """Replay whose second generate request fails, as a live backend's
+    does once its retries are spent."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.generates = 0
+
+    def chat(self, request):
+        if request.tag == "generate":
+            self.generates += 1
+            if self.generates == 2:
+                raise LLMBackendError("HTTP 503 (after 3 attempts)")
+        return super().chat(request)
+
+
+@needs_gcc
+def test_failed_sample_request_keeps_the_greedy_candidate(fixtures_dir,
+                                                          tmp_path):
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    result = run_instance(instance, variant("base"),
+                          _SecondGenerateFails(build_entries(False, False)),
+                          tmp_path)
+
+    error = {"stage": "generate",
+             "error": "LLMBackendError: HTTP 503 (after 3 attempts)"}
+    assert result.errors == [error]
+    assert result.winner == 0
+    assert result.prediction.startswith("diff --git a/src/buf.c b/src/buf.c")
+    instance_dir = tmp_path / instance.instance_id
+    assert (instance_dir / "prediction.diff").read_text() == result.prediction
+    telemetry = json.loads((instance_dir / "telemetry.json").read_text())
+    assert telemetry["errors"] == [error]
+    assert telemetry["stages"]["generation"]["candidates"] == 1
+    outcomes = json.loads(
+        (instance_dir / "candidates" / "outcomes.json").read_text())
+    assert [(o["index"], o["applied"], o["poc_pass"])
+            for o in outcomes] == [(0, True, True)]
+
+
 class _PromptSizes(ReplayBackend):
     """Replay that also counts the characters of every prompt it is sent."""
 

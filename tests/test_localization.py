@@ -15,7 +15,7 @@ from vulnmend.localization import (DEFAULT_CHUNK_LINES, HashingEmbedder,
                                    ignore_folders, localize_elements,
                                    localize_files_prompt,
                                    localize_files_retrieval, merge_rankings)
-from vulnmend.repo_model import read_text, source_files
+from vulnmend.repo_model import RepoIndex, read_text, source_files
 
 
 def _text(t):
@@ -168,11 +168,11 @@ def test_extract_json_array_rejects_non_arrays():
 # -- file localization ----------------------------------------------------------------
 
 
-def test_prompt_route_filters_and_caps(crepo, issue_text):
+def test_prompt_route_filters_and_caps(crepo_index, issue_text):
     llm = ScriptedLLM([_text(
         '["./src/buf.c", "src/ghost.c", "src/buf.c", 7, '
         '"src/main.c", "src/buf.h"]')])
-    files = localize_files_prompt(llm, crepo, issue_text, n=2)
+    files = localize_files_prompt(llm, crepo_index, issue_text, n=2)
     assert files == ["src/buf.c", "src/main.c"]
     request = llm.requests[0]
     assert request.tag == "localize_files"
@@ -189,32 +189,35 @@ def test_named_files_must_be_listed_in_the_tree(scratch_crepo, issue_text):
     llm = ScriptedLLM([
         _text('[".ci/probe.c", "src/../../secret.c", "./src/buf.c"]'),
         _text('[{"file": ".ci/probe.c", "id": "probe"}]')])
-    files = localize_files_prompt(llm, scratch_crepo, issue_text, n=3)
+    files = localize_files_prompt(llm, RepoIndex(scratch_crepo), issue_text,
+                                  n=3)
     assert files == [".ci/probe.c", "src/buf.c"]
-    result = localize_elements(llm, scratch_crepo, files[:1], issue_text)
+    result = localize_elements(llm, RepoIndex(scratch_crepo), files[:1],
+                               issue_text)
     assert [(s.file, s.element.name) for s in result.selections] == [
         (".ci/probe.c", "probe")]
 
 
-def test_prompt_route_tolerates_junk_reply(crepo, issue_text):
+def test_prompt_route_tolerates_junk_reply(crepo_index, issue_text):
     assert localize_files_prompt(ScriptedLLM([_text("cannot help")]),
-                                 crepo, issue_text, n=3) == []
+                                 crepo_index, issue_text, n=3) == []
 
 
-def test_ignore_folders_normalizes_entries(crepo, issue_text):
+def test_ignore_folders_normalizes_entries(crepo_index, issue_text):
     llm = ScriptedLLM([_text('["njs/", " cpp ", 42, ""]')])
-    assert ignore_folders(llm, crepo, issue_text) == ["njs", "cpp"]
+    assert ignore_folders(llm, crepo_index, issue_text) == ["njs", "cpp"]
     assert llm.tags == ["ignore_folders"]
 
 
-def test_ignore_folders_junk_means_no_pruning(crepo, issue_text):
-    assert ignore_folders(ScriptedLLM([_text("n/a")]), crepo,
+def test_ignore_folders_junk_means_no_pruning(crepo_index, issue_text):
+    assert ignore_folders(ScriptedLLM([_text("n/a")]), crepo_index,
                           issue_text) == []
 
 
-def test_retrieval_ranking_matches_brute_force_oracle(crepo, issue_text):
+def test_retrieval_ranking_matches_brute_force_oracle(crepo, crepo_index,
+                                                     issue_text):
     llm = ScriptedLLM([_text('["njs", "cpp"]')])
-    ranked = localize_files_retrieval(llm, crepo, issue_text, n=3)
+    ranked = localize_files_retrieval(llm, crepo_index, issue_text, n=3)
     assert ranked == ["src/buf.c", "src/main.c", "src/buf.h"]
 
     embedder = HashingEmbedder()
@@ -235,14 +238,14 @@ def test_retrieval_tie_breaks_lexicographically(tmp_path):
     for name in ("zz.c", "aa.c", "mm.c"):
         (tmp_path / name).write_text(content)
     llm = ScriptedLLM([_text("[]")])
-    ranked = localize_files_retrieval(llm, tmp_path,
+    ranked = localize_files_retrieval(llm, RepoIndex(tmp_path),
                                       "shared_token_soup crash", n=3)
     assert ranked == ["aa.c", "mm.c", "zz.c"]
 
 
-def test_retrieval_respects_ignored_folders(crepo, issue_text):
+def test_retrieval_respects_ignored_folders(crepo_index, issue_text):
     llm = ScriptedLLM([_text('["njs", "cpp", "src"]')])
-    ranked = localize_files_retrieval(llm, crepo, issue_text, n=5)
+    ranked = localize_files_retrieval(llm, crepo_index, issue_text, n=5)
     assert ranked == []
 
 
@@ -256,7 +259,7 @@ def test_merge_rankings_prompt_first():
 # -- element localization -----------------------------------------------------------
 
 
-def test_localize_elements_filters_and_dedupes(crepo, issue_text):
+def test_localize_elements_filters_and_dedupes(crepo_index, issue_text):
     llm = ScriptedLLM([_text(
         '[{"file": "src/buf.c", "id": "copy_name"},'
         ' {"file": "./src/buf.c", "id": "copy_name"},'
@@ -264,16 +267,17 @@ def test_localize_elements_filters_and_dedupes(crepo, issue_text):
         ' {"file": "src/buf.c", "id": "ghost_function"},'
         ' "not an object",'
         ' {"file": "src/buf.c", "id": "slot_used"}]')])
-    result = localize_elements(llm, crepo, ["src/buf.c"], issue_text)
+    result = localize_elements(llm, crepo_index, ["src/buf.c"], issue_text)
     assert result.parse_ok is True
     picks = [(s.file, s.element.name) for s in result.selections]
     assert picks == [("src/buf.c", "copy_name"), ("src/buf.c", "slot_used")]
     assert result.selections[0].element.start_line == 8
 
 
-def test_localize_elements_sends_skeletons(crepo, issue_text):
+def test_localize_elements_sends_skeletons(crepo_index, issue_text):
     llm = ScriptedLLM([_text('[{"file": "src/buf.c", "id": "copy_name"}]')])
-    localize_elements(llm, crepo, ["src/buf.c", "src/main.c"], issue_text)
+    localize_elements(llm, crepo_index, ["src/buf.c", "src/main.c"],
+                      issue_text)
     user = llm.requests[0].messages[1]["content"]
     assert "## src/buf.c" in user
     assert "## src/main.c" in user
@@ -281,29 +285,30 @@ def test_localize_elements_sends_skeletons(crepo, issue_text):
     assert "g_count++;" not in user
 
 
-def test_localize_elements_respects_limit(crepo, issue_text):
+def test_localize_elements_respects_limit(crepo_index, issue_text):
     llm = ScriptedLLM([_text(
         '[{"file": "src/buf.c", "id": "copy_name"},'
         ' {"file": "src/buf.c", "id": "slot_used"}]')])
-    result = localize_elements(llm, crepo, ["src/buf.c"], issue_text,
+    result = localize_elements(llm, crepo_index, ["src/buf.c"], issue_text,
                                limit=1)
     assert len(result.selections) == 1
 
 
-def test_localize_elements_qualified_names(crepo, issue_text):
+def test_localize_elements_qualified_names(crepo_index, issue_text):
     llm = ScriptedLLM([_text('[{"file": "cpp/fileio.cpp",'
                              ' "id": "File::open"}]')])
-    result = localize_elements(llm, crepo, ["cpp/fileio.cpp"], issue_text)
+    result = localize_elements(llm, crepo_index, ["cpp/fileio.cpp"],
+                               issue_text)
     assert len(result.selections) == 1
     assert result.selections[0].element.qualified_name == "File::open"
 
 
-def test_localize_elements_reask_recovers(crepo, issue_text):
+def test_localize_elements_reask_recovers(crepo_index, issue_text):
     llm = ScriptedLLM([
         _text("I think copy_name is the problem."),
         _text('[{"file": "src/buf.c", "id": "copy_name"}]'),
     ])
-    result = localize_elements(llm, crepo, ["src/buf.c"], issue_text)
+    result = localize_elements(llm, crepo_index, ["src/buf.c"], issue_text)
     assert result.parse_ok is True
     assert len(result.selections) == 1
     assert llm.tags == ["localize_elements", "localize_elements"]
@@ -311,8 +316,8 @@ def test_localize_elements_reask_recovers(crepo, issue_text):
     assert "was not a JSON array" in retry
 
 
-def test_localize_elements_double_failure(crepo, issue_text):
+def test_localize_elements_double_failure(crepo_index, issue_text):
     llm = ScriptedLLM([_text("junk"), _text("more junk")])
-    result = localize_elements(llm, crepo, ["src/buf.c"], issue_text)
+    result = localize_elements(llm, crepo_index, ["src/buf.c"], issue_text)
     assert result.parse_ok is False
     assert result.selections == ()

@@ -17,14 +17,14 @@ from vulnmend.repair import (CandidateOutcome, CandidatePatch, PatchContext,
                              normalize_source, patch_fingerprint,
                              select_patch, temperature_schedule,
                              validate_candidate, _merge_ranges)
-from vulnmend.repo_model import parse_elements, read_text
+from vulnmend.repo_model import RepoIndex, read_text
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
                                reason="no C compiler on this machine")
 
 
 def _element(crepo, rel, name):
-    for e in parse_elements(crepo, rel):
+    for e in RepoIndex(crepo).elements(rel):
         if e.name == name:
             return e
     raise AssertionError(f"{name} not found in {rel}")

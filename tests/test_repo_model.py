@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnmend.cparse import ElementKind
-from vulnmend.repo_model import (RepoIndex, parse_elements, read_text,
-                                 render_repo_tree, skeletonize, source_files,
-                                 write_text)
+from vulnmend.repo_model import (RepoIndex, read_text, render_repo_tree,
+                                 skeletonize, source_files, write_text)
 
 
 def test_read_write_round_trip_is_byte_lossless(tmp_path):
@@ -45,8 +44,8 @@ def test_source_files_skips_ignored_dirs(scratch_crepo):
                for f in source_files(scratch_crepo))
 
 
-def test_tree_rendering_matches_layout(crepo):
-    tree = render_repo_tree(crepo)
+def test_tree_rendering_matches_layout(crepo_index):
+    tree = render_repo_tree(crepo_index)
     lines = tree.splitlines()
     # exact shape: root first, lexicographic children, two-space indent,
     # trailing slash on directories
@@ -68,8 +67,8 @@ def _oracle_spans(crepo, rel):
     return text.splitlines()
 
 
-def test_parse_elements_function_span_oracle(crepo):
-    elements = parse_elements(crepo, "src/buf.c")
+def test_parse_elements_function_span_oracle(crepo, crepo_index):
+    elements = crepo_index.elements("src/buf.c")
     by_name = {e.name: e for e in elements}
     copy_name = by_name["copy_name"]
     assert copy_name.kind is ElementKind.FUNCTION
@@ -91,8 +90,8 @@ def test_parse_elements_function_span_oracle(crepo):
         lines[copy_name.start_line - 1:copy_name.end_line]) + "\n"
 
 
-def test_parse_elements_kinds_cover_header(crepo):
-    kinds = {(e.name, e.kind) for e in parse_elements(crepo, "src/buf.h")}
+def test_parse_elements_kinds_cover_header(crepo_index):
+    kinds = {(e.name, e.kind) for e in crepo_index.elements("src/buf.h")}
     assert ("NAME_CAP", ElementKind.MACRO) in kinds
     assert ("CLAMP", ElementKind.MACRO) in kinds
     assert ("name_kind", ElementKind.ENUM) in kinds
@@ -102,8 +101,8 @@ def test_parse_elements_kinds_cover_header(crepo):
     assert ("copy_name", ElementKind.FUNCTION) in kinds
 
 
-def test_parse_elements_qualified_methods(crepo):
-    elements = parse_elements(crepo, "cpp/fileio.cpp")
+def test_parse_elements_qualified_methods(crepo_index):
+    elements = crepo_index.elements("cpp/fileio.cpp")
     qualified = {e.qualified_name for e in elements}
     assert {"File::open", "File::close"} <= qualified
     opener = [e for e in elements if e.qualified_name == "File::open"][0]
@@ -111,8 +110,8 @@ def test_parse_elements_qualified_methods(crepo):
     assert opener.qualifier == "File"
 
 
-def test_multiline_macro_span(crepo):
-    clamp = [e for e in parse_elements(crepo, "src/buf.h")
+def test_multiline_macro_span(crepo, crepo_index):
+    clamp = [e for e in crepo_index.elements("src/buf.h")
              if e.name == "CLAMP"][0]
     lines = _oracle_spans(crepo, "src/buf.h")
     assert "\\" in lines[clamp.start_line - 1]
@@ -123,7 +122,7 @@ def test_multiline_macro_span(crepo):
 def test_crlf_source_elements_start_on_their_own_line(tmp_path):
     write_text(tmp_path / "m.c", "int a;\r\nint f(int x)\r\n{\r\n"
                                  "  return x;\r\n}\r\nint b;\r\n")
-    by_name = {e.name: e for e in parse_elements(tmp_path, "m.c")}
+    by_name = {e.name: e for e in RepoIndex(tmp_path).elements("m.c")}
     f = by_name["f"]
     assert (f.start_line, f.end_line) == (2, 5)
     assert f.text == "int f(int x)\r\n{\r\n  return x;\r\n}\r\n"
@@ -175,6 +174,6 @@ def test_snapshot_over_baseline_files_ignores_new_artifacts(scratch_crepo):
     assert snapshot(scratch_crepo) != before
 
 
-def test_parse_elements_missing_file_raises(crepo):
+def test_parse_elements_missing_file_raises(crepo_index):
     with pytest.raises(FileNotFoundError):
-        parse_elements(crepo, "src/nope.c")
+        crepo_index.elements("src/nope.c")

@@ -6,7 +6,7 @@ from conftest import snapshot
 
 from vulnmend.edit_engine import EditHistory
 from vulnmend.errors import MalformedBlock, NoMarkersFound, VulnmendError
-from vulnmend.repo_model import read_text, source_files
+from vulnmend.repo_model import RepoIndex, read_text, source_files
 from vulnmend.symbol_analysis import (IndexBackend, SymbolLocation,
                                       make_symbol_backend, plan_queries,
                                       resolve_code_symbol)
@@ -135,7 +135,7 @@ def test_resolution_is_virtual_only(scratch_crepo):
     FIND_REFERENCES(copy_name)(name, sizeof(name), argv[1]);
 >>>>>>> REPLACE
 """
-    backend = IndexBackend(scratch_crepo)
+    backend = IndexBackend(RepoIndex(scratch_crepo))
     result = resolve_code_symbol(scratch_crepo, blocks, backend)
     assert result.outcomes[0].total > 0
     assert snapshot(scratch_crepo).digest == before
@@ -144,8 +144,9 @@ def test_resolution_is_virtual_only(scratch_crepo):
 # -- index backend vs grep oracle ---------------------------------------------
 
 
-def test_references_match_grep_oracle_across_many_symbols(crepo):
-    backend = IndexBackend(crepo)
+def test_references_match_grep_oracle_across_many_symbols(crepo,
+                                                         crepo_index):
+    backend = IndexBackend(crepo_index)
     first_site = {}
     for rel in source_files(crepo):
         lines = read_text(Path(crepo) / rel).split("\n")
@@ -160,8 +161,8 @@ def test_references_match_grep_oracle_across_many_symbols(crepo):
         assert got == _grep_references(crepo, token), token
 
 
-def test_definitions_are_subset_of_occurrences(crepo):
-    backend = IndexBackend(crepo)
+def test_definitions_are_subset_of_occurrences(crepo, crepo_index):
+    backend = IndexBackend(crepo_index)
     for token in ("copy_name", "slot_used", "g_count", "NAME_CAP",
                   "name_slot", "main"):
         rel, line, col = _grep_references(crepo, token)[0]
@@ -172,8 +173,8 @@ def test_definitions_are_subset_of_occurrences(crepo):
             assert (loc.file, loc.line, loc.col) in occurrences
 
 
-def test_definition_sees_declaration_and_definition(crepo):
-    backend = IndexBackend(crepo)
+def test_definition_sees_declaration_and_definition(crepo, crepo_index):
+    backend = IndexBackend(crepo_index)
     call_col = _col_of(crepo, "src/main.c", 14, "copy_name")
     defs = backend.definition("src/main.c", 14, call_col)
     sites = {(l.file, l.line) for l in defs}
@@ -182,8 +183,8 @@ def test_definition_sees_declaration_and_definition(crepo):
     assert backend.includes_declaration is True
 
 
-def test_cross_file_references_for_struct_member(crepo):
-    backend = IndexBackend(crepo)
+def test_cross_file_references_for_struct_member(crepo, crepo_index):
+    backend = IndexBackend(crepo_index)
     blocks = """### njs/src/njs_vmcode.c
 <<<<<<< SEARCH
     uint32_t    index;
@@ -214,7 +215,7 @@ int g_count = 0;
 
 
 def test_lookups_follow_applied_edits(scratch_crepo):
-    backend = IndexBackend(scratch_crepo)
+    backend = IndexBackend(RepoIndex(scratch_crepo))
     call_col = _col_of(scratch_crepo, "src/main.c", 14, "copy_name")
 
     def buf_sites():
@@ -237,14 +238,14 @@ def test_lookups_follow_applied_edits(scratch_crepo):
     assert buf_sites()[0] == {8}
 
 
-def test_token_lookup_off_identifier_is_empty(crepo):
-    backend = IndexBackend(crepo)
+def test_token_lookup_off_identifier_is_empty(crepo_index):
+    backend = IndexBackend(crepo_index)
     assert backend.references("src/buf.c", 13, 8) == []
     assert backend.definition("src/buf.c", 999, 1) == []
 
 
-def test_reference_cap_truncates_and_reports_total(crepo):
-    backend = IndexBackend(crepo)
+def test_reference_cap_truncates_and_reports_total(crepo, crepo_index):
+    backend = IndexBackend(crepo_index)
     blocks = """### njs/src/njs_vmcode.c
 <<<<<<< SEARCH
     uint32_t    index;
@@ -293,5 +294,34 @@ def test_backend_error_isolated_per_query(crepo):
     assert "error: backend exploded" in result.render()
 
 
-def test_make_backend_default_is_index(crepo):
-    assert isinstance(make_symbol_backend(crepo), IndexBackend)
+def test_make_backend_default_is_index(crepo_index):
+    assert isinstance(make_symbol_backend(crepo_index), IndexBackend)
+
+
+def test_name_table_matches_the_per_name_pattern(crepo_index, monkeypatch):
+    # the sites the table holds are where `\bname\b` first matches in
+    # each element, on every fixture element, C++ files included; the
+    # table is built without compiling a pattern per element
+    expected = {}
+    for rel in crepo_index.files():
+        for e in crepo_index.elements(rel):
+            pattern = re.compile(rf"\b{re.escape(e.name)}\b")
+            for idx, text in enumerate(e.text.split("\n")):
+                m = pattern.search(text)
+                if m:
+                    expected.setdefault(e.name, []).append(
+                        (rel, e.start_line + idx, m.start() + 1))
+                    break
+    compiled = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile",
+                        lambda *args: compiled.append(args) or
+                        compile_(*args))
+    table = IndexBackend(crepo_index)._names()
+    monkeypatch.undo()
+    assert compiled == []
+    assert {name: [(l.file, l.line, l.col) for l in locs]
+            for name, locs in table.items()} == {
+                name: sorted(sites) for name, sites in expected.items()}
+    assert {"File", "open"} <= set(table)
+    assert any(l.file.startswith("cpp/") for l in table["open"])
