@@ -123,16 +123,24 @@ def search_code_element(index: RepoIndex | Path, name: str,
 
     Every match is returned (ambiguity is the caller's problem), subject
     to the result cap; the result says when the cap truncated the list.
+    A repo-wide search of an index parses only the files that hold the
+    name's last `::` part as a whole word; one of a bare directory
+    parses every file.
     """
-    if not isinstance(index, RepoIndex):
+    bare = not isinstance(index, RepoIndex)
+    if bare:
         # the bench's probe self-test (bench/test_bench.py) passes a
-        # directory; every caller in the package passes its index
+        # directory and counts the lines a whole-tree parse scans; every
+        # caller in the package passes its index
         index = RepoIndex(index)
     if file is not None:
         _workspace_file(index.root, file)
         candidates = [file]
-    else:
+    elif bare:
         candidates = index.files()
+    else:
+        # only a file holding the name as a whole word can define it
+        candidates = index.files_with_word(name.rsplit("::", 1)[-1])
 
     matches = []
     truncated = False

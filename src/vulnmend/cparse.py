@@ -42,7 +42,9 @@ class RawElement:
     body: tuple[int, int] | None = None  # offsets of '{' and matching '}'
 
 
-_IDENT = re.compile(r"[A-Za-z_]\w*")
+# an identifier never starts inside a longer word: `1ffint` and `0x10`
+# hold none, so every name the scanner reports is a whole word of its text
+_IDENT = re.compile(r"(?<!\w)[A-Za-z_]\w*")
 
 # Identifiers that can never be an element name.
 _KEYWORDS = frozenset("""
@@ -336,6 +338,49 @@ def _split_top_commas(shadow: str, start: int, end: int):
     yield seg, end
 
 
+# what names a declarator: identifiers, brackets and '='
+_DECLARATOR_PART = re.compile(r"(?<!\w)[A-Za-z_]\w*|[()\[\]{}=]")
+
+
+def _declarator_name(shadow: str, start: int, end: int) -> str | None:
+    """The name one declarator, shadow[start:end], declares: its last
+    non-keyword identifier at bracket depth 0 before a depth-0 '[' or
+    '='. Failing one, the name inside its first parenthesised group, as
+    in `void (*handlers[])(int)`."""
+    depth = 0
+    name = None
+    group_start = group_end = -1
+    for m in _DECLARATOR_PART.finditer(shadow, start, end):
+        part = m.group()
+        if part in ("(", "[", "{"):
+            if depth == 0 and part == "[":
+                break
+            if depth == 0 and part == "(" and group_start == -1:
+                group_start = m.end()
+            depth += 1
+        elif part in (")", "]", "}"):
+            # a stray closer, as in `} int y;`, opens no negative depth
+            depth = max(depth - 1, 0)
+            if depth == 0 and group_start != -1 and group_end == -1:
+                group_end = m.start()
+        elif part == "=":
+            if depth == 0:
+                break
+        elif depth == 0 and part not in _KEYWORDS:
+            name = part
+    if name is None and group_end != -1:
+        return _declarator_name(shadow, group_start, group_end)
+    return name
+
+
+def _declared_names(shadow: str, start: int, end: int) -> list[str]:
+    """The names that the comma-separated declarators of shadow[start:end]
+    declare: `int a[N] = {1}, *b` declares a and b, never N."""
+    names = (_declarator_name(shadow, seg_start, seg_end)
+             for seg_start, seg_end in _split_top_commas(shadow, start, end))
+    return [name for name in names if name is not None]
+
+
 def _classify_type_unit(shadow: str, unit: _Unit) -> RawElement | None:
     if unit.body is None:
         return None
@@ -357,8 +402,7 @@ def _classify_type_unit(shadow: str, unit: _Unit) -> RawElement | None:
         name = m.group(1)
     else:
         # anonymous body: borrow the typedef alias or declarator name
-        tail = [t for t in _tokens(shadow, unit.body[1] + 1, unit.end)
-                if t not in _KEYWORDS]
+        tail = _declared_names(shadow, unit.body[1] + 1, unit.end)
         if not tail:
             return None
         name = tail[-1]
@@ -390,11 +434,9 @@ def _classify_decl_unit(shadow: str, unit: _Unit) -> list[RawElement]:
             after += 1
         if after != -1 and after < limit and shadow[after] == "(":
             # function pointer: `T (*name)(args);`
-            inner = [t for t in _tokens(shadow, pos, close + 1)
-                     if t not in _KEYWORDS]
-            if inner:
-                return [RawElement(inner[-1], None,
-                                   ElementKind.GLOBAL_VARIABLE,
+            name = _declarator_name(shadow, pos + 1, close)
+            if name is not None:
+                return [RawElement(name, None, ElementKind.GLOBAL_VARIABLE,
                                    unit.start, unit.end)]
             return []
         name, name_start = _ident_before(shadow, pos, unit.start)
@@ -403,14 +445,9 @@ def _classify_decl_unit(shadow: str, unit: _Unit) -> list[RawElement]:
             return [RawElement(name, quals[-1] if quals else None,
                                ElementKind.FUNCTION, unit.start, unit.end)]
         return []
-    out = []
-    for seg_start, seg_end in _split_top_commas(shadow, unit.start, decl_end):
-        toks = [t for t in _tokens(shadow, seg_start, seg_end)
-                if t not in _KEYWORDS]
-        if toks:
-            out.append(RawElement(toks[-1], None, ElementKind.GLOBAL_VARIABLE,
-                                  unit.start, unit.end))
-    return out
+    return [RawElement(name, None, ElementKind.GLOBAL_VARIABLE, unit.start,
+                       unit.end)
+            for name in _declared_names(shadow, unit.start, limit)]
 
 
 def _scan_members(shadow: str, type_elem: RawElement,
@@ -469,16 +506,11 @@ def scan_elements(text: str) -> list[RawElement]:
                 continue
             if unit.body is not None and unit.eq_before_body:
                 # aggregate initializer: `T name[] = {...};`
-                eq = blanked.find("=", unit.start, unit.body[0])
-                bound = eq if eq != -1 else unit.head_end
-                for s, e in _split_top_commas(blanked, unit.start, bound):
-                    toks = [t for t in _tokens(blanked, s, e)
-                            if t not in _KEYWORDS]
-                    if toks:
-                        elems.append(RawElement(toks[-1], None,
-                                                ElementKind.GLOBAL_VARIABLE,
-                                                unit.start, unit.end))
-                    break
+                elems.extend(RawElement(name, None,
+                                        ElementKind.GLOBAL_VARIABLE,
+                                        unit.start, unit.end)
+                             for name in _declared_names(blanked, unit.start,
+                                                         unit.end))
                 continue
             head_toks = _tokens(blanked, unit.start, unit.head_end)
             if head_toks and head_toks[0] == "typedef":

@@ -75,8 +75,22 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     if instance_dir.exists():
         shutil.rmtree(instance_dir)
     workspace = instance_dir / "workspace"
-    shutil.copytree(instance.workspace_path, workspace,
-                    ignore=skip_dangling_links)
+    try:
+        shutil.copytree(instance.workspace_path, workspace,
+                        ignore=skip_dangling_links)
+    except OSError as exc:
+        # this instance's data is broken (say, its workspace is gone);
+        # it gets an empty prediction and the batch goes on
+        shutil.rmtree(workspace, ignore_errors=True)
+        errors = [{"stage": "workspace",
+                   "error": f"{type(exc).__name__}: {exc}"}]
+        write_text(instance_dir / "prediction.diff", "")
+        write_json(instance_dir / "telemetry.json", {
+            "instance_id": instance.instance_id, "agents": {},
+            "stages": {}, "errors": errors})
+        return InstanceResult(
+            instance_id=instance.instance_id, instance_dir=instance_dir,
+            prediction="", winner=None, errors=errors)
 
     stage = _Stage()
     records_start = len(getattr(llm, "records", []) or [])

@@ -47,6 +47,8 @@ def read_text(path: Path | str) -> str:
 
 
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
+_WORD = re.compile(r"\w+")
+_WORD_CHAR = re.compile(r"\w")
 
 
 def split_lines(text: str) -> list[str]:
@@ -199,9 +201,6 @@ class RepoIndex:
         self.root = Path(root)
         self._files: list[str] | None = None
         self._parsed: dict[str, tuple[bytes, tuple[CodeElement, ...]]] = {}
-        # bumped on every parse; a consumer that derives data from the
-        # elements rebuilds it when this moved
-        self.generation = 0
 
     def files(self) -> list[str]:
         if self._files is None:
@@ -223,8 +222,32 @@ class RepoIndex:
         if cached is None or cached[0] != digest:
             cached = (digest, _elements_of(text, relpath))
             self._parsed[relpath] = cached
-            self.generation += 1
         return text, cached[1]
+
+    def files_with_word(self, word: str) -> list[str]:
+        """The files, in files() order, whose current text holds word as
+        a whole word: a maximal run of word characters equal to it. An
+        element's name is a whole word of its text, so an element named
+        word can only be in these files. The text is read, not hashed or
+        parsed. A file that cannot be read is kept, so that whoever reads
+        it next reports the failure."""
+        if not _WORD.fullmatch(word):
+            return []
+        # a literal head keeps re's fast literal scan, which a leading \b
+        # or lookbehind would turn off; the character before each hit is
+        # checked by hand instead
+        pattern = re.compile(re.escape(word) + r"(?!\w)")
+        found = []
+        for rel in self.files():
+            try:
+                text = read_text(self.root / rel)
+            except OSError:
+                found.append(rel)
+                continue
+            if any(m.start() == 0 or not _WORD_CHAR.match(text, m.start() - 1)
+                   for m in pattern.finditer(text)):
+                found.append(rel)
+        return found
 
     def elements(self, relpath: str) -> tuple[CodeElement, ...]:
         return self.read(relpath)[1]

@@ -215,10 +215,9 @@ class IndexBackend:
 
     Definitions come from the element index (a marker placed on the
     definition itself therefore finds itself, too). References are
-    word-boundary token occurrences across every source file, declaration
-    sites included. Both answer from the files as they are now: the name
-    table is rebuilt whenever the repo index parsed a changed file, and
-    lines are read fresh on every lookup.
+    word-boundary token occurrences, declaration sites included. Both
+    look only in the files that hold the token as a whole word, and
+    answer from those files as they are now.
     """
 
     includes_declaration = True
@@ -226,28 +225,6 @@ class IndexBackend:
     def __init__(self, index: RepoIndex):
         self.index = index
         self.root = index.root
-        self._by_name: dict[str, list[SymbolLocation]] = {}
-        self._generation: int | None = None
-
-    def _names(self) -> dict[str, list[SymbolLocation]]:
-        parsed = []
-        for rel in self.index.files():
-            try:
-                parsed.append((rel, self.index.elements(rel)))
-            except VulnmendError:
-                continue
-        if self._generation != self.index.generation:
-            by_name: dict[str, list[SymbolLocation]] = {}
-            for rel, elements in parsed:
-                for e in elements:
-                    loc = self._name_site(e, rel)
-                    if loc is not None:
-                        by_name.setdefault(e.name, []).append(loc)
-            for locs in by_name.values():
-                locs.sort(key=lambda l: (l.file, l.line, l.col))
-            self._by_name = by_name
-            self._generation = self.index.generation
-        return self._by_name
 
     def _name_site(self, element, rel: str) -> SymbolLocation | None:
         # element names are identifiers, so a whole-word occurrence of
@@ -274,7 +251,19 @@ class IndexBackend:
         token = self._token_at(file, line, col)
         if token is None:
             return []
-        return list(self._names().get(token, ()))
+        out = []
+        for rel in self.index.files_with_word(token):
+            try:
+                elements = self.index.elements(rel)
+            except VulnmendError:
+                continue
+            for e in elements:
+                if e.name == token:
+                    loc = self._name_site(e, rel)
+                    if loc is not None:
+                        out.append(loc)
+        out.sort(key=lambda l: (l.file, l.line, l.col))
+        return out
 
     def references(self, file: str, line: int, col: int):
         token = self._token_at(file, line, col)
@@ -282,12 +271,9 @@ class IndexBackend:
             return []
         pattern = re.compile(rf"\b{re.escape(token)}\b")
         out = []
-        for rel in self.index.files():
-            content = read_text(self.root / rel)
-            if token not in content:
-                # no line of this file can match
-                continue
-            for idx, text in enumerate(content.split("\n"), 1):
+        for rel in self.index.files_with_word(token):
+            for idx, text in enumerate(
+                    read_text(self.root / rel).split("\n"), 1):
                 if token not in text:
                     continue
                 for m in pattern.finditer(text):

@@ -3,12 +3,22 @@
 These are the character-at-a-time scanning loops that cparse used before
 it moved to compiled patterns, kept verbatim as an oracle: for any input,
 scan_elements and shadow_source here must return what the package's
-versions return. The one change since is the whitespace set, widened
-from space, tab and newline to C's six characters in the package and
-here alike, so that CRLF and form-feed sources start their elements on
-the right character. Only ElementKind and RawElement come from the
-package, so that results compare equal. Never imported by the package
-itself.
+versions return. Three changes since were made in the package and here
+alike:
+
+- the whitespace set, widened from space, tab and newline to C's six
+  characters, so that CRLF and form-feed sources start their elements
+  on the right character;
+- an identifier never starts right after a word character, so `1ffint`
+  and `0x10` hold none and every element name is a whole word;
+- a global declarator is named after its last identifier at bracket
+  depth 0 before '[' or '=' (inside its first parenthesised group when
+  there is none), each comma segment cut at its own '=', so that
+  `int arr[N];` declares arr, not N, and `int a = 1, b[2u];` declares
+  both a and b.
+
+Only ElementKind and RawElement come from the package, so that results
+compare equal. Never imported by the package itself.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 from vulnmend.cparse import ElementKind, RawElement
 
 
-_IDENT = re.compile(r"[A-Za-z_]\w*")
+_IDENT = re.compile(r"(?<!\w)[A-Za-z_]\w*")
 
 # Identifiers that can never be an element name.
 _KEYWORDS = frozenset("""
@@ -321,6 +331,60 @@ def _split_top_commas(shadow: str, start: int, end: int):
     yield seg, end
 
 
+def _is_word(c: str) -> bool:
+    return c.isalnum() or c == "_"
+
+
+def _declarator_name(shadow: str, start: int, end: int) -> str | None:
+    """The name one declarator, shadow[start:end], declares: its last
+    non-keyword identifier at bracket depth 0 before a depth-0 '[' or
+    '='. Failing one, the name inside its first parenthesised group."""
+    depth = 0
+    name = None
+    group_start = group_end = -1
+    i = start
+    while i < end:
+        c = shadow[i]
+        if _is_word(c):
+            j = i
+            while j < end and _is_word(shadow[j]):
+                j += 1
+            word = shadow[i:j]
+            starts_inside = i > 0 and _is_word(shadow[i - 1])
+            if (depth == 0 and not starts_inside
+                    and (c.isascii() and c.isalpha() or c == "_")
+                    and word not in _KEYWORDS):
+                name = word
+            i = j
+            continue
+        if c in "([{":
+            if depth == 0 and c == "[":
+                break
+            if depth == 0 and c == "(" and group_start == -1:
+                group_start = i + 1
+            depth += 1
+        elif c in ")]}":
+            depth = max(depth - 1, 0)
+            if depth == 0 and group_start != -1 and group_end == -1:
+                group_end = i
+        elif c == "=" and depth == 0:
+            break
+        i += 1
+    if name is None and group_end != -1:
+        return _declarator_name(shadow, group_start, group_end)
+    return name
+
+
+def _declared_names(shadow: str, start: int, end: int) -> list[str]:
+    """The names of the comma-separated declarators of shadow[start:end]."""
+    names = []
+    for seg_start, seg_end in _split_top_commas(shadow, start, end):
+        name = _declarator_name(shadow, seg_start, seg_end)
+        if name is not None:
+            names.append(name)
+    return names
+
+
 def _classify_type_unit(shadow: str, unit: _Unit) -> RawElement | None:
     if unit.body is None:
         return None
@@ -342,8 +406,7 @@ def _classify_type_unit(shadow: str, unit: _Unit) -> RawElement | None:
         name = m.group(1)
     else:
         # anonymous body: borrow the typedef alias or declarator name
-        tail = [t for t in _tokens(shadow, unit.body[1] + 1, unit.end)
-                if t not in _KEYWORDS]
+        tail = _declared_names(shadow, unit.body[1] + 1, unit.end)
         if not tail:
             return None
         name = tail[-1]
@@ -375,10 +438,9 @@ def _classify_decl_unit(shadow: str, unit: _Unit) -> list[RawElement]:
             after += 1
         if after != -1 and after < limit and shadow[after] == "(":
             # function pointer: `T (*name)(args);`
-            inner = [t for t in _tokens(shadow, pos, close + 1)
-                     if t not in _KEYWORDS]
-            if inner:
-                return [RawElement(inner[-1], None,
+            name = _declarator_name(shadow, pos + 1, close)
+            if name is not None:
+                return [RawElement(name, None,
                                    ElementKind.GLOBAL_VARIABLE,
                                    unit.start, unit.end)]
             return []
@@ -389,12 +451,9 @@ def _classify_decl_unit(shadow: str, unit: _Unit) -> list[RawElement]:
                                ElementKind.FUNCTION, unit.start, unit.end)]
         return []
     out = []
-    for seg_start, seg_end in _split_top_commas(shadow, unit.start, decl_end):
-        toks = [t for t in _tokens(shadow, seg_start, seg_end)
-                if t not in _KEYWORDS]
-        if toks:
-            out.append(RawElement(toks[-1], None, ElementKind.GLOBAL_VARIABLE,
-                                  unit.start, unit.end))
+    for name in _declared_names(shadow, unit.start, limit):
+        out.append(RawElement(name, None, ElementKind.GLOBAL_VARIABLE,
+                              unit.start, unit.end))
     return out
 
 
@@ -454,16 +513,10 @@ def scan_elements(text: str) -> list[RawElement]:
                 continue
             if unit.body is not None and unit.eq_before_body:
                 # aggregate initializer: `T name[] = {...};`
-                eq = blanked.find("=", unit.start, unit.body[0])
-                bound = eq if eq != -1 else unit.head_end
-                for s, e in _split_top_commas(blanked, unit.start, bound):
-                    toks = [t for t in _tokens(blanked, s, e)
-                            if t not in _KEYWORDS]
-                    if toks:
-                        elems.append(RawElement(toks[-1], None,
-                                                ElementKind.GLOBAL_VARIABLE,
-                                                unit.start, unit.end))
-                    break
+                for name in _declared_names(blanked, unit.start, unit.end):
+                    elems.append(RawElement(name, None,
+                                            ElementKind.GLOBAL_VARIABLE,
+                                            unit.start, unit.end))
                 continue
             head_toks = _tokens(blanked, unit.start, unit.head_end)
             if head_toks and head_toks[0] == "typedef":

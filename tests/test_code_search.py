@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vulnmend.repo_model as repo_model
 from vulnmend.code_search import (format_marker, parse_annotations,
                                   read_code, search_code_element)
 from vulnmend.errors import ElementNotFound
@@ -155,3 +156,60 @@ def test_pinned_marker_listing(crepo):
         ("njs/src/njs_array.c", 152),
     ]
     assert "for (i = 0; i < length; i++) {" in rendered
+
+
+def test_repo_wide_search_matches_a_full_parse(crepo):
+    # the reference parses every file and filters its elements, as the
+    # search did before it looked only in files that hold the word
+    full = RepoIndex(crepo)
+    elements = [e for rel in full.files() for e in full.elements(rel)]
+    assert any(e.qualifier for e in elements)
+    queries = ({e.name for e in elements}
+               | {e.qualified_name for e in elements}
+               | {"Nope::open", "name_in_no_file", "File::", ""})
+    for query in sorted(queries):
+        expected = [e for e in elements if query == (
+            e.qualified_name if "::" in query else e.name)]
+        for limit in (1, 10):
+            try:
+                result = search_code_element(RepoIndex(crepo), query,
+                                             limit=limit)
+            except ElementNotFound:
+                assert expected == [], query
+                continue
+            assert [e for e, _ in result.matches] == expected[:limit], query
+            assert result.truncated == (len(expected) > limit), query
+
+
+def test_repo_wide_search_parses_only_files_that_hold_the_word(
+        tmp_path, monkeypatch):
+    write_text(tmp_path / "a.c", "int name(void) { return 0; }\n")
+    write_text(tmp_path / "b.c", "int name_suffix(void) { return 1; }\n")
+    write_text(tmp_path / "c.c", "int prefix_name;\nlong v = 1name;\n")
+    write_text(tmp_path / "d.h", "/* see name */\nint other;\n")
+    scanned = []
+    scan = repo_model.scan_elements
+    monkeypatch.setattr(repo_model, "scan_elements",
+                        lambda text: scanned.append(text) or scan(text))
+
+    (element, _), = search_code_element(RepoIndex(tmp_path),
+                                        "name").matches
+    assert element.file == "a.c"
+    assert sorted(scanned) == sorted([read_text(tmp_path / "a.c"),
+                                      read_text(tmp_path / "d.h")])
+
+
+def test_a_file_that_cannot_be_read_is_reported_not_skipped(tmp_path):
+    write_text(tmp_path / "a.c", "int name(void) { return 0; }\n")
+    write_text(tmp_path / "b.c", "int name;\n")
+    write_text(tmp_path / "c.c", "int other;\n")
+    index = RepoIndex(tmp_path)
+    assert index.files_with_word("name") == ["a.c", "b.c"]
+    (tmp_path / "b.c").unlink()
+    (tmp_path / "c.c").unlink()
+    (tmp_path / "c.c").mkdir()
+    # the prefilter cannot rule either file out, so the search reads them
+    # and fails as a full parse would
+    assert index.files_with_word("name") == ["a.c", "b.c", "c.c"]
+    with pytest.raises(FileNotFoundError):
+        search_code_element(index, "name")

@@ -18,7 +18,15 @@ FIXTURE_SOURCES = source_files(CREPO)
 
 def _assert_matches_reference(text: str) -> None:
     assert shadow_source(text) == reference.shadow_source(text)
-    assert scan_elements(text) == reference.scan_elements(text)
+    elements = scan_elements(text)
+    assert elements == reference.scan_elements(text)
+    # every name is a whole word of its element's lines, which is what
+    # lets a repo-wide lookup skip files that lack the word
+    for e in elements:
+        first = text.rfind("\n", 0, e.start) + 1
+        last = text.find("\n", max(e.end - 1, e.start))
+        lines = text[first:] if last == -1 else text[first:last]
+        assert e.name in re.findall(r"\w+", lines), (e, lines)
 
 
 # -- lexing edge cases ----------------------------------------------------------
@@ -76,6 +84,26 @@ def test_directive_on_a_continued_line_is_a_macro_of_its_own():
         ("x", ElementKind.GLOBAL_VARIABLE, 24, 30)]
 
 
+@pytest.mark.parametrize("text, names", [
+    ("int 1ffint;", []), ("a 0x10;", ["a"]), ("T x = 1ffint;", ["x"])])
+def test_no_identifier_starts_inside_a_number(text, names):
+    assert [e.name for e in scan_elements(text)] == names
+
+
+@pytest.mark.parametrize("text, names", [
+    ("int arr[N];", ["arr"]), ("int arr[0x10];", ["arr"]),
+    ("long tab[3][0x4f];", ["tab"]), ("int a = 1, b[2u];", ["a", "b"]),
+    ("int t[N] = {1, 2}, *u[] = {0};", ["t", "u"]),
+    ("struct { int x; } arr[N];", ["arr"]),
+    ("void (*handlers[N])(int);", ["handlers"]),
+    ("static void (*handlers[])(int) = {f, g};", ["handlers"])])
+def test_global_arrays_are_named_after_the_declarator(text, names):
+    elements = scan_elements(text)
+    assert [e.name for e in elements] == names
+    assert {e.kind for e in elements} <= {ElementKind.GLOBAL_VARIABLE,
+                                          ElementKind.STRUCT}
+
+
 # -- differential check against the reference lexer ----------------------------
 
 
@@ -106,6 +134,10 @@ TRICKY = [
     "int a;\n  #define A 1\n\t# if B\nint x;",
     "#define A \\ \t\nint x;\nint y;",
     "int 1x(int);", "int a; /* open\n", 'char *s = "a\\\n',
+    "int 1ffint;", "a 0x10;", "int arr[N];", "int a = 1, b[2u];",
+    "long tab[3][0x4f];", "int t[N] = {1}, *u[] = {0};",
+    "struct { int x; } arr[N];", "void (*handlers[N])(int);",
+    "int a = 1, (*h)(int);",
 ]
 
 

@@ -4,6 +4,7 @@ metrics and the command line."""
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import tempfile
@@ -1077,17 +1078,60 @@ def test_replay_run_instance_parses_each_content_once(fixtures_dir, tmp_path,
             text.encode("utf-8", "surrogateescape")).hexdigest()] += 1
         return scan(text)
 
+    parsed = []
+    elements_of = repo_model._elements_of
+    monkeypatch.setattr(repo_model, "_elements_of", lambda text, rel: (
+        parsed.append((rel, text)) or elements_of(text, rel)))
+    words = []
+    files_with_word = repo_model.RepoIndex.files_with_word
+    monkeypatch.setattr(repo_model.RepoIndex, "files_with_word",
+                        lambda self, word: (words.append(word) or
+                                            files_with_word(self, word)))
     monkeypatch.setattr(repo_model, "scan_elements", counting_scan)
     instance = load_instances(fixtures_dir / "instances.jsonl")[0]
     result = run_instance(instance, variant("full"),
                           ReplayBackend(build_entries(True, True)), tmp_path)
 
     assert result.winner is not None and not result.errors
-    # the repo-wide searches parsed the whole tree ...
-    assert len(scans) >= len(repo_model.source_files(
-        fixtures_dir / "crepo"))
-    # ... and nothing was parsed twice at the same content
+    # nothing was parsed twice at the same content ...
     assert max(scans.values()) == 1
+    # ... and the repo-wide searches and lookups parsed only files that
+    # hold their word, not the whole tree; localization parses the files
+    # it ranked
+    assert words
+    localized = json.loads((tmp_path / instance.instance_id / "rankings"
+                            / "files.json").read_text())["merged"]
+    for rel, text in parsed:
+        assert rel in localized or any(
+            re.search(rf"(?<!\w){re.escape(word)}(?!\w)", text)
+            for word in words), rel
+    assert len({rel for rel, _ in parsed}) < len(repo_model.source_files(
+        fixtures_dir / "crepo"))
+
+
+@needs_gcc
+def test_an_instance_without_a_workspace_does_not_abort_the_batch(
+        fixtures_dir, scratch_crepo, tmp_path):
+    good = load_instances(fixtures_dir / "instances.jsonl")[0]
+    broken = dataclasses.replace(good, instance_id="gone-1",
+                                 workspace_path=str(scratch_crepo))
+    shutil.rmtree(scratch_crepo)
+    run_dir = tmp_path / "run"
+    broken_result, good_result = run_all(
+        [broken, good], variant("full"),
+        lambda _: ReplayBackend(build_entries(True, True)), run_dir)
+
+    assert broken_result.winner is None and broken_result.prediction == ""
+    assert [e["stage"] for e in broken_result.errors] == ["workspace"]
+    assert "FileNotFoundError" in broken_result.errors[0]["error"]
+    assert (run_dir / "gone-1" / "prediction.diff").read_bytes() == b""
+    telemetry = json.loads(
+        (run_dir / "gone-1" / "telemetry.json").read_text())
+    assert telemetry["errors"] == broken_result.errors
+    assert good_result.winner is not None and not good_result.errors
+
+    metrics, _ = evaluate_run(run_dir, [broken, good])
+    assert (metrics.total, metrics.resolved) == (2, 1)
 
 
 @needs_gcc

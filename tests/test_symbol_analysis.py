@@ -6,7 +6,8 @@ from conftest import snapshot
 
 from vulnmend.edit_engine import EditHistory
 from vulnmend.errors import MalformedBlock, NoMarkersFound, VulnmendError
-from vulnmend.repo_model import RepoIndex, read_text, source_files
+from vulnmend.repo_model import (RepoIndex, read_text, source_files,
+                                 write_text)
 from vulnmend.symbol_analysis import (IndexBackend, SymbolLocation,
                                       make_symbol_backend, plan_queries,
                                       resolve_code_symbol)
@@ -298,10 +299,11 @@ def test_make_backend_default_is_index(crepo_index):
     assert isinstance(make_symbol_backend(crepo_index), IndexBackend)
 
 
-def test_name_table_matches_the_per_name_pattern(crepo_index, monkeypatch):
-    # the sites the table holds are where `\bname\b` first matches in
-    # each element, on every fixture element, C++ files included; the
-    # table is built without compiling a pattern per element
+def test_definitions_match_the_per_name_pattern(crepo_index, monkeypatch):
+    # a definition is where `\bname\b` first matches in each element of
+    # that name, on every fixture element, C++ files included; a lookup
+    # compiles the same small number of patterns whatever the name, never
+    # one per element
     expected = {}
     for rel in crepo_index.files():
         for e in crepo_index.elements(rel):
@@ -312,16 +314,28 @@ def test_name_table_matches_the_per_name_pattern(crepo_index, monkeypatch):
                     expected.setdefault(e.name, []).append(
                         (rel, e.start_line + idx, m.start() + 1))
                     break
-    compiled = []
+    assert {"File", "open"} <= set(expected)
+    assert any(rel.startswith("cpp/") for rel, _, _ in expected["open"])
+    backend = IndexBackend(crepo_index)
     compile_ = re.compile
-    monkeypatch.setattr(re, "compile",
-                        lambda *args: compiled.append(args) or
-                        compile_(*args))
-    table = IndexBackend(crepo_index)._names()
-    monkeypatch.undo()
-    assert compiled == []
-    assert {name: [(l.file, l.line, l.col) for l in locs]
-            for name, locs in table.items()} == {
-                name: sorted(sites) for name, sites in expected.items()}
-    assert {"File", "open"} <= set(table)
-    assert any(l.file.startswith("cpp/") for l in table["open"])
+    for name, sites in expected.items():
+        compiled = []
+        monkeypatch.setattr(re, "compile",
+                            lambda *args: compiled.append(args) or
+                            compile_(*args))
+        found = backend.definition(*sites[0])
+        monkeypatch.undo()
+        assert [(l.file, l.line, l.col) for l in found] == sorted(sites)
+        assert len(compiled) == 1, name
+
+
+def test_lookups_report_a_file_that_cannot_be_read(tmp_path):
+    write_text(tmp_path / "a.c", "int name(void) { return 0; }\n")
+    write_text(tmp_path / "b.c", "int name;\n")
+    backend = IndexBackend(RepoIndex(tmp_path))
+    assert [l.file for l in backend.references("a.c", 1, 5)] == ["a.c", "b.c"]
+    (tmp_path / "b.c").unlink()
+    # a vanished file fails the lookup, as it did when every file was read
+    for lookup in (backend.definition, backend.references):
+        with pytest.raises(FileNotFoundError):
+            lookup("a.c", 1, 5)
