@@ -96,12 +96,6 @@ def _window_for_element(element: CodeElement,
                       end_line=element.end_line, lines=lines, marked=marked)
 
 
-def _name_matches(element: CodeElement, name: str) -> bool:
-    if "::" in name:
-        return element.qualified_name == name
-    return element.name == name
-
-
 def _workspace_file(root: Path, file: str) -> Path:
     """root / file, for a file that exists inside root. File names come
     from model output, so a path that climbs above root (even to come
@@ -135,25 +129,20 @@ def search_code_element(index: RepoIndex | Path, name: str,
         index = RepoIndex(index)
     if file is not None:
         _workspace_file(index.root, file)
-        candidates = [file]
+        found = (e for e in index.elements(file) if e.is_named(name))
     elif bare:
-        candidates = index.files()
+        found = (e for rel in index.files() for e in index.elements(rel)
+                 if e.is_named(name))
     else:
-        # only a file holding the name as a whole word can define it
-        candidates = index.files_with_word(name.rsplit("::", 1)[-1])
+        found = (e for e, _ in index.elements_named(name))
 
     matches = []
     truncated = False
-    for rel in candidates:
-        for element in index.elements(rel):
-            if _name_matches(element, name):
-                if len(matches) >= limit:
-                    truncated = True
-                    break
-                matches.append((element, _window_for_element(element,
-                                                             mark_lines)))
-        if truncated:
+    for element in found:
+        if len(matches) >= limit:
+            truncated = True
             break
+        matches.append((element, _window_for_element(element, mark_lines)))
     if not matches:
         where = file if file else "repository"
         raise ElementNotFound(f"no element named {name!r} in {where}")

@@ -42,9 +42,9 @@ class RawElement:
     body: tuple[int, int] | None = None  # offsets of '{' and matching '}'
 
 
-# an identifier never starts inside a longer word: `1ffint` and `0x10`
-# hold none, so every name the scanner reports is a whole word of its text
-_IDENT = re.compile(r"(?<!\w)[A-Za-z_]\w*")
+# an identifier is a maximal word run that starts with a letter or '_', so
+# `1ffint` and `0x10` hold none and every element name is a whole word
+IDENT = re.compile(r"(?<!\w)[A-Za-z_]\w*")
 
 # Identifiers that can never be an element name.
 _KEYWORDS = frozenset("""
@@ -187,7 +187,7 @@ def _match_brace(shadow: str, open_pos: int) -> int:
 
 
 def _has_type_keyword(shadow: str, start: int, end: int) -> bool:
-    return any(t in _TYPE_KEYWORDS for t in _IDENT.findall(shadow[start:end]))
+    return any(t in _TYPE_KEYWORDS for t in IDENT.findall(shadow[start:end]))
 
 
 def _scan_units(shadow: str, start: int, end: int):
@@ -262,7 +262,7 @@ def _scan_units(shadow: str, start: int, end: int):
 
 
 def _tokens(shadow: str, start: int, end: int) -> list[str]:
-    return _IDENT.findall(shadow[start:end])
+    return IDENT.findall(shadow[start:end])
 
 
 def _first_depth0_paren(shadow: str, start: int, end: int) -> int:
@@ -390,7 +390,7 @@ def _classify_type_unit(shadow: str, unit: _Unit) -> RawElement | None:
         return None
     head = shadow[unit.start:unit.head_end]
     kw = None
-    for t in _IDENT.findall(head):
+    for t in IDENT.findall(head):
         if t in _TYPE_KEYWORDS:
             kw = t
             break
@@ -417,7 +417,7 @@ def _classify_function_unit(shadow: str, unit: _Unit) -> RawElement | None:
     if name is None or name in _KEYWORDS:
         return None
     quals = _qualifier_chain(shadow, name_start, unit.start)
-    return RawElement(name, quals[-1] if quals else None, ElementKind.FUNCTION,
+    return RawElement(name, "::".join(quals) or None, ElementKind.FUNCTION,
                       unit.start, unit.end, body=unit.body)
 
 
@@ -442,7 +442,7 @@ def _classify_decl_unit(shadow: str, unit: _Unit) -> list[RawElement]:
         name, name_start = _ident_before(shadow, pos, unit.start)
         if name and name not in _KEYWORDS:
             quals = _qualifier_chain(shadow, name_start, unit.start)
-            return [RawElement(name, quals[-1] if quals else None,
+            return [RawElement(name, "::".join(quals) or None,
                                ElementKind.FUNCTION, unit.start, unit.end)]
         return []
     return [RawElement(name, None, ElementKind.GLOBAL_VARIABLE, unit.start,

@@ -14,7 +14,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cparse import ElementKind, scan_elements
 from .errors import ParseFailure
@@ -31,6 +31,7 @@ __all__ = [
     "write_json",
     "source_files",
     "render_repo_tree",
+    "WholeWord",
     "RepoIndex",
     "skeletonize",
 ]
@@ -102,6 +103,14 @@ class CodeElement:
     @property
     def qualified_name(self) -> str:
         return f"{self.qualifier}::{self.name}" if self.qualifier else self.name
+
+    def is_named(self, name: str) -> bool:
+        """Whether a search for name finds this element: name is its bare
+        name or, with `::`, the last scopes of its qualified name, so
+        `M::f` and `N::M::f` both find `N::M::f`."""
+        if "::" not in name:
+            return self.name == name
+        return f"::{self.qualified_name}".endswith(f"::{name}")
 
 
 def source_files(root: Path | str,
@@ -187,6 +196,29 @@ def _elements_of(text: str, relpath: str) -> tuple[CodeElement, ...]:
     return tuple(out)
 
 
+class WholeWord:
+    """Where a word occurs in a text as a maximal run of word characters.
+    A string that is not a run of word characters occurs nowhere. One
+    pattern is compiled per matcher, however many texts it scans."""
+
+    def __init__(self, word: str):
+        self.word = word
+        # a literal head keeps re's fast literal scan, which a leading \b
+        # or lookbehind would turn off; the character before each hit is
+        # checked by hand instead
+        self._head = (re.compile(re.escape(word) + r"(?!\w)")
+                      if _WORD.fullmatch(word) else None)
+
+    def offsets(self, text: str) -> Iterator[int]:
+        """The offsets of the occurrences, ascending."""
+        if self._head is None:
+            return
+        for m in self._head.finditer(text):
+            start = m.start()
+            if start == 0 or not _WORD_CHAR.match(text, start - 1):
+                yield start
+
+
 class RepoIndex:
     """The source files of one workspace and their top-level elements.
 
@@ -224,19 +256,10 @@ class RepoIndex:
             self._parsed[relpath] = cached
         return text, cached[1]
 
-    def files_with_word(self, word: str) -> list[str]:
-        """The files, in files() order, whose current text holds word as
-        a whole word: a maximal run of word characters equal to it. An
-        element's name is a whole word of its text, so an element named
-        word can only be in these files. The text is read, not hashed or
-        parsed. A file that cannot be read is kept, so that whoever reads
-        it next reports the failure."""
-        if not _WORD.fullmatch(word):
-            return []
-        # a literal head keeps re's fast literal scan, which a leading \b
-        # or lookbehind would turn off; the character before each hit is
-        # checked by hand instead
-        pattern = re.compile(re.escape(word) + r"(?!\w)")
+    def files_with_word(self, word: WholeWord) -> list[str]:
+        """The files, in files() order, whose current text holds word.
+        The text is read, not hashed or parsed. A file that cannot be
+        read is kept, so that whoever reads it next reports the failure."""
         found = []
         for rel in self.files():
             try:
@@ -244,10 +267,22 @@ class RepoIndex:
             except OSError:
                 found.append(rel)
                 continue
-            if any(m.start() == 0 or not _WORD_CHAR.match(text, m.start() - 1)
-                   for m in pattern.finditer(text)):
+            if next(word.offsets(text), None) is not None:
                 found.append(rel)
         return found
+
+    def elements_named(self, name: str
+                       ) -> Iterator[tuple[CodeElement, int | None]]:
+        """The elements that CodeElement.is_named(name) finds, in files()
+        order, each with the offset in its text where its name first
+        occurs as a whole word. An element's name is a whole word of its
+        text, so only the files that hold the name's last `::` part as a
+        whole word are parsed."""
+        word = WholeWord(name.rsplit("::", 1)[-1])
+        for rel in self.files_with_word(word):
+            for element in self.elements(rel):
+                if element.is_named(name):
+                    yield element, next(word.offsets(element.text), None)
 
     def elements(self, relpath: str) -> tuple[CodeElement, ...]:
         return self.read(relpath)[1]

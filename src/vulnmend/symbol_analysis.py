@@ -15,16 +15,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
+from .cparse import IDENT
 from .edit_engine import locate_search, parse_edit_blocks
 from .errors import MalformedBlock, NoMarkersFound, VulnmendError
-from .repo_model import RepoIndex, read_text
+from .repo_model import RepoIndex, WholeWord, read_text
 from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 _MARKER_RE = re.compile(
     r"\b(FIND_DEFINITION|FIND_REFERENCES)\(\s*([A-Za-z_]\w*)\s*\)")
 _MARKER_NAMES = ("FIND_DEFINITION(", "FIND_REFERENCES(")
-_WORD_RE = re.compile(r"\w+")
 
 DEFAULT_REFERENCE_CAP = 50
 
@@ -56,7 +57,6 @@ class ResolutionOutcome:
     truncated: bool = False
     total: int = 0
     error: str | None = None
-    includes_declaration: bool = False
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ class ResolutionResult:
             q = oc.query
             kind = ("FIND_DEFINITION" if q.kind == "definition"
                     else "FIND_REFERENCES")
-            note = " (declaration included)" if oc.includes_declaration else ""
+            # every answered query counts the declaration sites, too
+            note = "" if oc.error else " (declaration included)"
             parts.append(f"Query {i}: {kind}({q.symbol}) "
                          f"at {q.file}:{q.line}:{q.col}{note}")
             if oc.error:
@@ -105,25 +106,6 @@ def _strip_markers(replace: str):
         pos = m.end()
     pieces.append(replace[pos:])
     return "".join(pieces), markers
-
-
-def _nth_word_occurrence(line: str, token: str, col: int) -> int:
-    """How many word-boundary occurrences of token start before col
-    (0-based) in line, counting the one at col itself."""
-    count = 0
-    for m in re.finditer(rf"\b{re.escape(token)}\b", line):
-        if m.start() <= col:
-            count += 1
-        else:
-            break
-    return count
-
-
-def _col_of_occurrence(line: str, token: str, nth: int) -> int | None:
-    for i, m in enumerate(re.finditer(rf"\b{re.escape(token)}\b", line), 1):
-        if i == nth:
-            return m.start()
-    return None
 
 
 def plan_queries(root: Path | str, blocks_text: str) -> list[MarkerQuery]:
@@ -163,14 +145,16 @@ def plan_queries(root: Path | str, blocks_text: str) -> list[MarkerQuery]:
             if mode == "exact":
                 col = col_in_search
             else:
-                nth = _nth_word_occurrence(search_lines[line_idx], symbol,
-                                           col_in_search)
-                col = _col_of_occurrence(file_lines[file_line_no - 1],
-                                         symbol, nth)
-                if col is None:
+                # the nth whole word on the search line is the file's nth
+                word = WholeWord(symbol)
+                nth = sum(1 for o in word.offsets(search_lines[line_idx])
+                          if o <= col_in_search)
+                sites = list(word.offsets(file_lines[file_line_no - 1]))
+                if not 0 < nth <= len(sites):
                     raise MalformedBlock(
                         f"cannot place marker for {symbol!r} on "
                         f"{edit.file}:{file_line_no}")
+                col = sites[nth - 1]
             kind = "definition" if kw == "FIND_DEFINITION" else "references"
             queries.append(MarkerQuery(kind=kind, symbol=symbol,
                                        file=edit.file, line=file_line_no,
@@ -202,66 +186,63 @@ def resolve_code_symbol(root: Path | str, blocks_text: str,
             truncated = total > reference_cap
             outcomes.append(ResolutionOutcome(
                 query=q, locations=tuple(locs[:reference_cap]),
-                truncated=truncated, total=total,
-                includes_declaration=backend.includes_declaration))
+                truncated=truncated, total=total))
         except (VulnmendError, OSError) as exc:
             outcomes.append(ResolutionOutcome(query=q, locations=(),
                                               error=str(exc)))
     return ResolutionResult(outcomes=tuple(outcomes))
 
 
+def _locations(file: str, text: str, offsets: Iterable[int],
+               first_line: int = 1) -> Iterator[SymbolLocation]:
+    """Locations of ascending offsets into text, whose first line is
+    first_line. Hits on one line share its preview, copied once."""
+    line, start, end = first_line, 0, -1
+    for offset in offsets:
+        if offset > end:
+            line += text.count("\n", start, offset)
+            start = text.rfind("\n", 0, offset) + 1
+            end = text.find("\n", offset)
+            if end == -1:
+                end = len(text)
+            preview = text[start:end]
+        yield SymbolLocation(file=file, line=line, col=offset - start + 1,
+                             preview=preview)
+
+
 class IndexBackend:
-    """Symbol backend built from the element scanner plus token scanning.
+    """Symbol backend built from the element index plus whole words.
 
-    Definitions come from the element index (a marker placed on the
-    definition itself therefore finds itself, too). References are
-    word-boundary token occurrences, declaration sites included. Both
-    look only in the files that hold the token as a whole word, and
-    answer from those files as they are now.
+    A definition is the first whole-word occurrence of the name in each
+    element of that name (a marker placed on the definition itself
+    therefore finds itself, too). References are every whole-word
+    occurrence, declaration sites included. Both answer from the files
+    as they are now; a file that cannot be read fails the lookup.
     """
-
-    includes_declaration = True
 
     def __init__(self, index: RepoIndex):
         self.index = index
         self.root = index.root
 
-    def _name_site(self, element, rel: str) -> SymbolLocation | None:
-        # element names are identifiers, so a whole-word occurrence of
-        # the name is exactly a maximal word run equal to it
-        for idx, text in enumerate(element.text.split("\n")):
-            for m in _WORD_RE.finditer(text):
-                if m.group() == element.name:
-                    return SymbolLocation(file=rel,
-                                          line=element.start_line + idx,
-                                          col=m.start() + 1, preview=text)
-        return None
-
     def _token_at(self, file: str, line: int, col: int) -> str | None:
+        """The identifier under the 1-based column: the maximal word run
+        there, when it starts with a letter or underscore."""
         lines = read_text(self.root / file).split("\n")
         if not (1 <= line <= len(lines)):
             return None
-        text = lines[line - 1]
-        for m in re.finditer(r"[A-Za-z_]\w*", text):
-            if m.start() <= col - 1 < m.end():
-                return m.group(0)
+        for m in IDENT.finditer(lines[line - 1]):
+            if m.start() < col <= m.end():
+                return m.group()
         return None
 
     def definition(self, file: str, line: int, col: int):
         token = self._token_at(file, line, col)
         if token is None:
             return []
-        out = []
-        for rel in self.index.files_with_word(token):
-            try:
-                elements = self.index.elements(rel)
-            except VulnmendError:
-                continue
-            for e in elements:
-                if e.name == token:
-                    loc = self._name_site(e, rel)
-                    if loc is not None:
-                        out.append(loc)
+        out = [loc for element, offset in self.index.elements_named(token)
+               if offset is not None
+               for loc in _locations(element.file, element.text, [offset],
+                                     element.start_line)]
         out.sort(key=lambda l: (l.file, l.line, l.col))
         return out
 
@@ -269,17 +250,11 @@ class IndexBackend:
         token = self._token_at(file, line, col)
         if token is None:
             return []
-        pattern = re.compile(rf"\b{re.escape(token)}\b")
+        word = WholeWord(token)
         out = []
-        for rel in self.index.files_with_word(token):
-            for idx, text in enumerate(
-                    read_text(self.root / rel).split("\n"), 1):
-                if token not in text:
-                    continue
-                for m in pattern.finditer(text):
-                    out.append(SymbolLocation(file=rel, line=idx,
-                                              col=m.start() + 1,
-                                              preview=text))
+        for rel in self.index.files():
+            text = read_text(self.root / rel)
+            out.extend(_locations(rel, text, word.offsets(text)))
         return out
 
 

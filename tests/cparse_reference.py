@@ -3,7 +3,7 @@
 These are the character-at-a-time scanning loops that cparse used before
 it moved to compiled patterns, kept verbatim as an oracle: for any input,
 scan_elements and shadow_source here must return what the package's
-versions return. Three changes since were made in the package and here
+versions return. Four changes since were made in the package and here
 alike:
 
 - the whitespace set, widened from space, tab and newline to C's six
@@ -15,7 +15,9 @@ alike:
   depth 0 before '[' or '=' (inside its first parenthesised group when
   there is none), each comma segment cut at its own '=', so that
   `int arr[N];` declares arr, not N, and `int a = 1, b[2u];` declares
-  both a and b.
+  both a and b;
+- a qualified declarator keeps its whole scope chain as the qualifier,
+  so `int N::M::f(int x) {...}` is f with qualifier `N::M`, not `M`.
 
 Only ElementKind and RawElement come from the package, so that results
 compare equal. Never imported by the package itself.
@@ -421,7 +423,7 @@ def _classify_function_unit(shadow: str, unit: _Unit) -> RawElement | None:
     if name is None or name in _KEYWORDS:
         return None
     quals = _qualifier_chain(shadow, name_start, unit.start)
-    return RawElement(name, quals[-1] if quals else None, ElementKind.FUNCTION,
+    return RawElement(name, "::".join(quals) or None, ElementKind.FUNCTION,
                       unit.start, unit.end, body=unit.body)
 
 
@@ -447,7 +449,7 @@ def _classify_decl_unit(shadow: str, unit: _Unit) -> list[RawElement]:
         name, name_start = _ident_before(shadow, pos, unit.start)
         if name and name not in _KEYWORDS:
             quals = _qualifier_chain(shadow, name_start, unit.start)
-            return [RawElement(name, quals[-1] if quals else None,
+            return [RawElement(name, "::".join(quals) or None,
                                ElementKind.FUNCTION, unit.start, unit.end)]
         return []
     out = []

@@ -9,7 +9,7 @@ import vulnmend.repo_model as repo_model
 from vulnmend.code_search import (format_marker, parse_annotations,
                                   read_code, search_code_element)
 from vulnmend.errors import ElementNotFound
-from vulnmend.repo_model import RepoIndex, read_text, write_text
+from vulnmend.repo_model import RepoIndex, WholeWord, read_text, write_text
 
 _PATH_CHARS = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789_./-"),
@@ -181,6 +181,23 @@ def test_repo_wide_search_matches_a_full_parse(crepo):
             assert result.truncated == (len(expected) > limit), query
 
 
+def test_a_name_qualified_by_several_scopes_is_found(tmp_path):
+    write_text(tmp_path / "f.cc",
+               "namespace N { namespace M { int f(int x); } }\n"
+               "int N::M::f(int x) { return x; }\n")
+    index = RepoIndex(tmp_path)
+    qualifiers = {e.start_line: e.qualifier for e in index.elements("f.cc")}
+    assert qualifiers == {1: None, 2: "N::M"}
+    # a qualified query names the last scopes, aligned at a `::`
+    for query, lines in (("N::M::f", [2]), ("M::f", [2]), ("f", [1, 2])):
+        for where in (None, "f.cc"):
+            found = search_code_element(index, query, file=where).matches
+            assert [e.start_line for e, _ in found] == lines, (query, where)
+    for query in ("N::f", "X::N::M::f", "::M::f", "NM::f", "M::"):
+        with pytest.raises(ElementNotFound):
+            search_code_element(index, query)
+
+
 def test_repo_wide_search_parses_only_files_that_hold_the_word(
         tmp_path, monkeypatch):
     write_text(tmp_path / "a.c", "int name(void) { return 0; }\n")
@@ -204,12 +221,12 @@ def test_a_file_that_cannot_be_read_is_reported_not_skipped(tmp_path):
     write_text(tmp_path / "b.c", "int name;\n")
     write_text(tmp_path / "c.c", "int other;\n")
     index = RepoIndex(tmp_path)
-    assert index.files_with_word("name") == ["a.c", "b.c"]
+    assert index.files_with_word(WholeWord("name")) == ["a.c", "b.c"]
     (tmp_path / "b.c").unlink()
     (tmp_path / "c.c").unlink()
     (tmp_path / "c.c").mkdir()
     # the prefilter cannot rule either file out, so the search reads them
     # and fails as a full parse would
-    assert index.files_with_word("name") == ["a.c", "b.c", "c.c"]
+    assert index.files_with_word(WholeWord("name")) == ["a.c", "b.c", "c.c"]
     with pytest.raises(FileNotFoundError):
         search_code_element(index, "name")

@@ -1085,7 +1085,7 @@ def test_replay_run_instance_parses_each_content_once(fixtures_dir, tmp_path,
     words = []
     files_with_word = repo_model.RepoIndex.files_with_word
     monkeypatch.setattr(repo_model.RepoIndex, "files_with_word",
-                        lambda self, word: (words.append(word) or
+                        lambda self, word: (words.append(word.word) or
                                             files_with_word(self, word)))
     monkeypatch.setattr(repo_model, "scan_elements", counting_scan)
     instance = load_instances(fixtures_dir / "instances.jsonl")[0]

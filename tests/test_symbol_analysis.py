@@ -3,11 +3,13 @@ from pathlib import Path
 
 import pytest
 from conftest import snapshot
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulnmend.edit_engine import EditHistory
 from vulnmend.errors import MalformedBlock, NoMarkersFound, VulnmendError
-from vulnmend.repo_model import (RepoIndex, read_text, source_files,
-                                 write_text)
+from vulnmend.repo_model import (RepoIndex, WholeWord, read_text,
+                                 source_files, write_text)
 from vulnmend.symbol_analysis import (IndexBackend, SymbolLocation,
                                       make_symbol_backend, plan_queries,
                                       resolve_code_symbol)
@@ -181,7 +183,6 @@ def test_definition_sees_declaration_and_definition(crepo, crepo_index):
     sites = {(l.file, l.line) for l in defs}
     assert ("src/buf.c", 8) in sites
     assert ("src/buf.h", 28) in sites
-    assert backend.includes_declaration is True
 
 
 def test_cross_file_references_for_struct_member(crepo, crepo_index):
@@ -266,8 +267,6 @@ def test_reference_cap_truncates_and_reports_total(crepo, crepo_index):
 
 
 class _FlakyBackend:
-    includes_declaration = False
-
     def definition(self, file, line, col):
         return [SymbolLocation(file="src/buf.c", line=8, col=6,
                                preview="void copy_name(...)")]
@@ -339,3 +338,118 @@ def test_lookups_report_a_file_that_cannot_be_read(tmp_path):
     for lookup in (backend.definition, backend.references):
         with pytest.raises(FileNotFoundError):
             lookup("a.c", 1, 5)
+
+
+def test_definition_fails_on_a_file_that_cannot_be_read(tmp_path,
+                                                        monkeypatch):
+    write_text(tmp_path / "a.c", "int name(void) { return 0; }\n")
+    write_text(tmp_path / "b.c", "int name;\n")
+    backend = IndexBackend(RepoIndex(tmp_path))
+    read_bytes = Path.read_bytes
+
+    def unreadable_b(path):
+        if path.name == "b.c":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", unreadable_b)
+    # b.c may define name, so a definition that skipped it would be a
+    # partial answer; the lookup fails, as search and references do
+    with pytest.raises(VulnmendError, match="b.c"):
+        backend.definition("a.c", 1, 5)
+    blocks = ("### a.c\n<<<<<<< SEARCH\nint name(void) { return 0; }\n"
+              "=======\nint FIND_DEFINITION(name)(void) { return 0; }\n"
+              ">>>>>>> REPLACE\n")
+    outcome, = resolve_code_symbol(tmp_path, blocks, backend).outcomes
+    assert outcome.error and outcome.locations == ()
+
+
+# -- whole-word lookups next to word neighbours -------------------------------
+
+_FRAGMENTS = st.lists(st.sampled_from([
+    "name", "1name", "name_", "name2", "x.name", "éname", "nameé",
+    "näme", "_name", " ", "  ", "\t", ";", "(", ")", "*", "\n", "\r\n",
+    "int ", "int name(void) { return name; }\n",
+    "struct name { int name; };\n",
+    "#define name 1\n", "/* name */", "long name_2 = 1name;\n", "name(",
+]), max_size=24).map("".join)
+
+
+def _run_at(line, col):
+    """The maximal word run under the 1-based column, if any."""
+    for m in re.finditer(r"\w+", line):
+        if m.start() < col <= m.end():
+            return m.group()
+    return None
+
+
+def _oracle_references(texts, token):
+    pattern = re.compile(rf"\b{re.escape(token)}\b")
+    return [(rel, line_no, m.start() + 1, text)
+            for rel, content in texts.items()
+            for line_no, text in enumerate(content.split("\n"), 1)
+            for m in pattern.finditer(text)]
+
+
+def _oracle_definitions(index, token):
+    pattern = re.compile(rf"\b{re.escape(token)}\b")
+    out = []
+    for rel in index.files():
+        for e in index.elements(rel):
+            if e.name != token:
+                continue
+            for idx, text in enumerate(e.text.split("\n")):
+                m = pattern.search(text)
+                if m:
+                    out.append((rel, e.start_line + idx, m.start() + 1, text))
+                    break
+    return sorted(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FRAGMENTS, _FRAGMENTS, _FRAGMENTS)
+def test_lookups_take_whole_words_only(tmp_path_factory, a, b, line):
+    root = tmp_path_factory.mktemp("words")
+    line = line.replace("\r", "").replace("\n", " ")
+    texts = {"a.c": a, "b.h": b, "q.c": line + "\n"}
+    for rel, content in texts.items():
+        write_text(root / rel, content)
+    index = RepoIndex(root)
+    backend = IndexBackend(index)
+
+    for token in ("name", "name_", "name2", "näme"):
+        pattern = re.compile(rf"\b{re.escape(token)}\b")
+        assert index.files_with_word(WholeWord(token)) == [
+            rel for rel in sorted(texts) if pattern.search(texts[rel])]
+
+    # every column that starts a word run, or an occurrence of "name"
+    # inside one, looks up the identifier the run spells, or nothing
+    for rel, content in texts.items():
+        for line_no, text in enumerate(content.split("\n"), 1):
+            cols = {m.start() + 1 for m in re.finditer(r"\w+", text)}
+            cols |= {m.start() + 1 for m in re.finditer("name", text)}
+            for col in sorted(cols):
+                run = _run_at(text, col)
+                token = run if run and re.match(r"[A-Za-z_]", run) else None
+                refs = backend.references(rel, line_no, col)
+                defs = backend.definition(rel, line_no, col)
+                if token is None:
+                    assert refs == [] and defs == [], (rel, line_no, col)
+                    continue
+                assert [(l.file, l.line, l.col, l.preview) for l in refs] \
+                    == _oracle_references(texts, token)
+                assert [(l.file, l.line, l.col, l.preview) for l in defs] \
+                    == _oracle_definitions(index, token)
+
+    # a marker on the nth whole-word `name` of a respaced search line
+    # lands on the nth whole-word `name` of the file's line
+    sites = [m.start() for m in re.finditer(r"\bname\b", line)]
+    search = line.replace(" ", "  ")
+    search_sites = [m.start() for m in re.finditer(r"\bname\b", search)]
+    for nth, at in enumerate(search_sites):
+        replace = (search[:at] + "FIND_REFERENCES(name)"
+                   + search[at + len("name"):])
+        blocks = (f"### q.c\n<<<<<<< SEARCH\n{search}\n=======\n"
+                  f"{replace}\n>>>>>>> REPLACE\n")
+        q, = plan_queries(root, blocks)
+        assert (q.line, q.col) == (1, sites[nth] + 1)
