@@ -73,14 +73,15 @@ _TRANSPARENT_HEAD = re.compile(
     r'|extern\s*"[^"]*"\s*$')
 
 
-# One lexeme that shadow_source blanks: a line comment (a
-# backslash-newline continues it), a block comment (to EOF when
-# unterminated; `/*/` does not close), or a string or character literal
-# (an escape takes the next character, a raw newline ends it). A literal
-# keeps its quotes, so only its group is blanked. No branch may start
-# with a group: a leading literal character lets the engine skip to the
-# next '/', '"' or "'" without trying every position.
-_LEXEME = re.compile(r"""
+# One lexeme that shadow_source blanks and repair.normalize_source drops
+# or keeps: a line comment (a backslash-newline continues it), a block
+# comment (to EOF when unterminated; `/*/` does not close), or a string
+# or character literal (an escape takes the next character, a raw
+# newline ends it). A literal keeps its quotes, so only its group is
+# blanked; a comment matches no group. No branch may start with a
+# group: a leading literal character lets the engine skip to the next
+# '/', '"' or "'" without trying every position.
+LEXEME = re.compile(r"""
       //[^\n\\]*(?:\\\n?[^\n\\]*)*
     | /\*[^*]*(?:\*+(?!/)[^*]*)*(?:\*/)?
     | "([^"\\\n]*(?:\\.?[^"\\\n]*)*)"?
@@ -101,7 +102,7 @@ def shadow_source(text: str) -> str:
     offsets and line numbers stay valid."""
     parts = []
     pos = 0
-    for m in _LEXEME.finditer(text):
+    for m in LEXEME.finditer(text):
         start, end = m.span(m.lastindex or 0)
         parts.append(text[pos:start])
         parts.append(_blank(text[start:end]))

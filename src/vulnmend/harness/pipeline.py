@@ -72,6 +72,14 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     config.validate()
 
     instance_dir = Path(out_dir) / instance.instance_id
+    stage = _Stage()
+
+    def save(write, rel: str, payload) -> None:
+        # a failed artifact write is this instance's error, like a
+        # failed stage; the instance and the batch go on
+        stage.run(f"write {rel}",
+                  lambda: write(instance_dir / rel, payload))
+
     if instance_dir.exists():
         shutil.rmtree(instance_dir)
     workspace = instance_dir / "workspace"
@@ -82,17 +90,16 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         # this instance's data is broken (say, its workspace is gone);
         # it gets an empty prediction and the batch goes on
         shutil.rmtree(workspace, ignore_errors=True)
-        errors = [{"stage": "workspace",
-                   "error": f"{type(exc).__name__}: {exc}"}]
-        write_text(instance_dir / "prediction.diff", "")
-        write_json(instance_dir / "telemetry.json", {
+        stage.errors.append({"stage": "workspace",
+                             "error": f"{type(exc).__name__}: {exc}"})
+        save(write_text, "prediction.diff", "")
+        save(write_json, "telemetry.json", {
             "instance_id": instance.instance_id, "agents": {},
-            "stages": {}, "errors": errors})
+            "stages": {}, "errors": stage.errors})
         return InstanceResult(
             instance_id=instance.instance_id, instance_dir=instance_dir,
-            prediction="", winner=None, errors=errors)
+            prediction="", winner=None, errors=stage.errors)
 
-    stage = _Stage()
     records_start = len(getattr(llm, "records", []) or [])
 
     if config.input_type == "sanitizer_log":
@@ -161,13 +168,11 @@ def run_instance(instance: IssueInstance, config: RunConfig,
                                    context_report=context_report,
                                    property_report=property_report)
     enhanced_text = enhanced.render()
-    write_text(instance_dir / "reports" / "enhanced.md", enhanced_text)
+    save(write_text, "reports/enhanced.md", enhanced_text)
     if context_report is not None:
-        write_text(instance_dir / "reports" / "context.md",
-                   context_report.render())
+        save(write_text, "reports/context.md", context_report.render())
     if property_report is not None:
-        write_text(instance_dir / "reports" / "property.md",
-                   property_report.render())
+        save(write_text, "reports/property.md", property_report.render())
 
     has_reports = context_report is not None or property_report is not None
 
@@ -185,12 +190,12 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         llm, index, merged, loc_text, limit=config.element_limit))
     selections = element_loc.selections if element_loc is not None else ()
 
-    write_json(instance_dir / "rankings" / "files.json", {
+    save(write_json, "rankings/files.json", {
         "prompt": prompt_files,
         "retrieval": retrieval_files,
         "merged": merged,
     })
-    write_json(instance_dir / "rankings" / "elements.json", [{
+    save(write_json, "rankings/elements.json", [{
         "file": sel.file,
         "id": sel.element.qualified_name,
         "kind": sel.element.kind.value,
@@ -220,25 +225,28 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         llm, gen_text, context, t=config.candidates, out=candidates))
 
     outcomes = []
+    # one PoC run per distinct program: fingerprint -> (index, PocResult)
+    poc_runs: dict = {}
     for candidate in candidates:
-        write_text(instance_dir / "candidates"
-                   / f"candidate-{candidate.index}.md", candidate.raw_text)
+        save(write_text, f"candidates/candidate-{candidate.index}.md",
+             candidate.raw_text)
         outcome = stage.run(
             f"validate-{candidate.index}",
             lambda c=candidate: validate_candidate(c, history, runner,
-                                                   workspace))
+                                                   workspace, poc_runs))
         if outcome is None:
             continue
         outcomes.append(outcome)
         if outcome.applied:
-            write_text(instance_dir / "candidates"
-                       / f"candidate-{outcome.index}.diff", outcome.diff)
-    write_json(instance_dir / "candidates" / "outcomes.json", [{
+            save(write_text, f"candidates/candidate-{outcome.index}.diff",
+                 outcome.diff)
+    save(write_json, "candidates/outcomes.json", [{
         "index": o.index,
         "applied": o.applied,
         "compiled": o.compiled,
         "sanitizer_triggered": o.sanitizer_triggered,
         "poc_pass": o.poc_pass,
+        "poc_run_of": o.poc_run_of,
         "fingerprint": o.fingerprint,
         "failure": o.failure,
     } for o in outcomes])
@@ -247,7 +255,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     by_index = {o.index: o for o in outcomes}
     prediction = (by_index[selection.winner].diff
                   if selection.winner is not None else "")
-    write_text(instance_dir / "prediction.diff", prediction)
+    save(write_text, "prediction.diff", prediction)
 
     telemetry["stages"]["generation"] = {
         "enhanced_input": gen_text is enhanced_text,
@@ -262,13 +270,12 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         "group_sizes": dict(sorted(selection.group_sizes.items())),
         "reason": selection.reason,
     }
-    telemetry["errors"] = stage.errors
-    write_json(instance_dir / "telemetry.json", telemetry)
-
     records = getattr(llm, "records", None)
     if records is not None:
-        write_json(instance_dir / "cost.json",
-                   cost_of_records(records[records_start:], config))
+        save(write_json, "cost.json",
+             cost_of_records(records[records_start:], config))
+    telemetry["errors"] = stage.errors
+    save(write_json, "telemetry.json", telemetry)
 
     if not config.keep_workspaces:
         # the workspace carries volatile state (build artifacts);

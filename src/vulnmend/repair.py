@@ -1,11 +1,13 @@
 """Patch generation, validation and selection.
 
 Generation samples several SEARCH/REPLACE candidates over a focused
-context. Validation applies each candidate alone, replays the PoC, and
-rolls back. Selection votes: either over the PoC-passing pool
-(poc_voting) or over every applying candidate (simple_voting), with
-candidates grouped by a normalization-insensitive fingerprint so
-cosmetically different but equivalent patches pool their votes.
+context. Validation applies each candidate alone, replays the PoC once
+per distinct program, and rolls back. Selection votes: either over the
+PoC-passing pool (poc_voting) or over every applying candidate
+(simple_voting), with candidates grouped by a normalization-insensitive
+fingerprint so cosmetically different but equivalent patches pool their
+votes; the same fingerprint tells validation which candidates are one
+program.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 
+from .cparse import LEXEME
 from .edit_engine import EditHistory, parse_edit_blocks, to_unified_diff
 from .errors import (MalformedBlock, NoChanges, SearchTextAmbiguous,
                      SearchTextNotFound)
 from .execution import PocRunner
 from .llm import ChatRequest, LLMBackend
-from .repo_model import read_text, split_lines
+from .repo_model import DEFAULT_EXTENSIONS, read_text, split_lines
 
 DEFAULT_CONTEXT_MARGIN = 10
 DEFAULT_CANDIDATES = 5
@@ -165,35 +168,66 @@ def generate_patches(llm: LLMBackend, issue_text: str,
 # -- normalization / fingerprints --------------------------------------------------
 
 
-_BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
-_LINE_COMMENT_RE = re.compile(r"//[^\n]*")
+# a backslash, the blanks gcc allows after it, and the newline: deleted
+# before tokens are formed (translation phase 2)
+_SPLICE = re.compile(r"\\[ \t\r\f\v]*\n")
+# a run of C whitespace; only "\n" ends a line
+_C_SPACE = re.compile(r"[ \t\n\r\f\v]+")
+# a C++ raw string literal opener; LEXEME does not know where one ends
+_RAW_STRING = re.compile(r'(?<!\w)(?:u8|[uUL])?R"')
+
+
+def _collapse_space(code: str) -> str:
+    """One newline for a whitespace run that holds one, else one space."""
+    return _C_SPACE.sub(
+        lambda m: "\n" if "\n" in m.group() else " ", code)
 
 
 def normalize_source(text: str) -> str:
-    """Comment-stripped, whitespace-collapsed view of a source file.
+    """Comment-stripped, whitespace-collapsed view of a C or C++ source.
 
-    Two patches that differ only in comments, blank lines or spacing
-    normalize identically and therefore share a fingerprint.
+    Two sources that differ only in comments, blank lines or spacing
+    between tokens normalize identically and therefore share a
+    fingerprint; any other difference survives. Backslash-newlines are
+    spliced first, every string and character literal is kept byte for
+    byte, and a comment counts as one space, as the compiler sees them.
+    A source holding a raw string literal is kept as it is.
     """
-    text = _BLOCK_COMMENT_RE.sub(" ", text)
-    text = _LINE_COMMENT_RE.sub(" ", text)
-    lines = []
-    for line in text.splitlines():
-        collapsed = " ".join(line.split())
-        if collapsed:
-            lines.append(collapsed)
-    return "\n".join(lines) + "\n"
+    spliced = _SPLICE.sub("", text)
+    if _RAW_STRING.search(spliced):
+        return text
+    text = spliced
+    parts: list[str] = []
+    code: list[str] = []
+    pos = 0
+    for m in LEXEME.finditer(text):
+        code.append(text[pos:m.start()])
+        if m.lastindex is None:
+            code.append(" ")
+        else:
+            parts.append(_collapse_space("".join(code)))
+            parts.append(m.group())
+            code = []
+        pos = m.end()
+    code.append(text[pos:])
+    parts.append(_collapse_space("".join(code)).rstrip(" \n"))
+    return "".join(parts).lstrip(" \n") + "\n"
 
 
 def patch_fingerprint(root: Path | str, files) -> str:
-    """Digest of the normalized content of the files a patch modified."""
+    """Digest of the files a patch modified, each by path and content:
+    the normal form of a C or C++ source, the text of any other file as
+    it is, since its comments and blanks follow other rules (a Makefile
+    recipe needs its tab, and "//" starts no comment in a script)."""
     root = Path(root)
     h = hashlib.sha256()
     for rel in sorted(set(files)):
+        text = read_text(root / rel)
+        if Path(rel).suffix in DEFAULT_EXTENSIONS:
+            text = normalize_source(text)
         h.update(rel.encode())
         h.update(b"\0")
-        h.update(normalize_source(read_text(root / rel)).encode(
-            "utf-8", "surrogateescape"))
+        h.update(text.encode("utf-8", "surrogateescape"))
         h.update(b"\0")
     return h.hexdigest()
 
@@ -211,13 +245,19 @@ class CandidateOutcome:
     fingerprint: str | None = None
     diff: str = ""
     failure: str | None = None
+    poc_run_of: int | None = None  # whose PoC run this verdict reuses
 
 
 def validate_candidate(candidate: CandidatePatch, history: EditHistory,
                        runner: PocRunner, work_root: Path | str,
-                       ) -> CandidateOutcome:
-    """Apply one candidate alone, replay the PoC, capture diff and
-    fingerprint, then roll the workspace back."""
+                       poc_runs: dict | None = None) -> CandidateOutcome:
+    """Apply one candidate alone, capture its diff and fingerprint,
+    replay the PoC, then roll the workspace back.
+
+    poc_runs maps a fingerprint to the (index, PocResult) of the first
+    candidate that ran the PoC on that program. A candidate whose
+    fingerprint is already there takes that result and runs nothing;
+    one whose fingerprint is new runs the PoC and is added."""
     if candidate.parse_error or not candidate.edits:
         return CandidateOutcome(
             index=candidate.index, applied=False,
@@ -230,14 +270,19 @@ def validate_candidate(candidate: CandidatePatch, history: EditHistory,
         return CandidateOutcome(index=candidate.index, applied=False,
                                 failure=f"{type(exc).__name__}: {exc}")
     try:
-        result = runner.run_poc(f"validate-{candidate.index}")
         fingerprint = patch_fingerprint(work_root, applied.files)
         diff = to_unified_diff(work_root, history.originals())
+        poc_runs = {} if poc_runs is None else poc_runs
+        if fingerprint not in poc_runs:
+            poc_runs[fingerprint] = (
+                candidate.index,
+                runner.run_poc(f"validate-{candidate.index}"))
+        run_of, result = poc_runs[fingerprint]
         return CandidateOutcome(
             index=candidate.index, applied=True, compiled=result.compiled,
             sanitizer_triggered=result.sanitizer_triggered,
-            poc_pass=result.passed,
-            fingerprint=fingerprint, diff=diff)
+            poc_pass=result.passed, fingerprint=fingerprint, diff=diff,
+            poc_run_of=None if run_of == candidate.index else run_of)
     finally:
         history.rollback_latest()
 

@@ -11,12 +11,14 @@ import tempfile
 import time
 from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 import requests
 from replay_scripts import build_entries
 
+import vulnmend.harness.pipeline as pipeline
 import vulnmend.repo_model as repo_model
 from vulnmend.agents.react import Step, Transcript
 from vulnmend.edit_engine import (EditHistory, parse_edit_blocks,
@@ -1132,6 +1134,74 @@ def test_an_instance_without_a_workspace_does_not_abort_the_batch(
 
     metrics, _ = evaluate_run(run_dir, [broken, good])
     assert (metrics.total, metrics.resolved) == (2, 1)
+
+
+@needs_gcc
+def test_a_failed_artifact_write_does_not_abort_the_batch(
+        fixtures_dir, tmp_path, monkeypatch):
+    first = load_instances(fixtures_dir / "instances.jsonl")[0]
+    second = dataclasses.replace(first, instance_id="namecache-obo-2")
+    run_dir = tmp_path / "run"
+    refused = run_dir / first.instance_id / "candidates"
+
+    def refusing(write):
+        def wrapped(path, payload):
+            if Path(path).parent == refused:
+                raise PermissionError(13, "Permission denied", str(path))
+            write(path, payload)
+        return wrapped
+
+    for name in ("write_text", "write_json"):
+        monkeypatch.setattr(pipeline, name,
+                            refusing(getattr(pipeline, name)))
+    first_result, second_result = run_all(
+        [first, second], variant("base"),
+        lambda _: ReplayBackend(build_entries(False, False)), run_dir)
+
+    assert [e["stage"] for e in first_result.errors] == [
+        f"write candidates/{name}" for name in (
+            "candidate-0.md", "candidate-0.diff", "candidate-1.md",
+            "candidate-1.diff", "candidate-2.md", "candidate-2.diff",
+            "candidate-3.md", "candidate-4.md", "outcomes.json")]
+    assert all(e["error"].startswith("PermissionError")
+               for e in first_result.errors)
+    assert not refused.exists()
+    # the rest of the first instance's artifacts are written
+    assert first_result.winner == 0
+    first_dir = run_dir / first.instance_id
+    assert (first_dir / "prediction.diff").read_text() \
+        == first_result.prediction != ""
+    telemetry = json.loads((first_dir / "telemetry.json").read_text())
+    assert telemetry["errors"] == first_result.errors
+    assert second_result.winner == 0 and not second_result.errors
+
+    metrics, _ = evaluate_run(run_dir, [first, second])
+    assert (metrics.total, metrics.resolved) == (2, 2)
+
+
+@needs_gcc
+def test_validation_builds_each_distinct_program_once(fixtures_dir,
+                                                      tmp_path, monkeypatch):
+    execs = []
+    exec_ = LocalSandbox.exec
+    monkeypatch.setattr(LocalSandbox, "exec", lambda self, command, **kw: (
+        execs.append(command) or exec_(self, command, **kw)))
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    result = run_instance(instance, variant("base"),
+                          ReplayBackend(build_entries(False, False)),
+                          tmp_path)
+
+    assert result.winner == 0 and not result.errors
+    outcomes = json.loads((tmp_path / instance.instance_id / "candidates"
+                           / "outcomes.json").read_text())
+    # candidates 0 and 1 differ by a comment: one build for both; 3 and
+    # 4 do not apply
+    assert [(o["applied"], o["poc_pass"], o["poc_run_of"])
+            for o in outcomes] == [(True, True, None), (True, True, 0),
+                                   (True, False, None), (False, False, None),
+                                   (False, False, None)]
+    assert outcomes[0]["fingerprint"] == outcomes[1]["fingerprint"]
+    assert execs == [instance.repro_command] * 2
 
 
 @needs_gcc

@@ -214,6 +214,55 @@ def test_fingerprint_ignores_comment_differences(scratch_crepo):
     assert fp_other != fp_plain
 
 
+# pairs of different programs that a normal form blind to literals,
+# line splices, raw strings or what counts as a line break would merge
+_DISTINCT_PROGRAMS = {
+    "slashes-in-string": ('log("see http://x"); return len - 1;\n',
+                          'log("see http://x"); return len;\n'),
+    "spaces-in-string": ('const char *s = "a  b";\n',
+                         'const char *s = "a b";\n'),
+    "comment-in-string": ('const char *s = "/* x */";\n',
+                          'const char *s = " ";\n'),
+    "continued-macro": ("#define A 1 \\\n\nint x;\n",
+                        "#define A 1 \\\nint x;\n"),
+    "not-a-line-break": ("int a;\x85int b;\n", "int a;\nint b;\n"),
+    "raw-string": ('auto s = R"x(a " /* b */ )x";\n',
+                   'auto s = R"x(a " )x";\n'),
+}
+
+
+@pytest.mark.parametrize("one, two", _DISTINCT_PROGRAMS.values(),
+                         ids=_DISTINCT_PROGRAMS.keys())
+def test_different_programs_get_different_fingerprints(tmp_path, one, two):
+    fingerprints = set()
+    for side, text in (("one", one), ("two", two)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "x.c").write_text(text, newline="")
+        fingerprints.add(patch_fingerprint(tmp_path / side, ["x.c"]))
+    assert len(fingerprints) == 2
+
+
+def test_normalize_treats_comments_as_spaces_and_keeps_literals():
+    assert normalize_source("a/**/b;\r\n\n  c // d\n") == "a b;\nc\n"
+    assert (normalize_source('  f( "x  y" ,\t\'/\' ) ;  ')
+            == 'f( "x  y" , \'/\' ) ;\n')
+    # a comment that spans lines is one space, so the directive goes on
+    assert normalize_source("#define A 1 /*\n*/ 2\n") == "#define A 1 2\n"
+    # an unterminated literal keeps its trailing blanks
+    assert normalize_source("char c = '  \n") == "char c = '  \n"
+
+
+def test_fingerprint_takes_files_other_than_c_as_they_are(tmp_path):
+    # a recipe line needs its tab and "//" starts no comment in a script
+    pairs = {"Makefile": ("all:\n\tcc x.c\n", "all:\n    cc x.c\n"),
+             "fetch.sh": ("curl http://a/x\n", "curl http://b/x\n")}
+    for rel, (one, two) in pairs.items():
+        (tmp_path / rel).write_text(one)
+        first = patch_fingerprint(tmp_path, [rel])
+        (tmp_path / rel).write_text(two)
+        assert patch_fingerprint(tmp_path, [rel]) != first, rel
+
+
 def test_fingerprint_binds_path_and_sorts_file_set(tmp_path):
     (tmp_path / "a.c").write_text("int v;\n")
     (tmp_path / "b.c").write_text("int v;\n")
@@ -247,6 +296,49 @@ def test_validate_candidate_poc_verdicts(scratch_crepo):
     assert cosmetic.sanitizer_triggered is True
     assert cosmetic.poc_pass is False
     assert snapshot(scratch_crepo, before.files) == before
+
+
+class _CountingSandbox(LocalSandbox):
+    def __init__(self, workspace):
+        super().__init__(workspace)
+        self.execs = 0
+
+    def exec(self, command, **kwargs):
+        self.execs += 1
+        return super().exec(command, **kwargs)
+
+
+# a PoC that passes only on the fixed clamp, with no compiler needed
+_GREP_POC = ("grep -q 'len >= cap' src/buf.c || { echo '==9==ERROR: "
+             "AddressSanitizer: stack-buffer-overflow' >&2; exit 1; }")
+
+
+def test_validation_runs_the_poc_once_per_fingerprint(scratch_crepo):
+    history = EditHistory(scratch_crepo)
+    sandbox = _CountingSandbox(scratch_crepo)
+    runner = PocRunner(sandbox, _GREP_POC)
+    poc_runs = {}
+
+    def validate(index, text):
+        return validate_candidate(_candidate(index, text), history, runner,
+                                  scratch_crepo, poc_runs)
+
+    fixed = validate(0, REFERENCE_FIX)
+    assert sandbox.execs == 1
+    commented = validate(1, COMMENTED_FIX)
+    assert sandbox.execs == 1
+    cosmetic = validate(2, COMMENT_ONLY_PATCH)
+    assert sandbox.execs == 2
+
+    assert commented.fingerprint == fixed.fingerprint != cosmetic.fingerprint
+    assert (commented.compiled, commented.sanitizer_triggered,
+            commented.poc_pass) == (fixed.compiled, fixed.sanitizer_triggered,
+                                    fixed.poc_pass) == (True, False, True)
+    assert (fixed.poc_run_of, commented.poc_run_of) == (None, 0)
+    assert "/* leave room for the terminator */" in commented.diff
+    assert cosmetic.poc_run_of is None
+    assert cosmetic.sanitizer_triggered and not cosmetic.poc_pass
+    assert [index for index, _ in poc_runs.values()] == [0, 2]
 
 
 def test_validate_candidate_unmatched_search(scratch_crepo):
