@@ -204,19 +204,3 @@ class EnhancedIssueReport:
             parts += ["", PROPERTY_HEADING, "", self.property_report.render()]
         return "\n".join(parts) + "\n"
 
-
-def split_enhanced_report(text: str) -> dict:
-    """Which sections a rendered enhanced report contains, with their
-    texts. Inverse of EnhancedIssueReport.render() over section presence."""
-    headings = [ISSUE_HEADING, CONTEXT_HEADING, PROPERTY_HEADING]
-    positions = []
-    for h in headings:
-        m = re.search(rf"^{re.escape(h)}\s*$", text, re.MULTILINE)
-        positions.append((h, m.start() if m else None, m.end() if m else None))
-    found = [(h, s, e) for h, s, e in positions if s is not None]
-    found.sort(key=lambda t: t[1])
-    out = {}
-    for i, (h, s, e) in enumerate(found):
-        stop = found[i + 1][1] if i + 1 < len(found) else len(text)
-        out[h] = text[e:stop].strip()
-    return out

@@ -12,7 +12,6 @@ without guessing.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,23 +20,11 @@ from .errors import ElementNotFound
 from .repo_model import CodeElement, RepoIndex, read_text, split_lines
 from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
-MARKER_RE = re.compile(r"// <<<<< (\S+):(\d+)\s*$")
-
 DEFAULT_SEARCH_LIMIT = 10
 
 
 def format_marker(file: str, line: int) -> str:
     return f"// <<<<< {file}:{line}"
-
-
-def parse_annotations(text: str) -> list[tuple[str, int]]:
-    """(path, line) for every annotated line, in order of appearance."""
-    out = []
-    for raw in text.splitlines():
-        m = MARKER_RE.search(raw)
-        if m:
-            out.append((m.group(1), int(m.group(2))))
-    return out
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ so a bad tool call never kills a run.
 
 from __future__ import annotations
 
+import os
+
 
 class VulnmendError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -118,3 +120,20 @@ class ReplayDesync(VulnmendError):
 
 class ScriptExhausted(VulnmendError):
     pass
+
+
+def describe_error(exc: BaseException, roots: dict) -> str:
+    """`Type: message` for an error record that contains no absolute path.
+
+    roots maps each directory to the relative name it stands for, ""
+    for the directory that records are relative to. A quoted path at or
+    under one of them (OSError quotes the files it names) is rewritten,
+    so a record does not depend on where a run or its inputs live.
+    """
+    text = f"{type(exc).__name__}: {exc}"
+    for root, name in sorted(((os.fspath(r), n) for r, n in roots.items()),
+                             key=lambda item: -len(item[0])):
+        for q in "'\"":
+            text = text.replace(f"{q}{root}/", f"{q}{name}/" if name else q)
+            text = text.replace(f"{q}{root}{q}", f"{q}{name or '.'}{q}")
+    return text

@@ -129,10 +129,6 @@ class AssertionSummary:
 
     counts: tuple  # ((id, passes, fails, expr), ...) in first-seen order
 
-    @property
-    def total_evaluations(self) -> int:
-        return sum(p + f for _, p, f, _ in self.counts)
-
     def render(self) -> str:
         if not self.counts:
             return "Safety property assertions: none evaluated."

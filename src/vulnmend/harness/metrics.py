@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
+from ..errors import describe_error
 from ..execution import LocalSandbox, PocRunner
 from ..llm import RequestRecord
 from ..repo_model import skip_dangling_links, write_json
@@ -117,7 +118,8 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
             return InstanceVerdict(
                 instance.instance_id, has_patch=True, applied=False,
                 exit_code=None, sanitizer_triggered=False, resolved=False,
-                detail=f"workspace copy failed: {type(exc).__name__}: {exc}")
+                detail="workspace copy failed: " + describe_error(
+                    exc, {scratch: "", instance.workspace_path: "workspace"}))
         # bytes in, so a diff of a non-UTF-8 source applies as written.
         # The ceiling keeps git from finding a repository that encloses
         # the temp directory: it would resolve the diff's paths against

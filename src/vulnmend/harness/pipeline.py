@@ -22,7 +22,8 @@ from ..agents.cpc import run_cpc_agent
 from ..agents.reports import EnhancedIssueReport
 from ..agents.spa import install_assert_prelude, run_spa_agent
 from ..edit_engine import EditHistory
-from ..errors import ReplayDesync, ScriptExhausted, VulnmendError
+from ..errors import (ReplayDesync, ScriptExhausted, VulnmendError,
+                      describe_error)
 from ..execution import LocalSandbox, LogStore, PocRunner, PythonScriptSandbox
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
@@ -48,10 +49,19 @@ class InstanceResult:
 
 
 class _Stage:
-    """Collects per-stage failures without stopping the pipeline."""
+    """Collects per-stage failures without stopping the pipeline.
 
-    def __init__(self):
+    A file an error names is recorded relative to the instance
+    directory; the input workspace stands for its copy there.
+    """
+
+    def __init__(self, instance: IssueInstance, instance_dir: Path):
         self.errors: list[dict] = []
+        self.roots = {instance_dir: "", instance.workspace_path: "workspace"}
+
+    def fail(self, name: str, exc: BaseException) -> None:
+        self.errors.append({"stage": name,
+                            "error": describe_error(exc, self.roots)})
 
     def run(self, name: str, fn, fallback=None):
         try:
@@ -61,8 +71,7 @@ class _Stage:
             # disagree; degrading would hide exactly what it must expose
             raise
         except (VulnmendError, OSError, ValueError, KeyError) as exc:
-            self.errors.append({"stage": name,
-                                "error": f"{type(exc).__name__}: {exc}"})
+            self.fail(name, exc)
             return fallback
 
 
@@ -72,7 +81,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     config.validate()
 
     instance_dir = Path(out_dir) / instance.instance_id
-    stage = _Stage()
+    stage = _Stage(instance, instance_dir)
 
     def save(write, rel: str, payload) -> None:
         # a failed artifact write is this instance's error, like a
@@ -90,8 +99,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         # this instance's data is broken (say, its workspace is gone);
         # it gets an empty prediction and the batch goes on
         shutil.rmtree(workspace, ignore_errors=True)
-        stage.errors.append({"stage": "workspace",
-                             "error": f"{type(exc).__name__}: {exc}"})
+        stage.fail("workspace", exc)
         save(write_text, "prediction.diff", "")
         save(write_json, "telemetry.json", {
             "instance_id": instance.instance_id, "agents": {},

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import JSONParseFailure
 from .llm import ChatRequest, LLMBackend
@@ -43,41 +42,33 @@ class HashingEmbedder:
     issue report.
     """
 
-    def __init__(self, dim: int = DEFAULT_EMBED_DIM):
-        if dim <= 0:
-            raise ValueError("embedding dim must be positive")
-        self.dim = dim
-
-    def _slot(self, token: str) -> tuple[int, float]:
-        h = hashlib.sha256(token.encode("utf-8", "surrogateescape")).digest()
-        idx = int.from_bytes(h[:4], "big") % self.dim
-        sign = 1.0 if h[4] & 1 else -1.0
-        return idx, sign
-
-    def embed(self, texts: list[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for i, text in enumerate(texts):
-            # each distinct token is hashed once per text; the sums stay
-            # small integers, so adding sign * count gives the same bits
-            # as adding sign once per occurrence
-            row = [0.0] * self.dim
+    def embed(self, texts: list[str]) -> list[list[int]]:
+        """One row of DEFAULT_EMBED_DIM signed token counts per text."""
+        out = []
+        for text in texts:
+            row = [0] * DEFAULT_EMBED_DIM
             for token, count in Counter(
                     _TOKEN_RE.findall(text.lower())).items():
-                idx, sign = self._slot(token)
-                row[idx] += sign * count
-            out[i] = row
-            norm = np.linalg.norm(out[i])
-            if norm > 0:
-                out[i] /= norm
+                h = hashlib.sha256(
+                    token.encode("utf-8", "surrogateescape")).digest()
+                slot = int.from_bytes(h[:4], "big") % DEFAULT_EMBED_DIM
+                row[slot] += count if h[4] & 1 else -count
+            out.append(row)
         return out
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+def cosine(a: list[int], b: list[int]) -> float:
+    """Cosine similarity of two count rows; 0.0 if either is all zeros.
+
+    The dot product and both squared norms are exact integers, so the
+    score does not depend on the order the slots are summed in, and it
+    is the same on every machine.
+    """
+    na = sum(x * x for x in a)
+    nb = sum(y * y for y in b)
+    if not na or not nb:
         return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return sum(x * y for x, y in zip(a, b)) / math.sqrt(na * nb)
 
 
 def chunk_file(text: str, chunk_lines: int = DEFAULT_CHUNK_LINES) -> list[str]:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,25 @@ class ScriptedLLM:
     @property
     def tags(self):
         return [r.tag for r in self.requests]
+
+
+_MARKER_RE = re.compile(r"// <<<<< (\S+):(\d+)\s*$")
+
+
+def parse_annotations(text: str) -> list[tuple[str, int]]:
+    """(path, line) for every line a code window or search result marked
+    with format_marker, in order of appearance."""
+    out = []
+    for raw in text.splitlines():
+        m = _MARKER_RE.search(raw)
+        if m:
+            out.append((m.group(1), int(m.group(2))))
+    return out
+
+
+def total_evaluations(summary) -> int:
+    """PASS plus FAIL lines over every property of an AssertionSummary."""
+    return sum(p + f for _, p, f, _ in summary.counts)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CREPO, ScriptedLLM, snapshot
+from conftest import (CREPO, ScriptedLLM, parse_annotations, snapshot,
+                      total_evaluations)
 from replay_scripts import PROBE_EDITS, SPA_REPORT
 from vulnmend.agents.spa import install_assert_prelude, run_spa_agent
-from vulnmend.code_search import (format_marker, parse_annotations,
-                                  read_code, search_code_element)
+from vulnmend.code_search import format_marker, read_code, search_code_element
 from vulnmend.edit_engine import EditHistory, SearchReplaceEdit
 from vulnmend.execution import (ExecResult, LocalSandbox, LogStore,
                                 PocRunner, PythonScriptSandbox,
@@ -285,7 +285,7 @@ def test_log_pipeline_at_hundred_thousand_lines(criterion):
     assert got == {ident: (want_pass[ident], want_fail[ident])
                    for ident in got}
     assert set(got) == set(want_pass) | set(want_fail)
-    assert summary.total_evaluations == (sum(want_pass.values())
+    assert total_evaluations(summary) == (sum(want_pass.values())
                                          + sum(want_fail.values()))
 
     head = tail = 100

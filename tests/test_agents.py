@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,7 @@ from vulnmend.agents.reports import (CONTEXT_HEADING, ISSUE_HEADING,
                                      ContextItem, EnhancedIssueReport,
                                      PropertyAnalysisReport, SafetyProperty,
                                      parse_context_report,
-                                     parse_property_report,
-                                     split_enhanced_report)
+                                     parse_property_report)
 from vulnmend.agents.spa import (ASSERT_PRELUDE, ASSERT_PRELUDE_NAME,
                                  install_assert_prelude, run_spa_agent)
 from vulnmend.agents.toolkits import (build_apply_edits_tool, build_read_tool,
@@ -137,6 +137,23 @@ def test_unparsed_report_renders_raw_text():
     report = ContextAnalysisReport(items=(), insights="", parse_ok=False,
                                    raw_text="whatever the model said")
     assert report.render() == "whatever the model said"
+
+
+def split_enhanced_report(text: str) -> dict:
+    """Which sections a rendered enhanced report contains, with their
+    texts. Inverse of EnhancedIssueReport.render() over section presence."""
+    headings = [ISSUE_HEADING, CONTEXT_HEADING, PROPERTY_HEADING]
+    positions = []
+    for h in headings:
+        m = re.search(rf"^{re.escape(h)}\s*$", text, re.MULTILINE)
+        positions.append((h, m.start() if m else None, m.end() if m else None))
+    found = [(h, s, e) for h, s, e in positions if s is not None]
+    found.sort(key=lambda t: t[1])
+    out = {}
+    for i, (h, s, e) in enumerate(found):
+        stop = found[i + 1][1] if i + 1 < len(found) else len(text)
+        out[h] = text[e:stop].strip()
+    return out
 
 
 def test_enhanced_report_sections():

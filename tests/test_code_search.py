@@ -2,12 +2,12 @@ import re
 import subprocess
 
 import pytest
+from conftest import parse_annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
 import vulnmend.repo_model as repo_model
-from vulnmend.code_search import (format_marker, parse_annotations,
-                                  read_code, search_code_element)
+from vulnmend.code_search import format_marker, read_code, search_code_element
 from vulnmend.errors import ElementNotFound
 from vulnmend.repo_model import RepoIndex, WholeWord, read_text, write_text
 

@@ -1,0 +1,80 @@
+"""The package imports only the standard library, itself, and what
+pyproject.toml declares; an offline run loads nothing beyond the
+standard library."""
+
+import ast
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def _declared_dependencies() -> set[str]:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+            .replace("-", "_") for spec in project["dependencies"]}
+
+
+def _imported_packages(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_import_is_stdlib_the_package_or_declared():
+    allowed = set(sys.stdlib_module_names) | {"vulnmend"}
+    allowed |= _declared_dependencies()
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    stray = {(path.relative_to(ROOT).as_posix(), name)
+             for path in files for name in _imported_packages(path)
+             if name not in allowed}
+    assert not stray
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None,
+                    reason="no C compiler on this machine")
+def test_an_offline_run_and_evaluation_load_only_the_standard_library(
+        tmp_path):
+    fixtures = ROOT / "tests" / "fixtures"
+    instances = str(fixtures / "instances.jsonl")
+    run = str(tmp_path / "run")
+    # modules the interpreter's own start-up loaded do not count
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from vulnmend.harness.cli import main\n"
+        "instances, run, replay = sys.argv[1:]\n"
+        "assert main(['run', '--instances', instances, '--out', run,\n"
+        "             '--backend', 'replay:' + replay]) == 0\n"
+        "assert main(['evaluate', '--run', run,\n"
+        "             '--instances', instances]) == 0\n"
+        "added = {name.split('.')[0] for name in sys.modules\n"
+        "         if name not in before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'vulnmend'}))\n")
+    proc = subprocess.run([sys.executable, "-c", script, instances, run,
+                           str(fixtures / "replays" / "full.json")],
+                          cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    evaluation = json.loads((tmp_path / "run" / "evaluation.json").read_text())
+    assert evaluation["resolved"] == evaluation["total"] == 1
+

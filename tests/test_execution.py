@@ -4,6 +4,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import total_evaluations
 
 from vulnmend.errors import SandboxUnavailable, UnknownLogName
 from vulnmend.execution import (ExecResult, LocalSandbox, LogStore, PocRunner,
@@ -81,7 +82,7 @@ def test_summarize_assertions_counts_and_order():
         ("len_below_cap", 2, 1, "len < cap"),
         ("no_overflow", 1, 1, "i < n"),
     )
-    assert summary.total_evaluations == 5
+    assert total_evaluations(summary) == 5
     rendered = summary.render()
     assert rendered.startswith("Safety property assertions: ")
     assert 'len_below_cap: 2 PASS, 1 FAIL (expr "len < cap")' in rendered
@@ -133,7 +134,7 @@ def test_summarize_assertions_randomized_tally_oracle():
                                 if p == prop_id and v == "FAIL")
             if fails:
                 assert expr == f"{prop_id} ok"
-        assert summary.total_evaluations == len(events)
+        assert total_evaluations(summary) == len(events)
 
 
 # -- local sandbox ---------------------------------------------------------------

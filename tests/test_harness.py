@@ -24,7 +24,7 @@ from vulnmend.agents.react import Step, Transcript
 from vulnmend.edit_engine import (EditHistory, parse_edit_blocks,
                                   to_unified_diff)
 from vulnmend.errors import (LLMBackendError, ReplayDesync, SchemaViolation,
-                             ScriptExhausted)
+                             ScriptExhausted, describe_error)
 from vulnmend.execution import LocalSandbox, PocRunner
 from vulnmend.harness.backends import HttpChatBackend, ReplayBackend
 from vulnmend.harness.cli import _backend_factory, _load_config, main
@@ -933,8 +933,9 @@ def test_evaluate_goes_on_past_a_broken_instance(tmp_path):
     metrics, (broken, solved) = evaluate_run(run_dir, [gone, fine])
     assert broken.has_patch and not broken.applied
     assert broken.resolved is False
-    assert broken.detail.startswith("workspace copy failed: "
-                                    "FileNotFoundError")
+    assert broken.detail == ("workspace copy failed: FileNotFoundError: "
+                             "[Errno 2] No such file or directory: "
+                             "'workspace'")
     assert solved.resolved is True
     assert (metrics.total, metrics.patched, metrics.resolved) == (2, 2, 1)
     payload = json.loads((run_dir / "evaluation.json").read_text())
@@ -1124,8 +1125,11 @@ def test_an_instance_without_a_workspace_does_not_abort_the_batch(
         lambda _: ReplayBackend(build_entries(True, True)), run_dir)
 
     assert broken_result.winner is None and broken_result.prediction == ""
-    assert [e["stage"] for e in broken_result.errors] == ["workspace"]
-    assert "FileNotFoundError" in broken_result.errors[0]["error"]
+    # the missing input is named as the workspace it was to become
+    assert broken_result.errors == [{
+        "stage": "workspace",
+        "error": "FileNotFoundError: [Errno 2] No such file or directory: "
+                 "'workspace'"}]
     assert (run_dir / "gone-1" / "prediction.diff").read_bytes() == b""
     telemetry = json.loads(
         (run_dir / "gone-1" / "telemetry.json").read_text())
@@ -1136,17 +1140,10 @@ def test_an_instance_without_a_workspace_does_not_abort_the_batch(
     assert (metrics.total, metrics.resolved) == (2, 1)
 
 
-@needs_gcc
-def test_a_failed_artifact_write_does_not_abort_the_batch(
-        fixtures_dir, tmp_path, monkeypatch):
-    first = load_instances(fixtures_dir / "instances.jsonl")[0]
-    second = dataclasses.replace(first, instance_id="namecache-obo-2")
-    run_dir = tmp_path / "run"
-    refused = run_dir / first.instance_id / "candidates"
-
+def _refuse_writes_into(monkeypatch, refused_dirs):
     def refusing(write):
         def wrapped(path, payload):
-            if Path(path).parent == refused:
+            if Path(path).parent in refused_dirs:
                 raise PermissionError(13, "Permission denied", str(path))
             write(path, payload)
         return wrapped
@@ -1154,6 +1151,16 @@ def test_a_failed_artifact_write_does_not_abort_the_batch(
     for name in ("write_text", "write_json"):
         monkeypatch.setattr(pipeline, name,
                             refusing(getattr(pipeline, name)))
+
+
+@needs_gcc
+def test_a_failed_artifact_write_does_not_abort_the_batch(
+        fixtures_dir, tmp_path, monkeypatch):
+    first = load_instances(fixtures_dir / "instances.jsonl")[0]
+    second = dataclasses.replace(first, instance_id="namecache-obo-2")
+    run_dir = tmp_path / "run"
+    refused = run_dir / first.instance_id / "candidates"
+    _refuse_writes_into(monkeypatch, {refused})
     first_result, second_result = run_all(
         [first, second], variant("base"),
         lambda _: ReplayBackend(build_entries(False, False)), run_dir)
@@ -1177,6 +1184,54 @@ def test_a_failed_artifact_write_does_not_abort_the_batch(
 
     metrics, _ = evaluate_run(run_dir, [first, second])
     assert (metrics.total, metrics.resolved) == (2, 2)
+
+
+@needs_gcc
+def test_a_failed_write_is_recorded_without_the_run_directory(
+        fixtures_dir, tmp_path, monkeypatch):
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    runs = [tmp_path / "run", tmp_path / "elsewhere" / "second-run"]
+    _refuse_writes_into(monkeypatch, {
+        run / instance.instance_id / "candidates" for run in runs})
+    for run in runs:
+        (result,) = run_all(
+            [instance], variant("base"),
+            lambda _: ReplayBackend(build_entries(False, False)), run)
+        assert result.errors[0] == {
+            "stage": "write candidates/candidate-0.md",
+            "error": "PermissionError: [Errno 13] Permission denied: "
+                     "'candidates/candidate-0.md'"}
+    first, second = ((run / instance.instance_id / "telemetry.json")
+                     .read_bytes() for run in runs)
+    assert first == second
+
+
+def test_describe_error_names_files_relative_to_their_roots(tmp_path):
+    run = tmp_path / "run"
+    source = tmp_path / "src"
+
+    def described(filename, filename2=None):
+        # the fourth argument is the Windows error code
+        return describe_error(
+            PermissionError(13, "Permission denied", str(filename), None,
+                            filename2 and str(filename2)),
+            {run: "", source: "workspace"})
+
+    assert described(run / "a" / "b.md") == (
+        "PermissionError: [Errno 13] Permission denied: 'a/b.md'")
+    assert described(run) == (
+        "PermissionError: [Errno 13] Permission denied: '.'")
+    assert described(source / "x.c", run / "workspace" / "x.c") == (
+        "PermissionError: [Errno 13] Permission denied: 'workspace/x.c' "
+        "-> 'workspace/x.c'")
+    # a path that only shares a root's prefix is not under it
+    sibling = str(tmp_path / "run2" / "f")
+    assert described(sibling).endswith(f"'{sibling}'")
+    # the longer root wins when one root holds the other
+    nested = describe_error(FileNotFoundError(2, "gone", str(run / "in" / "f")),
+                            {run: "", run / "in": "workspace"})
+    assert nested == "FileNotFoundError: [Errno 2] gone: 'workspace/f'"
+    assert describe_error(ValueError("bad"), {run: ""}) == "ValueError: bad"
 
 
 @needs_gcc

@@ -1,8 +1,8 @@
 import hashlib
 import math
+import random
 import re
 
-import numpy as np
 import pytest
 from conftest import ScriptedLLM
 from hypothesis import given, settings
@@ -64,87 +64,92 @@ def test_expected_chunk_count_pins():
 # -- embedding -------------------------------------------------------------------
 
 
+def _counts(text):
+    """Signed token counts, hashing every occurrence on its own."""
+    row = [0] * 256
+    for token in re.findall(r"[A-Za-z_]\w*|\d+", text.lower()):
+        h = hashlib.sha256(token.encode("utf-8", "surrogateescape")).digest()
+        row[int.from_bytes(h[:4], "big") % 256] += 1 if h[4] & 1 else -1
+    return row
+
+
+def _pure_cosine(a, b):
+    dot = sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(y * y for y in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
+
+
 def test_embed_matches_token_by_token_sha256(crepo):
     texts = ["copy_name writes past cap", "Copy_Name copy_name 42 cap cap",
              "", "caf\udce9 x",
              read_text(crepo / "njs" / "src" / "njs_array.c")]
-    dim = 64
-    expected = np.zeros((len(texts), dim))
-    for i, text in enumerate(texts):
-        for token in re.findall(r"[A-Za-z_]\w*|\d+", text.lower()):
-            h = hashlib.sha256(
-                token.encode("utf-8", "surrogateescape")).digest()
-            expected[i, int.from_bytes(h[:4], "big") % dim] += \
-                1.0 if h[4] & 1 else -1.0
-        norm = np.linalg.norm(expected[i])
-        if norm > 0:
-            expected[i] /= norm
-    assert np.array_equal(HashingEmbedder(dim).embed(texts), expected)
+    assert HashingEmbedder().embed(texts) == [_counts(t) for t in texts]
 
 
-def test_embedder_deterministic_and_normalized():
+def test_embedder_deterministic_integer_counts():
     texts = ["copy_name writes past cap", "unrelated words entirely",
              "copy_name cap len dst"]
     embedder = HashingEmbedder()
     a = embedder.embed(texts)
-    b = embedder.embed(texts)
-    assert np.array_equal(a, b)
-    assert a.shape == (3, 256)
-    for row in a:
-        assert abs(float(np.linalg.norm(row)) - 1.0) < 1e-12
+    assert a == embedder.embed(texts)
+    assert len(a) == 3
+    for row, text in zip(a, texts):
+        assert len(row) == 256
+        assert all(type(x) is int for x in row)
+        # every token lands in one slot, so the counts add up to at most
+        # the token count, with the same parity
+        tokens = len(text.split())
+        assert sum(abs(x) for x in row) <= tokens
+        assert sum(abs(x) for x in row) % 2 == tokens % 2
 
 
 def test_embedder_empty_text_is_zero_vector():
-    row = HashingEmbedder().embed([""])[0]
-    assert not row.any()
+    assert HashingEmbedder().embed([""]) == [[0] * 256]
 
 
 def test_embedder_case_insensitive_token_bag():
     embedder = HashingEmbedder()
     a = embedder.embed(["FOO bar FOO"])
     b = embedder.embed(["foo BAR foo"])
-    assert np.array_equal(a, b)
+    assert a == b
 
 
 def test_embedder_underscore_is_one_token():
     embedder = HashingEmbedder()
     joined = embedder.embed(["foo_bar"])[0]
     split = embedder.embed(["foo bar"])[0]
-    assert not np.array_equal(joined, split)
+    assert joined != split
 
 
 def test_embedder_slot_matches_hash_oracle():
-    dim = 64
-    embedder = HashingEmbedder(dim=dim)
+    embedder = HashingEmbedder()
     for token in ("alpha", "len", "copy_name", "42"):
         h = hashlib.sha256(token.encode()).digest()
-        idx = int.from_bytes(h[:4], "big") % dim
-        sign = 1.0 if h[4] & 1 else -1.0
-        row = embedder.embed([token])[0]
-        expected = np.zeros(dim)
+        idx = int.from_bytes(h[:4], "big") % 256
+        sign = 1 if h[4] & 1 else -1
+        expected = [0] * 256
         expected[idx] = sign
-        assert np.array_equal(row, expected), token
-
-
-def test_embedder_rejects_bad_dim():
-    with pytest.raises(ValueError):
-        HashingEmbedder(dim=0)
+        assert embedder.embed([token])[0] == expected, token
 
 
 def test_cosine_matches_pure_python_oracle():
-    rng = np.random.default_rng(7)
+    # dot = 3*1 + 4*0 + 0*2 = 3; |a| = 5; |b| = sqrt(5)
+    assert cosine([3, 4, 0], [1, 0, 2]) == 3 / (5 * math.sqrt(5))
+    assert cosine([2, -1], [-2, 1]) == -1.0
+    assert cosine([1, 0], [0, 7]) == 0.0
+    rng = random.Random(7)
     for _ in range(20):
-        a = rng.normal(size=16)
-        b = rng.normal(size=16)
-        dot = sum(float(x) * float(y) for x, y in zip(a, b))
-        na = math.sqrt(sum(float(x) ** 2 for x in a))
-        nb = math.sqrt(sum(float(y) ** 2 for y in b))
-        assert abs(cosine(a, b) - dot / (na * nb)) < 1e-12
+        a = [rng.randint(-9, 9) for _ in range(16)]
+        b = [rng.randint(-9, 9) for _ in range(16)]
+        assert abs(cosine(a, b) - _pure_cosine(a, b)) < 1e-12
 
 
 def test_cosine_zero_vector_is_zero():
-    z = np.zeros(4)
-    v = np.ones(4)
+    z = [0] * 4
+    v = [1] * 4
     assert cosine(z, v) == 0.0
     assert cosine(v, z) == 0.0
 
@@ -220,14 +225,16 @@ def test_retrieval_ranking_matches_brute_force_oracle(crepo, crepo_index,
     ranked = localize_files_retrieval(llm, crepo_index, issue_text, n=3)
     assert ranked == ["src/buf.c", "src/main.c", "src/buf.h"]
 
-    embedder = HashingEmbedder()
-    issue_vec = embedder.embed([issue_text])[0]
+    issue_vec = _counts(issue_text)
     best = {}
     for rel in source_files(crepo):
         if rel.startswith(("njs/", "cpp/")):
             continue
-        for chunk in chunk_file(read_text(crepo / rel)):
-            sim = cosine(embedder.embed([chunk])[0], issue_vec)
+        text = read_text(crepo / rel)
+        lines = text.splitlines(keepends=True)
+        for i in range(0, len(lines), 512):
+            sim = _pure_cosine(_counts("".join(lines[i:i + 512])),
+                               issue_vec)
             best[rel] = max(best.get(rel, -2.0), sim)
     oracle = sorted(best, key=lambda rel: (-best[rel], rel))[:3]
     assert ranked == oracle
