@@ -63,6 +63,7 @@ def run_cpc_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
         system_prompt=load_prompt("cpc"),
         max_steps=max_steps,
         tools=cpc_toolkit(index, backend),
+        workspace=index.root,
     )
     transcript = run_react(
         spec, llm, initial_message(issue_text, render_repo_tree(index)))

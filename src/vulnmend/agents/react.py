@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
-from ..errors import MaxStepsExceededWithoutReport, VulnmendError
+from ..errors import (MaxStepsExceededWithoutReport, VulnmendError,
+                      placeless_message)
 from ..llm import ChatRequest, LLMBackend
 
 FINALIZE_PROMPT = ("You have reached the step limit. Produce your final "
@@ -45,6 +47,7 @@ class AgentSpec:
     system_prompt: str
     max_steps: int
     tools: dict[str, Tool]
+    workspace: Path | None = None  # named "." in error observations
 
 
 @dataclass
@@ -68,13 +71,17 @@ class Transcript:
         return Counter(s.tool for s in self.steps if s.tool)
 
 
-def _execute(tool: Tool, args: dict) -> ToolOutcome:
+def _execute(tool: Tool, args: dict, workspace: Path | None) -> ToolOutcome:
     try:
         return tool.fn(args or {})
-    except (VulnmendError, FileNotFoundError, NotADirectoryError,
-            KeyError, TypeError, ValueError) as exc:
-        return ToolOutcome(observation=f"Error: {exc}",
-                           meta={"error": type(exc).__name__})
+    except (VulnmendError, OSError, KeyError, TypeError, ValueError) as exc:
+        # an OSError quotes the files it names; the model sees them
+        # relative to the workspace, as its tools take them
+        roots = {} if workspace is None else {
+            workspace: "", workspace.resolve(): ""}
+        return ToolOutcome(
+            observation=f"Error: {placeless_message(exc, roots)}",
+            meta={"error": type(exc).__name__})
 
 
 def run_react(spec: AgentSpec, llm: LLMBackend,
@@ -107,7 +114,8 @@ def run_react(spec: AgentSpec, llm: LLMBackend,
                              f"to this agent. Available tools: {allowed}."),
                 meta={"refused": True})
         else:
-            outcome = _execute(spec.tools[call.name], call.args)
+            outcome = _execute(spec.tools[call.name], call.args,
+                               spec.workspace)
 
         transcript.steps.append(Step(
             thought=response.thought, tool=call.name, args=call.args,

@@ -62,6 +62,7 @@ def run_spa_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
         system_prompt=load_prompt("spa"),
         max_steps=max_steps,
         tools=spa_toolkit(index, backend, history, runner, script_sandbox),
+        workspace=index.root,
     )
     try:
         transcript = run_react(

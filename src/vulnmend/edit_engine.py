@@ -10,10 +10,10 @@ reliably:
     replacement lines
     >>>>>>> REPLACE
 
-Marker lines tolerate any run of 7 or more marker characters. Applying
-an edit set remembers the original content of the files it rewrites;
-rolling it back writes that content back, and diffs compare the
-touched files with it.
+Marker lines tolerate any run of 7 or more marker characters. An edit
+set is applied in memory first (edited_texts): the old and new text of
+each file it changes. The history writes the new text and keeps the old
+to roll back; diffs compare the two.
 """
 
 from __future__ import annotations
@@ -188,6 +188,41 @@ def apply_edits_to_text(content: str, edits: Sequence[SearchReplaceEdit]) -> str
     return content
 
 
+def edited_texts(root: Path | str,
+                 edits: Sequence[SearchReplaceEdit] | str,
+                 ) -> tuple[dict[str, str], dict[str, str]]:
+    """Apply an edit set in memory to the files under root.
+
+    Returns (before, after): the current and the edited text of each
+    file the set changes. Nothing is written, so the set applies all or
+    nothing. Raises NoChanges for an empty set or one that changes no
+    file, FileNotFoundError for a file that is not there, and the errors
+    of parsing blocks and locating their SEARCH text.
+    """
+    if isinstance(edits, str):
+        edits = parse_edit_blocks(edits)
+    if not edits:
+        raise NoChanges("no changes: empty edit set")
+    root = Path(root)
+    before: dict[str, str] = {}
+    after: dict[str, str] = {}
+    by_file: dict[str, list[SearchReplaceEdit]] = {}
+    for edit in edits:
+        by_file.setdefault(edit.file, []).append(edit)
+    for rel, file_edits in by_file.items():
+        path = root / rel
+        if not path.is_file():
+            raise FileNotFoundError(rel)
+        content = read_text(path)
+        updated = apply_edits_to_text(content, file_edits)
+        if updated != content:
+            before[rel] = content
+            after[rel] = updated
+    if not after:
+        raise NoChanges("no changes: edits leave every file unmodified")
+    return before, after
+
+
 class EditHistory:
     """Stack of applied edit sets, each kept with the original content of
     the files it rewrote.
@@ -208,42 +243,12 @@ class EditHistory:
         return HistoryView(count=len(names), names=names,
                            latest=names[-1] if names else None)
 
-    def originals(self) -> dict[str, str]:
-        """Content of every file an applied set rewrote, from before the
-        first set that touched it."""
-        out: dict[str, str] = {}
-        for _, saved in reversed(self._applied):
-            out.update(saved)
-        return out
-
     def fix_name(self, unique_name: str) -> str:
         return dedupe_name(self._name_counts, unique_name)
 
     def apply_edits(self, unique_name: str,
                     edits: Sequence[SearchReplaceEdit] | str) -> ApplyResult:
-        if isinstance(edits, str):
-            edits = parse_edit_blocks(edits)
-        if not edits:
-            raise NoChanges("no changes: empty edit set")
-
-        # locate and rewrite in memory first: apply is all-or-nothing
-        saved: dict[str, str] = {}
-        new_contents: dict[str, str] = {}
-        by_file: dict[str, list[SearchReplaceEdit]] = {}
-        for edit in edits:
-            by_file.setdefault(edit.file, []).append(edit)
-        for rel, file_edits in by_file.items():
-            path = self.root / rel
-            if not path.is_file():
-                raise FileNotFoundError(rel)
-            content = read_text(path)
-            updated = apply_edits_to_text(content, file_edits)
-            if updated != content:
-                saved[rel] = content
-                new_contents[rel] = updated
-        if not new_contents:
-            raise NoChanges("no changes: edits leave every file unmodified")
-
+        saved, new_contents = edited_texts(self.root, edits)
         fixed_name = self.fix_name(unique_name)
         for rel, text in new_contents.items():
             write_text(self.root / rel, text)
@@ -314,18 +319,17 @@ def _file_hunks(old: str, new: str) -> list[str]:
     return out
 
 
-def to_unified_diff(root: Path | str, originals: Mapping[str, str]) -> str:
-    """Git-consumable unified diff of the files in `originals`.
+def to_unified_diff(before: Mapping[str, str],
+                    after: Mapping[str, str]) -> str:
+    """Git-consumable unified diff from the `before` to the `after` text
+    of each file in `before`, in lexicographic path order.
 
-    Each file's current content under root is compared with its original
-    content, in lexicographic path order. The empty string means every
-    file matches its original.
+    A file whose two texts are equal is left out; the empty string means
+    every file is unchanged.
     """
-    root = Path(root)
     chunks: list[str] = []
-    for rel in sorted(originals):
-        old = originals[rel]
-        new = read_text(root / rel)
+    for rel in sorted(before):
+        old, new = before[rel], after[rel]
         if old == new:
             continue
         chunks.extend([f"diff --git a/{rel} b/{rel}", f"--- a/{rel}",

@@ -130,7 +130,13 @@ def describe_error(exc: BaseException, roots: dict) -> str:
     under one of them (OSError quotes the files it names) is rewritten,
     so a record does not depend on where a run or its inputs live.
     """
-    text = f"{type(exc).__name__}: {exc}"
+    return f"{type(exc).__name__}: {placeless_message(exc, roots)}"
+
+
+def placeless_message(exc: BaseException, roots: dict) -> str:
+    """The message of exc, with paths under roots rewritten as
+    describe_error does."""
+    text = str(exc)
     for root, name in sorted(((os.fspath(r), n) for r, n in roots.items()),
                              key=lambda item: -len(item[0])):
         for q in "'\"":

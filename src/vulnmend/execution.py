@@ -2,7 +2,8 @@
 
 A sandbox is a place where the repro command can run. The local sandbox
 covers plain directories; everything above it only needs its `exec`
-surface.
+surface. A pristine copy is where a patch is judged: `git apply` on a
+copy of the untouched workspace, then one PoC run.
 """
 
 from __future__ import annotations
@@ -11,16 +12,19 @@ import builtins as _real_builtins
 import io
 import os
 import re
+import shutil
 import signal
 import subprocess
+import tempfile
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
-from .errors import SandboxUnavailable, UnknownLogName, WriteFailure
+from .errors import (SandboxUnavailable, UnknownLogName, WriteFailure,
+                     describe_error)
 from .naming import dedupe_name
-from .repo_model import write_text
+from .repo_model import skip_dangling_links, write_text
 
 DEFAULT_HEAD_LINES = 100
 DEFAULT_TAIL_LINES = 100
@@ -267,6 +271,97 @@ class PocRunner:
             summary=summary,
             log=excerpt,
         )
+
+
+# -- judging a patch -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PatchVerdict:
+    """A diff judged in a pristine copy: the PoC run on the patched copy,
+    or why there is none (the diff or the copy failed)."""
+
+    result: PocResult | None = None
+    detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.result is not None and self.result.passed
+
+
+class PristineCopy:
+    """A copy of an untouched workspace, where a diff is judged: `git
+    apply` takes the diff as bytes, then the command runs once through a
+    PocRunner and PocResult.passed gives the verdict. Validation and
+    evaluation both judge patches here.
+
+    The copy is made in a temp directory of its own on the first judge
+    and removed on close. restore() writes back the pristine text of the
+    files a diff touched, so one copy serves several diffs in turn; what
+    a PoC run leaves behind, such as `build/`, stays.
+    """
+
+    def __init__(self, source: Path | str, command: str,
+                 timeout: float = DEFAULT_POC_TIMEOUT):
+        self.source = Path(source)
+        self.command = command
+        self.timeout = timeout
+        self._scratch: Path | None = None
+        self._runner: PocRunner | None = None
+
+    def __enter__(self) -> "PristineCopy":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._scratch is not None:
+            shutil.rmtree(self._scratch, ignore_errors=True)
+        self._scratch = self._runner = None
+
+    def _checkout(self) -> PocRunner:
+        if self._runner is None:
+            self._scratch = Path(tempfile.mkdtemp(prefix="pristine-"))
+            work = self._scratch / "workspace"
+            shutil.copytree(self.source, work, ignore=skip_dangling_links)
+            self._runner = PocRunner(LocalSandbox(work), self.command,
+                                     timeout=self.timeout)
+        return self._runner
+
+    def judge(self, diff: str | bytes, name: str) -> PatchVerdict:
+        """Apply diff to the copy and run the PoC under name."""
+        try:
+            runner = self._checkout()
+        except OSError as exc:
+            # this instance's data is broken (say, its workspace is gone)
+            roots = {self.source: "workspace"}
+            if self._scratch is not None:
+                roots[self._scratch] = ""
+            self.close()
+            return PatchVerdict(detail="workspace copy failed: "
+                                + describe_error(exc, roots))
+        if isinstance(diff, str):
+            diff = diff.encode("utf-8", errors="surrogateescape")
+        # bytes in, so a diff of a non-UTF-8 source applies as written.
+        # The ceiling keeps git from finding a repository that encloses
+        # the temp directory: it would resolve the diff's paths against
+        # that repository's top level and skip them without an error.
+        applied = subprocess.run(
+            ["git", "apply", "--whitespace=nowarn", "-"], input=diff,
+            cwd=runner.sandbox.workspace, capture_output=True,
+            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(self._scratch)})
+        if applied.returncode != 0:
+            stderr = applied.stderr.decode("utf-8", errors="replace")
+            return PatchVerdict(
+                detail=f"patch does not apply: {stderr.strip()[:200]}")
+        return PatchVerdict(result=runner.run_poc(name))
+
+    def restore(self, texts: Mapping[str, str]) -> None:
+        """Write each file's pristine text back into the copy."""
+        if self._runner is not None:
+            for rel, text in texts.items():
+                write_text(self._runner.sandbox.workspace / rel, text)
 
 
 # -- python script sandbox -----------------------------------------------------

@@ -14,6 +14,15 @@ ENHANCE_STAGES = ("localization", "generation")
 VARIANTS = ("base", "cpc", "spa", "full", "enhanceVulnLoc",
             "enhancePatchGen", "simpleVoting", "sanitizer")
 
+_BOOL_FIELDS = ("enable_cpc", "enable_spa", "keep_workspaces")
+_INT_FIELDS = ("top_files", "context_margin", "candidates", "chunk_lines",
+               "element_limit", "cpc_max_steps", "spa_max_steps",
+               "log_head_lines", "log_tail_lines", "script_output_cap")
+
+
+def _wrong_type(name: str, expected: str, value) -> ValueError:
+    return ValueError(f"{name} must be {expected}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -38,13 +47,21 @@ class RunConfig:
     price_output_per_mtok: str = "15.00"
 
     def validate(self) -> "RunConfig":
-        for name in ("top_files", "context_margin", "candidates",
-                     "chunk_lines", "element_limit", "cpc_max_steps",
-                     "spa_max_steps", "log_head_lines", "log_tail_lines",
-                     "script_output_cap"):
-            if getattr(self, name) < 1:
+        # JSON has no schema: "false" or 2.5 must not pass for a flag or
+        # a count, and bool is an int to isinstance
+        for name in _BOOL_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise _wrong_type(name, "a bool", getattr(self, name))
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise _wrong_type(name, "an int", value)
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.poc_timeout <= 0:
+        if isinstance(self.poc_timeout, bool) \
+                or not isinstance(self.poc_timeout, (int, float)):
+            raise _wrong_type("poc_timeout", "a number", self.poc_timeout)
+        if not self.poc_timeout > 0:
             raise ValueError("poc_timeout must be positive")
         if self.selection_strategy not in SELECTION_STRATEGIES:
             raise ValueError(
@@ -53,6 +70,10 @@ class RunConfig:
         if self.input_type not in INPUT_TYPES:
             raise ValueError(f"input_type must be one of {INPUT_TYPES}, "
                              f"got {self.input_type!r}")
+        if not isinstance(self.enhance_stages, (tuple, list)) or not all(
+                isinstance(stage, str) for stage in self.enhance_stages):
+            raise _wrong_type("enhance_stages", "a list of stage names",
+                        self.enhance_stages)
         stages = tuple(self.enhance_stages)
         if not set(stages) <= set(ENHANCE_STAGES):
             raise ValueError(f"enhance_stages must be a subset of "
@@ -61,6 +82,8 @@ class RunConfig:
             raise ValueError("enhance_stages has duplicates")
         from decimal import Decimal, InvalidOperation
         for name in ("price_input_per_mtok", "price_output_per_mtok"):
+            if not isinstance(getattr(self, name), str):
+                raise _wrong_type(name, "a string", getattr(self, name))
             try:
                 Decimal(getattr(self, name))
             except InvalidOperation:
@@ -78,7 +101,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "enhance_stages" in data:
+        if isinstance(data.get("enhance_stages"), list):
             data = dict(data)
             data["enhance_stages"] = tuple(data["enhance_stages"])
         return cls(**data).validate()

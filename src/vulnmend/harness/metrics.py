@@ -1,27 +1,22 @@
 """Run evaluation and cost accounting.
 
 Money is Decimal end to end; rates render at one decimal place from
-exact fractions. The built-in verifier re-applies each prediction to a
-fresh workspace copy and replays the verify command through the same
-PocRunner that validation uses: resolved means the patch applies
-cleanly and the run passes by the one PoC verdict, PocResult.passed.
+exact fractions. The built-in verifier judges each prediction the way
+validation judges a candidate, in a PristineCopy of the workspace:
+resolved means the patch applies cleanly with `git apply` and the
+verify command's run passes by the one PoC verdict, PocResult.passed.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
-from ..errors import describe_error
-from ..execution import LocalSandbox, PocRunner
+from ..execution import PristineCopy
 from ..llm import RequestRecord
-from ..repo_model import skip_dangling_links, write_json
+from ..repo_model import write_json
 from .config import RunConfig
 from .instances import IssueInstance
 
@@ -103,49 +98,23 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
                                applied=False, exit_code=None,
                                sanitizer_triggered=False, resolved=False,
                                detail="empty prediction")
-    if isinstance(diff, str):
-        diff = diff.encode("utf-8", errors="surrogateescape")
-
-    scratch = Path(tempfile.mkdtemp(prefix="verify-"))
-    try:
-        work = scratch / "workspace"
-        try:
-            shutil.copytree(instance.workspace_path, work,
-                            ignore=skip_dangling_links)
-        except OSError as exc:
-            # this instance's data is broken (say, its workspace is gone);
-            # that must not cost the verdicts of the rest
-            return InstanceVerdict(
-                instance.instance_id, has_patch=True, applied=False,
-                exit_code=None, sanitizer_triggered=False, resolved=False,
-                detail="workspace copy failed: " + describe_error(
-                    exc, {scratch: "", instance.workspace_path: "workspace"}))
-        # bytes in, so a diff of a non-UTF-8 source applies as written.
-        # The ceiling keeps git from finding a repository that encloses
-        # the temp directory: it would resolve the diff's paths against
-        # that repository's top level and skip them without an error.
-        apply_proc = subprocess.run(
-            ["git", "apply", "--whitespace=nowarn", "-"], input=diff,
-            cwd=work, capture_output=True,
-            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(scratch)})
-        if apply_proc.returncode != 0:
-            stderr = apply_proc.stderr.decode("utf-8", errors="replace")
-            return InstanceVerdict(
-                instance.instance_id, has_patch=True, applied=False,
-                exit_code=None, sanitizer_triggered=False, resolved=False,
-                detail=f"patch does not apply: {stderr.strip()[:200]}")
-        command = instance.verify_command or instance.repro_command
-        result = PocRunner(LocalSandbox(work), command,
-                           timeout=timeout).run_poc("verify")
-        sanitizer = result.sanitizer_triggered
+    command = instance.verify_command or instance.repro_command
+    with PristineCopy(instance.workspace_path, command,
+                      timeout=timeout) as pristine:
+        verdict = pristine.judge(diff, "verify")
+    result = verdict.result
+    if result is None:
         return InstanceVerdict(
-            instance.instance_id, has_patch=True, applied=True,
-            exit_code=result.exit_code, sanitizer_triggered=sanitizer,
-            resolved=result.passed,
-            detail="" if result.passed else f"exit {result.exit_code}"
-                   + (", sanitizer still fires" if sanitizer else ""))
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+            instance.instance_id, has_patch=True, applied=False,
+            exit_code=None, sanitizer_triggered=False, resolved=False,
+            detail=verdict.detail)
+    sanitizer = result.sanitizer_triggered
+    return InstanceVerdict(
+        instance.instance_id, has_patch=True, applied=True,
+        exit_code=result.exit_code, sanitizer_triggered=sanitizer,
+        resolved=verdict.passed,
+        detail="" if verdict.passed else f"exit {result.exit_code}"
+               + (", sanitizer still fires" if sanitizer else ""))
 
 
 def evaluate_run(run_dir: Path | str, instances: list[IssueInstance],

@@ -24,7 +24,8 @@ from ..agents.spa import install_assert_prelude, run_spa_agent
 from ..edit_engine import EditHistory
 from ..errors import (ReplayDesync, ScriptExhausted, VulnmendError,
                       describe_error)
-from ..execution import LocalSandbox, LogStore, PocRunner, PythonScriptSandbox
+from ..execution import (LocalSandbox, LogStore, PocRunner, PristineCopy,
+                         PythonScriptSandbox)
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
@@ -124,8 +125,8 @@ def run_instance(instance: IssueInstance, config: RunConfig,
 
     sandbox = LocalSandbox(workspace)
     if config.enable_spa:
-        # rollbacks and prediction diffs cover only the files edit sets
-        # rewrote, so the header stays and no prediction mentions it
+        # for the property agent's instrumented builds only: validation
+        # judges candidates in a pristine copy, which lacks the header
         install_assert_prelude(sandbox)
 
     log_store = LogStore()
@@ -233,21 +234,26 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         llm, gen_text, context, t=config.candidates, out=candidates))
 
     outcomes = []
-    # one PoC run per distinct program: fingerprint -> (index, PocResult)
+    # one PoC run per distinct program: fingerprint -> (index, verdict),
+    # judged as evaluate judges a prediction, but by the repro command:
+    # the verify command is held out
     poc_runs: dict = {}
-    for candidate in candidates:
-        save(write_text, f"candidates/candidate-{candidate.index}.md",
-             candidate.raw_text)
-        outcome = stage.run(
-            f"validate-{candidate.index}",
-            lambda c=candidate: validate_candidate(c, history, runner,
-                                                   workspace, poc_runs))
-        if outcome is None:
-            continue
-        outcomes.append(outcome)
-        if outcome.applied:
-            save(write_text, f"candidates/candidate-{outcome.index}.diff",
-                 outcome.diff)
+    with PristineCopy(instance.workspace_path, instance.repro_command,
+                      timeout=config.poc_timeout) as pristine:
+        for candidate in candidates:
+            save(write_text, f"candidates/candidate-{candidate.index}.md",
+                 candidate.raw_text)
+            outcome = stage.run(
+                f"validate-{candidate.index}",
+                lambda c=candidate: validate_candidate(c, pristine,
+                                                       poc_runs))
+            if outcome is None:
+                continue
+            outcomes.append(outcome)
+            if outcome.applied:
+                save(write_text,
+                     f"candidates/candidate-{outcome.index}.diff",
+                     outcome.diff)
     save(write_json, "candidates/outcomes.json", [{
         "index": o.index,
         "applied": o.applied,

@@ -1,13 +1,14 @@
 """Patch generation, validation and selection.
 
 Generation samples several SEARCH/REPLACE candidates over a focused
-context. Validation applies each candidate alone, replays the PoC once
-per distinct program, and rolls back. Selection votes: either over the
-PoC-passing pool (poc_voting) or over every applying candidate
-(simple_voting), with candidates grouped by a normalization-insensitive
-fingerprint so cosmetically different but equivalent patches pool their
-votes; the same fingerprint tells validation which candidates are one
-program.
+context. Validation applies each candidate alone, in memory, to the
+pristine workspace's text, and judges its diff once per distinct program
+in a PristineCopy, the way evaluation judges a prediction. Selection
+votes: either over the PoC-passing pool (poc_voting) or over every
+applying candidate (simple_voting), with candidates grouped by a
+normalization-insensitive fingerprint so cosmetically different but
+equivalent patches pool their votes; the same fingerprint tells
+validation which candidates are one program.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import re
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
+from typing import Mapping
 
 from .cparse import LEXEME
-from .edit_engine import EditHistory, parse_edit_blocks, to_unified_diff
+from .edit_engine import edited_texts, parse_edit_blocks, to_unified_diff
 from .errors import (MalformedBlock, NoChanges, SearchTextAmbiguous,
                      SearchTextNotFound)
-from .execution import PocRunner
+from .execution import PristineCopy
 from .llm import ChatRequest, LLMBackend
 from .repo_model import DEFAULT_EXTENSIONS, read_text, split_lines
 
@@ -214,15 +216,15 @@ def normalize_source(text: str) -> str:
     return "".join(parts).lstrip(" \n") + "\n"
 
 
-def patch_fingerprint(root: Path | str, files) -> str:
-    """Digest of the files a patch modified, each by path and content:
-    the normal form of a C or C++ source, the text of any other file as
-    it is, since its comments and blanks follow other rules (a Makefile
-    recipe needs its tab, and "//" starts no comment in a script)."""
-    root = Path(root)
+def patch_fingerprint(texts: Mapping[str, str]) -> str:
+    """Digest of the files a patch modified, each by path and patched
+    text: the normal form of a C or C++ source, the text of any other
+    file as it is, since its comments and blanks follow other rules (a
+    Makefile recipe needs its tab, and "//" starts no comment in a
+    script)."""
     h = hashlib.sha256()
-    for rel in sorted(set(files)):
-        text = read_text(root / rel)
+    for rel in sorted(texts):
+        text = texts[rel]
         if Path(rel).suffix in DEFAULT_EXTENSIONS:
             text = normalize_source(text)
         h.update(rel.encode())
@@ -248,43 +250,44 @@ class CandidateOutcome:
     poc_run_of: int | None = None  # whose PoC run this verdict reuses
 
 
-def validate_candidate(candidate: CandidatePatch, history: EditHistory,
-                       runner: PocRunner, work_root: Path | str,
+def validate_candidate(candidate: CandidatePatch, pristine: PristineCopy,
                        poc_runs: dict | None = None) -> CandidateOutcome:
-    """Apply one candidate alone, capture its diff and fingerprint,
-    replay the PoC, then roll the workspace back.
+    """Apply one candidate alone, in memory, to the pristine workspace's
+    text, take its diff and fingerprint, and judge the diff in the
+    pristine copy, which is then restored.
 
-    poc_runs maps a fingerprint to the (index, PocResult) of the first
-    candidate that ran the PoC on that program. A candidate whose
-    fingerprint is already there takes that result and runs nothing;
-    one whose fingerprint is new runs the PoC and is added."""
+    poc_runs maps a fingerprint to the (index, PatchVerdict) of the first
+    candidate that judged that program. A candidate whose fingerprint is
+    already there takes that verdict and runs nothing; one whose
+    fingerprint is new is judged and added."""
     if candidate.parse_error or not candidate.edits:
         return CandidateOutcome(
             index=candidate.index, applied=False,
             failure=candidate.parse_error or "no edits")
     try:
-        applied = history.apply_edits(f"candidate-{candidate.index}",
-                                      candidate.edits)
+        before, after = edited_texts(pristine.source, candidate.edits)
     except (SearchTextNotFound, SearchTextAmbiguous, NoChanges,
             FileNotFoundError, ValueError) as exc:
         return CandidateOutcome(index=candidate.index, applied=False,
                                 failure=f"{type(exc).__name__}: {exc}")
-    try:
-        fingerprint = patch_fingerprint(work_root, applied.files)
-        diff = to_unified_diff(work_root, history.originals())
-        poc_runs = {} if poc_runs is None else poc_runs
-        if fingerprint not in poc_runs:
-            poc_runs[fingerprint] = (
-                candidate.index,
-                runner.run_poc(f"validate-{candidate.index}"))
-        run_of, result = poc_runs[fingerprint]
-        return CandidateOutcome(
-            index=candidate.index, applied=True, compiled=result.compiled,
-            sanitizer_triggered=result.sanitizer_triggered,
-            poc_pass=result.passed, fingerprint=fingerprint, diff=diff,
-            poc_run_of=None if run_of == candidate.index else run_of)
-    finally:
-        history.rollback_latest()
+    fingerprint = patch_fingerprint(after)
+    diff = to_unified_diff(before, after)
+    poc_runs = {} if poc_runs is None else poc_runs
+    if fingerprint not in poc_runs:
+        try:
+            verdict = pristine.judge(diff, f"validate-{candidate.index}")
+        finally:
+            pristine.restore(before)
+        poc_runs[fingerprint] = (candidate.index, verdict)
+    run_of, verdict = poc_runs[fingerprint]
+    result = verdict.result
+    return CandidateOutcome(
+        index=candidate.index, applied=True,
+        compiled=result is not None and result.compiled,
+        sanitizer_triggered=result is not None and result.sanitizer_triggered,
+        poc_pass=verdict.passed, fingerprint=fingerprint, diff=diff,
+        failure=verdict.detail or None,
+        poc_run_of=None if run_of == candidate.index else run_of)
 
 
 # -- selection ------------------------------------------------------------------

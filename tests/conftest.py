@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vulnmend.repo_model import DEFAULT_IGNORE_DIRS, RepoIndex
+from vulnmend.repo_model import DEFAULT_IGNORE_DIRS, RepoIndex, read_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CREPO = FIXTURES / "crepo"
@@ -84,6 +84,12 @@ def snapshot(root, files=None) -> Snapshot:
         acc.update(hashlib.sha256(path.read_bytes()).digest()
                    if path.is_file() else b"<missing>")
     return Snapshot(digest=acc.hexdigest(), files=tuple(files))
+
+
+def read_texts(root, *rels) -> dict:
+    """rel -> text of each named file under root, as diffs and
+    fingerprints take them."""
+    return {rel: read_text(Path(root) / rel) for rel in rels}
 
 
 @pytest.hookimpl(wrapper=True)

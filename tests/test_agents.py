@@ -511,6 +511,38 @@ def test_run_spa_agent_tolerates_empty_history(scratch_crepo, issue_text):
     assert transcript.steps == []
 
 
+def test_tool_os_errors_become_observations_without_the_workspace_path(
+        scratch_crepo, issue_text, monkeypatch):
+    # a file the tools cannot read costs one observation, not the stage
+    # and its report; the model sees the file as its tools name it
+    read_bytes = Path.read_bytes
+
+    def unreadable_buf(path):
+        if path.name == "buf.c":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", unreadable_buf)
+    runner = PocRunner(_CannedSandbox(ExecResult(0, "", "")), "cmd")
+    llm = ScriptedLLM([
+        _tool("read_code", {"file": "src/buf.c", "center": 1, "num": 3}),
+        _tool("apply_edits", {"unique_name": "bounds-probe",
+                              "edits": PROBE_EDITS}),
+        _text(SPA_REPORT),
+    ])
+    report, transcript = run_spa_agent(
+        llm, RepoIndex(scratch_crepo), None, EditHistory(scratch_crepo),
+        runner, PythonScriptSandbox(), issue_text)
+    assert report.parse_ok is True
+    for step in transcript.steps:
+        assert step.observation == \
+            "Error: [Errno 13] Permission denied: 'src/buf.c'"
+        assert step.meta == {"error": "PermissionError"}
+    assert len(transcript.steps) == 2
+    sent = "".join(m["content"] for m in llm.requests[-1].messages)
+    assert str(scratch_crepo) not in sent
+
+
 def test_assert_prelude_contract(tmp_path):
     install_assert_prelude(LocalSandbox(tmp_path))
     text = (tmp_path / ASSERT_PRELUDE_NAME).read_text()

@@ -2,13 +2,14 @@ import random
 import subprocess
 
 import pytest
-from conftest import snapshot
+from conftest import read_texts, snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnmend.edit_engine import (EditHistory, SearchReplaceEdit,
-                                  apply_edits_to_text, locate_search,
-                                  parse_edit_blocks, to_unified_diff)
+                                  apply_edits_to_text, edited_texts,
+                                  locate_search, parse_edit_blocks,
+                                  to_unified_diff)
 from vulnmend.errors import (EmptyHistory, MalformedBlock, NoChanges,
                              SearchTextAmbiguous, SearchTextNotFound)
 from vulnmend.repo_model import read_text, write_text
@@ -264,17 +265,36 @@ def test_history_untracked_artifacts_survive_rollback(scratch_crepo):
     assert artifact.exists()
 
 
-def test_history_originals_predate_stacked_sets(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+def test_edited_texts_rewrite_in_memory_what_the_history_writes(
+        scratch_crepo):
+    base = snapshot(scratch_crepo).digest
     original = read_text(scratch_crepo / "src" / "buf.c")
-    history.apply_edits("one", GOOD_BLOCK)
-    history.apply_edits("two", SECOND_BLOCK)
-    assert history.originals() == {"src/buf.c": original}
-    diff = to_unified_diff(scratch_crepo, history.originals())
-    assert "+    if (len >= cap) {" in diff
-    history.rollback_all()
-    assert history.originals() == {}
-    assert read_text(scratch_crepo / "src" / "buf.c") == original
+    before, after = edited_texts(scratch_crepo, GOOD_BLOCK)
+    assert before == {"src/buf.c": original}
+    assert after == {"src/buf.c": apply_edits_to_text(
+        original, parse_edit_blocks(GOOD_BLOCK))}
+    assert "+    if (len >= cap) {" in to_unified_diff(before, after)
+    assert snapshot(scratch_crepo).digest == base
+    EditHistory(scratch_crepo).apply_edits("one", GOOD_BLOCK)
+    assert read_texts(scratch_crepo, "src/buf.c") == after
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    GOOD_BLOCK.replace("src/buf.c", "src/gone.c"),
+    GOOD_BLOCK.replace("len > cap", "len > capacity"),
+    GOOD_BLOCK.replace("    if (len >= cap) {\n        len = cap - 1;",
+                       "    if (len > cap) {\n        len = cap;"),
+], ids=["empty", "missing-file", "not-found", "no-op"])
+def test_edited_texts_fail_as_the_history_does(scratch_crepo, text):
+    with pytest.raises(Exception) as in_memory:
+        edited_texts(scratch_crepo, text)
+    with pytest.raises(Exception) as on_disk:
+        EditHistory(scratch_crepo).apply_edits("x", text)
+    assert type(in_memory.value) is type(on_disk.value)
+    assert str(in_memory.value) == str(on_disk.value)
+    assert isinstance(in_memory.value,
+                      (NoChanges, FileNotFoundError, SearchTextNotFound))
 
 
 def test_history_rollback_restores_non_utf8_bytes(tmp_path):
@@ -316,10 +336,6 @@ def _git_apply(diff, cwd):
                           cwd=cwd, capture_output=True)
 
 
-def _originals(root, *rels):
-    return {rel: read_text(root / rel) for rel in rels}
-
-
 def test_unified_diff_round_trips_through_git_apply(tmp_path, crepo):
     import shutil
     after = tmp_path / "after"
@@ -329,8 +345,9 @@ def test_unified_diff_round_trips_through_git_apply(tmp_path, crepo):
     write_text(buf, read_text(buf).replace("len = cap;", "len = cap - 1;"))
     write_text(main, read_text(main) + "/* trailer */\n")
 
-    diff = to_unified_diff(after, _originals(crepo, "src/main.c",
-                                             "src/buf.c", "src/buf.h"))
+    rels = ("src/main.c", "src/buf.c", "src/buf.h")
+    diff = to_unified_diff(read_texts(crepo, *rels),
+                           read_texts(after, *rels))
     assert "diff --git a/src/buf.c b/src/buf.c" in diff
     # lexicographic order; unchanged files are left out
     assert diff.index("a/src/buf.c") < diff.index("a/src/main.c")
@@ -348,7 +365,7 @@ def test_unified_diff_handles_missing_trailing_newline(tmp_path):
     root = tmp_path / "a"
     root.mkdir()
     (root / "x.c").write_text("int a;\nint b; /* no newline */")
-    diff = to_unified_diff(root, {"x.c": "int a;\n"})
+    diff = to_unified_diff({"x.c": "int a;\n"}, read_texts(root, "x.c"))
     assert "\\ No newline at end of file" in diff
     target = tmp_path / "t"
     target.mkdir()
@@ -363,7 +380,7 @@ def test_unified_diff_next_to_a_form_feed_line_applies(tmp_path):
     old = "int a;\n\f\nint f(int x)\n{\n  return x;\n}\n"
     after = tmp_path / "after"
     write_text(after / "m.c", old.replace("return x;", "return x + 1;"))
-    diff = to_unified_diff(after, {"m.c": old})
+    diff = to_unified_diff({"m.c": old}, read_texts(after, "m.c"))
     assert "No newline" not in diff
     target = tmp_path / "target"
     write_text(target / "m.c", old)
@@ -373,9 +390,9 @@ def test_unified_diff_next_to_a_form_feed_line_applies(tmp_path):
 
 
 def test_unified_diff_empty_for_identical_trees(crepo):
-    assert to_unified_diff(crepo, {}) == ""
-    assert to_unified_diff(crepo, _originals(crepo, "src/buf.c",
-                                             "cpp/fileio.cpp")) == ""
+    assert to_unified_diff({}, {}) == ""
+    texts = read_texts(crepo, "src/buf.c", "cpp/fileio.cpp")
+    assert to_unified_diff(texts, dict(texts)) == ""
 
 
 def test_unified_diff_patch_p1_compatible(tmp_path, crepo):
@@ -384,7 +401,8 @@ def test_unified_diff_patch_p1_compatible(tmp_path, crepo):
     shutil.copytree(crepo, after)
     buf = after / "src" / "buf.c"
     write_text(buf, read_text(buf).replace("len = cap;", "len = cap - 1;"))
-    diff = to_unified_diff(after, _originals(crepo, "src/buf.c"))
+    diff = to_unified_diff(read_texts(crepo, "src/buf.c"),
+                           read_texts(after, "src/buf.c"))
     target = tmp_path / "t"
     shutil.copytree(crepo, target)
     proc = subprocess.run(["patch", "-p1"], input=diff, text=True,

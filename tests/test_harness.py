@@ -16,16 +16,18 @@ from types import SimpleNamespace
 
 import pytest
 import requests
-from replay_scripts import build_entries
+from conftest import snapshot
+from replay_scripts import (REFERENCE_FIX, build_entries,
+                            localization_entries, spa_entries)
 
 import vulnmend.harness.pipeline as pipeline
 import vulnmend.repo_model as repo_model
 from vulnmend.agents.react import Step, Transcript
-from vulnmend.edit_engine import (EditHistory, parse_edit_blocks,
-                                  to_unified_diff)
+from vulnmend.edit_engine import (EditHistory, edited_texts,
+                                  parse_edit_blocks, to_unified_diff)
 from vulnmend.errors import (LLMBackendError, ReplayDesync, SchemaViolation,
                              ScriptExhausted, describe_error)
-from vulnmend.execution import LocalSandbox, PocRunner
+from vulnmend.execution import LocalSandbox, PristineCopy
 from vulnmend.harness.backends import HttpChatBackend, ReplayBackend
 from vulnmend.harness.cli import _backend_factory, _load_config, main
 from vulnmend.harness.config import VARIANTS, RunConfig, variant
@@ -204,6 +206,24 @@ def test_config_defaults():
 def test_config_validation_errors(overrides, message):
     with pytest.raises(ValueError, match=message):
         RunConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("enable_spa", "false"), ("enable_cpc", 1), ("keep_workspaces", "no"),
+    ("top_files", 2.5), ("candidates", True), ("candidates", "5"),
+    ("spa_max_steps", None), ("poc_timeout", "300"), ("poc_timeout", True),
+    ("price_input_per_mtok", 3), ("enhance_stages", "generation"),
+    ("enhance_stages", [["generation"]]),
+])
+def test_config_rejects_wrongly_typed_values(key, value):
+    # a JSON config carries no types: "false" must not turn a flag on
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        RunConfig.from_dict({key: value})
+
+
+def test_config_takes_an_int_or_a_float_timeout():
+    assert RunConfig.from_dict({"poc_timeout": 10}).poc_timeout == 10
+    assert RunConfig.from_dict({"poc_timeout": 0.5}).poc_timeout == 0.5
 
 
 def test_config_round_trips_through_dict(tmp_path):
@@ -942,6 +962,18 @@ def test_evaluate_goes_on_past_a_broken_instance(tmp_path):
     assert [row["resolved"] for row in payload["instances"]] == [False, True]
 
 
+def test_verify_reports_a_temp_directory_it_cannot_make(tmp_path,
+                                                         monkeypatch):
+    def refuse(**kwargs):
+        raise PermissionError(13, "Permission denied", "/no-temp")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+    verdict = verify_prediction(_mini_instance(tmp_path, "true"), HELLO_DIFF)
+    assert (verdict.applied, verdict.resolved) == (False, False)
+    assert verdict.detail == ("workspace copy failed: PermissionError: "
+                              "[Errno 13] Permission denied: '/no-temp'")
+
+
 def test_evaluate_aborts_without_git(tmp_path, monkeypatch):
     # a fault of the environment, unlike one of an instance's data, would
     # fail every instance alike, so it stops the batch instead of reading
@@ -978,10 +1010,8 @@ def test_validation_and_evaluation_agree_on_the_poc(tmp_path, command,
                                                     timeout, passed):
     instance = _mini_instance(tmp_path, command)
     workspace = tmp_path / "ws-mini-1"
-    outcome = validate_candidate(
-        HELLO_EDIT, EditHistory(workspace),
-        PocRunner(LocalSandbox(workspace), command, timeout=timeout),
-        workspace)
+    with PristineCopy(workspace, command, timeout=timeout) as pristine:
+        outcome = validate_candidate(HELLO_EDIT, pristine)
     verdict = verify_prediction(instance, HELLO_DIFF, timeout=timeout)
     assert outcome.applied and verdict.applied
     assert outcome.poc_pass is verdict.resolved is passed
@@ -1042,8 +1072,8 @@ def test_evaluate_missing_prediction_counts_as_no_patch(tmp_path):
 
 
 @needs_gcc
-def test_replay_run_instance_spawns_no_git(fixtures_dir, tmp_path,
-                                           monkeypatch):
+def test_replay_run_instance_spawns_git_only_to_apply_candidates(
+        fixtures_dir, tmp_path, monkeypatch):
     spawned = []
 
     class RecordingPopen(subprocess.Popen):
@@ -1061,7 +1091,11 @@ def test_replay_run_instance_spawns_no_git(fixtures_dir, tmp_path,
 
     assert result.winner is not None and not result.errors
     assert spawned  # the PoC builds were seen
-    assert [argv for argv in spawned if argv[:1] == ["git"]] == []
+    # the edit history runs no git; validation applies the diff of each
+    # distinct program (candidates 0 and 2) with `git apply`, as
+    # evaluate applies a prediction
+    assert [argv for argv in spawned if argv[:1] == ["git"]] \
+        == [["git", "apply", "--whitespace=nowarn", "-"]] * 2
     instance_dir = tmp_path / instance.instance_id
     assert not (instance_dir / "base").exists()
     assert not (instance_dir / "workspace" / ".git").exists()
@@ -1259,6 +1293,84 @@ def test_validation_builds_each_distinct_program_once(fixtures_dir,
     assert execs == [instance.repro_command] * 2
 
 
+# a correct clamp that keeps the property agent's probe: it builds only
+# where the agent's assertion header is
+ASSERTED_FIX = REFERENCE_FIX.replace(
+    "        len = cap - 1;\n    }\n",
+    "        len = cap - 1;\n    }\n"
+    '    SAFETY_PROPERTY_ASSERT(len < cap, "p1");\n')
+
+
+@needs_gcc
+def test_validation_judges_a_candidate_as_evaluate_does(fixtures_dir,
+                                                        tmp_path):
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    config = dataclasses.replace(variant("spa"), candidates=1)
+    entries = spa_entries() + localization_entries() + [
+        {"expect": "generate", "response": {"text": ASSERTED_FIX}}]
+    result = run_instance(instance, config, ReplayBackend(entries),
+                          tmp_path)
+    assert not result.errors
+    candidates = tmp_path / instance.instance_id / "candidates"
+    (outcome,) = json.loads((candidates / "outcomes.json").read_text())
+    verdict = verify_prediction(
+        instance, (candidates / "candidate-0.diff").read_bytes())
+    # the property agent's header is in neither pristine copy, so the
+    # candidate builds in neither, and it cannot win the vote
+    assert outcome["applied"] and verdict.applied
+    assert (outcome["compiled"], outcome["poc_pass"]) == (False, False)
+    assert (verdict.exit_code, verdict.resolved) == (2, False)
+    assert result.winner is None and result.prediction == ""
+
+
+@needs_gcc
+def test_validation_leaves_both_trees_as_they_were_and_copies_once(
+        fixtures_dir, scratch_crepo, tmp_path, monkeypatch):
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        workspace_path=str(scratch_crepo))
+    workspace = tmp_path / "run" / instance.instance_id / "workspace"
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    copies = []
+    copytree = shutil.copytree
+
+    def counted(src, dst, *args, **kwargs):
+        # copytree calls itself for each subdirectory
+        if Path(src) == scratch_crepo:
+            copies.append(dst)
+        return copytree(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "copytree", counted)
+    seen = []
+    validate = pipeline.validate_candidate
+
+    def watched(*args, **kwargs):
+        seen.append((snapshot(workspace), snapshot(scratch_crepo),
+                     len(copies)))
+        try:
+            return validate(*args, **kwargs)
+        finally:
+            seen.append((snapshot(workspace), snapshot(scratch_crepo),
+                         len(copies)))
+
+    monkeypatch.setattr(pipeline, "validate_candidate", watched)
+    config = dataclasses.replace(variant("full"), keep_workspaces=True)
+    result = run_instance(instance, config,
+                          ReplayBackend(build_entries(True, True)),
+                          tmp_path / "run")
+
+    assert result.winner == 0 and not result.errors
+    assert len(seen) == 10
+    assert len({(run_tree, source) for run_tree, source, _ in seen}) == 1
+    # one copy is the run's workspace, one serves all of validation
+    assert len(copies) == 2 and copies[0] == workspace
+    assert (seen[0][2], seen[-1][2]) == (1, 2)
+    # and the validation copy is gone
+    assert list(temp.iterdir()) == []
+
+
 @needs_gcc
 def test_dangling_symlink_in_workspace_is_skipped(fixtures_dir,
                                                  scratch_crepo, tmp_path):
@@ -1368,7 +1480,9 @@ def test_write_keeps_non_utf8_diff_bytes(tmp_path):
     history = EditHistory(tmp_path / "after")
     history.apply_edits("bump", "### src/a.c\n<<<<<<< SEARCH\nint x = 1;\n"
                                 "=======\nint x = 2;\n>>>>>>> REPLACE\n")
-    diff = to_unified_diff(tmp_path / "after", history.originals())
+    diff = to_unified_diff(
+        {"src/a.c": source.decode("utf-8", "surrogateescape")},
+        {"src/a.c": repo_model.read_text(tmp_path / "after" / "src" / "a.c")})
     path = tmp_path / "out" / "candidate-0.diff"
     repo_model.write_text(path, diff)
 
@@ -1383,14 +1497,12 @@ def test_evaluate_applies_non_utf8_prediction(tmp_path):
     workspace = tmp_path / "ws"
     (workspace / "src").mkdir(parents=True)
     (workspace / "src" / "a.c").write_bytes(b"/* caf\xe9 */\nint x = 1;\n")
-    patched = tmp_path / "patched"
-    shutil.copytree(workspace, patched)
-    history = EditHistory(patched)
-    history.apply_edits("bump", "### src/a.c\n<<<<<<< SEARCH\nint x = 1;\n"
-                                "=======\nint x = 2;\n>>>>>>> REPLACE\n")
     run_dir = tmp_path / "run"
     repo_model.write_text(run_dir / "mini-1" / "prediction.diff",
-                          to_unified_diff(patched, history.originals()))
+                          to_unified_diff(*edited_texts(
+                              workspace,
+                              "### src/a.c\n<<<<<<< SEARCH\nint x = 1;\n"
+                              "=======\nint x = 2;\n>>>>>>> REPLACE\n")))
     instance = IssueInstance(instance_id="mini-1", issue_report="r",
                              repro_command="grep -q 'x = 2' src/a.c",
                              workspace_path=str(workspace))

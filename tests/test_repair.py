@@ -1,7 +1,7 @@
 import shutil
 
 import pytest
-from conftest import ScriptedLLM, snapshot
+from conftest import ScriptedLLM, read_texts, snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from replay_scripts import (COMMENT_ONLY_PATCH, COMMENTED_FIX, REFERENCE_FIX,
@@ -9,7 +9,7 @@ from replay_scripts import (COMMENT_ONLY_PATCH, COMMENTED_FIX, REFERENCE_FIX,
 
 from vulnmend.edit_engine import (EditHistory, apply_edits_to_text,
                                   parse_edit_blocks)
-from vulnmend.execution import LocalSandbox, PocRunner
+from vulnmend.execution import LocalSandbox, PristineCopy
 from vulnmend.llm import ChatResponse
 from vulnmend.localization import ElementSelection
 from vulnmend.repair import (CandidateOutcome, CandidatePatch, PatchContext,
@@ -190,11 +190,11 @@ def test_fingerprint_ignores_comment_differences(scratch_crepo):
     history = EditHistory(scratch_crepo)
 
     history.apply_edits("plain", REFERENCE_FIX)
-    fp_plain = patch_fingerprint(scratch_crepo, ["src/buf.c"])
+    fp_plain = patch_fingerprint(read_texts(scratch_crepo, "src/buf.c"))
     history.rollback_all()
 
     history.apply_edits("commented", COMMENTED_FIX)
-    fp_commented = patch_fingerprint(scratch_crepo, ["src/buf.c"])
+    fp_commented = patch_fingerprint(read_texts(scratch_crepo, "src/buf.c"))
     history.rollback_all()
 
     assert fp_plain == fp_commented
@@ -210,7 +210,7 @@ def test_fingerprint_ignores_comment_differences(scratch_crepo):
     }
 >>>>>>> REPLACE
 """)
-    fp_other = patch_fingerprint(scratch_crepo, ["src/buf.c"])
+    fp_other = patch_fingerprint(read_texts(scratch_crepo, "src/buf.c"))
     assert fp_other != fp_plain
 
 
@@ -238,7 +238,8 @@ def test_different_programs_get_different_fingerprints(tmp_path, one, two):
     for side, text in (("one", one), ("two", two)):
         (tmp_path / side).mkdir()
         (tmp_path / side / "x.c").write_text(text, newline="")
-        fingerprints.add(patch_fingerprint(tmp_path / side, ["x.c"]))
+        fingerprints.add(patch_fingerprint(read_texts(tmp_path / side,
+                                                      "x.c")))
     assert len(fingerprints) == 2
 
 
@@ -258,18 +259,18 @@ def test_fingerprint_takes_files_other_than_c_as_they_are(tmp_path):
              "fetch.sh": ("curl http://a/x\n", "curl http://b/x\n")}
     for rel, (one, two) in pairs.items():
         (tmp_path / rel).write_text(one)
-        first = patch_fingerprint(tmp_path, [rel])
+        first = patch_fingerprint(read_texts(tmp_path, rel))
         (tmp_path / rel).write_text(two)
-        assert patch_fingerprint(tmp_path, [rel]) != first, rel
+        assert patch_fingerprint(read_texts(tmp_path, rel)) != first, rel
 
 
 def test_fingerprint_binds_path_and_sorts_file_set(tmp_path):
     (tmp_path / "a.c").write_text("int v;\n")
     (tmp_path / "b.c").write_text("int v;\n")
-    assert (patch_fingerprint(tmp_path, ["a.c"])
-            != patch_fingerprint(tmp_path, ["b.c"]))
-    assert (patch_fingerprint(tmp_path, ["a.c", "b.c"])
-            == patch_fingerprint(tmp_path, ["b.c", "a.c", "a.c"]))
+    assert (patch_fingerprint(read_texts(tmp_path, "a.c"))
+            != patch_fingerprint(read_texts(tmp_path, "b.c")))
+    assert (patch_fingerprint(read_texts(tmp_path, "a.c", "b.c"))
+            == patch_fingerprint(read_texts(tmp_path, "b.c", "a.c", "a.c")))
 
 
 # -- validation ------------------------------------------------------------------
@@ -277,35 +278,23 @@ def test_fingerprint_binds_path_and_sorts_file_set(tmp_path):
 
 @needs_gcc
 def test_validate_candidate_poc_verdicts(scratch_crepo):
-    history = EditHistory(scratch_crepo)
-    runner = PocRunner(LocalSandbox(scratch_crepo), "sh secb.sh")
     before = snapshot(scratch_crepo)
 
-    fixed = validate_candidate(_candidate(0, REFERENCE_FIX), history,
-                               runner, scratch_crepo)
-    assert fixed.applied and fixed.compiled and fixed.poc_pass
-    assert fixed.sanitizer_triggered is False
-    assert fixed.fingerprint
-    assert "len = cap - 1;" in fixed.diff
-    assert fixed.diff.startswith("diff --git")
-    assert snapshot(scratch_crepo, before.files) == before
+    with PristineCopy(scratch_crepo, "sh secb.sh") as pristine:
+        fixed = validate_candidate(_candidate(0, REFERENCE_FIX), pristine)
+        assert fixed.applied and fixed.compiled and fixed.poc_pass
+        assert fixed.sanitizer_triggered is False
+        assert fixed.fingerprint
+        assert "len = cap - 1;" in fixed.diff
+        assert fixed.diff.startswith("diff --git")
+        assert snapshot(scratch_crepo, before.files) == before
 
-    cosmetic = validate_candidate(_candidate(1, COMMENT_ONLY_PATCH),
-                                  history, runner, scratch_crepo)
-    assert cosmetic.applied and cosmetic.compiled
-    assert cosmetic.sanitizer_triggered is True
-    assert cosmetic.poc_pass is False
-    assert snapshot(scratch_crepo, before.files) == before
-
-
-class _CountingSandbox(LocalSandbox):
-    def __init__(self, workspace):
-        super().__init__(workspace)
-        self.execs = 0
-
-    def exec(self, command, **kwargs):
-        self.execs += 1
-        return super().exec(command, **kwargs)
+        cosmetic = validate_candidate(_candidate(1, COMMENT_ONLY_PATCH),
+                                      pristine)
+        assert cosmetic.applied and cosmetic.compiled
+        assert cosmetic.sanitizer_triggered is True
+        assert cosmetic.poc_pass is False
+        assert snapshot(scratch_crepo, before.files) == before
 
 
 # a PoC that passes only on the fixed clamp, with no compiler needed
@@ -313,22 +302,25 @@ _GREP_POC = ("grep -q 'len >= cap' src/buf.c || { echo '==9==ERROR: "
              "AddressSanitizer: stack-buffer-overflow' >&2; exit 1; }")
 
 
-def test_validation_runs_the_poc_once_per_fingerprint(scratch_crepo):
-    history = EditHistory(scratch_crepo)
-    sandbox = _CountingSandbox(scratch_crepo)
-    runner = PocRunner(sandbox, _GREP_POC)
+def test_validation_runs_the_poc_once_per_fingerprint(scratch_crepo,
+                                                      monkeypatch):
+    execs = []
+    exec_ = LocalSandbox.exec
+    monkeypatch.setattr(LocalSandbox, "exec", lambda self, command, **kw: (
+        execs.append(command) or exec_(self, command, **kw)))
     poc_runs = {}
 
-    def validate(index, text):
-        return validate_candidate(_candidate(index, text), history, runner,
-                                  scratch_crepo, poc_runs)
+    with PristineCopy(scratch_crepo, _GREP_POC) as pristine:
+        def validate(index, text):
+            return validate_candidate(_candidate(index, text), pristine,
+                                      poc_runs)
 
-    fixed = validate(0, REFERENCE_FIX)
-    assert sandbox.execs == 1
-    commented = validate(1, COMMENTED_FIX)
-    assert sandbox.execs == 1
-    cosmetic = validate(2, COMMENT_ONLY_PATCH)
-    assert sandbox.execs == 2
+        fixed = validate(0, REFERENCE_FIX)
+        assert len(execs) == 1
+        commented = validate(1, COMMENTED_FIX)
+        assert len(execs) == 1
+        cosmetic = validate(2, COMMENT_ONLY_PATCH)
+        assert len(execs) == 2
 
     assert commented.fingerprint == fixed.fingerprint != cosmetic.fingerprint
     assert (commented.compiled, commented.sanitizer_triggered,
@@ -342,21 +334,20 @@ def test_validation_runs_the_poc_once_per_fingerprint(scratch_crepo):
 
 
 def test_validate_candidate_unmatched_search(scratch_crepo):
-    history = EditHistory(scratch_crepo)
-    runner = PocRunner(LocalSandbox(scratch_crepo), "true")
-    outcome = validate_candidate(_candidate(2, UNMATCHED_PATCH), history,
-                                 runner, scratch_crepo)
+    before = snapshot(scratch_crepo)
+    with PristineCopy(scratch_crepo, "true") as pristine:
+        outcome = validate_candidate(_candidate(2, UNMATCHED_PATCH),
+                                     pristine)
     assert outcome.applied is False
     assert outcome.failure.startswith("SearchTextNotFound")
-    assert history.history_view().count == 0
+    assert snapshot(scratch_crepo) == before
 
 
 def test_validate_candidate_parse_error_short_circuits(scratch_crepo):
     candidate = CandidatePatch(index=3, temperature=1.0, raw_text="junk",
                                edits=(), parse_error="no edit blocks found")
-    outcome = validate_candidate(
-        candidate, EditHistory(scratch_crepo),
-        PocRunner(LocalSandbox(scratch_crepo), "true"), scratch_crepo)
+    with PristineCopy(scratch_crepo, "true") as pristine:
+        outcome = validate_candidate(candidate, pristine)
     assert outcome.applied is False
     assert outcome.failure == "no edit blocks found"
 
