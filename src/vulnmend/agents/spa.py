@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from ..edit_engine import EditHistory
 from ..errors import EmptyHistory, ReportParseFailure
 from ..execution import PocRunner, PythonScriptSandbox
 from ..llm import LLMBackend
-from ..repo_model import RepoIndex, render_repo_tree
+from ..repo_model import RepoIndex, render_repo_tree, write_text
 from ..symbol_analysis import IndexBackend
 from .cpc import initial_message, load_prompt, reparse_with_retry
 from .react import AgentSpec, Transcript, run_react
@@ -37,14 +39,14 @@ ASSERT_PRELUDE = '''\
 '''
 
 
-def install_assert_prelude(sandbox) -> None:
+def install_assert_prelude(root: Path) -> None:
     """Place the assertion header at the workspace root.
 
     Rollbacks only restore the files an edit set rewrote, so the header
     outlives every rollback and instrumented builds stay possible
     throughout the session.
     """
-    sandbox.write_file(ASSERT_PRELUDE_NAME, ASSERT_PRELUDE)
+    write_text(root / ASSERT_PRELUDE_NAME, ASSERT_PRELUDE)
 
 
 def run_spa_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
@@ -54,8 +56,12 @@ def run_spa_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
                   ) -> tuple[PropertyAnalysisReport, Transcript]:
     """Analyze which safety property the PoC violates.
 
-    Whatever the agent leaves applied is rolled back afterwards, so the
-    workspace the repair stage sees is the baseline one.
+    The assertion header is installed at index.root once the repository
+    tree is taken, so that no prompt lists it; it stays for the agent's
+    instrumented builds only (validation judges candidates in a
+    pristine copy). Whatever the agent leaves applied is rolled back
+    afterwards, so the workspace the repair stage sees is the baseline
+    one.
     """
     spec = AgentSpec(
         name="spa",
@@ -64,10 +70,10 @@ def run_spa_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
         tools=spa_toolkit(index, backend, history, runner, script_sandbox),
         workspace=index.root,
     )
+    first_message = initial_message(issue_text, render_repo_tree(index))
+    install_assert_prelude(index.root)
     try:
-        transcript = run_react(
-            spec, llm,
-            initial_message(issue_text, render_repo_tree(index)))
+        transcript = run_react(spec, llm, first_message)
     finally:
         try:
             history.rollback_all()

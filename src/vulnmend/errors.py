@@ -74,8 +74,9 @@ class UnknownLogName(VulnmendError):
     pass
 
 
-class WriteFailure(VulnmendError):
-    pass
+class GitUnavailable(VulnmendError, FileNotFoundError):
+    """No `git` on PATH: a fault of the machine that would fail every
+    instance alike."""
 
 
 # --- agents ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .errors import (SandboxUnavailable, UnknownLogName, WriteFailure,
+from .errors import (GitUnavailable, SandboxUnavailable, UnknownLogName,
                      describe_error)
 from .naming import dedupe_name
 from .repo_model import skip_dangling_links, write_text
@@ -79,12 +79,6 @@ class LocalSandbox:
                 exit_code, timed_out = 124, True
         return ExecResult(exit_code=exit_code, stdout=stdout, stderr=stderr,
                           timed_out=timed_out)
-
-    def write_file(self, rel: str, text: str) -> None:
-        try:
-            write_text(self.workspace / rel, text)
-        except OSError as exc:
-            raise WriteFailure(f"cannot write {rel}: {exc}") from exc
 
 
 # -- log plumbing ------------------------------------------------------------
@@ -287,6 +281,15 @@ class PatchVerdict:
     @property
     def passed(self) -> bool:
         return self.result is not None and self.result.passed
+
+
+def require_git() -> None:
+    """Fail unless `git` is on PATH. PristineCopy judges every patch
+    through `git apply`, so a batch checks this once, before its first
+    instance, instead of failing each instance alike."""
+    if shutil.which("git") is None:
+        raise GitUnavailable("no `git` on PATH: run and evaluate apply "
+                             "every patch with `git apply`")
 
 
 class PristineCopy:

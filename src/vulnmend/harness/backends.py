@@ -169,34 +169,46 @@ class HttpChatBackend:
     def _post(self, payload: dict) -> tuple[dict, list[dict]]:
         """One answered POST, through the retry policy: the parsed body
         and its choices' messages, at least one."""
-        import requests
+        # imported here: http.client, ssl and email would otherwise load
+        # into every replay run
+        import http.client
+        import urllib.error
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        request = urllib.request.Request(
+            f"{self.base_url}/chat/completions",
+            data=json.dumps(payload).encode(), headers=headers)
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 time.sleep(RETRY_BACKOFF_S[attempt - 1])
+            # urlopen raises HTTPError for every status but 2xx, and a
+            # dropped connection as RemoteDisconnected, unwrapped
             try:
-                http = requests.post(
-                    f"{self.base_url}/chat/completions", json=payload,
-                    headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+                try:
+                    with urllib.request.urlopen(
+                            request, timeout=self.timeout) as answer:
+                        status, raw = answer.status, answer.read()
+                except urllib.error.HTTPError as exc:
+                    status, raw = exc.code, exc.read()
+            except (OSError, http.client.HTTPException) as exc:
                 failure = f"request failed: {exc}"
                 continue
-            if http.status_code == 429 or http.status_code >= 500:
-                failure = f"HTTP {http.status_code}"
+            if status == 429 or status >= 500:
+                failure = f"HTTP {status}"
                 continue
             break
         else:
             raise LLMBackendError(
                 f"{failure} (after {MAX_ATTEMPTS} attempts)")
-        if http.status_code != 200:
-            error = (_Refused if 400 <= http.status_code < 500
-                     else LLMBackendError)
-            raise error(f"HTTP {http.status_code}: {http.text[:300]}")
+        if status != 200:
+            error = _Refused if 400 <= status < 500 else LLMBackendError
+            text = raw.decode("utf-8", errors="replace")
+            raise error(f"HTTP {status}: {text[:300]}")
         try:
-            body = http.json()
+            body = json.loads(raw)
             choices = [c["message"] for c in body["choices"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise LLMBackendError(f"malformed response: {exc}")

@@ -8,6 +8,7 @@ import os
 import sys
 from pathlib import Path
 
+from ..errors import GitUnavailable
 from .backends import HttpChatBackend, ReplayBackend
 from .config import VARIANTS, RunConfig, variant
 from .instances import load_instances
@@ -187,7 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except GitUnavailable as exc:
+        raise SystemExit(f"vulnmend {args.command}: {exc}")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,11 @@ _INT_FIELDS = ("top_files", "context_margin", "candidates", "chunk_lines",
                "log_head_lines", "log_tail_lines", "script_output_cap")
 
 
+# USD per million tokens; far above any real price, and small enough
+# that a cost of any plausible token count quantizes to cents
+_MAX_PRICE = 1_000_000
+
+
 def _wrong_type(name: str, expected: str, value) -> ValueError:
     return ValueError(f"{name} must be {expected}, got {value!r}")
 
@@ -82,12 +87,21 @@ class RunConfig:
             raise ValueError("enhance_stages has duplicates")
         from decimal import Decimal, InvalidOperation
         for name in ("price_input_per_mtok", "price_output_per_mtok"):
-            if not isinstance(getattr(self, name), str):
-                raise _wrong_type(name, "a string", getattr(self, name))
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise _wrong_type(name, "a string", value)
             try:
-                Decimal(getattr(self, name))
+                price = Decimal(value)
             except InvalidOperation:
                 raise ValueError(f"{name} is not a decimal number")
+            # NaN would be written into cost.json as is; a negative or
+            # an infinite price, or one too large to round to cents,
+            # would fail the cost sum after the calls are paid for
+            if not (price.is_finite() and not price.is_signed()
+                    and price <= _MAX_PRICE):
+                raise _wrong_type(
+                    name, f"a finite price from 0 to {_MAX_PRICE} USD per "
+                    "million tokens", value)
         return self
 
     def to_dict(self) -> dict:

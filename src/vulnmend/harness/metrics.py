@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
-from ..execution import PristineCopy
+from ..execution import PristineCopy, require_git
 from ..llm import RequestRecord
 from ..repo_model import write_json
 from .config import RunConfig
@@ -120,6 +120,7 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
 def evaluate_run(run_dir: Path | str, instances: list[IssueInstance],
                  timeout: float = 300.0) -> tuple[Metrics, list[InstanceVerdict]]:
     """Judge every instance of a finished run and persist the verdicts."""
+    require_git()
     run_dir = Path(run_dir)
     by_id = {i.instance_id: i for i in instances}
     verdicts = []

@@ -20,12 +20,12 @@ from pathlib import Path
 
 from ..agents.cpc import run_cpc_agent
 from ..agents.reports import EnhancedIssueReport
-from ..agents.spa import install_assert_prelude, run_spa_agent
+from ..agents.spa import run_spa_agent
 from ..edit_engine import EditHistory
 from ..errors import (ReplayDesync, ScriptExhausted, VulnmendError,
                       describe_error)
 from ..execution import (LocalSandbox, LogStore, PocRunner, PristineCopy,
-                         PythonScriptSandbox)
+                         PythonScriptSandbox, require_git)
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
@@ -123,16 +123,10 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     else:
         issue_text = instance.issue_report
 
-    sandbox = LocalSandbox(workspace)
-    if config.enable_spa:
-        # for the property agent's instrumented builds only: validation
-        # judges candidates in a pristine copy, which lacks the header
-        install_assert_prelude(sandbox)
-
     log_store = LogStore()
     history = EditHistory(workspace)
     runner = PocRunner(
-        sandbox, instance.repro_command, log_store=log_store,
+        LocalSandbox(workspace), instance.repro_command, log_store=log_store,
         head_lines=config.log_head_lines, tail_lines=config.log_tail_lines,
         timeout=config.poc_timeout)
     script_sandbox = PythonScriptSandbox(
@@ -304,6 +298,8 @@ def run_instance(instance: IssueInstance, config: RunConfig,
 def run_all(instances, config: RunConfig, backend_for,
             out_dir: Path | str) -> list[InstanceResult]:
     """Run every instance; backend_for(instance_id) supplies its model."""
+    # before any model call is paid for
+    require_git()
     out_dir = Path(out_dir)
     write_json(out_dir / "config.json", config.to_dict())
     results = []

@@ -244,14 +244,6 @@ _ELEMENTS_SYSTEM = (
     "suspicious first, and nothing else. Use Scope::name for members.")
 
 
-def _element_index(index: RepoIndex, rel: str) -> dict[str, CodeElement]:
-    by_name: dict[str, CodeElement] = {}
-    for element in index.elements(rel):
-        by_name.setdefault(element.name, element)
-        by_name.setdefault(element.qualified_name, element)
-    return by_name
-
-
 def localize_elements(llm: LLMBackend, index: RepoIndex,
                       files: list[str], issue_text: str, limit: int = 10,
                       ) -> ElementLocalization:
@@ -284,7 +276,6 @@ def localize_elements(llm: LLMBackend, index: RepoIndex,
 
     selections = []
     seen = set()
-    indexes: dict[str, dict[str, CodeElement]] = {}
     for item in items:
         if not isinstance(item, dict):
             continue
@@ -292,9 +283,9 @@ def localize_elements(llm: LLMBackend, index: RepoIndex,
         ident = str(item.get("id", "")).strip()
         if not rel or not ident or rel not in files:
             continue
-        if rel not in indexes:
-            indexes[rel] = _element_index(index, rel)
-        element = indexes[rel].get(ident)
+        # the first element a search for ident finds in rel
+        element = next((e for e in index.elements(rel) if e.is_named(ident)),
+                       None)
         if element is None or (rel, element.name, element.start_line) in seen:
             continue
         seen.add((rel, element.name, element.start_line))

@@ -197,7 +197,7 @@ def test_symbol_queries_and_agent_runs_leave_tree_pristine(
         criterion, scratch_crepo, issue_text):
     criterion("virtual-edit purity")
     sandbox = LocalSandbox(scratch_crepo)
-    install_assert_prelude(sandbox)
+    install_assert_prelude(scratch_crepo)
     history = EditHistory(scratch_crepo)
     base = snapshot(scratch_crepo)
 

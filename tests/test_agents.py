@@ -478,8 +478,7 @@ def test_run_cpc_agent_keeps_raw_text_when_reformat_fails(crepo_index,
 
 
 def test_run_spa_agent_rolls_back_forgotten_edits(scratch_crepo, issue_text):
-    sandbox = LocalSandbox(scratch_crepo)
-    install_assert_prelude(sandbox)
+    install_assert_prelude(scratch_crepo)
     base = snapshot(scratch_crepo).digest
     history = EditHistory(scratch_crepo)
     runner = PocRunner(_CannedSandbox(ExecResult(1, "", ASAN_LOG)), "cmd")
@@ -544,7 +543,7 @@ def test_tool_os_errors_become_observations_without_the_workspace_path(
 
 
 def test_assert_prelude_contract(tmp_path):
-    install_assert_prelude(LocalSandbox(tmp_path))
+    install_assert_prelude(tmp_path)
     text = (tmp_path / ASSERT_PRELUDE_NAME).read_text()
     assert text == ASSERT_PRELUDE
     assert "#ifndef SAFETY_PROPERTY_ASSERT_H" in text

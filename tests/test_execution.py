@@ -147,7 +147,7 @@ def test_local_sandbox_exec_and_files(tmp_path):
     assert "hello" in res.stdout
     assert str(tmp_path) in res.stdout
     assert res.timed_out is False
-    sandbox.write_file("deep/nested/note.txt", "payload\n")
+    write_text(tmp_path / "deep/nested/note.txt", "payload\n")
     assert read_text(tmp_path / "deep/nested/note.txt") == "payload\n"
     assert sandbox.exec("exit 7").exit_code == 7
 

@@ -3,23 +3,30 @@ metrics and the command line."""
 
 import dataclasses
 import hashlib
+import http.client
+import http.server
+import io
 import json
 import re
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
+import urllib.error
+import urllib.request
+import urllib.response
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-import requests
 from conftest import snapshot
 from replay_scripts import (REFERENCE_FIX, build_entries,
                             localization_entries, spa_entries)
 
+import vulnmend.agents.spa as spa_agent
 import vulnmend.harness.pipeline as pipeline
 import vulnmend.repo_model as repo_model
 from vulnmend.agents.react import Step, Transcript
@@ -214,6 +221,10 @@ def test_config_validation_errors(overrides, message):
     ("spa_max_steps", None), ("poc_timeout", "300"), ("poc_timeout", True),
     ("price_input_per_mtok", 3), ("enhance_stages", "generation"),
     ("enhance_stages", [["generation"]]),
+    # prices that would break cost accounting
+    ("price_input_per_mtok", "NaN"), ("price_output_per_mtok", "-3"),
+    ("price_input_per_mtok", "Infinity"), ("price_output_per_mtok", "sNaN"),
+    ("price_input_per_mtok", "1e999999"),
 ])
 def test_config_rejects_wrongly_typed_values(key, value):
     # a JSON config carries no types: "false" must not turn a flag on
@@ -416,15 +427,29 @@ def test_replay_n_request_past_the_end_is_exhaustion():
 
 
 class _Response:
+    """A server's answer: a status and a JSON body, or raw text."""
+
     def __init__(self, status_code=200, body=None, text=""):
         self.status_code = status_code
         self._body = body
         self.text = text
 
-    def json(self):
-        if self._body is None:
-            raise ValueError("no json")
-        return self._body
+    def opened(self, request):
+        """What urlopen makes of this answer: a 200 is returned, any
+        other status is raised as an HTTPError."""
+        data = (json.dumps(self._body) if self._body is not None
+                else self.text).encode()
+        if self.status_code != 200:
+            raise urllib.error.HTTPError(request.full_url, self.status_code,
+                                         "error", {}, io.BytesIO(data))
+        return urllib.response.addinfourl(io.BytesIO(data), {},
+                                          request.full_url, 200)
+
+
+def _posted(request):
+    """A request as urlopen was handed it."""
+    return {"url": request.full_url, "headers": dict(request.header_items()),
+            "json": json.loads(request.data)}
 
 
 def test_http_payload_maps_tool_traffic():
@@ -469,9 +494,8 @@ def test_http_payload_plain_messages_untouched():
 def test_http_success_parses_content_and_tool_call(monkeypatch):
     posted = {}
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        posted["url"] = url
-        posted["headers"] = headers
+    def fake_urlopen(request, timeout=None):
+        posted.update(_posted(request))
         return _Response(body={
             "model": "m-live",
             "choices": [{"message": {
@@ -480,9 +504,9 @@ def test_http_success_parses_content_and_tool_call(monkeypatch):
                     "name": "probe", "arguments": "{\"x\": 1}"}}],
             }}],
             "usage": {"prompt_tokens": 7, "completion_tokens": 3},
-        })
+        }).opened(request)
 
-    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     backend = HttpChatBackend(base_url="http://api.test/v1/", model="m",
                               api_key="sk-test")
     response = backend.chat(_request("spa"))
@@ -499,12 +523,12 @@ def test_http_success_parses_content_and_tool_call(monkeypatch):
 
 
 def test_http_unparseable_tool_arguments_become_empty(monkeypatch):
-    monkeypatch.setattr(requests, "post", lambda *a, **k: _Response(body={
-        "choices": [{"message": {
-            "content": None,
-            "tool_calls": [{"function": {"name": "probe",
-                                         "arguments": "{broken"}}],
-        }}]}))
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, **k:
+                        _Response(body={"choices": [{"message": {
+                            "content": None,
+                            "tool_calls": [{"function": {
+                                "name": "probe", "arguments": "{broken"}}],
+                        }}]}).opened(request))
     backend = HttpChatBackend(base_url="http://api.test", model="m")
     response = backend.chat(_request("x"))
     assert response.tool_call.args == {}
@@ -520,25 +544,28 @@ def _serve(monkeypatch, *outcomes):
     posts, sleeps = [], []
     pending = list(outcomes)
 
-    def fake_post(*args, **kwargs):
-        posts.append(kwargs)
+    def fake_urlopen(request, timeout=None):
+        posts.append(_posted(request))
         outcome = pending.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
-        return outcome
+        return outcome.opened(request)
 
-    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     monkeypatch.setattr(time, "sleep", sleeps.append)
     return posts, sleeps
 
 
 _TRANSIENT = [_Response(status_code=429), _Response(status_code=500),
               _Response(status_code=503),
-              requests.ConnectionError("connection reset")]
+              urllib.error.URLError("connection reset"),
+              TimeoutError("timed out"),
+              http.client.RemoteDisconnected("closed without response")]
 
 
 @pytest.mark.parametrize("transient", _TRANSIENT,
-                         ids=["429", "500", "503", "network"])
+                         ids=["429", "500", "503", "network", "timeout",
+                              "disconnected"])
 def test_http_transient_failures_are_retried_with_backoff(monkeypatch,
                                                           transient):
     posts, sleeps = _serve(monkeypatch, transient, transient,
@@ -578,7 +605,7 @@ def test_http_client_error_permanent(monkeypatch):
 
 def test_http_network_failure_retryable(monkeypatch):
     posts, sleeps = _serve(
-        monkeypatch, *[requests.RequestException("connection reset")] * 4)
+        monkeypatch, *[urllib.error.URLError("connection reset")] * 4)
     backend = HttpChatBackend(base_url="http://api.test", model="m")
     with pytest.raises(LLMBackendError, match="request failed"):
         backend.chat(_request("x"))
@@ -679,6 +706,50 @@ def test_generate_survives_a_throttled_call(monkeypatch):
     assert [p["json"].get("n") for p in posts] == [None, None, 2]
     assert sleeps == [1.0]
     assert [r.tag for r in backend.records] == ["generate"] * 2
+
+
+def test_http_backend_talks_to_a_real_server(monkeypatch):
+    # the fakes above stand in for urlopen; this one answers on a socket:
+    # a 503 is retried, a 404 fails with its body, a 200 is parsed
+    answers = [(503, b"busy"), (200, json.dumps(_OK).encode()),
+               (404, b"no such model")]
+    seen = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            length = int(self.headers["Content-Length"])
+            seen.append((self.path, self.headers["Authorization"],
+                         json.loads(self.rfile.read(length))))
+            status, body = answers.pop(0)
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setattr(time, "sleep", lambda s: None)
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        backend = HttpChatBackend(
+            base_url=f"http://127.0.0.1:{server.server_port}/v1",
+            model="m", api_key="sk-test", timeout=10.0)
+        assert backend.chat(_request("x")).text == "done"
+        with pytest.raises(LLMBackendError,
+                           match="^HTTP 404: no such model$"):
+            backend.chat(_request("x"))
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert [path for path, _, _ in seen] == ["/v1/chat/completions"] * 3
+    assert {key for _, key, _ in seen} == {"Bearer sk-test"}
+    assert seen[0][2]["messages"] == [{"role": "user", "content": "hello"}]
+    assert len(backend.records) == 1
 
 
 # --- telemetry ------------------------------------------------------------
@@ -988,6 +1059,35 @@ def test_evaluate_aborts_without_git(tmp_path, monkeypatch):
     assert not (run_dir / "evaluation.json").exists()
 
 
+def test_run_stops_without_git_before_any_model_call(fixtures_dir,
+                                                     tmp_path, monkeypatch):
+    # without git every candidate would fail to apply, so the batch
+    # stops before its first instance, as evaluate does
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    (tmp_path / "empty").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    asked = []
+    run_dir = tmp_path / "run"
+    with pytest.raises(FileNotFoundError, match="git"):
+        run_all([instance], variant("full"), asked.append, run_dir)
+    assert asked == []
+    assert not (run_dir / instance.instance_id).exists()
+    with pytest.raises(FileNotFoundError, match="git"):
+        evaluate_run(run_dir, [instance])
+
+    instances = str(fixtures_dir / "instances.jsonl")
+    script = str(fixtures_dir / "replays" / "full.json")
+    for argv in (["run", "--instances", instances, "--out", str(run_dir),
+                  "--backend", f"replay:{script}"],
+                 ["evaluate", "--run", str(run_dir),
+                  "--instances", instances]):
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        assert str(stopped.value.code).startswith(
+            f"vulnmend {argv[0]}: no `git` on PATH")
+    assert not (run_dir / instance.instance_id).exists()
+
+
 HELLO_EDIT = CandidatePatch(
     index=0, temperature=0.0, raw_text="",
     edits=tuple(parse_edit_blocks("### hello.txt\n<<<<<<< SEARCH\nold\n"
@@ -1221,6 +1321,27 @@ def test_a_failed_artifact_write_does_not_abort_the_batch(
 
 
 @needs_gcc
+def test_a_failed_header_write_is_a_spa_stage_error(fixtures_dir, tmp_path,
+                                                    monkeypatch):
+    def refuse(path, text):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(spa_agent, "write_text", refuse)
+    first = load_instances(fixtures_dir / "instances.jsonl")[0]
+    second = dataclasses.replace(first, instance_id="namecache-obo-2")
+    # the agent fails before its first model call
+    results = run_all(
+        [first, second], variant("spa"),
+        lambda _: ReplayBackend(build_entries(False, False)), tmp_path / "run")
+    for result in results:
+        assert result.errors == [{
+            "stage": "spa",
+            "error": "PermissionError: [Errno 13] Permission denied: "
+                     "'workspace/safety_property_assert.h'"}]
+        assert result.winner == 0
+
+
+@needs_gcc
 def test_a_failed_write_is_recorded_without_the_run_directory(
         fixtures_dir, tmp_path, monkeypatch):
     instance = load_instances(fixtures_dir / "instances.jsonl")[0]
@@ -1445,31 +1566,54 @@ def test_failed_sample_request_keeps_the_greedy_candidate(fixtures_dir,
             for o in outcomes] == [(0, True, True)]
 
 
-class _PromptSizes(ReplayBackend):
-    """Replay that also counts the characters of every prompt it is sent."""
+class _Recording(ReplayBackend):
+    """Replay that also keeps every request it is sent."""
 
-    sent = 0
+    def __init__(self, script):
+        super().__init__(script)
+        self.requests = []
 
     def chat(self, request):
-        _PromptSizes.sent += sum(len(m.get("content") or "")
-                                 for m in request.messages)
+        self.requests.append(request)
         return super().chat(request)
 
 
 @needs_gcc
 def test_prompts_do_not_depend_on_the_workspace_path(fixtures_dir,
-                                                     tmp_path, monkeypatch):
+                                                     tmp_path):
     # PoC logs name the binary by its absolute path and carry the
     # sanitizer's pid; both are masked before a log enters a prompt
     instance = load_instances(fixtures_dir / "instances.jsonl")[0]
     sizes = []
     for out in (tmp_path / "a", tmp_path / "a-much-longer-run-directory"):
-        monkeypatch.setattr(_PromptSizes, "sent", 0)
-        (result,) = run_all([instance], variant("full"),
-                            lambda _: _PromptSizes(build_entries()), out)
+        llm = _Recording(build_entries())
+        (result,) = run_all([instance], variant("full"), lambda _: llm, out)
         assert result.winner is not None and not result.errors
-        sizes.append(_PromptSizes.sent)
+        sizes.append(sum(len(m.get("content") or "")
+                         for r in llm.requests for m in r.messages))
     assert sizes[0] == sizes[1]
+
+
+@needs_gcc
+def test_no_prompt_lists_the_assert_header(fixtures_dir, tmp_path):
+    # the property agent installs the header once the repository tree is
+    # taken, so only its own system prompt names it; its instrumented
+    # builds still find it
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    llm = _Recording(build_entries())
+    (result,) = run_all([instance], variant("full"), lambda _: llm,
+                        tmp_path / "run")
+    assert result.winner is not None and not result.errors
+    mentions = [(request.tag, message["role"])
+                for request in llm.requests for message in request.messages
+                if "safety_property_assert.h" in (message.get("content")
+                                                  or "")]
+    assert mentions == [("spa", "system")] * 6
+    observations = [message.get("content") or ""
+                    for request in llm.requests if request.tag == "spa"
+                    for message in request.messages]
+    assert any("Safety property assertions: len_below_cap: 0 PASS, 1 FAIL"
+               in text for text in observations)
 
 
 def test_write_keeps_non_utf8_diff_bytes(tmp_path):

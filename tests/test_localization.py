@@ -8,6 +8,7 @@ from conftest import ScriptedLLM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vulnmend.code_search import search_code_element
 from vulnmend.errors import JSONParseFailure
 from vulnmend.llm import ChatResponse
 from vulnmend.localization import (DEFAULT_CHUNK_LINES, HashingEmbedder,
@@ -308,6 +309,26 @@ def test_localize_elements_qualified_names(crepo_index, issue_text):
                                issue_text)
     assert len(result.selections) == 1
     assert result.selections[0].element.qualified_name == "File::open"
+
+
+def test_localize_elements_finds_what_search_finds(tmp_path, issue_text):
+    # a pick names an element as a search for it would: by its bare
+    # name or by the last scopes of its qualified name
+    (tmp_path / "a.cpp").write_text(
+        "int g(int x) { return x; }\n"
+        "int N::M::f(int x) { return x + 1; }\n")
+    index = RepoIndex(tmp_path)
+    for ident in ("f", "M::f", "N::M::f"):
+        pick = f'[{{"file": "a.cpp", "id": "{ident}"}}]'
+        llm = ScriptedLLM([_text(pick)])
+        result = localize_elements(llm, index, ["a.cpp"], issue_text)
+        assert [s.element.qualified_name
+                for s in result.selections] == ["N::M::f"], ident
+        found = search_code_element(index, ident).matches
+        assert [e.qualified_name for e, _ in found] == ["N::M::f"], ident
+    llm = ScriptedLLM([_text('[{"file": "a.cpp", "id": "X::f"}]')])
+    assert localize_elements(llm, index, ["a.cpp"], issue_text).selections \
+        == ()
 
 
 def test_localize_elements_reask_recovers(crepo_index, issue_text):
