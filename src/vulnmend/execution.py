@@ -3,7 +3,9 @@
 A sandbox is a place where the repro command can run. The local sandbox
 covers plain directories; everything above it only needs its `exec`
 surface. A pristine copy is where a patch is judged: `git apply` on a
-copy of the untouched workspace, then one PoC run.
+copy of the untouched workspace, then one PoC run. Patches are judged
+concurrently in one bounded pool: at most one worker per CPU the process
+may run on, the calling thread being the first.
 """
 
 from __future__ import annotations
@@ -11,15 +13,18 @@ from __future__ import annotations
 import builtins as _real_builtins
 import io
 import os
+import posixpath
 import re
+import shlex
 import shutil
 import signal
 import subprocess
 import tempfile
+import threading
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import (GitUnavailable, SandboxUnavailable, UnknownLogName,
                      describe_error)
@@ -292,23 +297,91 @@ def require_git() -> None:
                              "every patch with `git apply`")
 
 
+def _is_script(path: Path) -> bool:
+    """A file that starts with `#!` or that may be executed."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(2) == b"#!" or os.access(path, os.X_OK)
+    except OSError:  # not there, or a directory
+        return False
+
+
+def harness_files(workspace: Path | str, *commands: str | None) -> set[str]:
+    """The PoC harness, by relative path: every workspace script that
+    one of the commands names as a word. A file the command only reads,
+    such as a source or an input, is no script and may be patched."""
+    found = set()
+    for command in filter(None, commands):
+        lexer = shlex.shlex(command, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        try:
+            words = list(lexer)
+        except ValueError:  # an unclosed quote
+            words = command.split()
+        for word in words:
+            rel = posixpath.normpath(word)
+            if (not posixpath.isabs(rel) and rel.split("/")[0] != ".."
+                    and _is_script(Path(workspace) / rel)):
+                found.add(rel)
+    return found
+
+
+_DIFF_NAME = re.compile(
+    r"^(?:(?:---|\+\+\+) (?P<side>[^\t\n]+)(?:\t[^\n]*)?"
+    r"|diff --git (?P<pair>[^\n]+)"
+    r"|(?:rename|copy) (?:from|to) (?P<plain>[^\n]+))$", re.MULTILINE)
+
+
+def _strip_prefix(name: str) -> str:
+    # `git apply` drops the first directory of a header's name
+    name = name.strip().strip('"')
+    if name == "/dev/null":
+        return ""
+    return name.split("/", 1)[1] if "/" in name else name
+
+
+def diff_paths(diff: bytes) -> set[str]:
+    """Every path a diff's file headers name, as `git apply` reads them.
+    A content line that looks like a header adds its name too: this errs
+    toward naming too many files."""
+    names = set()
+    for m in _DIFF_NAME.finditer(diff.decode("utf-8", "surrogateescape")):
+        if m["side"]:
+            names.add(_strip_prefix(m["side"]))
+        elif m["plain"]:
+            names.add(m["plain"].strip().strip('"'))
+        else:
+            # "a/<old> b/<new>"
+            old, _, new = m["pair"].partition(" b/")
+            names.update((_strip_prefix(old), new.strip()))
+    return {posixpath.normpath(name) for name in names if name}
+
+
 class PristineCopy:
     """A copy of an untouched workspace, where a diff is judged: `git
     apply` takes the diff as bytes, then the command runs once through a
     PocRunner and PocResult.passed gives the verdict. Validation and
     evaluation both judge patches here.
 
+    A diff that touches the PoC harness, a workspace script named in the
+    command or in one of the instance's other commands (harness_commands),
+    is rejected before `git apply`: a patch may not rewrite the test that
+    judges it.
+
     The copy is made in a temp directory of its own on the first judge
     and removed on close. restore() writes back the pristine text of the
     files a diff touched, so one copy serves several diffs in turn; what
-    a PoC run leaves behind, such as `build/`, stays.
+    a PoC run leaves behind, such as `build/`, stays. A copy is used by
+    one thread at a time.
     """
 
     def __init__(self, source: Path | str, command: str,
-                 timeout: float = DEFAULT_POC_TIMEOUT):
+                 timeout: float = DEFAULT_POC_TIMEOUT,
+                 harness_commands: Sequence[str | None] = ()):
         self.source = Path(source)
         self.command = command
         self.timeout = timeout
+        self.harness_commands = tuple(harness_commands)
         self._scratch: Path | None = None
         self._runner: PocRunner | None = None
 
@@ -323,6 +396,11 @@ class PristineCopy:
             shutil.rmtree(self._scratch, ignore_errors=True)
         self._scratch = self._runner = None
 
+    def sibling(self) -> "PristineCopy":
+        """Another copy of the same workspace, judging alike."""
+        return PristineCopy(self.source, self.command, timeout=self.timeout,
+                            harness_commands=self.harness_commands)
+
     def _checkout(self) -> PocRunner:
         if self._runner is None:
             self._scratch = Path(tempfile.mkdtemp(prefix="pristine-"))
@@ -334,6 +412,13 @@ class PristineCopy:
 
     def judge(self, diff: str | bytes, name: str) -> PatchVerdict:
         """Apply diff to the copy and run the PoC under name."""
+        if isinstance(diff, str):
+            diff = diff.encode("utf-8", errors="surrogateescape")
+        touched = diff_paths(diff) & harness_files(
+            self.source, self.command, *self.harness_commands)
+        if touched:
+            return PatchVerdict(detail="touches the PoC harness: "
+                                + ", ".join(sorted(touched)))
         try:
             runner = self._checkout()
         except OSError as exc:
@@ -344,8 +429,6 @@ class PristineCopy:
             self.close()
             return PatchVerdict(detail="workspace copy failed: "
                                 + describe_error(exc, roots))
-        if isinstance(diff, str):
-            diff = diff.encode("utf-8", errors="surrogateescape")
         # bytes in, so a diff of a non-UTF-8 source applies as written.
         # The ceiling keeps git from finding a repository that encloses
         # the temp directory: it would resolve the diff's paths against
@@ -365,6 +448,80 @@ class PristineCopy:
         if self._runner is not None:
             for rel, text in texts.items():
                 write_text(self._runner.sandbox.workspace / rel, text)
+
+
+# -- the worker pool ---------------------------------------------------------------
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which bound every pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def in_pool(jobs: Sequence, work: Callable) -> list:
+    """Call work(worker, job) for every job on W = min(len(jobs),
+    usable_cpus()) workers: the calling thread is worker 0 and each other
+    worker a thread of its own. Job j goes to worker j mod W, which does
+    its share in job order. Once every worker is done, returns in job
+    order what each call returned or the exception it raised."""
+    width = max(1, min(len(jobs), usable_cpus()))
+    results: list = [None] * len(jobs)
+    interrupted = threading.Event()
+
+    def share(worker: int) -> None:
+        for j in range(worker, len(jobs), width):
+            if interrupted.is_set():
+                return
+            try:
+                results[j] = work(worker, jobs[j])
+            except Exception as exc:
+                results[j] = exc
+
+    threads = [threading.Thread(target=share, args=(worker,))
+               for worker in range(1, width)]
+    for thread in threads:
+        thread.start()
+    try:
+        share(0)
+    except BaseException:
+        # say, ^C: the other workers finish the job in hand and stop
+        interrupted.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    return results
+
+
+def judge_each(pristine: PristineCopy, programs: Sequence) -> list:
+    """Judge each program, a (name, diff, pristine texts of the files the
+    diff touches), in a pool of copies: worker 0 judges in pristine, each
+    other worker in a sibling of it, removed at the end. Each copy is
+    restored after every judge, and judges its share in order, so what
+    earlier PoC runs leave in it is the same on every run. Returns each
+    program's PatchVerdict, or the exception judging it raised, in
+    order."""
+    copies = {0: pristine}
+
+    def judge(worker: int, program) -> PatchVerdict:
+        name, diff, before = program
+        if worker not in copies:
+            copies[worker] = pristine.sibling()
+        copy = copies[worker]
+        try:
+            return copy.judge(diff, name)
+        finally:
+            copy.restore(before)
+
+    try:
+        return in_pool(programs, judge)
+    finally:
+        for worker, copy in copies.items():
+            if worker:
+                copy.close()
 
 
 # -- python script sandbox -----------------------------------------------------

@@ -3,8 +3,10 @@
 Money is Decimal end to end; rates render at one decimal place from
 exact fractions. The built-in verifier judges each prediction the way
 validation judges a candidate, in a PristineCopy of the workspace:
-resolved means the patch applies cleanly with `git apply` and the
-verify command's run passes by the one PoC verdict, PocResult.passed.
+resolved means the patch leaves the PoC harness alone, applies cleanly
+with `git apply`, and the verify command's run passes by the one PoC
+verdict, PocResult.passed. A batch's predictions are judged
+concurrently, in a bounded pool, and reported in instance order.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
-from ..execution import PristineCopy, require_git
+from ..execution import PristineCopy, in_pool, require_git
 from ..llm import RequestRecord
 from ..repo_model import write_json
 from .config import RunConfig
@@ -99,8 +101,9 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
                                sanitizer_triggered=False, resolved=False,
                                detail="empty prediction")
     command = instance.verify_command or instance.repro_command
-    with PristineCopy(instance.workspace_path, command,
-                      timeout=timeout) as pristine:
+    with PristineCopy(
+            instance.workspace_path, command, timeout=timeout,
+            harness_commands=(instance.repro_command,)) as pristine:
         verdict = pristine.judge(diff, "verify")
     result = verdict.result
     if result is None:
@@ -123,16 +126,25 @@ def evaluate_run(run_dir: Path | str, instances: list[IssueInstance],
     require_git()
     run_dir = Path(run_dir)
     by_id = {i.instance_id: i for i in instances}
-    verdicts = []
-    patched = resolved = 0
-    cost = Decimal(0)
+    jobs = []
     for instance_dir in sorted(p for p in run_dir.iterdir() if p.is_dir()):
         instance = by_id.get(instance_dir.name)
         if instance is None:
             continue
         diff_path = instance_dir / "prediction.diff"
         diff = diff_path.read_bytes() if diff_path.exists() else b""
-        verdict = verify_prediction(instance, diff, timeout=timeout)
+        jobs.append((instance_dir, instance, diff))
+    # each prediction in a fresh copy of its own, in a bounded pool;
+    # verify_prediction is looked up at each call, not bound here
+    judged = in_pool(jobs, lambda _, job: verify_prediction(
+        job[1], job[2], timeout=timeout))
+
+    verdicts = []
+    patched = resolved = 0
+    cost = Decimal(0)
+    for (instance_dir, _, _), verdict in zip(jobs, judged):
+        if isinstance(verdict, Exception):
+            raise verdict
         verdicts.append(verdict)
         patched += verdict.has_patch
         resolved += verdict.resolved

@@ -29,8 +29,8 @@ from ..execution import (LocalSandbox, LogStore, PocRunner, PristineCopy,
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
-from ..repair import (build_patch_context, generate_patches, select_patch,
-                      validate_candidate)
+from ..repair import (CandidateBatch, build_patch_context, generate_patches,
+                      select_patch, validate_candidate)
 from ..repo_model import (RepoIndex, skip_dangling_links, write_json,
                           write_text)
 from ..symbol_analysis import make_symbol_backend
@@ -230,17 +230,22 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     outcomes = []
     # one PoC run per distinct program: fingerprint -> (index, verdict),
     # judged as evaluate judges a prediction, but by the repro command:
-    # the verify command is held out
+    # the verify command is held out. The first candidate's call judges
+    # every program, in a bounded pool of pristine copies; the others
+    # read the batch's results
     poc_runs: dict = {}
-    with PristineCopy(instance.workspace_path, instance.repro_command,
-                      timeout=config.poc_timeout) as pristine:
+    batch = CandidateBatch(candidates)
+    with PristineCopy(
+            instance.workspace_path, instance.repro_command,
+            timeout=config.poc_timeout,
+            harness_commands=(instance.verify_command,)) as pristine:
         for candidate in candidates:
             save(write_text, f"candidates/candidate-{candidate.index}.md",
                  candidate.raw_text)
             outcome = stage.run(
                 f"validate-{candidate.index}",
                 lambda c=candidate: validate_candidate(c, pristine,
-                                                       poc_runs))
+                                                       poc_runs, batch))
             if outcome is None:
                 continue
             outcomes.append(outcome)

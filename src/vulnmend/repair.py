@@ -3,7 +3,9 @@
 Generation samples several SEARCH/REPLACE candidates over a focused
 context. Validation applies each candidate alone, in memory, to the
 pristine workspace's text, and judges its diff once per distinct program
-in a PristineCopy, the way evaluation judges a prediction. Selection
+in a PristineCopy, the way evaluation judges a prediction; a batch's
+distinct programs are judged concurrently, in a bounded pool of copies,
+with the same outcomes as one after another. Selection
 votes: either over the PoC-passing pool (poc_voting) or over every
 applying candidate (simple_voting), with candidates grouped by a
 normalization-insensitive fingerprint so cosmetically different but
@@ -15,16 +17,16 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .cparse import LEXEME
 from .edit_engine import edited_texts, parse_edit_blocks, to_unified_diff
 from .errors import (MalformedBlock, NoChanges, SearchTextAmbiguous,
                      SearchTextNotFound)
-from .execution import PristineCopy
+from .execution import PristineCopy, judge_each
 from .llm import ChatRequest, LLMBackend
 from .repo_model import DEFAULT_EXTENSIONS, read_text, split_lines
 
@@ -250,44 +252,107 @@ class CandidateOutcome:
     poc_run_of: int | None = None  # whose PoC run this verdict reuses
 
 
+@dataclass
+class CandidateBatch:
+    """Candidates validated together. The first validate_candidate call
+    given the batch validates all of them, judging their distinct
+    programs concurrently, and keeps in results each one's outcome, or
+    the error that validating it raised, for that candidate's own call.
+    """
+
+    candidates: Sequence[CandidatePatch]
+    results: dict = field(default_factory=dict)
+
+
+# what makes a candidate not apply, as opposed to an error validating it
+_DOES_NOT_APPLY = (SearchTextNotFound, SearchTextAmbiguous, NoChanges,
+                   FileNotFoundError, ValueError)
+
+
 def validate_candidate(candidate: CandidatePatch, pristine: PristineCopy,
-                       poc_runs: dict | None = None) -> CandidateOutcome:
+                       poc_runs: dict | None = None,
+                       batch: CandidateBatch | None = None
+                       ) -> CandidateOutcome:
     """Apply one candidate alone, in memory, to the pristine workspace's
     text, take its diff and fingerprint, and judge the diff in the
     pristine copy, which is then restored.
 
-    poc_runs maps a fingerprint to the (index, PatchVerdict) of the first
-    candidate that judged that program. A candidate whose fingerprint is
-    already there takes that verdict and runs nothing; one whose
-    fingerprint is new is judged and added."""
-    if candidate.parse_error or not candidate.edits:
-        return CandidateOutcome(
-            index=candidate.index, applied=False,
-            failure=candidate.parse_error or "no edits")
-    try:
-        before, after = edited_texts(pristine.source, candidate.edits)
-    except (SearchTextNotFound, SearchTextAmbiguous, NoChanges,
-            FileNotFoundError, ValueError) as exc:
-        return CandidateOutcome(index=candidate.index, applied=False,
-                                failure=f"{type(exc).__name__}: {exc}")
-    fingerprint = patch_fingerprint(after)
-    diff = to_unified_diff(before, after)
+    poc_runs maps a fingerprint to the index of the first candidate with
+    that program and its PatchVerdict, or the error judging it raised. A
+    candidate whose fingerprint is already there takes that verdict, or
+    raises that error, and runs nothing; one whose fingerprint is new is
+    judged and added.
+
+    batch holds the candidates to validate along with this one. The
+    distinct new programs among them are judged in a bounded pool of
+    copies (execution.judge_each), pristine and its siblings, before the
+    first call given the batch returns; outcomes do not depend on the
+    pool's size.
+    """
     poc_runs = {} if poc_runs is None else poc_runs
-    if fingerprint not in poc_runs:
+    batch = CandidateBatch((candidate,)) if batch is None else batch
+    if candidate.index not in batch.results:
+        todo = {c.index: c for c in (*batch.candidates, candidate)
+                if c.index not in batch.results}
+        batch.results.update(_validate_all(todo, pristine, poc_runs))
+    result = batch.results[candidate.index]
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _validate_all(candidates: Mapping[int, CandidatePatch],
+                  pristine: PristineCopy, poc_runs: dict) -> dict:
+    """Index -> CandidateOutcome, or the error validating it raised."""
+    results: dict = {}
+    programs = {}  # index -> (pristine texts, diff, fingerprint)
+    for index, candidate in sorted(candidates.items()):
+        if candidate.parse_error or not candidate.edits:
+            results[index] = CandidateOutcome(
+                index=index, applied=False,
+                failure=candidate.parse_error or "no edits")
+            continue
         try:
-            verdict = pristine.judge(diff, f"validate-{candidate.index}")
-        finally:
-            pristine.restore(before)
-        poc_runs[fingerprint] = (candidate.index, verdict)
-    run_of, verdict = poc_runs[fingerprint]
-    result = verdict.result
-    return CandidateOutcome(
-        index=candidate.index, applied=True,
-        compiled=result is not None and result.compiled,
-        sanitizer_triggered=result is not None and result.sanitizer_triggered,
-        poc_pass=verdict.passed, fingerprint=fingerprint, diff=diff,
-        failure=verdict.detail or None,
-        poc_run_of=None if run_of == candidate.index else run_of)
+            before, after = edited_texts(pristine.source, candidate.edits)
+        except _DOES_NOT_APPLY as exc:
+            results[index] = CandidateOutcome(
+                index=index, applied=False,
+                failure=f"{type(exc).__name__}: {exc}")
+            continue
+        except Exception as exc:
+            # raised again by this candidate's own call, as its error
+            results[index] = exc
+            continue
+        fingerprint = patch_fingerprint(after)
+        programs[index] = (before, to_unified_diff(before, after),
+                           fingerprint)
+
+    # each new program once, under the lowest index that has it
+    new: dict[str, int] = {}
+    for index, (_, _, fingerprint) in programs.items():
+        if fingerprint not in poc_runs:
+            new.setdefault(fingerprint, index)
+    verdicts = judge_each(pristine, [
+        (f"validate-{index}", programs[index][1], programs[index][0])
+        for index in new.values()])
+    for (fingerprint, index), verdict in zip(new.items(), verdicts):
+        poc_runs[fingerprint] = (index, verdict)
+
+    for index, (_, diff, fingerprint) in programs.items():
+        run_of, verdict = poc_runs[fingerprint]
+        if isinstance(verdict, Exception):
+            results[index] = verdict
+            continue
+        result = verdict.result
+        results[index] = CandidateOutcome(
+            index=index, applied=True,
+            compiled=result is not None and result.compiled,
+            sanitizer_triggered=(result is not None
+                                 and result.sanitizer_triggered),
+            poc_pass=verdict.passed, fingerprint=fingerprint, diff=diff,
+            failure=verdict.detail or None,
+            poc_run_of=None if run_of == index else run_of)
+    return results
 
 
 # -- selection ------------------------------------------------------------------

@@ -1,14 +1,18 @@
 import random
 import shutil
+import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 from conftest import total_evaluations
 
+import vulnmend.execution as execution
 from vulnmend.errors import SandboxUnavailable, UnknownLogName
 from vulnmend.execution import (ExecResult, LocalSandbox, LogStore, PocRunner,
-                                PythonScriptSandbox, summarize_assertions,
+                                PristineCopy, PythonScriptSandbox, diff_paths,
+                                harness_files, in_pool, summarize_assertions,
                                 truncate_log)
 from vulnmend.repo_model import read_text, write_text
 
@@ -317,6 +321,94 @@ def test_poc_fixture_clean_after_fix(scratch_crepo):
     assert result.phase == "ran"
     assert result.exit_code == 0
     assert result.sanitizer_triggered is False
+
+
+# -- the PoC harness ------------------------------------------------------------
+
+
+def test_the_harness_is_the_scripts_a_command_names(tmp_path):
+    (tmp_path / "run.sh").write_text("#!/bin/sh\nexit 0\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "check").write_text("exit 0\n")
+    (tmp_path / "tools" / "check").chmod(0o755)
+    (tmp_path / "input.txt").write_text("data\n")
+    assert harness_files(tmp_path, "sh run.sh input.txt",
+                         "./tools/check&&cat input.txt", None,
+                         "sh ../run.sh 'unclosed") == {"run.sh", "tools/check"}
+
+
+def test_diff_paths_reads_every_kind_of_header():
+    diff = (b"diff --git a/src/a.c b/src/a.c\n--- a/src/a.c\t2024-01-01\n"
+            b"+++ b/src/a.c\n@@ -1 +1 @@\n-x\n+y\n"
+            b"diff --git a/old.sh b/new.sh\nrename from old.sh\n"
+            b"rename to new.sh\n"
+            b"diff --git a/mode.sh b/mode.sh\nold mode 100644\n"
+            b"new mode 100755\n"
+            b'--- "a/odd name.c"\n+++ /dev/null\n')
+    assert diff_paths(diff) == {"src/a.c", "old.sh", "new.sh", "mode.sh",
+                                "odd name.c"}
+
+
+def test_a_diff_to_another_commands_script_is_rejected(tmp_path):
+    (tmp_path / "hello.txt").write_text("old\n")
+    (tmp_path / "verify.sh").write_text("#!/bin/sh\ngrep -q new hello.txt\n")
+    diff = ("diff --git a/verify.sh b/verify.sh\n--- a/verify.sh\n"
+            "+++ b/verify.sh\n@@ -1,2 +1,2 @@\n #!/bin/sh\n"
+            "-grep -q new hello.txt\n+exit 0\n")
+    with PristineCopy(tmp_path, "grep -q new hello.txt",
+                      harness_commands=("sh verify.sh",)) as pristine:
+        verdict = pristine.judge(diff, "v")
+    assert verdict.result is None
+    assert verdict.detail == "touches the PoC harness: verify.sh"
+
+
+# -- the worker pool ------------------------------------------------------------
+
+
+def test_in_pool_keeps_every_result_under_contention(monkeypatch):
+    # more workers than cores, switching threads as often as it can
+    monkeypatch.setattr(execution, "usable_cpus", lambda: 8)
+    threads_before = threading.active_count()
+    done = []
+
+    def work(worker, job):
+        done.append((job, worker))
+        if job % 7 == 0:
+            raise ValueError(job)
+        return job * job
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        results = in_pool(list(range(400)), work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - started < 10
+    assert sorted(done) == [(job, job % 8) for job in range(400)]
+    for job, result in enumerate(results):
+        if job % 7 == 0:
+            assert isinstance(result, ValueError) and result.args == (job,)
+        else:
+            assert result == job * job
+    assert threading.active_count() == threads_before
+
+
+def test_in_pool_stops_its_workers_when_the_caller_is_interrupted(
+        monkeypatch):
+    monkeypatch.setattr(execution, "usable_cpus", lambda: 2)
+    done = []
+
+    def work(worker, job):
+        if worker == 0:
+            raise KeyboardInterrupt
+        time.sleep(0.2)
+        done.append(job)
+
+    with pytest.raises(KeyboardInterrupt):
+        in_pool(list(range(20)), work)
+    # the other worker finished at most the job in hand
+    assert done in ([], [1])
 
 
 # -- python script sandbox ---------------------------------------------------------

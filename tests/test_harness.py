@@ -27,6 +27,8 @@ from replay_scripts import (REFERENCE_FIX, build_entries,
                             localization_entries, spa_entries)
 
 import vulnmend.agents.spa as spa_agent
+import vulnmend.execution as execution
+import vulnmend.harness.metrics as harness_metrics
 import vulnmend.harness.pipeline as pipeline
 import vulnmend.repo_model as repo_model
 from vulnmend.agents.react import Step, Transcript
@@ -1033,6 +1035,100 @@ def test_evaluate_goes_on_past_a_broken_instance(tmp_path):
     assert [row["resolved"] for row in payload["instances"]] == [False, True]
 
 
+def test_evaluation_json_does_not_depend_on_the_pool(tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    instances = [
+        _mini_instance(tmp_path, "grep -q new hello.txt",
+                       instance_id="mini-1"),
+        _mini_instance(tmp_path, "true", instance_id="mini-2"),
+        _mini_instance(tmp_path, "sleep 0.2; exit 1", instance_id="mini-3")]
+    shutil.rmtree(instances[1].workspace_path)
+    for instance in instances:
+        (run_dir / instance.instance_id).mkdir(parents=True)
+        (run_dir / instance.instance_id / "prediction.diff").write_text(
+            HELLO_DIFF)
+    written = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(execution, "usable_cpus", lambda w=workers: w)
+        evaluate_run(run_dir, instances)
+        written[workers] = (run_dir / "evaluation.json").read_bytes()
+    assert written[1] == written[2]
+    payload = json.loads(written[2])
+    assert [(row["instance_id"], row["applied"], row["resolved"])
+            for row in payload["instances"]] == [
+        ("mini-1", True, True), ("mini-2", False, False),
+        ("mini-3", True, False)]
+
+
+def test_a_timed_out_poc_holds_up_no_other_verdict(tmp_path, monkeypatch):
+    monkeypatch.setattr(execution, "usable_cpus", lambda: 2)
+    marker = tmp_path / "marker"
+    slow = _mini_instance(tmp_path, f"(sleep 2; touch '{marker}') & wait",
+                          instance_id="mini-1")
+    fast = _mini_instance(tmp_path, "grep -q new hello.txt",
+                          instance_id="mini-2")
+    run_dir = tmp_path / "run"
+    for instance in (slow, fast):
+        (run_dir / instance.instance_id).mkdir(parents=True)
+        (run_dir / instance.instance_id / "prediction.diff").write_text(
+            HELLO_DIFF)
+    finished = {}
+    verify = harness_metrics.verify_prediction
+
+    def timed(instance, diff, **kwargs):
+        verdict = verify(instance, diff, **kwargs)
+        finished[instance.instance_id] = time.monotonic()
+        return verdict
+
+    # evaluate_run looks verify_prediction up when it calls it
+    monkeypatch.setattr(harness_metrics, "verify_prediction", timed)
+    started = time.monotonic()
+    _, (timed_out, solved) = evaluate_run(run_dir, [slow, fast],
+                                          timeout=0.6)
+    assert (timed_out.exit_code, timed_out.resolved) == (124, False)
+    assert solved.resolved is True
+    assert finished["mini-2"] < finished["mini-1"] < started + 2.0
+    # the PoC's process group died with it
+    time.sleep(max(0.0, started + 2.5 - time.monotonic()))
+    assert not marker.exists()
+
+
+# edits that rewrite the fixture's PoC harness, secb.sh, so that the
+# PoC passes without a fix
+HARNESS_EDITS = {
+    "poc-replaced-by-exit-0": (
+        "### secb.sh\n<<<<<<< SEARCH\n"
+        "exec ./build/poc AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA\n"
+        "=======\nexit 0\n>>>>>>> REPLACE\n"),
+    "asan-dropped": (
+        "### secb.sh\n<<<<<<< SEARCH\n"
+        "if ! gcc -fsanitize=address -g -O0 -I. $EXTRA src/buf.c src/main.c"
+        " -o build/poc; then\n=======\n"
+        "if ! gcc -g -O0 -I. $EXTRA src/buf.c src/main.c -o build/poc; then"
+        "\n>>>>>>> REPLACE\n"),
+}
+
+
+@pytest.mark.parametrize("edit", HARNESS_EDITS.values(),
+                         ids=list(HARNESS_EDITS))
+def test_a_patch_to_the_poc_harness_is_rejected(fixtures_dir, scratch_crepo,
+                                                edit):
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        workspace_path=str(scratch_crepo))
+    candidate = CandidatePatch(index=0, temperature=0.0, raw_text=edit,
+                               edits=tuple(parse_edit_blocks(edit)))
+    with PristineCopy(scratch_crepo, instance.repro_command) as pristine:
+        outcome = validate_candidate(candidate, pristine)
+    assert outcome.applied and "secb.sh" in outcome.diff
+    assert (outcome.compiled, outcome.poc_pass) == (False, False)
+    assert outcome.failure == "touches the PoC harness: secb.sh"
+
+    verdict = verify_prediction(instance, outcome.diff)
+    assert (verdict.applied, verdict.resolved) == (False, False)
+    assert verdict.detail == "touches the PoC harness: secb.sh"
+
+
 def test_verify_reports_a_temp_directory_it_cannot_make(tmp_path,
                                                          monkeypatch):
     def refuse(**kwargs):
@@ -1414,6 +1510,34 @@ def test_validation_builds_each_distinct_program_once(fixtures_dir,
     assert execs == [instance.repro_command] * 2
 
 
+def test_an_error_judging_a_program_is_a_stage_error_of_its_candidates(
+        fixtures_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(execution, "usable_cpus", lambda: 2)
+    judge = PristineCopy.judge
+
+    def failing(self, diff, name):
+        if name == "validate-0":
+            raise OSError("disk gone")
+        return judge(self, diff, name)
+
+    monkeypatch.setattr(PristineCopy, "judge", failing)
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        repro_command="grep -q 'len >= cap' src/buf.c")
+    result = run_instance(instance, variant("base"),
+                          ReplayBackend(build_entries(False, False)),
+                          tmp_path)
+
+    # candidates 0 and 1 are one program; the other outcomes stay
+    assert result.errors == [
+        {"stage": "validate-0", "error": "OSError: disk gone"},
+        {"stage": "validate-1", "error": "OSError: disk gone"}]
+    outcomes = json.loads((tmp_path / instance.instance_id / "candidates"
+                           / "outcomes.json").read_text())
+    assert [(o["index"], o["applied"], o["poc_pass"]) for o in outcomes] == [
+        (2, True, False), (3, False, False), (4, False, False)]
+
+
 # a correct clamp that keeps the property agent's probe: it builds only
 # where the agent's assertion header is
 ASSERTED_FIX = REFERENCE_FIX.replace(
@@ -1454,6 +1578,8 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    # three workers, whatever the host's CPU count
+    monkeypatch.setattr(execution, "usable_cpus", lambda: 3)
     copies = []
     copytree = shutil.copytree
 
@@ -1485,10 +1611,11 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
     assert result.winner == 0 and not result.errors
     assert len(seen) == 10
     assert len({(run_tree, source) for run_tree, source, _ in seen}) == 1
-    # one copy is the run's workspace, one serves all of validation
-    assert len(copies) == 2 and copies[0] == workspace
-    assert (seen[0][2], seen[-1][2]) == (1, 2)
-    # and the validation copy is gone
+    # one copy is the run's workspace; validation makes one per worker,
+    # min(2 distinct programs, 3 workers), all in the first call
+    assert len(copies) == 3 and copies[0] == workspace
+    assert (seen[0][2], seen[1][2], seen[-1][2]) == (1, 3, 3)
+    # and the validation copies are gone
     assert list(temp.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import shutil
+import time
 
 import pytest
 from conftest import ScriptedLLM, read_texts, snapshot
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 from replay_scripts import (COMMENT_ONLY_PATCH, COMMENTED_FIX, REFERENCE_FIX,
                             UNMATCHED_PATCH)
 
+import vulnmend.execution as execution
 from vulnmend.edit_engine import (EditHistory, apply_edits_to_text,
                                   parse_edit_blocks)
 from vulnmend.execution import LocalSandbox, PristineCopy
 from vulnmend.llm import ChatResponse
 from vulnmend.localization import ElementSelection
-from vulnmend.repair import (CandidateOutcome, CandidatePatch, PatchContext,
-                             build_patch_context, generate_patches,
+from vulnmend.repair import (CandidateBatch, CandidateOutcome, CandidatePatch,
+                             PatchContext, build_patch_context,
+                             generate_patches,
                              normalize_source, patch_fingerprint,
                              select_patch, temperature_schedule,
                              validate_candidate, _merge_ranges)
@@ -350,6 +353,95 @@ def test_validate_candidate_parse_error_short_circuits(scratch_crepo):
         outcome = validate_candidate(candidate, pristine)
     assert outcome.applied is False
     assert outcome.failure == "no edit blocks found"
+
+
+# -- pooled validation -------------------------------------------------------------
+
+
+def _clamp_fix(keep):
+    """A fix that passes _GREP_POC and differs for each keep."""
+    return REFERENCE_FIX.replace("cap - 1;", f"cap - {keep};")
+
+
+# programs: 0 (passes), 1 (fails), 0 again, none, 4 (passes), none,
+# 6 (fails)
+_BATCH = (
+    _candidate(0, REFERENCE_FIX),
+    _candidate(1, COMMENT_ONLY_PATCH),
+    _candidate(2, COMMENTED_FIX),
+    _candidate(3, UNMATCHED_PATCH),
+    _candidate(4, _clamp_fix(2)),
+    CandidatePatch(index=5, temperature=1.0, raw_text="junk", edits=(),
+                   parse_error="no edit blocks found"),
+    _candidate(6, REFERENCE_FIX.replace("len >= cap", "len > cap - 1")),
+)
+
+
+def _validate_batch(root, candidates):
+    poc_runs, batch = {}, CandidateBatch(candidates)
+    with PristineCopy(root, _GREP_POC) as pristine:
+        outcomes = [validate_candidate(c, pristine, poc_runs, batch)
+                    for c in candidates]
+    return outcomes, poc_runs
+
+
+def _pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(execution, "usable_cpus", lambda: workers)
+
+
+def test_pooled_validation_matches_one_worker(scratch_crepo, monkeypatch):
+    outcomes = {}
+    for workers in (1, 3):
+        _pin_workers(monkeypatch, workers)
+        outcomes[workers], _ = _validate_batch(scratch_crepo, _BATCH)
+    assert outcomes[1] == outcomes[3]
+    assert [(o.applied, o.poc_pass, o.poc_run_of) for o in outcomes[3]] == [
+        (True, True, None), (True, False, None), (True, True, 0),
+        (False, False, None), (True, True, None), (False, False, None),
+        (True, False, None)]
+
+
+def test_pooled_validation_credits_the_lowest_index(scratch_crepo,
+                                                     monkeypatch):
+    _pin_workers(monkeypatch, 2)
+    finished = []
+    judge = PristineCopy.judge
+
+    def slow_first(self, diff, name):
+        if name == "validate-0":
+            time.sleep(0.5)
+        verdict = judge(self, diff, name)
+        finished.append(name)
+        return verdict
+
+    monkeypatch.setattr(PristineCopy, "judge", slow_first)
+    outcomes, poc_runs = _validate_batch(scratch_crepo, _BATCH[:3])
+    # program 1 was judged first, on the other worker
+    assert finished == ["validate-1", "validate-0"]
+    assert [o.poc_run_of for o in outcomes] == [None, None, 0]
+    assert [index for index, _ in poc_runs.values()] == [0, 1]
+
+
+def test_each_copy_judges_a_fixed_share_in_order(scratch_crepo, monkeypatch):
+    _pin_workers(monkeypatch, 3)
+    shares = {}
+    judge = PristineCopy.judge
+
+    def recorded(self, diff, name):
+        shares.setdefault(self, []).append(name)
+        return judge(self, diff, name)
+
+    monkeypatch.setattr(PristineCopy, "judge", recorded)
+    # five distinct programs, in index order 0, 1, 4, 6, 7
+    candidates = _BATCH + (_candidate(7, _clamp_fix(3)),)
+    poc_runs, batch = {}, CandidateBatch(candidates)
+    with PristineCopy(scratch_crepo, _GREP_POC) as pristine:
+        for c in candidates:
+            validate_candidate(c, pristine, poc_runs, batch)
+        # the j-th program goes to copy j mod 3; the first is pristine
+        assert shares.pop(pristine) == ["validate-0", "validate-6"]
+    assert sorted(shares.values()) == [["validate-1", "validate-7"],
+                                       ["validate-4"]]
 
 
 # -- selection -------------------------------------------------------------------
