@@ -2,10 +2,10 @@
 
 A sandbox is a place where the repro command can run. The local sandbox
 covers plain directories; everything above it only needs its `exec`
-surface. A pristine copy is where a patch is judged: `git apply` on a
-copy of the untouched workspace, then one PoC run. Patches are judged
-concurrently in one bounded pool: at most one worker per CPU the process
-may run on, the calling thread being the first.
+surface. A PristineCopy judges a patch: `git apply` on a fresh copy of
+the untouched workspace, then one PoC run, then the copy is removed.
+Patches are judged concurrently in one bounded pool: at most one worker
+per CPU the process may run on, the calling thread being the first.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ import threading
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import (GitUnavailable, SandboxUnavailable, UnknownLogName,
                      describe_error)
 from .naming import dedupe_name
-from .repo_model import skip_dangling_links, write_text
+from .repo_model import skip_dangling_links
 
 DEFAULT_HEAD_LINES = 100
 DEFAULT_TAIL_LINES = 100
@@ -357,61 +357,27 @@ def diff_paths(diff: bytes) -> set[str]:
     return {posixpath.normpath(name) for name in names if name}
 
 
+@dataclass(frozen=True)
 class PristineCopy:
-    """A copy of an untouched workspace, where a diff is judged: `git
-    apply` takes the diff as bytes, then the command runs once through a
-    PocRunner and PocResult.passed gives the verdict. Validation and
-    evaluation both judge patches here.
+    """How a diff is judged: in a fresh copy of an untouched workspace,
+    `git apply` takes the diff as bytes, then the command runs once
+    through a PocRunner and PocResult.passed gives the verdict. The copy
+    is removed afterwards, so no verdict depends on what another diff's
+    run left behind. Validation and evaluation both judge patches here.
 
     A diff that touches the PoC harness, a workspace script named in the
     command or in one of the instance's other commands (harness_commands),
-    is rejected before `git apply`: a patch may not rewrite the test that
-    judges it.
-
-    The copy is made in a temp directory of its own on the first judge
-    and removed on close. restore() writes back the pristine text of the
-    files a diff touched, so one copy serves several diffs in turn; what
-    a PoC run leaves behind, such as `build/`, stays. A copy is used by
-    one thread at a time.
+    is rejected before any copy is made: a patch may not rewrite the test
+    that judges it.
     """
 
-    def __init__(self, source: Path | str, command: str,
-                 timeout: float = DEFAULT_POC_TIMEOUT,
-                 harness_commands: Sequence[str | None] = ()):
-        self.source = Path(source)
-        self.command = command
-        self.timeout = timeout
-        self.harness_commands = tuple(harness_commands)
-        self._scratch: Path | None = None
-        self._runner: PocRunner | None = None
-
-    def __enter__(self) -> "PristineCopy":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._scratch is not None:
-            shutil.rmtree(self._scratch, ignore_errors=True)
-        self._scratch = self._runner = None
-
-    def sibling(self) -> "PristineCopy":
-        """Another copy of the same workspace, judging alike."""
-        return PristineCopy(self.source, self.command, timeout=self.timeout,
-                            harness_commands=self.harness_commands)
-
-    def _checkout(self) -> PocRunner:
-        if self._runner is None:
-            self._scratch = Path(tempfile.mkdtemp(prefix="pristine-"))
-            work = self._scratch / "workspace"
-            shutil.copytree(self.source, work, ignore=skip_dangling_links)
-            self._runner = PocRunner(LocalSandbox(work), self.command,
-                                     timeout=self.timeout)
-        return self._runner
+    source: Path | str
+    command: str
+    timeout: float = DEFAULT_POC_TIMEOUT
+    harness_commands: tuple = ()
 
     def judge(self, diff: str | bytes, name: str) -> PatchVerdict:
-        """Apply diff to the copy and run the PoC under name."""
+        """Apply diff to a fresh copy and run the PoC under name."""
         if isinstance(diff, str):
             diff = diff.encode("utf-8", errors="surrogateescape")
         touched = diff_paths(diff) & harness_files(
@@ -419,35 +385,39 @@ class PristineCopy:
         if touched:
             return PatchVerdict(detail="touches the PoC harness: "
                                 + ", ".join(sorted(touched)))
+        scratch = None
         try:
-            runner = self._checkout()
-        except OSError as exc:
-            # this instance's data is broken (say, its workspace is gone)
-            roots = {self.source: "workspace"}
-            if self._scratch is not None:
-                roots[self._scratch] = ""
-            self.close()
-            return PatchVerdict(detail="workspace copy failed: "
-                                + describe_error(exc, roots))
-        # bytes in, so a diff of a non-UTF-8 source applies as written.
-        # The ceiling keeps git from finding a repository that encloses
-        # the temp directory: it would resolve the diff's paths against
-        # that repository's top level and skip them without an error.
-        applied = subprocess.run(
-            ["git", "apply", "--whitespace=nowarn", "-"], input=diff,
-            cwd=runner.sandbox.workspace, capture_output=True,
-            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(self._scratch)})
-        if applied.returncode != 0:
-            stderr = applied.stderr.decode("utf-8", errors="replace")
-            return PatchVerdict(
-                detail=f"patch does not apply: {stderr.strip()[:200]}")
-        return PatchVerdict(result=runner.run_poc(name))
-
-    def restore(self, texts: Mapping[str, str]) -> None:
-        """Write each file's pristine text back into the copy."""
-        if self._runner is not None:
-            for rel, text in texts.items():
-                write_text(self._runner.sandbox.workspace / rel, text)
+            try:
+                scratch = Path(tempfile.mkdtemp(prefix="pristine-"))
+                work = scratch / "workspace"
+                shutil.copytree(self.source, work, ignore=skip_dangling_links)
+            except OSError as exc:
+                # this instance's data is broken (say, its workspace is
+                # gone)
+                roots = {Path(self.source): "workspace"}
+                if scratch is not None:
+                    roots[scratch] = ""
+                return PatchVerdict(detail="workspace copy failed: "
+                                    + describe_error(exc, roots))
+            # bytes in, so a diff of a non-UTF-8 source applies as
+            # written. The ceiling keeps git from finding a repository
+            # that encloses the temp directory: it would resolve the
+            # diff's paths against that repository's top level and skip
+            # them without an error.
+            applied = subprocess.run(
+                ["git", "apply", "--whitespace=nowarn", "-"], input=diff,
+                cwd=work, capture_output=True,
+                env={**os.environ, "GIT_CEILING_DIRECTORIES": str(scratch)})
+            if applied.returncode != 0:
+                stderr = applied.stderr.decode("utf-8", errors="replace")
+                return PatchVerdict(
+                    detail=f"patch does not apply: {stderr.strip()[:200]}")
+            runner = PocRunner(LocalSandbox(work), self.command,
+                               timeout=self.timeout)
+            return PatchVerdict(result=runner.run_poc(name))
+        finally:
+            if scratch is not None:
+                shutil.rmtree(scratch, ignore_errors=True)
 
 
 # -- the worker pool ---------------------------------------------------------------
@@ -494,34 +464,6 @@ def in_pool(jobs: Sequence, work: Callable) -> list:
         for thread in threads:
             thread.join()
     return results
-
-
-def judge_each(pristine: PristineCopy, programs: Sequence) -> list:
-    """Judge each program, a (name, diff, pristine texts of the files the
-    diff touches), in a pool of copies: worker 0 judges in pristine, each
-    other worker in a sibling of it, removed at the end. Each copy is
-    restored after every judge, and judges its share in order, so what
-    earlier PoC runs leave in it is the same on every run. Returns each
-    program's PatchVerdict, or the exception judging it raised, in
-    order."""
-    copies = {0: pristine}
-
-    def judge(worker: int, program) -> PatchVerdict:
-        name, diff, before = program
-        if worker not in copies:
-            copies[worker] = pristine.sibling()
-        copy = copies[worker]
-        try:
-            return copy.judge(diff, name)
-        finally:
-            copy.restore(before)
-
-    try:
-        return in_pool(programs, judge)
-    finally:
-        for worker, copy in copies.items():
-            if worker:
-                copy.close()
 
 
 # -- python script sandbox -----------------------------------------------------

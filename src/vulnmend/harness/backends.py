@@ -106,6 +106,44 @@ class ReplayBackend:
                      output_tokens=_approx_tokens(len(out_text)))
 
 
+def _usage(body: dict) -> Usage:
+    """An answer's token counts. A missing or null count counts 0; any
+    other that is not a non-negative int is a ValueError."""
+    usage = body.get("usage") or {}
+    if not isinstance(usage, dict):
+        raise ValueError(f"usage is {usage!r:.100}")
+    counts = []
+    for key in ("prompt_tokens", "completion_tokens"):
+        count = usage.get(key)
+        if count is None:
+            count = 0
+        elif isinstance(count, bool) or not isinstance(count, int) \
+                or count < 0:
+            raise ValueError(f"{key} is {count!r:.100}")
+        counts.append(count)
+    return Usage(input_tokens=counts[0], output_tokens=counts[1])
+
+
+def _tool_call(message: dict) -> ToolCall | None:
+    """The first tool call of a choice's message, if it has one.
+    Arguments that are not a JSON object become empty."""
+    calls = message.get("tool_calls") or []
+    if not calls:
+        return None
+    try:
+        fn = calls[0]["function"]
+        name, arguments = fn["name"], fn.get("arguments")
+        if not isinstance(name, str):
+            raise TypeError(f"tool name is {name!r:.100}")
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise LLMBackendError(f"malformed response: tool call: {exc!r}")
+    try:
+        args = json.loads(arguments or "{}")
+    except (ValueError, TypeError):
+        args = {}
+    return ToolCall(name=name, args=args if isinstance(args, dict) else {})
+
+
 class _Refused(LLMBackendError):
     """A 4xx other than 429: the server will not answer this payload."""
 
@@ -166,9 +204,9 @@ class HttpChatBackend:
                                 for schema in request.tools]
         return payload
 
-    def _post(self, payload: dict) -> tuple[dict, list[dict]]:
-        """One answered POST, through the retry policy: the parsed body
-        and its choices' messages, at least one."""
+    def _post(self, payload: dict) -> tuple[dict, Usage, list[dict]]:
+        """One answered POST, through the retry policy: the parsed body,
+        its token counts and its choices' messages, at least one."""
         # imported here: http.client, ssl and email would otherwise load
         # into every replay run
         import http.client
@@ -210,11 +248,17 @@ class HttpChatBackend:
         try:
             body = json.loads(raw)
             choices = [c["message"] for c in body["choices"]]
+            for message in choices:
+                if not isinstance(message, dict):
+                    raise TypeError("a choice's message is not an object")
+                if not isinstance(message.get("content"), (str, type(None))):
+                    raise TypeError("a choice's content is not a string")
+            usage = _usage(body)
         except (ValueError, KeyError, TypeError) as exc:
             raise LLMBackendError(f"malformed response: {exc}")
         if not choices:
             raise LLMBackendError("malformed response: no choices")
-        return body, choices
+        return body, usage, choices
 
     def chat(self, request: ChatRequest) -> ChatResponse:
         payload = self._payload(request)
@@ -230,17 +274,14 @@ class HttpChatBackend:
             missing = request.n - len(choices)
             if send_n and missing > 1:
                 try:
-                    body, answered = self._post({**payload, "n": missing})
+                    body, usage, answered = self._post(
+                        {**payload, "n": missing})
                 except _Refused:
                     send_n = False
                     continue
             else:
-                body, answered = self._post(payload)
+                body, usage, answered = self._post(payload)
             choices += answered
-            usage_raw = body.get("usage") or {}
-            usage = Usage(input_tokens=int(usage_raw.get("prompt_tokens", 0)),
-                          output_tokens=int(
-                              usage_raw.get("completion_tokens", 0)))
             input_tokens += usage.input_tokens
             output_tokens += usage.output_tokens
             model = model or str(body.get("model", self.model))
@@ -250,17 +291,8 @@ class HttpChatBackend:
                 model=model, usage=usage))
         choices = choices[:request.n]
 
-        tool_call = None
-        calls = choices[0].get("tool_calls") or []
-        if calls:
-            fn = calls[0]["function"]
-            try:
-                args = json.loads(fn.get("arguments") or "{}")
-            except ValueError:
-                args = {}
-            tool_call = ToolCall(name=fn["name"], args=args)
         return ChatResponse(
-            text=choices[0].get("content"), tool_call=tool_call,
+            text=choices[0].get("content"), tool_call=_tool_call(choices[0]),
             usage=Usage(input_tokens=input_tokens,
                         output_tokens=output_tokens),
             model=model,

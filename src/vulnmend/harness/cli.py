@@ -9,8 +9,9 @@ import sys
 from pathlib import Path
 
 from ..errors import GitUnavailable
+from ..execution import DEFAULT_POC_TIMEOUT
 from .backends import HttpChatBackend, ReplayBackend
-from .config import VARIANTS, RunConfig, variant
+from .config import VARIANTS, RunConfig, check_poc_timeout, variant
 from .instances import load_instances
 from .metrics import evaluate_run
 from .pipeline import run_all
@@ -148,6 +149,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _poc_timeout(text: str) -> float:
+    try:
+        return check_poc_timeout(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number of seconds, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vulnmend",
@@ -177,7 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--run", required=True, help="run directory")
     eval_p.add_argument("--instances", required=True,
                         help="JSONL instance file")
-    eval_p.add_argument("--timeout", type=float, default=300.0)
+    eval_p.add_argument("--timeout", type=_poc_timeout,
+                        default=DEFAULT_POC_TIMEOUT,
+                        help="seconds each PoC run may take: positive and "
+                             "finite (default %(default)s)")
     eval_p.set_defaults(fn=_cmd_evaluate)
 
     report_p = sub.add_parser("report", help="summarize a run directory")

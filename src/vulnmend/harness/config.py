@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+from ..execution import DEFAULT_POC_TIMEOUT
 
 SELECTION_STRATEGIES = ("poc_voting", "simple_voting")
 INPUT_TYPES = ("issue_report", "sanitizer_log")
@@ -29,6 +32,16 @@ def _wrong_type(name: str, expected: str, value) -> ValueError:
     return ValueError(f"{name} must be {expected}, got {value!r}")
 
 
+def check_poc_timeout(value) -> float:
+    """value, if it is a PoC timeout in seconds: a positive, finite
+    number. NaN and infinity cannot bound a subprocess."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _wrong_type("poc_timeout", "a number", value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("poc_timeout must be positive and finite")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     top_files: int = 3
@@ -46,7 +59,7 @@ class RunConfig:
     log_head_lines: int = 100
     log_tail_lines: int = 100
     script_output_cap: int = 8192
-    poc_timeout: float = 300.0
+    poc_timeout: float = DEFAULT_POC_TIMEOUT
     keep_workspaces: bool = False
     price_input_per_mtok: str = "3.00"
     price_output_per_mtok: str = "15.00"
@@ -63,11 +76,7 @@ class RunConfig:
                 raise _wrong_type(name, "an int", value)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if isinstance(self.poc_timeout, bool) \
-                or not isinstance(self.poc_timeout, (int, float)):
-            raise _wrong_type("poc_timeout", "a number", self.poc_timeout)
-        if not self.poc_timeout > 0:
-            raise ValueError("poc_timeout must be positive")
+        check_poc_timeout(self.poc_timeout)
         if self.selection_strategy not in SELECTION_STRATEGIES:
             raise ValueError(
                 f"selection_strategy must be one of "

@@ -2,7 +2,7 @@
 
 Money is Decimal end to end; rates render at one decimal place from
 exact fractions. The built-in verifier judges each prediction the way
-validation judges a candidate, in a PristineCopy of the workspace:
+validation judges a candidate, in a fresh copy of the workspace (PristineCopy):
 resolved means the patch leaves the PoC harness alone, applies cleanly
 with `git apply`, and the verify command's run passes by the one PoC
 verdict, PocResult.passed. A batch's predictions are judged
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
-from ..execution import PristineCopy, in_pool, require_git
+from ..execution import (DEFAULT_POC_TIMEOUT, PristineCopy, in_pool,
+                         require_git)
 from ..llm import RequestRecord
 from ..repo_model import write_json
 from .config import RunConfig
@@ -93,7 +94,7 @@ class Metrics:
 
 
 def verify_prediction(instance: IssueInstance, diff: str | bytes,
-                      timeout: float = 300.0) -> InstanceVerdict:
+                      timeout: float = DEFAULT_POC_TIMEOUT) -> InstanceVerdict:
     """Apply a prediction to a fresh workspace copy and replay the PoC."""
     if not diff.strip():
         return InstanceVerdict(instance.instance_id, has_patch=False,
@@ -101,10 +102,9 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
                                sanitizer_triggered=False, resolved=False,
                                detail="empty prediction")
     command = instance.verify_command or instance.repro_command
-    with PristineCopy(
-            instance.workspace_path, command, timeout=timeout,
-            harness_commands=(instance.repro_command,)) as pristine:
-        verdict = pristine.judge(diff, "verify")
+    verdict = PristineCopy(
+        instance.workspace_path, command, timeout=timeout,
+        harness_commands=(instance.repro_command,)).judge(diff, "verify")
     result = verdict.result
     if result is None:
         return InstanceVerdict(
@@ -121,7 +121,8 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
 
 
 def evaluate_run(run_dir: Path | str, instances: list[IssueInstance],
-                 timeout: float = 300.0) -> tuple[Metrics, list[InstanceVerdict]]:
+                 timeout: float = DEFAULT_POC_TIMEOUT
+                 ) -> tuple[Metrics, list[InstanceVerdict]]:
     """Judge every instance of a finished run and persist the verdicts."""
     require_git()
     run_dir = Path(run_dir)

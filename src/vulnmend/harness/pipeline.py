@@ -228,31 +228,27 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         llm, gen_text, context, t=config.candidates, out=candidates))
 
     outcomes = []
-    # one PoC run per distinct program: fingerprint -> (index, verdict),
-    # judged as evaluate judges a prediction, but by the repro command:
-    # the verify command is held out. The first candidate's call judges
-    # every program, in a bounded pool of pristine copies; the others
-    # read the batch's results
-    poc_runs: dict = {}
+    # one PoC run per distinct program, judged as evaluate judges a
+    # prediction, in a fresh pristine copy of its own, but by the repro
+    # command: the verify command is held out. The first candidate's call
+    # judges every program, in a bounded pool; the others read the
+    # batch's results
     batch = CandidateBatch(candidates)
-    with PristineCopy(
-            instance.workspace_path, instance.repro_command,
-            timeout=config.poc_timeout,
-            harness_commands=(instance.verify_command,)) as pristine:
-        for candidate in candidates:
-            save(write_text, f"candidates/candidate-{candidate.index}.md",
-                 candidate.raw_text)
-            outcome = stage.run(
-                f"validate-{candidate.index}",
-                lambda c=candidate: validate_candidate(c, pristine,
-                                                       poc_runs, batch))
-            if outcome is None:
-                continue
-            outcomes.append(outcome)
-            if outcome.applied:
-                save(write_text,
-                     f"candidates/candidate-{outcome.index}.diff",
-                     outcome.diff)
+    pristine = PristineCopy(instance.workspace_path, instance.repro_command,
+                            timeout=config.poc_timeout,
+                            harness_commands=(instance.verify_command,))
+    for candidate in candidates:
+        save(write_text, f"candidates/candidate-{candidate.index}.md",
+             candidate.raw_text)
+        outcome = stage.run(
+            f"validate-{candidate.index}",
+            lambda c=candidate: validate_candidate(c, pristine, batch))
+        if outcome is None:
+            continue
+        outcomes.append(outcome)
+        if outcome.applied:
+            save(write_text, f"candidates/candidate-{outcome.index}.diff",
+                 outcome.diff)
     save(write_json, "candidates/outcomes.json", [{
         "index": o.index,
         "applied": o.applied,

@@ -2,10 +2,10 @@
 
 Generation samples several SEARCH/REPLACE candidates over a focused
 context. Validation applies each candidate alone, in memory, to the
-pristine workspace's text, and judges its diff once per distinct program
-in a PristineCopy, the way evaluation judges a prediction; a batch's
-distinct programs are judged concurrently, in a bounded pool of copies,
-with the same outcomes as one after another. Selection
+pristine workspace's text, and judges its diff once per distinct program,
+the way evaluation judges a prediction: in a fresh copy of the workspace,
+removed afterwards. A batch's distinct programs are judged concurrently,
+in a bounded pool, with the same outcomes as one after another. Selection
 votes: either over the PoC-passing pool (poc_voting) or over every
 applying candidate (simple_voting), with candidates grouped by a
 normalization-insensitive fingerprint so cosmetically different but
@@ -26,7 +26,7 @@ from .cparse import LEXEME
 from .edit_engine import edited_texts, parse_edit_blocks, to_unified_diff
 from .errors import (MalformedBlock, NoChanges, SearchTextAmbiguous,
                      SearchTextNotFound)
-from .execution import PristineCopy, judge_each
+from .execution import PristineCopy, in_pool
 from .llm import ChatRequest, LLMBackend
 from .repo_model import DEFAULT_EXTENSIONS, read_text, split_lines
 
@@ -258,6 +258,7 @@ class CandidateBatch:
     given the batch validates all of them, judging their distinct
     programs concurrently, and keeps in results each one's outcome, or
     the error that validating it raised, for that candidate's own call.
+    It is the one memo of PoC runs: a fingerprint is judged once a batch.
     """
 
     candidates: Sequence[CandidatePatch]
@@ -270,31 +271,25 @@ _DOES_NOT_APPLY = (SearchTextNotFound, SearchTextAmbiguous, NoChanges,
 
 
 def validate_candidate(candidate: CandidatePatch, pristine: PristineCopy,
-                       poc_runs: dict | None = None,
                        batch: CandidateBatch | None = None
                        ) -> CandidateOutcome:
     """Apply one candidate alone, in memory, to the pristine workspace's
-    text, take its diff and fingerprint, and judge the diff in the
-    pristine copy, which is then restored.
-
-    poc_runs maps a fingerprint to the index of the first candidate with
-    that program and its PatchVerdict, or the error judging it raised. A
-    candidate whose fingerprint is already there takes that verdict, or
-    raises that error, and runs nothing; one whose fingerprint is new is
-    judged and added.
+    text, take its diff and fingerprint, and judge the diff in a fresh
+    pristine copy.
 
     batch holds the candidates to validate along with this one. The
-    distinct new programs among them are judged in a bounded pool of
-    copies (execution.judge_each), pristine and its siblings, before the
-    first call given the batch returns; outcomes do not depend on the
-    pool's size.
+    first call given the batch validates them all: each distinct program
+    is judged once, under the lowest index that has it, and the others
+    with that fingerprint take its verdict, or its error, and run
+    nothing. The programs are judged concurrently, in a bounded pool
+    (execution.in_pool), each in a copy of its own, so outcomes do not
+    depend on the pool's size.
     """
-    poc_runs = {} if poc_runs is None else poc_runs
     batch = CandidateBatch((candidate,)) if batch is None else batch
     if candidate.index not in batch.results:
         todo = {c.index: c for c in (*batch.candidates, candidate)
                 if c.index not in batch.results}
-        batch.results.update(_validate_all(todo, pristine, poc_runs))
+        batch.results.update(_validate_all(todo, pristine))
     result = batch.results[candidate.index]
     if isinstance(result, Exception):
         raise result
@@ -302,10 +297,10 @@ def validate_candidate(candidate: CandidatePatch, pristine: PristineCopy,
 
 
 def _validate_all(candidates: Mapping[int, CandidatePatch],
-                  pristine: PristineCopy, poc_runs: dict) -> dict:
+                  pristine: PristineCopy) -> dict:
     """Index -> CandidateOutcome, or the error validating it raised."""
     results: dict = {}
-    programs = {}  # index -> (pristine texts, diff, fingerprint)
+    programs = {}  # index -> (diff, fingerprint)
     for index, candidate in sorted(candidates.items()):
         if candidate.parse_error or not candidate.edits:
             results[index] = CandidateOutcome(
@@ -323,23 +318,19 @@ def _validate_all(candidates: Mapping[int, CandidatePatch],
             # raised again by this candidate's own call, as its error
             results[index] = exc
             continue
-        fingerprint = patch_fingerprint(after)
-        programs[index] = (before, to_unified_diff(before, after),
-                           fingerprint)
+        programs[index] = (to_unified_diff(before, after),
+                           patch_fingerprint(after))
 
-    # each new program once, under the lowest index that has it
-    new: dict[str, int] = {}
-    for index, (_, _, fingerprint) in programs.items():
-        if fingerprint not in poc_runs:
-            new.setdefault(fingerprint, index)
-    verdicts = judge_each(pristine, [
-        (f"validate-{index}", programs[index][1], programs[index][0])
-        for index in new.values()])
-    for (fingerprint, index), verdict in zip(new.items(), verdicts):
-        poc_runs[fingerprint] = (index, verdict)
+    # each program once, under the lowest index that has it
+    run_of: dict[str, int] = {}
+    for index, (_, fingerprint) in programs.items():
+        run_of.setdefault(fingerprint, index)
+    judged = in_pool(list(run_of.values()), lambda _, index: pristine.judge(
+        programs[index][0], f"validate-{index}"))
+    verdicts = dict(zip(run_of, judged))  # fingerprint -> verdict
 
-    for index, (_, diff, fingerprint) in programs.items():
-        run_of, verdict = poc_runs[fingerprint]
+    for index, (diff, fingerprint) in programs.items():
+        verdict = verdicts[fingerprint]
         if isinstance(verdict, Exception):
             results[index] = verdict
             continue
@@ -351,7 +342,8 @@ def _validate_all(candidates: Mapping[int, CandidatePatch],
                                  and result.sanitizer_triggered),
             poc_pass=verdict.passed, fingerprint=fingerprint, diff=diff,
             failure=verdict.detail or None,
-            poc_run_of=None if run_of == index else run_of)
+            poc_run_of=(None if run_of[fingerprint] == index
+                        else run_of[fingerprint]))
     return results
 
 

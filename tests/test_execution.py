@@ -355,9 +355,8 @@ def test_a_diff_to_another_commands_script_is_rejected(tmp_path):
     diff = ("diff --git a/verify.sh b/verify.sh\n--- a/verify.sh\n"
             "+++ b/verify.sh\n@@ -1,2 +1,2 @@\n #!/bin/sh\n"
             "-grep -q new hello.txt\n+exit 0\n")
-    with PristineCopy(tmp_path, "grep -q new hello.txt",
-                      harness_commands=("sh verify.sh",)) as pristine:
-        verdict = pristine.judge(diff, "v")
+    verdict = PristineCopy(tmp_path, "grep -q new hello.txt",
+                           harness_commands=("sh verify.sh",)).judge(diff, "v")
     assert verdict.result is None
     assert verdict.detail == "touches the PoC harness: verify.sh"
 

@@ -48,7 +48,7 @@ from vulnmend.harness.pipeline import run_all, run_instance
 from vulnmend.harness.telemetry import (classify_script,
                                         classify_script_calls,
                                         transcript_summary)
-from vulnmend.llm import ChatRequest, RequestRecord, Usage
+from vulnmend.llm import ChatRequest, RequestRecord, ToolCall, Usage
 from vulnmend.repair import (CandidatePatch, PatchContext, generate_patches,
                              validate_candidate)
 
@@ -693,6 +693,56 @@ def test_http_body_without_choices_is_malformed(monkeypatch):
     assert len(posts) == 2
 
 
+def test_http_missing_or_null_token_counts_count_zero(monkeypatch):
+    _serve(monkeypatch, _choices("a", prompt_tokens=None),
+           _Response(body={"choices": [{"message": {"content": "b"}}],
+                           "usage": {"completion_tokens": 4}}))
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    assert backend.chat(_request("x")).usage == Usage(input_tokens=0,
+                                                      output_tokens=2)
+    assert backend.chat(_request("x")).usage == Usage(input_tokens=0,
+                                                      output_tokens=4)
+
+
+_MALFORMED = {
+    "message-a-string": {"choices": [{"message": "done"}]},
+    "message-null": {"choices": [{"message": None}]},
+    "content-a-list": {"choices": [{"message": {
+        "content": [{"type": "text", "text": "done"}]}}]},
+    "negative-count": _choices("a", prompt_tokens=-1)._body,
+    "float-count": _choices("a", completion_tokens=2.5)._body,
+    "string-count": _choices("a", prompt_tokens="7")._body,
+    "bool-count": _choices("a", completion_tokens=True)._body,
+    "usage-a-list": {"choices": [{"message": {"content": "a"}}],
+                     "usage": [5, 2]},
+    "tool-call-a-string": {"choices": [{"message": {
+        "content": None, "tool_calls": ["probe"]}}]},
+    "tool-name-null": {"choices": [{"message": {
+        "content": None, "tool_calls": [{"function": {"name": None}}]}}]},
+}
+
+
+@pytest.mark.parametrize("body", _MALFORMED.values(), ids=list(_MALFORMED))
+def test_http_malformed_answer_is_a_backend_error(monkeypatch, body):
+    # a backend error is a stage error; any other would end the batch
+    posts, sleeps = _serve(monkeypatch, _Response(body=body))
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    with pytest.raises(LLMBackendError, match="^malformed response: "):
+        backend.chat(_request("x"))
+    assert len(posts) == 1 and sleeps == []
+
+
+def test_http_tool_arguments_that_are_no_object_become_empty(monkeypatch):
+    _serve(monkeypatch, *(
+        _Response(body={"choices": [{"message": {
+            "content": None, "tool_calls": [{"function": {
+                "name": "probe", "arguments": arguments}}]}}]})
+        for arguments in ("[1, 2]", 7)))
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    for _ in range(2):
+        assert backend.chat(_request("x")).tool_call == ToolCall("probe", {})
+
+
 def test_generate_survives_a_throttled_call(monkeypatch):
     # generation has no retry of its own: the backend's retry turns one
     # 429 into a 1 s wait, not a lost sample
@@ -1118,8 +1168,8 @@ def test_a_patch_to_the_poc_harness_is_rejected(fixtures_dir, scratch_crepo,
         workspace_path=str(scratch_crepo))
     candidate = CandidatePatch(index=0, temperature=0.0, raw_text=edit,
                                edits=tuple(parse_edit_blocks(edit)))
-    with PristineCopy(scratch_crepo, instance.repro_command) as pristine:
-        outcome = validate_candidate(candidate, pristine)
+    outcome = validate_candidate(
+        candidate, PristineCopy(scratch_crepo, instance.repro_command))
     assert outcome.applied and "secb.sh" in outcome.diff
     assert (outcome.compiled, outcome.poc_pass) == (False, False)
     assert outcome.failure == "touches the PoC harness: secb.sh"
@@ -1206,8 +1256,8 @@ def test_validation_and_evaluation_agree_on_the_poc(tmp_path, command,
                                                     timeout, passed):
     instance = _mini_instance(tmp_path, command)
     workspace = tmp_path / "ws-mini-1"
-    with PristineCopy(workspace, command, timeout=timeout) as pristine:
-        outcome = validate_candidate(HELLO_EDIT, pristine)
+    outcome = validate_candidate(
+        HELLO_EDIT, PristineCopy(workspace, command, timeout=timeout))
     verdict = verify_prediction(instance, HELLO_DIFF, timeout=timeout)
     assert outcome.applied and verdict.applied
     assert outcome.poc_pass is verdict.resolved is passed
@@ -1611,8 +1661,8 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
     assert result.winner == 0 and not result.errors
     assert len(seen) == 10
     assert len({(run_tree, source) for run_tree, source, _ in seen}) == 1
-    # one copy is the run's workspace; validation makes one per worker,
-    # min(2 distinct programs, 3 workers), all in the first call
+    # one copy is the run's workspace; validation makes one per distinct
+    # program, 2, all in the first call
     assert len(copies) == 3 and copies[0] == workspace
     assert (seen[0][2], seen[1][2], seen[-1][2]) == (1, 3, 3)
     # and the validation copies are gone
@@ -1893,6 +1943,21 @@ def test_cli_run_evaluate_report_roundtrip(tmp_path, fixtures_dir, capsys):
     assert "namecache-obo-1: candidate 0 of 5" in stdout
     assert ", resolved" in stdout
     assert "totals: resolved 1/1 (100.0%)" in stdout
+
+
+@pytest.mark.parametrize("timeout", ["0", "-5", "nan", "inf", "soon"])
+def test_evaluate_refuses_a_timeout_that_bounds_nothing(tmp_path,
+                                                        fixtures_dir,
+                                                        capsys, timeout):
+    run_dir = tmp_path / "run"
+    (run_dir / "namecache-obo-1").mkdir(parents=True)
+    (run_dir / "namecache-obo-1" / "prediction.diff").write_text(HELLO_DIFF)
+    with pytest.raises(SystemExit) as stopped:
+        main(["evaluate", "--run", str(run_dir), "--timeout", timeout,
+              "--instances", str(fixtures_dir / "instances.jsonl")])
+    assert stopped.value.code == 2
+    assert "argument --timeout" in capsys.readouterr().err
+    assert not (run_dir / "evaluation.json").exists()
 
 
 def test_evaluate_exit_code_reflects_empty_run(tmp_path, fixtures_dir,

@@ -283,21 +283,21 @@ def test_fingerprint_binds_path_and_sorts_file_set(tmp_path):
 def test_validate_candidate_poc_verdicts(scratch_crepo):
     before = snapshot(scratch_crepo)
 
-    with PristineCopy(scratch_crepo, "sh secb.sh") as pristine:
-        fixed = validate_candidate(_candidate(0, REFERENCE_FIX), pristine)
-        assert fixed.applied and fixed.compiled and fixed.poc_pass
-        assert fixed.sanitizer_triggered is False
-        assert fixed.fingerprint
-        assert "len = cap - 1;" in fixed.diff
-        assert fixed.diff.startswith("diff --git")
-        assert snapshot(scratch_crepo, before.files) == before
+    pristine = PristineCopy(scratch_crepo, "sh secb.sh")
+    fixed = validate_candidate(_candidate(0, REFERENCE_FIX), pristine)
+    assert fixed.applied and fixed.compiled and fixed.poc_pass
+    assert fixed.sanitizer_triggered is False
+    assert fixed.fingerprint
+    assert "len = cap - 1;" in fixed.diff
+    assert fixed.diff.startswith("diff --git")
+    assert snapshot(scratch_crepo, before.files) == before
 
-        cosmetic = validate_candidate(_candidate(1, COMMENT_ONLY_PATCH),
-                                      pristine)
-        assert cosmetic.applied and cosmetic.compiled
-        assert cosmetic.sanitizer_triggered is True
-        assert cosmetic.poc_pass is False
-        assert snapshot(scratch_crepo, before.files) == before
+    cosmetic = validate_candidate(_candidate(1, COMMENT_ONLY_PATCH),
+                                  pristine)
+    assert cosmetic.applied and cosmetic.compiled
+    assert cosmetic.sanitizer_triggered is True
+    assert cosmetic.poc_pass is False
+    assert snapshot(scratch_crepo, before.files) == before
 
 
 # a PoC that passes only on the fixed clamp, with no compiler needed
@@ -311,20 +311,18 @@ def test_validation_runs_the_poc_once_per_fingerprint(scratch_crepo,
     exec_ = LocalSandbox.exec
     monkeypatch.setattr(LocalSandbox, "exec", lambda self, command, **kw: (
         execs.append(command) or exec_(self, command, **kw)))
-    poc_runs = {}
+    pristine = PristineCopy(scratch_crepo, _GREP_POC)
+    batch = CandidateBatch((_candidate(0, REFERENCE_FIX),
+                            _candidate(1, COMMENTED_FIX),
+                            _candidate(2, COMMENT_ONLY_PATCH)))
 
-    with PristineCopy(scratch_crepo, _GREP_POC) as pristine:
-        def validate(index, text):
-            return validate_candidate(_candidate(index, text), pristine,
-                                      poc_runs)
-
-        fixed = validate(0, REFERENCE_FIX)
-        assert len(execs) == 1
-        commented = validate(1, COMMENTED_FIX)
-        assert len(execs) == 1
-        cosmetic = validate(2, COMMENT_ONLY_PATCH)
-        assert len(execs) == 2
-
+    first, *rest = batch.candidates
+    fixed = validate_candidate(first, pristine, batch)
+    # the first call judged the batch: two programs, one run each
+    assert len(execs) == 2
+    commented, cosmetic = (validate_candidate(c, pristine, batch)
+                           for c in rest)
+    assert len(execs) == 2
     assert commented.fingerprint == fixed.fingerprint != cosmetic.fingerprint
     assert (commented.compiled, commented.sanitizer_triggered,
             commented.poc_pass) == (fixed.compiled, fixed.sanitizer_triggered,
@@ -333,14 +331,12 @@ def test_validation_runs_the_poc_once_per_fingerprint(scratch_crepo,
     assert "/* leave room for the terminator */" in commented.diff
     assert cosmetic.poc_run_of is None
     assert cosmetic.sanitizer_triggered and not cosmetic.poc_pass
-    assert [index for index, _ in poc_runs.values()] == [0, 2]
 
 
 def test_validate_candidate_unmatched_search(scratch_crepo):
     before = snapshot(scratch_crepo)
-    with PristineCopy(scratch_crepo, "true") as pristine:
-        outcome = validate_candidate(_candidate(2, UNMATCHED_PATCH),
-                                     pristine)
+    outcome = validate_candidate(_candidate(2, UNMATCHED_PATCH),
+                                 PristineCopy(scratch_crepo, "true"))
     assert outcome.applied is False
     assert outcome.failure.startswith("SearchTextNotFound")
     assert snapshot(scratch_crepo) == before
@@ -349,8 +345,8 @@ def test_validate_candidate_unmatched_search(scratch_crepo):
 def test_validate_candidate_parse_error_short_circuits(scratch_crepo):
     candidate = CandidatePatch(index=3, temperature=1.0, raw_text="junk",
                                edits=(), parse_error="no edit blocks found")
-    with PristineCopy(scratch_crepo, "true") as pristine:
-        outcome = validate_candidate(candidate, pristine)
+    outcome = validate_candidate(candidate,
+                                 PristineCopy(scratch_crepo, "true"))
     assert outcome.applied is False
     assert outcome.failure == "no edit blocks found"
 
@@ -377,25 +373,30 @@ _BATCH = (
 )
 
 
-def _validate_batch(root, candidates):
-    poc_runs, batch = {}, CandidateBatch(candidates)
-    with PristineCopy(root, _GREP_POC) as pristine:
-        outcomes = [validate_candidate(c, pristine, poc_runs, batch)
-                    for c in candidates]
-    return outcomes, poc_runs
+def _validate_batch(root, candidates, poc=_GREP_POC):
+    pristine, batch = PristineCopy(root, poc), CandidateBatch(candidates)
+    return [validate_candidate(c, pristine, batch) for c in candidates]
 
 
 def _pin_workers(monkeypatch, workers):
     monkeypatch.setattr(execution, "usable_cpus", lambda: workers)
 
 
-def test_pooled_validation_matches_one_worker(scratch_crepo, monkeypatch):
+# passes only where no earlier run has left its mark: a PoC that a
+# reused copy would judge by what ran in it before
+_STATEFUL_POC = f"test ! -e .stale && touch .stale && {_GREP_POC}"
+
+
+@pytest.mark.parametrize("poc", [_GREP_POC, _STATEFUL_POC],
+                         ids=["grep", "stateful"])
+def test_pooled_validation_matches_one_worker(scratch_crepo, monkeypatch,
+                                              poc):
     outcomes = {}
     for workers in (1, 3):
         _pin_workers(monkeypatch, workers)
-        outcomes[workers], _ = _validate_batch(scratch_crepo, _BATCH)
+        outcomes[workers] = _validate_batch(scratch_crepo, _BATCH, poc)
     assert outcomes[1] == outcomes[3]
-    assert [(o.applied, o.poc_pass, o.poc_run_of) for o in outcomes[3]] == [
+    assert [(o.applied, o.poc_pass, o.poc_run_of) for o in outcomes[1]] == [
         (True, True, None), (True, False, None), (True, True, 0),
         (False, False, None), (True, True, None), (False, False, None),
         (True, False, None)]
@@ -415,33 +416,10 @@ def test_pooled_validation_credits_the_lowest_index(scratch_crepo,
         return verdict
 
     monkeypatch.setattr(PristineCopy, "judge", slow_first)
-    outcomes, poc_runs = _validate_batch(scratch_crepo, _BATCH[:3])
+    outcomes = _validate_batch(scratch_crepo, _BATCH[:3])
     # program 1 was judged first, on the other worker
     assert finished == ["validate-1", "validate-0"]
     assert [o.poc_run_of for o in outcomes] == [None, None, 0]
-    assert [index for index, _ in poc_runs.values()] == [0, 1]
-
-
-def test_each_copy_judges_a_fixed_share_in_order(scratch_crepo, monkeypatch):
-    _pin_workers(monkeypatch, 3)
-    shares = {}
-    judge = PristineCopy.judge
-
-    def recorded(self, diff, name):
-        shares.setdefault(self, []).append(name)
-        return judge(self, diff, name)
-
-    monkeypatch.setattr(PristineCopy, "judge", recorded)
-    # five distinct programs, in index order 0, 1, 4, 6, 7
-    candidates = _BATCH + (_candidate(7, _clamp_fix(3)),)
-    poc_runs, batch = {}, CandidateBatch(candidates)
-    with PristineCopy(scratch_crepo, _GREP_POC) as pristine:
-        for c in candidates:
-            validate_candidate(c, pristine, poc_runs, batch)
-        # the j-th program goes to copy j mod 3; the first is pristine
-        assert shares.pop(pristine) == ["validate-0", "validate-6"]
-    assert sorted(shares.values()) == [["validate-1", "validate-7"],
-                                       ["validate-4"]]
 
 
 # -- selection -------------------------------------------------------------------
