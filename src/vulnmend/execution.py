@@ -122,8 +122,29 @@ def truncate_log(log: str, head_lines: int = DEFAULT_HEAD_LINES,
     return "\n".join(lines[:head_lines] + [marker] + lines[-tail_lines:])
 
 
+# an ASan report's shadow memory map and its fixed legend: each block is
+# its header line and the indented (or `=>`) lines under it. The report's
+# own lines already say in words where the access landed.
+_SHADOW_BLOCK = (r"(?:Shadow bytes around the buggy address:"
+                 r"|Shadow byte legend \(.*\):)(?:\n(?:  |=>).*)*")
+_SHADOW_MAP_RE = re.compile(rf"^{_SHADOW_BLOCK}(?:\n{_SHADOW_BLOCK})*$",
+                            re.MULTILINE)
+
+
+def _elide_shadow_map(log: str, name: str) -> str:
+    """Replace each run of ASan shadow-map and legend blocks with one
+    marker line naming the stored full copy."""
+    def marker(m: re.Match) -> str:
+        lines = m.group().count("\n") + 1
+        return (f"... [{lines} lines of ASan shadow byte map elided; "
+                f"full log stored as '{name}'] ...")
+    return _SHADOW_MAP_RE.sub(marker, log)
+
+
+# `expr` runs to the last quote on the line: the stringified condition
+# may hold quotes of its own
 _SPA_LINE_RE = re.compile(
-    r'^\[SPA\] (\S+) (PASS|FAIL)(?: expr="([^"]*)")?\s*$', re.MULTILINE)
+    r'^\[SPA\] (\S+) (PASS|FAIL)(?: expr="(.*)")?\s*$', re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -195,7 +216,7 @@ class PocResult:
     sanitizer_triggered: bool
     timed_out: bool
     summary: AssertionSummary
-    log: str                   # truncated and placeless, for observations
+    log: str                   # map elided, truncated, placeless
 
     @property
     def passed(self) -> bool:
@@ -224,9 +245,11 @@ class PocRunner:
     One instance descriptor, one runner. Each run gets a caller-chosen
     name (deduplicated with numeric suffixes) under which the full raw
     log stays retrievable for the life of the process. The excerpt in
-    the result, which goes into prompts, names the workspace `.` and
-    every sanitizer process `==PID==`, so prompts do not depend on where
-    the checkout lives; verdicts and summaries read the raw log.
+    the result, which goes into prompts, drops the ASan shadow byte map
+    and keeps the head and tail of what is left, each cut marked with
+    the run's name. It names the workspace `.` and every sanitizer
+    process `==PID==`, so prompts do not depend on where the checkout
+    lives; verdicts and summaries read the raw log.
     """
 
     def __init__(self, sandbox, repro_command: str,
@@ -257,9 +280,10 @@ class PocRunner:
                                  for rx in COMPILE_ERROR_SIGNATURES))
         # the summary always reflects the complete log, not the excerpt
         summary = summarize_assertions(full_log)
-        excerpt = _placeless(truncate_log(full_log, self.head_lines,
-                                          self.tail_lines, name=fixed),
-                             self._workspace_re)
+        excerpt = _placeless(
+            truncate_log(_elide_shadow_map(full_log, fixed), self.head_lines,
+                         self.tail_lines, name=fixed),
+            self._workspace_re)
         return PocResult(
             name=fixed,
             phase="compile_error" if compile_error else "ran",

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from vulnmend.harness.backends import ReplayBackend
 from vulnmend.repo_model import DEFAULT_IGNORE_DIRS, RepoIndex, read_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -32,6 +33,18 @@ class ScriptedLLM:
     @property
     def tags(self):
         return [r.tag for r in self.requests]
+
+
+class RecordingReplay(ReplayBackend):
+    """A replay backend that also keeps every request it answers."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.requests = []
+
+    def chat(self, request):
+        self.requests.append(request)
+        return super().chat(request)
 
 
 _MARKER_RE = re.compile(r"// <<<<< (\S+):(\d+)\s*$")

@@ -104,6 +104,17 @@ def test_summarize_assertions_ignores_near_misses():
     assert summarize_assertions(log).counts == ()
 
 
+def test_summarize_assertions_reads_an_expr_that_holds_quotes():
+    # SAFETY_PROPERTY_ASSERT(strcmp(s, "x") == 0, "name_ok") prints the
+    # stringified condition with its quotes
+    log = ('[SPA] name_ok FAIL expr="strcmp(s, "x") == 0"\n'
+           "[SPA] name_ok PASS\n")
+    summary = summarize_assertions(log)
+    assert summary.counts == (("name_ok", 1, 1, 'strcmp(s, "x") == 0'),)
+    assert ('name_ok: 1 PASS, 1 FAIL (expr "strcmp(s, "x") == 0")'
+            in summary.render())
+
+
 def test_summarize_assertions_empty_render():
     assert (summarize_assertions("nothing here").render()
             == "Safety property assertions: none evaluated.")
@@ -282,6 +293,150 @@ def test_poc_runner_name_dedup_keeps_old_logs():
     assert runner.log_store.get("run-2") == "second\n"
 
 
+# -- the excerpt agents see of a sanitizer report ------------------------------------
+
+
+SHADOW_MAP = ["Shadow bytes around the buggy address:"] + [
+    ("=>" if row == 5 else "  ")
+    + f"0x10005d4a50{row:x}0: 00 00 00 00 00 00 00 00 f1 f1[f3]f3"
+    for row in range(11)] + [
+    "Shadow byte legend (one shadow byte represents 8 application bytes):",
+    "  Addressable:           00",
+    "  Partially addressable: 01 02 03 04 05 06 07 ",
+    "  Heap left redzone:       fa",
+    "  Stack right redzone:     f3",
+    "  ASan internal:           fe",
+]
+
+
+STACK_REPORT = [
+    "=================================================================",
+    "==4242==ERROR: AddressSanitizer: stack-buffer-overflow on address "
+    "0x7ffd6d50a130 at pc 0x56055ec2e3eb bp 0x7ffd6d50a0a0",
+    "WRITE of size 1 at 0x7ffd6d50a130 thread T0",
+    "    #0 0x56055ec2e3ea in copy_name src/buf.c:19",
+    "    #1 0x56055ec2e595 in main src/main.c:14",
+    "",
+    "Address 0x7ffd6d50a130 is located in stack of thread T0 at offset 48 "
+    "in frame",
+    "    #0 0x56055ec2e473 in main src/main.c:7",
+    "",
+    "  This frame has 1 object(s):",
+    "    [32, 48) 'name' (line 9) <== Memory access at offset 48 overflows "
+    "this variable",
+    "SUMMARY: AddressSanitizer: stack-buffer-overflow src/buf.c:19 in "
+    "copy_name",
+]
+
+HEAP_REPORT = [
+    "=================================================================",
+    "==77==ERROR: AddressSanitizer: heap-buffer-overflow on address "
+    "0x602000000020 at pc 0x55d0c0a1b2c3",
+    "READ of size 4 at 0x602000000020 thread T0",
+    "    #0 0x55d0c0a1b2c2 in sum src/heap.c:8",
+    "",
+    "0x602000000020 is located 0 bytes after 16-byte region "
+    "[0x602000000010,0x602000000020)",
+    "allocated by thread T0 here:",
+    "    #0 0x7f0a1b2c3d4e in malloc",
+    "    #1 0x55d0c0a1b1a0 in main src/heap.c:14",
+    "",
+    "SUMMARY: AddressSanitizer: heap-buffer-overflow src/heap.c:8 in sum",
+]
+
+
+def _asan_log(report, pid):
+    return "\n".join(report + SHADOW_MAP + [f"=={pid}==ABORTING", ""])
+
+
+def _marker(name):
+    return (f"... [{len(SHADOW_MAP)} lines of ASan shadow byte map "
+            f"elided; full log stored as '{name}'] ...")
+
+
+@pytest.mark.parametrize("report, pid", [(STACK_REPORT, 4242),
+                                         (HEAP_REPORT, 77)])
+def test_excerpt_drops_the_shadow_map_and_keeps_every_other_line(report,
+                                                                  pid):
+    log = _asan_log(report, pid)
+    runner = PocRunner(_StubSandbox(ExecResult(1, "", log)), "cmd")
+    result = runner.run_poc("baseline")
+    assert "Shadow byte" not in result.log
+    assert "f1 f1[f3]f3" not in result.log
+    placeless = [line.replace(f"=={pid}==", "==PID==") for line in report]
+    assert result.log.split("\n") == placeless + [
+        _marker("baseline"), "==PID==ABORTING", ""]
+    # the full log keeps the map, by the run's name
+    assert runner.log_store.get("baseline") == log
+    assert "Shadow bytes around the buggy address:" in \
+        runner.log_store.get("baseline")
+
+
+def test_excerpt_marker_names_the_deduplicated_run():
+    runner = PocRunner(
+        _StubSandbox(ExecResult(1, "", _asan_log(STACK_REPORT, 1))), "cmd")
+    runner.run_poc("probe")
+    assert _marker("probe-2") in runner.run_poc("probe").log
+
+
+def test_excerpt_of_a_map_that_ends_the_log():
+    log = "\n".join(STACK_REPORT + SHADOW_MAP)  # no newline at the end
+    result = PocRunner(_StubSandbox(ExecResult(1, "", log)),
+                       "cmd").run_poc("cut")
+    assert result.log.endswith("copy_name\n" + _marker("cut"))
+
+
+@pytest.mark.parametrize("exit_code, log", [
+    (0, "building\nall good\n"),
+    (2, "src/buf.c:14:5: error: expected ';'\nBUILD FAILED\n"),
+    (1, "src/buf.c:19:12: runtime error: index 16 out of bounds for type "
+        "'char [16]'\n    #0 0x55 in copy_name src/buf.c:19\n"
+        "SUMMARY: UndefinedBehaviorSanitizer: undefined-behavior "
+        "src/buf.c:19:12 in \n"),
+], ids=["clean", "compile-error", "ubsan"])
+def test_excerpt_without_a_shadow_map_is_the_truncated_log(exit_code, log):
+    log = log + "".join(f"tail {i}\n" for i in range(30))
+    runner = PocRunner(_StubSandbox(ExecResult(exit_code, log, "")), "cmd",
+                       head_lines=5, tail_lines=5)
+    result = runner.run_poc("run")
+    assert result.log == truncate_log(log, 5, 5, name="run")
+
+
+def test_excerpt_elides_the_map_before_truncating():
+    head = [f"build {i}" for i in range(4)]
+    log = "\n".join(head + STACK_REPORT + SHADOW_MAP
+                    + ["==9==ABORTING"] + [f"tail {i}" for i in range(3)])
+    budget = len(head) + len(STACK_REPORT) + 4
+    result = PocRunner(_StubSandbox(ExecResult(1, "", log)), "cmd",
+                       head_lines=budget, tail_lines=2).run_poc("long")
+    # the map would have used up the budget; without it the log fits
+    assert "lines elided; full log" not in result.log
+    assert result.log.split("\n")[-6:] == [
+        STACK_REPORT[-1], _marker("long"), "==PID==ABORTING",
+        "tail 0", "tail 1", "tail 2"]
+    # past the budget, the head/tail cut counts only lines that are left
+    short = PocRunner(_StubSandbox(ExecResult(1, "", log)), "cmd",
+                      head_lines=2, tail_lines=2).run_poc("long")
+    kept = len(head) + len(STACK_REPORT) + 1 + 1 + 3
+    assert short.log.split("\n") == [
+        "build 0", "build 1",
+        f"... [{kept - 4} lines elided; full log stored as 'long'] ...",
+        "tail 1", "tail 2"]
+
+
+def test_excerpt_leaves_the_verdict_to_the_full_log():
+    log = ("[SPA] len_below_cap PASS\n"
+           '[SPA] len_below_cap FAIL expr="len < cap"\n'
+           + _asan_log(STACK_REPORT, 4242))
+    result = PocRunner(_StubSandbox(ExecResult(1, "", log)), "cmd",
+                       head_lines=1, tail_lines=1).run_poc("probe")
+    assert (result.phase, result.exit_code, result.compiled,
+            result.sanitizer_triggered, result.timed_out, result.passed) \
+        == ("ran", 1, True, True, False, False)
+    assert result.summary == summarize_assertions(log)
+    assert result.summary.counts == (("len_below_cap", 1, 1, "len < cap"),)
+
+
 # -- PoC runner against the real fixture ------------------------------------------
 
 
@@ -294,6 +449,9 @@ def test_poc_fixture_baseline_triggers_sanitizer(scratch_crepo):
     assert result.sanitizer_triggered is True
     assert result.exit_code != 0
     assert "AddressSanitizer" in runner.log_store.get("baseline")
+    assert "Shadow bytes around" in runner.log_store.get("baseline")
+    assert "Shadow byte" not in result.log
+    assert "full log stored as 'baseline'" in result.log
 
 
 @needs_gcc

@@ -22,7 +22,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import snapshot
+from conftest import RecordingReplay, snapshot
 from replay_scripts import (REFERENCE_FIX, build_entries,
                             localization_entries, spa_entries)
 
@@ -1345,6 +1345,30 @@ def test_replay_run_instance_spawns_git_only_to_apply_candidates(
     instance_dir = tmp_path / instance.instance_id
     assert not (instance_dir / "base").exists()
     assert not (instance_dir / "workspace" / ".git").exists()
+
+
+@needs_gcc
+def test_replayed_prompts_carry_no_shadow_byte_map(fixtures_dir, tmp_path):
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    llm = RecordingReplay(build_entries(True, True))
+    result = run_instance(instance, variant("full"), llm, tmp_path)
+    assert result.winner is not None and not result.errors
+
+    sent = [m["content"] for r in llm.requests for m in r.messages]
+    assert not any("Shadow byte" in content for content in sent)
+    last_spa = [r for r in llm.requests if r.tag == "spa"][-1]
+    observations = {m["content"].split("'")[1]: m["content"]
+                    for m in last_spa.messages
+                    if m.get("name") == "run_poc"}
+    assert set(observations) == {"baseline", "bounds-probe"}
+    for name, observation in observations.items():
+        assert "sanitizer TRIGGERED" in observation
+        assert (f"lines of ASan shadow byte map elided; full log stored as "
+                f"'{name}'] ..." in observation)
+    # the scratch script still reads the stored log by its name
+    script = [m["content"] for m in last_spa.messages
+              if m.get("name") == "run_python_code"]
+    assert script == ["1\n"]
 
 
 @needs_gcc
