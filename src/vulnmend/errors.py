@@ -79,6 +79,10 @@ class GitUnavailable(VulnmendError, FileNotFoundError):
     instance alike."""
 
 
+class NoRunDirectory(VulnmendError, FileNotFoundError):
+    """The run directory to evaluate or report on is not there."""
+
+
 # --- agents ---------------------------------------------------------------
 
 

@@ -4,6 +4,8 @@ A sandbox is a place where the repro command can run. The local sandbox
 covers plain directories; everything above it only needs its `exec`
 surface. A PristineCopy judges a patch: `git apply` on a fresh copy of
 the untouched workspace, then one PoC run, then the copy is removed.
+AheadCopies makes such copies in a thread of its own, ahead of the
+judges that take them.
 Patches are judged concurrently in one bounded pool: at most one worker
 per CPU the process may run on, the calling thread being the first.
 """
@@ -11,6 +13,7 @@ per CPU the process may run on, the calling thread being the first.
 from __future__ import annotations
 
 import builtins as _real_builtins
+import contextlib
 import io
 import os
 import posixpath
@@ -22,6 +25,7 @@ import subprocess
 import tempfile
 import threading
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -82,6 +86,11 @@ class LocalSandbox:
                 os.killpg(proc.pid, signal.SIGKILL)
                 stdout, stderr = proc.communicate()
                 exit_code, timed_out = 124, True
+            else:
+                # a child the command left in the background (`sleep &`)
+                # dies with the run; the group is gone if it left none
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
         return ExecResult(exit_code=exit_code, stdout=stdout, stderr=stderr,
                           timed_out=timed_out)
 
@@ -381,6 +390,68 @@ def diff_paths(diff: bytes) -> set[str]:
     return {posixpath.normpath(name) for name in names if name}
 
 
+class _Closed(Exception):
+    """Raised inside an AheadCopies copy to stop it between directories."""
+
+
+class AheadCopies:
+    """Fresh copies of an untouched workspace, made one after another in
+    a thread of its own, so that judges need not wait for a copy.
+
+    start() starts the thread, which makes count copies. take() hands
+    out a finished copy, each one once, or None when none is finished
+    yet. A copy that fails stops the thread: the judge that finds none
+    makes its own and reports why it failed. close() stops the thread
+    between directories, joins it and removes every copy not taken. The
+    thread calls only shutil, tempfile and skip_dangling_links.
+    """
+
+    def __init__(self, source: Path | str, count: int):
+        self.source = source
+        self.count = count
+        self._ready: deque = deque()
+        self._closing = threading.Event()
+        self._thread: threading.Thread | None = None
+
+    def start(self) -> None:
+        self._thread = threading.Thread(target=self._make,
+                                        name="pristine-copier")
+        self._thread.start()
+
+    def _ignore(self, directory: str, names: list[str]) -> set[str]:
+        if self._closing.is_set():
+            raise _Closed
+        return skip_dangling_links(directory, names)
+
+    def _make(self) -> None:
+        for _ in range(self.count):
+            scratch = None
+            try:
+                scratch = Path(tempfile.mkdtemp(prefix="pristine-"))
+                shutil.copytree(self.source, scratch / "workspace",
+                                ignore=self._ignore)
+            except (OSError, _Closed):
+                if scratch is not None:
+                    shutil.rmtree(scratch, ignore_errors=True)
+                return
+            self._ready.append(scratch)
+
+    def take(self) -> Path | None:
+        """A finished copy's temp directory, holding the copy as
+        `workspace`; the caller removes it."""
+        try:
+            return self._ready.popleft()
+        except IndexError:
+            return None
+
+    def close(self) -> None:
+        self._closing.set()
+        if self._thread is not None:
+            self._thread.join()
+        while (scratch := self.take()) is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
+
+
 @dataclass(frozen=True)
 class PristineCopy:
     """How a diff is judged: in a fresh copy of an untouched workspace,
@@ -388,6 +459,8 @@ class PristineCopy:
     through a PocRunner and PocResult.passed gives the verdict. The copy
     is removed afterwards, so no verdict depends on what another diff's
     run left behind. Validation and evaluation both judge patches here.
+    The copy is one that `ahead` (an AheadCopies of source) has finished,
+    if there is one, or else one made here.
 
     A diff that touches the PoC harness, a workspace script named in the
     command or in one of the instance's other commands (harness_commands),
@@ -399,6 +472,7 @@ class PristineCopy:
     command: str
     timeout: float = DEFAULT_POC_TIMEOUT
     harness_commands: tuple = ()
+    ahead: AheadCopies | None = None
 
     def judge(self, diff: str | bytes, name: str) -> PatchVerdict:
         """Apply diff to a fresh copy and run the PoC under name."""
@@ -409,12 +483,13 @@ class PristineCopy:
         if touched:
             return PatchVerdict(detail="touches the PoC harness: "
                                 + ", ".join(sorted(touched)))
-        scratch = None
+        scratch = self.ahead.take() if self.ahead is not None else None
         try:
             try:
-                scratch = Path(tempfile.mkdtemp(prefix="pristine-"))
-                work = scratch / "workspace"
-                shutil.copytree(self.source, work, ignore=skip_dangling_links)
+                if scratch is None:
+                    scratch = Path(tempfile.mkdtemp(prefix="pristine-"))
+                    shutil.copytree(self.source, scratch / "workspace",
+                                    ignore=skip_dangling_links)
             except OSError as exc:
                 # this instance's data is broken (say, its workspace is
                 # gone)
@@ -423,6 +498,7 @@ class PristineCopy:
                     roots[scratch] = ""
                 return PatchVerdict(detail="workspace copy failed: "
                                     + describe_error(exc, roots))
+            work = scratch / "workspace"
             # bytes in, so a diff of a non-UTF-8 source applies as
             # written. The ceiling keeps git from finding a repository
             # that encloses the temp directory: it would resolve the
@@ -455,13 +531,19 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def pool_width(jobs: int) -> int:
+    """W = min(jobs, usable_cpus()), and at least 1: how many workers
+    in_pool runs for that many jobs."""
+    return max(1, min(jobs, usable_cpus()))
+
+
 def in_pool(jobs: Sequence, work: Callable) -> list:
-    """Call work(worker, job) for every job on W = min(len(jobs),
-    usable_cpus()) workers: the calling thread is worker 0 and each other
-    worker a thread of its own. Job j goes to worker j mod W, which does
-    its share in job order. Once every worker is done, returns in job
-    order what each call returned or the exception it raised."""
-    width = max(1, min(len(jobs), usable_cpus()))
+    """Call work(worker, job) for every job on pool_width(len(jobs))
+    workers: the calling thread is worker 0 and each other worker a
+    thread of its own. Job j goes to worker j mod W, which does its share
+    in job order. Once every worker is done, returns in job order what
+    each call returned or the exception it raised."""
+    width = pool_width(len(jobs))
     results: list = [None] * len(jobs)
     interrupted = threading.Event()
 

@@ -8,12 +8,12 @@ import os
 import sys
 from pathlib import Path
 
-from ..errors import GitUnavailable
+from ..errors import GitUnavailable, NoRunDirectory
 from ..execution import DEFAULT_POC_TIMEOUT
 from .backends import HttpChatBackend, ReplayBackend
 from .config import VARIANTS, RunConfig, check_poc_timeout, variant
 from .instances import load_instances
-from .metrics import evaluate_run
+from .metrics import evaluate_run, require_run_dir
 from .pipeline import run_all
 
 
@@ -91,7 +91,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    run_dir = Path(args.run)
+    run_dir = require_run_dir(args.run)
     config_path = run_dir / "config.json"
     if config_path.exists():
         with open(config_path, encoding="utf-8") as fh:
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except GitUnavailable as exc:
+    except (GitUnavailable, NoRunDirectory) as exc:
         raise SystemExit(f"vulnmend {args.command}: {exc}")
 
 

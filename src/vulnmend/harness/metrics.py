@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
+from ..errors import NoRunDirectory
 from ..execution import (DEFAULT_POC_TIMEOUT, PristineCopy, in_pool,
                          require_git)
 from ..llm import RequestRecord
@@ -120,12 +121,20 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
                + (", sanitizer still fires" if sanitizer else ""))
 
 
+def require_run_dir(run_dir: Path | str) -> Path:
+    """run_dir, if it is a directory."""
+    run_dir = Path(run_dir)
+    if not run_dir.is_dir():
+        raise NoRunDirectory(f"no run directory {run_dir}")
+    return run_dir
+
+
 def evaluate_run(run_dir: Path | str, instances: list[IssueInstance],
                  timeout: float = DEFAULT_POC_TIMEOUT
                  ) -> tuple[Metrics, list[InstanceVerdict]]:
     """Judge every instance of a finished run and persist the verdicts."""
     require_git()
-    run_dir = Path(run_dir)
+    run_dir = require_run_dir(run_dir)
     by_id = {i.instance_id: i for i in instances}
     jobs = []
     for instance_dir in sorted(p for p in run_dir.iterdir() if p.is_dir()):

@@ -5,7 +5,9 @@ enhanced-report assembly, file and element localization, patch
 generation, per-candidate validation, selection, artifact persistence.
 Stage failures degrade the run (recorded in telemetry) instead of
 aborting it; a run with no winning patch still produces its artifacts
-and an empty prediction.
+and an empty prediction. From the property-analysis agent on, a thread
+copies the input for validation's judges (AheadCopies); it is joined,
+and its untaken copies removed, however the run ends.
 
 Artifacts are deterministic by construction: no timestamps, no absolute
 paths, sorted JSON keys. Two runs from the same inputs and the same
@@ -24,8 +26,9 @@ from ..agents.spa import run_spa_agent
 from ..edit_engine import EditHistory
 from ..errors import (ReplayDesync, ScriptExhausted, VulnmendError,
                       describe_error)
-from ..execution import (LocalSandbox, LogStore, PocRunner, PristineCopy,
-                         PythonScriptSandbox, require_git)
+from ..execution import (AheadCopies, LocalSandbox, LogStore, PocRunner,
+                         PristineCopy, PythonScriptSandbox, pool_width,
+                         require_git)
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
@@ -58,6 +61,7 @@ class _Stage:
 
     def __init__(self, instance: IssueInstance, instance_dir: Path):
         self.errors: list[dict] = []
+        self.instance_dir = instance_dir
         self.roots = {instance_dir: "", instance.workspace_path: "workspace"}
 
     def fail(self, name: str, exc: BaseException) -> None:
@@ -75,6 +79,12 @@ class _Stage:
             self.fail(name, exc)
             return fallback
 
+    def save(self, write, rel: str, payload) -> None:
+        # a failed artifact write is this instance's error, like a
+        # failed stage; the instance and the batch go on
+        self.run(f"write {rel}",
+                 lambda: write(self.instance_dir / rel, payload))
+
 
 def run_instance(instance: IssueInstance, config: RunConfig,
                  llm: LLMBackend, out_dir: Path | str) -> InstanceResult:
@@ -83,13 +93,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
 
     instance_dir = Path(out_dir) / instance.instance_id
     stage = _Stage(instance, instance_dir)
-
-    def save(write, rel: str, payload) -> None:
-        # a failed artifact write is this instance's error, like a
-        # failed stage; the instance and the batch go on
-        stage.run(f"write {rel}",
-                  lambda: write(instance_dir / rel, payload))
-
+    save = stage.save
     if instance_dir.exists():
         shutil.rmtree(instance_dir)
     workspace = instance_dir / "workspace"
@@ -109,6 +113,22 @@ def run_instance(instance: IssueInstance, config: RunConfig,
             instance_id=instance.instance_id, instance_dir=instance_dir,
             prediction="", winner=None, errors=stage.errors)
 
+    # validation judges each distinct program in a fresh copy of the
+    # input; one per worker of its pool is made ahead, while the property
+    # agent runs
+    ahead = AheadCopies(instance.workspace_path,
+                        pool_width(config.candidates))
+    try:
+        return _resolve(instance, config, llm, stage, workspace, ahead)
+    finally:
+        ahead.close()
+
+
+def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
+             stage: _Stage, workspace: Path,
+             ahead: AheadCopies) -> InstanceResult:
+    """run_instance's stages, once the agents' workspace is copied."""
+    save = stage.save
     records_start = len(getattr(llm, "records", []) or [])
 
     if config.input_type == "sanitizer_log":
@@ -151,6 +171,9 @@ def run_instance(instance: IssueInstance, config: RunConfig,
             telemetry["agents"]["cpc"]["report_parse_ok"] = \
                 context_report.parse_ok
 
+    # not before: the copier's Python work would slow cpc's. spa's PoC
+    # builds, like a live model's answers, leave the main thread idle
+    ahead.start()
     property_report = None
     if config.enable_spa:
         spa_issue = issue_text
@@ -232,11 +255,12 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     # prediction, in a fresh pristine copy of its own, but by the repro
     # command: the verify command is held out. The first candidate's call
     # judges every program, in a bounded pool; the others read the
-    # batch's results
+    # batch's results. A judge takes a copy made ahead if one is finished
     batch = CandidateBatch(candidates)
     pristine = PristineCopy(instance.workspace_path, instance.repro_command,
                             timeout=config.poc_timeout,
-                            harness_commands=(instance.verify_command,))
+                            harness_commands=(instance.verify_command,),
+                            ahead=ahead)
     for candidate in candidates:
         save(write_text, f"candidates/candidate-{candidate.index}.md",
              candidate.raw_text)
@@ -291,7 +315,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         # dropping it leaves only reproducible artifacts
         shutil.rmtree(workspace, ignore_errors=True)
     return InstanceResult(
-        instance_id=instance.instance_id, instance_dir=instance_dir,
+        instance_id=instance.instance_id, instance_dir=stage.instance_dir,
         prediction=prediction, winner=selection.winner,
         errors=stage.errors)
 

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import shutil
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,19 @@ class RecordingReplay(ReplayBackend):
     def chat(self, request):
         self.requests.append(request)
         return super().chat(request)
+
+
+def join_the_copier() -> None:
+    """Wait for the thread that makes validation's copies ahead."""
+    for thread in threading.enumerate():
+        if thread.name == "pristine-copier":
+            thread.join(10)
+            assert not thread.is_alive()
+
+
+def copier_running() -> bool:
+    return any(thread.name == "pristine-copier"
+               for thread in threading.enumerate())
 
 
 _MARKER_RE = re.compile(r"// <<<<< (\S+):(\d+)\s*$")

@@ -1,17 +1,21 @@
+import os
 import random
 import shutil
+import signal
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
-from conftest import total_evaluations
+from conftest import copier_running, join_the_copier, total_evaluations
 
 import vulnmend.execution as execution
 from vulnmend.errors import SandboxUnavailable, UnknownLogName
-from vulnmend.execution import (ExecResult, LocalSandbox, LogStore, PocRunner,
-                                PristineCopy, PythonScriptSandbox, diff_paths,
+from vulnmend.execution import (AheadCopies, ExecResult, LocalSandbox,
+                                LogStore, PocRunner, PristineCopy,
+                                PythonScriptSandbox, diff_paths,
                                 harness_files, in_pool, summarize_assertions,
                                 truncate_log)
 from vulnmend.repo_model import read_text, write_text
@@ -193,6 +197,31 @@ def test_local_sandbox_timeout_kills_children(tmp_path):
     assert time.monotonic() - started < 1.5
     time.sleep(max(0.0, started + 2.0 - time.monotonic()))
     assert not (tmp_path / "marker").exists()
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process; a zombie is not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_local_sandbox_kills_what_a_finished_command_left_running(
+        tmp_path):
+    started = time.monotonic()
+    res = LocalSandbox(tmp_path).exec("sleep 30 >/dev/null 2>&1 & echo $!")
+    assert res.exit_code == 0 and time.monotonic() - started < 5
+    pid = int(res.stdout)
+    try:
+        deadline = time.monotonic() + 5
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_local_sandbox_rejects_missing_dir(tmp_path):
@@ -517,6 +546,168 @@ def test_a_diff_to_another_commands_script_is_rejected(tmp_path):
                            harness_commands=("sh verify.sh",)).judge(diff, "v")
     assert verdict.result is None
     assert verdict.detail == "touches the PoC harness: verify.sh"
+
+
+# -- copies made ahead ------------------------------------------------------------
+
+
+HELLO_DIFF = ("--- a/hello.txt\n+++ b/hello.txt\n@@ -1 +1 @@\n-old\n"
+              "+new\n")
+
+
+@pytest.fixture
+def temp(tmp_path, monkeypatch):
+    """An empty temp directory of the test's own."""
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    return temp
+
+
+def _hello_tree(root: Path) -> Path:
+    (root / "sub").mkdir(parents=True)
+    (root / "hello.txt").write_text("old\n")
+    (root / "sub" / "note.txt").write_text("note\n")
+    (root / "sub" / "stale.h").symlink_to("nowhere.h")
+    return root
+
+
+def test_ahead_copies_hand_out_each_finished_copy_once(tmp_path, temp):
+    source = _hello_tree(tmp_path / "src")
+    ahead = AheadCopies(source, 2)
+    assert ahead.take() is None  # not started
+    ahead.start()
+    join_the_copier()
+    taken = [ahead.take(), ahead.take()]
+    assert ahead.take() is None
+    assert sorted(taken) == sorted(temp.iterdir())
+    for scratch in taken:
+        assert scratch.name.startswith("pristine-")
+        work = scratch / "workspace"
+        assert (work / "hello.txt").read_text() == "old\n"
+        assert (work / "sub" / "note.txt").read_text() == "note\n"
+        assert not os.path.lexists(work / "sub" / "stale.h")
+    ahead.close()
+    # a copy taken is the taker's to remove
+    assert sorted(temp.iterdir()) == sorted(taken)
+
+
+def test_ahead_copies_go_to_one_taker_each_under_contention(tmp_path,
+                                                            temp):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "a.txt").write_text("a\n")
+    ahead = AheadCopies(source, 30)
+    taken: list = [[] for _ in range(8)]
+
+    def taker(mine: list) -> None:
+        deadline = time.monotonic() + 10
+        while sum(map(len, taken)) < 30 and time.monotonic() < deadline:
+            scratch = ahead.take()
+            if scratch is not None:
+                mine.append(scratch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=taker, args=(mine,))
+                   for mine in taken]
+        ahead.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(15)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        ahead.close()
+    every = [scratch for mine in taken for scratch in mine]
+    assert len(every) == len(set(every)) == 30
+    assert sorted(every) == sorted(temp.iterdir())
+
+
+def test_a_closed_copier_leaves_nothing(tmp_path, temp):
+    source = tmp_path / "src"
+    for k in range(40):
+        (source / f"d{k}").mkdir(parents=True)
+        (source / f"d{k}" / "f.c").write_text("int x;\n")
+    ahead = AheadCopies(source, 3)
+    ahead.start()
+    ahead.close()  # most likely in the middle of a copy
+    assert not copier_running()
+    assert list(temp.iterdir()) == []
+    ahead = AheadCopies(source, 3)
+    ahead.start()
+    join_the_copier()
+    assert len(list(temp.iterdir())) == 3
+    ahead.close()  # every copy finished, none taken
+    assert list(temp.iterdir()) == []
+    # closing one never started is fine too
+    AheadCopies(source, 3).close()
+
+
+def test_a_judge_takes_a_finished_copy_and_removes_it(tmp_path, temp,
+                                                      monkeypatch):
+    source = _hello_tree(tmp_path / "src")
+    ahead = AheadCopies(source, 2)
+    ahead.start()
+    join_the_copier()
+    copied = []
+    copytree = shutil.copytree
+    monkeypatch.setattr(shutil, "copytree", lambda src, dst, *args, **kw: (
+        copied.append(dst) or copytree(src, dst, *args, **kw)))
+    pristine = PristineCopy(source, "grep -q new hello.txt", ahead=ahead)
+    verdict = pristine.judge(HELLO_DIFF, "v")
+    assert verdict.passed, verdict.detail
+    assert copied == [] and len(list(temp.iterdir())) == 1
+    ahead.close()
+    assert list(temp.iterdir()) == []
+    assert (source / "hello.txt").read_text() == "old\n"
+
+
+def test_a_judge_never_waits_for_a_copy_in_the_making(tmp_path, temp,
+                                                      monkeypatch):
+    source = _hello_tree(tmp_path / "src")
+    release = threading.Event()
+    copytree = shutil.copytree
+
+    def held(src, dst, *args, **kwargs):
+        if threading.current_thread().name == "pristine-copier":
+            release.wait(10)
+        return copytree(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "copytree", held)
+    ahead = AheadCopies(source, 1)
+    ahead.start()
+    try:
+        started = time.monotonic()
+        verdict = PristineCopy(source, "grep -q new hello.txt",
+                               ahead=ahead).judge(HELLO_DIFF, "v")
+        assert verdict.passed, verdict.detail
+        assert time.monotonic() - started < 5
+    finally:
+        release.set()
+        ahead.close()
+    assert not copier_running()
+    assert list(temp.iterdir()) == []
+
+
+def test_a_judge_whose_copies_ahead_failed_says_why_as_before(tmp_path,
+                                                              temp):
+    source = tmp_path / "src"  # gone before any copy
+    ahead = AheadCopies(source, 2)
+    ahead.start()
+    join_the_copier()
+    assert list(temp.iterdir()) == []
+    verdict = PristineCopy(source, "true", ahead=ahead).judge(HELLO_DIFF,
+                                                              "v")
+    ahead.close()
+    assert verdict.result is None
+    assert verdict.detail == PristineCopy(source, "true").judge(
+        HELLO_DIFF, "v").detail == (
+        "workspace copy failed: FileNotFoundError: [Errno 2] No such file "
+        "or directory: 'workspace'")
+    assert list(temp.iterdir()) == []
 
 
 # -- the worker pool ------------------------------------------------------------

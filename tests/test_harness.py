@@ -22,14 +22,16 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import RecordingReplay, snapshot
-from replay_scripts import (REFERENCE_FIX, build_entries,
-                            localization_entries, spa_entries)
+from conftest import (RecordingReplay, copier_running, join_the_copier,
+                      snapshot)
+from replay_scripts import (COMMENT_ONLY_PATCH, COMMENTED_FIX, REFERENCE_FIX,
+                            build_entries, localization_entries, spa_entries)
 
 import vulnmend.agents.spa as spa_agent
 import vulnmend.execution as execution
 import vulnmend.harness.metrics as harness_metrics
 import vulnmend.harness.pipeline as pipeline
+import vulnmend.repair as repair
 import vulnmend.repo_model as repo_model
 from vulnmend.agents.react import Step, Transcript
 from vulnmend.edit_engine import (EditHistory, edited_texts,
@@ -1654,20 +1656,34 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
     # three workers, whatever the host's CPU count
     monkeypatch.setattr(execution, "usable_cpus", lambda: 3)
-    copies = []
+    copies, from_workspace = [], []
     copytree = shutil.copytree
 
     def counted(src, dst, *args, **kwargs):
         # copytree calls itself for each subdirectory
         if Path(src) == scratch_crepo:
-            copies.append(dst)
+            copies.append((Path(dst), threading.current_thread().name))
+        elif Path(src) == workspace:
+            from_workspace.append(dst)
         return copytree(src, dst, *args, **kwargs)
 
     monkeypatch.setattr(shutil, "copytree", counted)
+    judged = []
+
+    class Recorded(LocalSandbox):
+        def __init__(self, root):
+            judged.append(Path(root))
+            super().__init__(root)
+
+    # the judges' sandboxes; the agents' one is looked up in the pipeline
+    monkeypatch.setattr(execution, "LocalSandbox", Recorded)
     seen = []
     validate = pipeline.validate_candidate
 
     def watched(*args, **kwargs):
+        if not seen:
+            # the agents ran long enough for every copy made ahead
+            join_the_copier()
         seen.append((snapshot(workspace), snapshot(scratch_crepo),
                      len(copies)))
         try:
@@ -1685,12 +1701,118 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
     assert result.winner == 0 and not result.errors
     assert len(seen) == 10
     assert len({(run_tree, source) for run_tree, source, _ in seen}) == 1
-    # one copy is the run's workspace; validation makes one per distinct
-    # program, 2, all in the first call
-    assert len(copies) == 3 and copies[0] == workspace
-    assert (seen[0][2], seen[1][2], seen[-1][2]) == (1, 3, 3)
-    # and the validation copies are gone
+    # one copy is the run's workspace; the copier makes one per pool
+    # worker, 3, before validation, which makes none of its own. Nothing
+    # is copied from the agents' workspace
+    assert copies[0] == (workspace, "MainThread")
+    assert [thread for _, thread in copies[1:]] == ["pristine-copier"] * 3
+    assert (seen[0][2], seen[-1][2]) == (4, 4)
+    assert from_workspace == []
+    # each distinct program, 2, runs its PoC in a copy of its own
+    assert len(judged) == len(set(judged)) == 2
+    assert set(judged) <= {path for path, _ in copies[1:]}
+    # and the validation copies, used or not, are gone
     assert list(temp.iterdir()) == []
+
+
+def test_a_replay_desync_leaves_no_copy_and_no_copier(fixtures_dir,
+                                                      tmp_path, monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(execution, "usable_cpus", lambda: 2)
+    entries = build_entries(True, True)
+    first_spa = next(k for k, entry in enumerate(entries)
+                     if entry["expect"] == "spa")
+    entries[first_spa] = {**entries[first_spa], "expect": "generate"}
+
+    class Desyncs(ReplayBackend):
+        def chat(self, request):
+            if request.tag == "spa":
+                # the copies made ahead are finished when spa desyncs
+                join_the_copier()
+                assert len(list(temp.glob("pristine-*"))) == 2
+            return super().chat(request)
+
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    with pytest.raises(ReplayDesync):
+        run_instance(instance, variant("full"), Desyncs(entries),
+                     tmp_path / "run")
+    assert list(temp.glob("pristine-*")) == []
+    assert not copier_running()
+
+
+def test_validation_reports_an_input_gone_after_the_agents_copy(
+        fixtures_dir, scratch_crepo, tmp_path, monkeypatch):
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        workspace_path=str(scratch_crepo),
+        repro_command="grep -q 'len >= cap' src/buf.c")
+    workspace = tmp_path / "run" / instance.instance_id / "workspace"
+    copytree = shutil.copytree
+
+    def then_gone(src, dst, *args, **kwargs):
+        copied = copytree(src, dst, *args, **kwargs)
+        if Path(dst) == workspace:
+            shutil.rmtree(scratch_crepo)
+        return copied
+
+    monkeypatch.setattr(shutil, "copytree", then_gone)
+    # validation reads the candidates' files from the input too; here it
+    # reads them from the agents' copy, which holds the same text, so
+    # that every applying program reaches its judge
+    texts = repair.edited_texts
+    monkeypatch.setattr(repair, "edited_texts",
+                        lambda root, edits: texts(workspace, edits))
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    result = run_instance(instance, variant("base"),
+                          ReplayBackend(build_entries(False, False)),
+                          tmp_path / "run")
+
+    assert result.winner is None and not result.errors
+    outcomes = json.loads((tmp_path / "run" / instance.instance_id
+                           / "candidates" / "outcomes.json").read_text())
+    gone = ("workspace copy failed: FileNotFoundError: [Errno 2] No such "
+            "file or directory: 'workspace'")
+    assert [(o["applied"], o["poc_pass"], o["failure"])
+            for o in outcomes[:3]] == [(True, False, gone)] * 3
+    assert list(temp.iterdir()) == []
+
+
+# five candidates, four distinct programs: the fix (passes), the fix
+# again with a comment, a comment alone (fails), two other clamps (pass)
+_FOUR_PROGRAMS = [REFERENCE_FIX, COMMENTED_FIX, COMMENT_ONLY_PATCH,
+                  REFERENCE_FIX.replace("cap - 1;", "cap - 2;"),
+                  REFERENCE_FIX.replace("cap - 1;", "cap - 3;")]
+
+
+def test_outcomes_do_not_depend_on_how_many_copies_are_made_ahead(
+        fixtures_dir, tmp_path, monkeypatch):
+    # a PoC that a copy judged before would fail
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        repro_command="test ! -e .stale && touch .stale "
+                      "&& grep -q 'len >= cap' src/buf.c")
+    entries = localization_entries() + [
+        {"expect": "generate", "response": {"text": text}}
+        for text in _FOUR_PROGRAMS]
+    written = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(execution, "usable_cpus", lambda w=workers: w)
+        out = tmp_path / f"run-{workers}" / instance.instance_id
+        run_instance(instance, variant("base"), ReplayBackend(entries),
+                     out.parent)
+        written[workers] = {path.relative_to(out): path.read_bytes()
+                            for path in sorted(out.rglob("*"))
+                            if path.is_file()}
+    assert written[1] == written[2] == written[3]
+    outcomes = json.loads(written[1][Path("candidates/outcomes.json")])
+    assert [(o["applied"], o["poc_pass"], o["poc_run_of"])
+            for o in outcomes] == [(True, True, None), (True, True, 0),
+                                   (True, False, None), (True, True, None),
+                                   (True, True, None)]
 
 
 @needs_gcc
@@ -1930,6 +2052,22 @@ def test_report_on_empty_run_dir(tmp_path, capsys):
 
 
 @needs_gcc
+@pytest.mark.parametrize("command", ["report", "evaluate"])
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_cli_names_a_run_directory_that_is_not_there(tmp_path, fixtures_dir,
+                                                     command, kind):
+    run_dir = tmp_path / "no-such-run"
+    if kind == "file":
+        run_dir.write_text("")
+    argv = [command, "--run", str(run_dir)]
+    if command == "evaluate":
+        argv += ["--instances", str(fixtures_dir / "instances.jsonl")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == (f"vulnmend {command}: no run directory "
+                                  f"{run_dir}")
+
+
 def test_cli_run_evaluate_report_roundtrip(tmp_path, fixtures_dir, capsys):
     instances = str(fixtures_dir / "instances.jsonl")
     out = tmp_path / "run"
