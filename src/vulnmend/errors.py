@@ -108,7 +108,13 @@ class JSONParseFailure(VulnmendError):
 # --- harness --------------------------------------------------------------
 
 
-class SchemaViolation(VulnmendError):
+class BadInputFile(VulnmendError):
+    """A file named on the command line (instances, config or replay
+    script) is not there, cannot be read or holds the wrong thing. The
+    message names the file."""
+
+
+class SchemaViolation(BadInputFile):
     def __init__(self, message: str, field: str = "", line: int = 0):
         detail = message
         if field:

@@ -359,35 +359,14 @@ def harness_files(workspace: Path | str, *commands: str | None) -> set[str]:
     return found
 
 
-_DIFF_NAME = re.compile(
-    r"^(?:(?:---|\+\+\+) (?P<side>[^\t\n]+)(?:\t[^\n]*)?"
-    r"|diff --git (?P<pair>[^\n]+)"
-    r"|(?:rename|copy) (?:from|to) (?P<plain>[^\n]+))$", re.MULTILINE)
-
-
-def _strip_prefix(name: str) -> str:
-    # `git apply` drops the first directory of a header's name
-    name = name.strip().strip('"')
-    if name == "/dev/null":
-        return ""
-    return name.split("/", 1)[1] if "/" in name else name
-
-
-def diff_paths(diff: bytes) -> set[str]:
-    """Every path a diff's file headers name, as `git apply` reads them.
-    A content line that looks like a header adds its name too: this errs
-    toward naming too many files."""
-    names = set()
-    for m in _DIFF_NAME.finditer(diff.decode("utf-8", "surrogateescape")):
-        if m["side"]:
-            names.add(_strip_prefix(m["side"]))
-        elif m["plain"]:
-            names.add(m["plain"].strip().strip('"'))
-        else:
-            # "a/<old> b/<new>"
-            old, _, new = m["pair"].partition(" b/")
-            names.update((_strip_prefix(old), new.strip()))
-    return {posixpath.normpath(name) for name in names if name}
+def _unchanged(original: Path, copy: Path) -> bool:
+    """copy is still original: a file, not a link, with its mode and
+    bytes. Copies follow links, so an untouched copy holds no link."""
+    try:
+        return (copy.lstat().st_mode == original.stat().st_mode
+                and copy.read_bytes() == original.read_bytes())
+    except OSError:  # gone
+        return False
 
 
 class _Closed(Exception):
@@ -464,8 +443,9 @@ class PristineCopy:
 
     A diff that touches the PoC harness, a workspace script named in the
     command or in one of the instance's other commands (harness_commands),
-    is rejected before any copy is made: a patch may not rewrite the test
-    that judges it.
+    is rejected before the PoC runs: a patch may not rewrite the test that
+    judges it. The check reads the copy `git apply` patched: a harness
+    file there that is gone, or has other bytes or another mode, is touched.
     """
 
     source: Path | str
@@ -478,11 +458,6 @@ class PristineCopy:
         """Apply diff to a fresh copy and run the PoC under name."""
         if isinstance(diff, str):
             diff = diff.encode("utf-8", errors="surrogateescape")
-        touched = diff_paths(diff) & harness_files(
-            self.source, self.command, *self.harness_commands)
-        if touched:
-            return PatchVerdict(detail="touches the PoC harness: "
-                                + ", ".join(sorted(touched)))
         scratch = self.ahead.take() if self.ahead is not None else None
         try:
             try:
@@ -512,6 +487,13 @@ class PristineCopy:
                 stderr = applied.stderr.decode("utf-8", errors="replace")
                 return PatchVerdict(
                     detail=f"patch does not apply: {stderr.strip()[:200]}")
+            touched = sorted(
+                rel for rel in harness_files(self.source, self.command,
+                                             *self.harness_commands)
+                if not _unchanged(Path(self.source) / rel, work / rel))
+            if touched:
+                return PatchVerdict(detail="touches the PoC harness: "
+                                    + ", ".join(touched))
             runner = PocRunner(LocalSandbox(work), self.command,
                                timeout=self.timeout)
             return PatchVerdict(result=runner.run_poc(name))
@@ -538,11 +520,10 @@ def pool_width(jobs: int) -> int:
 
 
 def in_pool(jobs: Sequence, work: Callable) -> list:
-    """Call work(worker, job) for every job on pool_width(len(jobs))
-    workers: the calling thread is worker 0 and each other worker a
-    thread of its own. Job j goes to worker j mod W, which does its share
-    in job order. Once every worker is done, returns in job order what
-    each call returned or the exception it raised."""
+    """Call work(job) for every job on pool_width(len(jobs)) workers:
+    the calling thread is one of them and each other worker a thread of
+    its own. Once every worker is done, returns in job order what each
+    call returned or the exception it raised."""
     width = pool_width(len(jobs))
     results: list = [None] * len(jobs)
     interrupted = threading.Event()
@@ -552,7 +533,7 @@ def in_pool(jobs: Sequence, work: Callable) -> list:
             if interrupted.is_set():
                 return
             try:
-                results[j] = work(worker, jobs[j])
+                results[j] = work(jobs[j])
             except Exception as exc:
                 results[j] = exc
 

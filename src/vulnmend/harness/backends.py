@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from ..errors import LLMBackendError, ReplayDesync, ScriptExhausted
 from ..llm import (ChatRequest, ChatResponse, RequestRecord, ToolCall, Usage,
@@ -53,11 +52,6 @@ class ReplayBackend:
         self.entries = list(entries)
         self.position = 0
         self.records: list[RequestRecord] = []
-
-    @classmethod
-    def from_file(cls, path: Path | str) -> "ReplayBackend":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
 
     def chat(self, request: ChatRequest) -> ChatResponse:
         # a request for n choices consumes n consecutive entries, each of

@@ -8,11 +8,11 @@ import os
 import sys
 from pathlib import Path
 
-from ..errors import GitUnavailable, NoRunDirectory
+from ..errors import BadInputFile, GitUnavailable, NoRunDirectory
 from ..execution import DEFAULT_POC_TIMEOUT
 from .backends import HttpChatBackend, ReplayBackend
 from .config import VARIANTS, RunConfig, check_poc_timeout, variant
-from .instances import load_instances
+from .instances import input_file, load_instances
 from .metrics import evaluate_run, require_run_dir
 from .pipeline import run_all
 
@@ -30,7 +30,7 @@ def _load_config(args) -> RunConfig:
 def _backend_factory(spec: str, args):
     if spec.startswith("replay:"):
         path = Path(spec[len("replay:"):])
-        with open(path, encoding="utf-8") as fh:
+        with input_file("replay script", path) as fh:
             script = json.load(fh)
         if isinstance(script, dict) and "instances" in script:
             per_instance = script["instances"]
@@ -139,8 +139,7 @@ def _cmd_report(args) -> int:
         err_note = f", {len(errors)} stage error(s)" if errors else ""
         print(f"{instance_dir.name}: {picked}"
               f"{agent_note}{resolved}{cost}{err_note}")
-    eval_note = eval_path.exists()
-    if eval_note:
+    if eval_path.exists():
         with open(eval_path, encoding="utf-8") as fh:
             summary = json.load(fh)
         print(f"totals: resolved {summary['resolved']}/{summary['total']} "
@@ -202,7 +201,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GitUnavailable, NoRunDirectory) as exc:
+    except (BadInputFile, GitUnavailable, NoRunDirectory) as exc:
         raise SystemExit(f"vulnmend {args.command}: {exc}")
 
 

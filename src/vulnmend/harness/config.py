@@ -8,7 +8,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..execution import DEFAULT_POC_TIMEOUT
+from .. import execution, localization, repair
+from ..agents import cpc, spa
+from .instances import input_file
 
 SELECTION_STRATEGIES = ("poc_voting", "simple_voting")
 INPUT_TYPES = ("issue_report", "sanitizer_log")
@@ -16,12 +18,6 @@ ENHANCE_STAGES = ("localization", "generation")
 
 VARIANTS = ("base", "cpc", "spa", "full", "enhanceVulnLoc",
             "enhancePatchGen", "simpleVoting", "sanitizer")
-
-_BOOL_FIELDS = ("enable_cpc", "enable_spa", "keep_workspaces")
-_INT_FIELDS = ("top_files", "context_margin", "candidates", "chunk_lines",
-               "element_limit", "cpc_max_steps", "spa_max_steps",
-               "log_head_lines", "log_tail_lines", "script_output_cap")
-
 
 # USD per million tokens; far above any real price, and small enough
 # that a cost of any plausible token count quantizes to cents
@@ -45,37 +41,38 @@ def check_poc_timeout(value) -> float:
 @dataclass(frozen=True)
 class RunConfig:
     top_files: int = 3
-    context_margin: int = 10
-    candidates: int = 5
-    chunk_lines: int = 512
-    element_limit: int = 10
+    context_margin: int = repair.DEFAULT_CONTEXT_MARGIN
+    candidates: int = repair.DEFAULT_CANDIDATES
+    chunk_lines: int = localization.DEFAULT_CHUNK_LINES
+    element_limit: int = localization.DEFAULT_ELEMENT_LIMIT
     enable_cpc: bool = True
     enable_spa: bool = True
     enhance_stages: tuple = ("localization", "generation")
     selection_strategy: str = "poc_voting"
     input_type: str = "issue_report"
-    cpc_max_steps: int = 25
-    spa_max_steps: int = 40
-    log_head_lines: int = 100
-    log_tail_lines: int = 100
-    script_output_cap: int = 8192
-    poc_timeout: float = DEFAULT_POC_TIMEOUT
+    cpc_max_steps: int = cpc.DEFAULT_CPC_MAX_STEPS
+    spa_max_steps: int = spa.DEFAULT_SPA_MAX_STEPS
+    log_head_lines: int = execution.DEFAULT_HEAD_LINES
+    log_tail_lines: int = execution.DEFAULT_TAIL_LINES
+    script_output_cap: int = execution.DEFAULT_SCRIPT_OUTPUT_CAP
+    poc_timeout: float = execution.DEFAULT_POC_TIMEOUT
     keep_workspaces: bool = False
     price_input_per_mtok: str = "3.00"
     price_output_per_mtok: str = "15.00"
 
     def validate(self) -> "RunConfig":
         # JSON has no schema: "false" or 2.5 must not pass for a flag or
-        # a count, and bool is an int to isinstance
-        for name in _BOOL_FIELDS:
-            if not isinstance(getattr(self, name), bool):
-                raise _wrong_type(name, "a bool", getattr(self, name))
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise _wrong_type(name, "an int", value)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        # a count, and bool is an int to isinstance. Every int field is a
+        # count of at least 1.
+        for field in dataclasses.fields(self):
+            name, value = field.name, getattr(self, field.name)
+            if field.type == "bool" and not isinstance(value, bool):
+                raise _wrong_type(name, "a bool", value)
+            if field.type == "int":
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise _wrong_type(name, "an int", value)
+                if value < 1:
+                    raise ValueError(f"{name} must be >= 1")
         check_poc_timeout(self.poc_timeout)
         if self.selection_strategy not in SELECTION_STRATEGIES:
             raise ValueError(
@@ -131,8 +128,11 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        with input_file("config file", path) as fh:
+            data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            return cls.from_dict(data)
 
 
 def variant(name: str, base: RunConfig | None = None) -> RunConfig:

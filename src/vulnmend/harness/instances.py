@@ -8,11 +8,12 @@ instances file's directory.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import SchemaViolation
+from ..errors import BadInputFile, SchemaViolation
 
 _ID_OK = set("abcdefghijklmnopqrstuvwxyz"
              "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.")
@@ -88,27 +89,42 @@ def parse_instance(obj: dict, line: int, base_dir: Path) -> IssueInstance:
     )
 
 
+@contextlib.contextmanager
+def input_file(kind: str, path: Path | str):
+    """path, open to read as text. What goes wrong while it is read is
+    a BadInputFile whose message names it as kind: an OSError, a
+    ValueError (say, bad JSON) or a SchemaViolation."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except SchemaViolation as exc:
+        exc.args = (f"{kind} {path}: {exc}",)
+        raise
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # no path twice
+        raise BadInputFile(f"{kind} {path}: {reason}") from None
+
+
 def load_instances(path: Path | str) -> list[IssueInstance]:
     path = Path(path)
-    base_dir = path.parent
     instances = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    with input_file("instances file", path) as fh:
         for line_no, raw in enumerate(fh, 1):
             if not raw.strip():
                 continue
             try:
                 obj = json.loads(raw)
             except ValueError as exc:
-                raise SchemaViolation(f"invalid JSON: {exc}", field="",
-                                      line=line_no)
-            instance = parse_instance(obj, line_no, base_dir)
+                raise SchemaViolation(f"invalid JSON on line {line_no}: "
+                                      f"{exc}", field="", line=line_no)
+            instance = parse_instance(obj, line_no, path.parent)
             if instance.instance_id in seen:
                 raise SchemaViolation(
                     f"duplicate instance_id {instance.instance_id!r}",
                     field="instance_id", line=line_no)
             seen.add(instance.instance_id)
             instances.append(instance)
-    if not instances:
-        raise SchemaViolation("no instances in file", field="", line=0)
+        if not instances:
+            raise SchemaViolation("no instances in file", field="", line=0)
     return instances

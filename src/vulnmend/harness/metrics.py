@@ -146,7 +146,7 @@ def evaluate_run(run_dir: Path | str, instances: list[IssueInstance],
         jobs.append((instance_dir, instance, diff))
     # each prediction in a fresh copy of its own, in a bounded pool;
     # verify_prediction is looked up at each call, not bound here
-    judged = in_pool(jobs, lambda _, job: verify_prediction(
+    judged = in_pool(jobs, lambda job: verify_prediction(
         job[1], job[2], timeout=timeout))
 
     verdicts = []

@@ -26,6 +26,7 @@ from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 DEFAULT_CHUNK_LINES = 512
 DEFAULT_EMBED_DIM = 256
+DEFAULT_ELEMENT_LIMIT = 10
 
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d+")
 
@@ -244,8 +245,8 @@ _ELEMENTS_SYSTEM = (
     "suspicious first, and nothing else. Use Scope::name for members.")
 
 
-def localize_elements(llm: LLMBackend, index: RepoIndex,
-                      files: list[str], issue_text: str, limit: int = 10,
+def localize_elements(llm: LLMBackend, index: RepoIndex, files: list[str],
+                      issue_text: str, limit: int = DEFAULT_ELEMENT_LIMIT
                       ) -> ElementLocalization:
     """Narrow ranked files to concrete elements over their skeletons.
 

@@ -325,7 +325,7 @@ def _validate_all(candidates: Mapping[int, CandidatePatch],
     run_of: dict[str, int] = {}
     for index, (_, fingerprint) in programs.items():
         run_of.setdefault(fingerprint, index)
-    judged = in_pool(list(run_of.values()), lambda _, index: pristine.judge(
+    judged = in_pool(list(run_of.values()), lambda index: pristine.judge(
         programs[index][0], f"validate-{index}"))
     verdicts = dict(zip(run_of, judged))  # fingerprint -> verdict
 

@@ -15,9 +15,8 @@ import vulnmend.execution as execution
 from vulnmend.errors import SandboxUnavailable, UnknownLogName
 from vulnmend.execution import (AheadCopies, ExecResult, LocalSandbox,
                                 LogStore, PocRunner, PristineCopy,
-                                PythonScriptSandbox, diff_paths,
-                                harness_files, in_pool, summarize_assertions,
-                                truncate_log)
+                                PythonScriptSandbox, harness_files, in_pool,
+                                summarize_assertions, truncate_log)
 from vulnmend.repo_model import read_text, write_text
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
@@ -524,18 +523,6 @@ def test_the_harness_is_the_scripts_a_command_names(tmp_path):
                          "sh ../run.sh 'unclosed") == {"run.sh", "tools/check"}
 
 
-def test_diff_paths_reads_every_kind_of_header():
-    diff = (b"diff --git a/src/a.c b/src/a.c\n--- a/src/a.c\t2024-01-01\n"
-            b"+++ b/src/a.c\n@@ -1 +1 @@\n-x\n+y\n"
-            b"diff --git a/old.sh b/new.sh\nrename from old.sh\n"
-            b"rename to new.sh\n"
-            b"diff --git a/mode.sh b/mode.sh\nold mode 100644\n"
-            b"new mode 100755\n"
-            b'--- "a/odd name.c"\n+++ /dev/null\n')
-    assert diff_paths(diff) == {"src/a.c", "old.sh", "new.sh", "mode.sh",
-                                "odd name.c"}
-
-
 def test_a_diff_to_another_commands_script_is_rejected(tmp_path):
     (tmp_path / "hello.txt").write_text("old\n")
     (tmp_path / "verify.sh").write_text("#!/bin/sh\ngrep -q new hello.txt\n")
@@ -546,6 +533,33 @@ def test_a_diff_to_another_commands_script_is_rejected(tmp_path):
                            harness_commands=("sh verify.sh",)).judge(diff, "v")
     assert verdict.result is None
     assert verdict.detail == "touches the PoC harness: verify.sh"
+
+
+def test_a_harness_swapped_for_a_link_to_its_copy_is_rejected(tmp_path):
+    # the link reads as the script did, but what it points to is the
+    # patch's to change
+    (tmp_path / "verify.sh").write_text("#!/bin/sh\nexit 1\n")
+    diff = ("diff --git a/verify.sh b/verify.sh\ndeleted file mode 100644\n"
+            "--- a/verify.sh\n+++ /dev/null\n@@ -1,2 +0,0 @@\n"
+            "-#!/bin/sh\n-exit 1\n"
+            "diff --git a/verify.sh b/verify.sh\nnew file mode 120000\n"
+            "--- /dev/null\n+++ b/verify.sh\n@@ -0,0 +1 @@\n+copy.sh\n"
+            "\\ No newline at end of file\n"
+            "diff --git a/copy.sh b/copy.sh\nnew file mode 100644\n"
+            "--- /dev/null\n+++ b/copy.sh\n@@ -0,0 +1,2 @@\n"
+            "+#!/bin/sh\n+exit 1\n")
+    verdict = PristineCopy(tmp_path, "sh verify.sh").judge(diff, "v")
+    assert verdict.result is None
+    assert verdict.detail == "touches the PoC harness: verify.sh"
+
+
+def test_a_harness_diff_that_does_not_apply_says_so(tmp_path):
+    (tmp_path / "verify.sh").write_text("#!/bin/sh\nexit 1\n")
+    diff = ("--- a/verify.sh\n+++ b/verify.sh\n@@ -1,2 +1,2 @@\n"
+            " #!/bin/sh\n-exit 7\n+exit 0\n")
+    verdict = PristineCopy(tmp_path, "sh verify.sh").judge(diff, "v")
+    assert verdict.result is None
+    assert verdict.detail.startswith("patch does not apply: ")
 
 
 # -- copies made ahead ------------------------------------------------------------
@@ -719,8 +733,8 @@ def test_in_pool_keeps_every_result_under_contention(monkeypatch):
     threads_before = threading.active_count()
     done = []
 
-    def work(worker, job):
-        done.append((job, worker))
+    def work(job):
+        done.append(job)
         if job % 7 == 0:
             raise ValueError(job)
         return job * job
@@ -733,7 +747,7 @@ def test_in_pool_keeps_every_result_under_contention(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert time.monotonic() - started < 10
-    assert sorted(done) == [(job, job % 8) for job in range(400)]
+    assert sorted(done) == list(range(400))
     for job, result in enumerate(results):
         if job % 7 == 0:
             assert isinstance(result, ValueError) and result.args == (job,)
@@ -747,8 +761,8 @@ def test_in_pool_stops_its_workers_when_the_caller_is_interrupted(
     monkeypatch.setattr(execution, "usable_cpus", lambda: 2)
     done = []
 
-    def work(worker, job):
-        if worker == 0:
+    def work(job):
+        if threading.current_thread() is threading.main_thread():
             raise KeyboardInterrupt
         time.sleep(0.2)
         done.append(job)

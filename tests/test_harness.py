@@ -328,12 +328,14 @@ def test_replay_from_file(tmp_path):
     path = tmp_path / "script.json"
     path.write_text(json.dumps(
         {"entries": [{"expect": "x", "response": {"text": "y"}}]}))
-    assert ReplayBackend.from_file(path).chat(_request("x")).text == "y"
+    backend = ReplayBackend(json.loads(path.read_text()))
+    assert backend.chat(_request("x")).text == "y"
 
 
 def test_replay_rejects_per_instance_script(fixtures_dir):
+    script = json.loads((fixtures_dir / "replays" / "full.json").read_text())
     with pytest.raises(ValueError, match=r'"instances".*namecache-obo-1'):
-        ReplayBackend.from_file(fixtures_dir / "replays" / "full.json")
+        ReplayBackend(script)
 
 
 def test_replay_desync_names_both_stages():
@@ -1179,6 +1181,71 @@ def test_a_patch_to_the_poc_harness_is_rejected(fixtures_dir, scratch_crepo,
     verdict = verify_prediction(instance, outcome.diff)
     assert (verdict.applied, verdict.resolved) == (False, False)
     assert verdict.detail == "touches the PoC harness: secb.sh"
+
+
+SECB_POC_TO_EXIT_0 = (
+    "@@ -17 +17 @@\n-exec ./build/poc AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA\n"
+    "+exit 0\n")
+BUF_FIX = ("diff --git a/src/buf.c b/src/buf.c\n--- a/src/buf.c\n"
+           "+++ b/src/buf.c\n@@ -13,3 +13,3 @@ void copy_name(char *dst, "
+           "size_t cap, const char *src)\n"
+           "-    if (len > cap) {\n-        len = cap;\n"
+           "+    if (len >= cap) {\n+        len = cap - 1;\n     }\n")
+
+# diffs that `git apply` takes and that change secb.sh, each naming it in
+# another way
+HARNESS_DIFFS = {
+    # git's C-quoted form of "secb.sh": \142 is "b"
+    "quoted-name": ('diff --git "a/sec\\142.sh" "b/sec\\142.sh"\n'
+                    '--- "a/sec\\142.sh"\n+++ "b/sec\\142.sh"\n'
+                    + SECB_POC_TO_EXIT_0),
+    "renamed-away": ("diff --git a/secb.sh b/run.sh\nsimilarity index 100%\n"
+                     "rename from secb.sh\nrename to run.sh\n"),
+    "mode-changed": ("diff --git a/secb.sh b/secb.sh\nold mode 100755\n"
+                     "new mode 100644\n"),
+    "deleted": None,  # built from the file, in the test
+    "bundled-with-the-fix": (BUF_FIX + "diff --git a/secb.sh b/secb.sh\n"
+                             "--- a/secb.sh\n+++ b/secb.sh\n"
+                             + SECB_POC_TO_EXIT_0),
+}
+
+
+@pytest.mark.parametrize("kind", list(HARNESS_DIFFS))
+def test_a_diff_that_changes_the_harness_is_rejected_however_it_names_it(
+        fixtures_dir, scratch_crepo, kind):
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        workspace_path=str(scratch_crepo))
+    diff = HARNESS_DIFFS[kind]
+    if diff is None:
+        lines = (scratch_crepo / "secb.sh").read_text().splitlines()
+        diff = ("diff --git a/secb.sh b/secb.sh\ndeleted file mode 100755\n"
+                f"--- a/secb.sh\n+++ /dev/null\n@@ -1,{len(lines)} +0,0 @@\n"
+                + "".join(f"-{line}\n" for line in lines))
+    before = snapshot(scratch_crepo)
+    verdict = verify_prediction(instance, diff)
+    assert (verdict.applied, verdict.resolved) == (False, False)
+    assert verdict.detail == "touches the PoC harness: secb.sh"
+    assert snapshot(scratch_crepo) == before
+
+
+@needs_gcc
+def test_a_content_line_that_reads_as_a_harness_header_is_no_header(
+        fixtures_dir, scratch_crepo):
+    # the added line "++ b/secb.sh" is the hunk line "+++ b/secb.sh"
+    edit = REFERENCE_FIX.replace("    }\n>>>>>>>",
+                                 "    }\n/*\n++ b/secb.sh\n*/\n>>>>>>>")
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        workspace_path=str(scratch_crepo))
+    candidate = CandidatePatch(index=0, temperature=0.0, raw_text=edit,
+                               edits=tuple(parse_edit_blocks(edit)))
+    outcome = validate_candidate(
+        candidate, PristineCopy(scratch_crepo, instance.repro_command))
+    assert "\n+++ b/secb.sh\n" in outcome.diff
+    assert (outcome.failure, outcome.poc_pass) == (None, True)
+    verdict = verify_prediction(instance, outcome.diff)
+    assert (verdict.applied, verdict.resolved) == (True, True)
 
 
 def test_verify_reports_a_temp_directory_it_cannot_make(tmp_path,
@@ -2066,6 +2133,56 @@ def test_cli_names_a_run_directory_that_is_not_there(tmp_path, fixtures_dir,
         main(argv)
     assert excinfo.value.code == (f"vulnmend {command}: no run directory "
                                   f"{run_dir}")
+
+
+NOT_JSON = "Expecting value: line 1 column 1 (char 0)"
+
+
+@pytest.mark.parametrize("command, kind, content, problem", [
+    ("run", "instances", None, "No such file or directory"),
+    ("run", "instances", "not json\n",
+     f"invalid JSON on line 1: {NOT_JSON}"),
+    ("evaluate", "instances", None, "No such file or directory"),
+    ("evaluate", "instances", "\n", "no instances in file"),
+    ("run", "config", None, "No such file or directory"),
+    ("run", "config", "not json", NOT_JSON),
+    ("run", "config", '{"candidates": 0}', "candidates must be >= 1"),
+    ("run", "replay", None, "No such file or directory"),
+    ("run", "replay", "not json", NOT_JSON),
+], ids=["run-instances-missing", "run-instances-not-json",
+        "evaluate-instances-missing", "evaluate-instances-empty",
+        "config-missing", "config-not-json", "config-invalid",
+        "replay-missing", "replay-not-json"])
+def test_cli_names_an_input_file_it_cannot_use(tmp_path, fixtures_dir,
+                                               monkeypatch, command, kind,
+                                               content, problem):
+    path = tmp_path / f"input-{kind}"
+    if content is not None:
+        path.write_text(content)
+    instances = str(fixtures_dir / "instances.jsonl")
+    script = str(fixtures_dir / "replays" / "full.json")
+    out = tmp_path / "out"
+    if kind == "instances":
+        instances = str(path)
+    elif kind == "replay":
+        script = str(path)
+    argv = (["run", "--out", str(out), "--backend", f"replay:{script}"]
+            if command == "run" else ["evaluate", "--run", str(tmp_path)])
+    argv += ["--instances", instances]
+    if kind == "config":
+        argv += ["--config", str(path)]
+    started = []
+    monkeypatch.setattr(pipeline, "run_instance",
+                        lambda *args, **kwargs: started.append(args))
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    label = {"instances": "instances file", "config": "config file",
+             "replay": "replay script"}[kind]
+    assert excinfo.value.code == (f"vulnmend {command}: {label} {path}: "
+                                  f"{problem}")
+    assert started == []
+    assert not out.exists()
+    assert not (tmp_path / "evaluation.json").exists()
 
 
 def test_cli_run_evaluate_report_roundtrip(tmp_path, fixtures_dir, capsys):
