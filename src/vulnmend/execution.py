@@ -8,22 +8,27 @@ AheadCopies makes such copies in a thread of its own, ahead of the
 judges that take them.
 Patches are judged concurrently in one bounded pool: at most one worker
 per CPU the process may run on, the calling thread being the first.
+What a run writes is kept within DEFAULT_LOG_CAP bytes per stream; a
+stream past it is scanned for the verdict while it is read.
 """
 
 from __future__ import annotations
 
 import builtins as _real_builtins
+import codecs
 import contextlib
 import io
 import os
 import posixpath
 import re
+import selectors
 import shlex
 import shutil
 import signal
 import subprocess
 import tempfile
 import threading
+import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
@@ -40,17 +45,26 @@ DEFAULT_TAIL_LINES = 100
 DEFAULT_SCRIPT_OUTPUT_CAP = 8192
 DEFAULT_POC_TIMEOUT = 300.0
 
-SANITIZER_SIGNATURES = tuple(re.compile(p, re.MULTILINE) for p in (
-    r"^==\d+==\s*ERROR:",
-    r"^SUMMARY: ",
+DEFAULT_LOG_CAP = 1 << 20  # bytes kept of each output stream of a run
+
+# (a literal every match holds, the pattern): the pattern is searched for
+# only in text that holds its literal, so a long log is read fast
+SANITIZER_SIGNATURES = tuple((key, re.compile(p, re.MULTILINE)) for key, p in (
+    ("ERROR:", r"^==\d+==\s*ERROR:"),
+    ("SUMMARY: ", r"^SUMMARY: "),
 ))
 
-COMPILE_ERROR_SIGNATURES = tuple(re.compile(p, re.MULTILINE) for p in (
-    r"^[^:\n]+:\d+(:\d+)?: (fatal )?error:",
-    r"^collect2: error:",
-    r"undefined reference to",
-    r"\bBUILD FAILED\b",
-))
+COMPILE_ERROR_SIGNATURES = tuple(
+    (key, re.compile(p, re.MULTILINE)) for key, p in (
+        ("error:", r"^[^:\n]+:\d+(:\d+)?: (fatal )?error:"),
+        ("error:", r"^collect2: error:"),
+        ("undefined reference to", r"undefined reference to"),
+        ("BUILD FAILED", r"\bBUILD FAILED\b"),
+    ))
+
+
+def _found(signatures, text: str) -> bool:
+    return any(key in text and rx.search(text) for key, rx in signatures)
 
 
 @dataclass(frozen=True)
@@ -59,10 +73,98 @@ class ExecResult:
     stdout: str
     stderr: str
     timed_out: bool = False
+    # for a stream that passed the cap, what a scan of all of it found
+    stdout_scan: LogScan | None = None
+    stderr_scan: LogScan | None = None
+
+
+def _decode(data: bytes) -> str:
+    """Output as text mode decodes it, but UTF-8 whatever the locale:
+    undecodable bytes survive as surrogates, then "\r\n" and "\r" are
+    "\n"."""
+    text = data.decode("utf-8", "surrogateescape")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+class _Capture:
+    """One output stream, read once in blocks and kept within cap bytes.
+
+    A stream of at most cap bytes is kept whole. Past the cap only its
+    first and last cap/2 bytes are kept, with one marker line between
+    them that says how many bytes were dropped; from then on a LogScan
+    reads all of the stream as it arrives, the head included. A line
+    longer than the cap is scanned in pieces.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.head = bytearray()  # the whole stream, while it fits
+        self.tail = bytearray()
+        self.size = 0
+        self.scan: LogScan | None = None
+        self._decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder("utf-8")("surrogateescape"),
+            translate=True)
+        self._line = ""  # the scan's unfinished last line
+
+    def feed(self, data: bytes) -> None:
+        self.size += len(data)
+        if self.scan is None:
+            self.head += data
+            if len(self.head) <= self.cap:
+                return
+            self.scan = LogScan()
+            data, self.head = self.head, self.head[:self.cap // 2]
+        self._read(data)
+        self.tail += data
+        del self.tail[:max(0, len(self.tail) - (self.cap - self.cap // 2))]
+
+    def _read(self, data: bytes, final: bool = False) -> None:
+        text = self._line + self._decoder.decode(data, final)
+        end = text.rfind("\n") + 1
+        if final or (not end and len(text) > self.cap):
+            end = len(text)
+        self.scan.feed(text[:end])
+        self._line = text[end:]
+
+    def close(self) -> tuple[str, LogScan | None]:
+        """The kept text, and the scan if the stream passed the cap."""
+        if self.scan is None:
+            return _decode(self.head), None
+        self._read(b"", final=True)
+        head = _decode(self.head)
+        dropped = self.size - len(self.head) - len(self.tail)
+        return (head + ("" if head.endswith("\n") else "\n")
+                + f"... [{dropped} of {self.size} bytes dropped: over the "
+                  f"{self.cap}-byte cap] ...\n"
+                + _decode(self.tail)), self.scan
+
+
+def _drain(selector: selectors.BaseSelector,
+           deadline: float | None) -> bool:
+    """Feed each registered pipe to its capture until every one is at end
+    of file (True) or the deadline passes (False)."""
+    while selector.get_map():
+        wait = None if deadline is None else deadline - time.monotonic()
+        if wait is not None and wait <= 0:
+            return False
+        for key, _ in selector.select(wait):
+            data = os.read(key.fd, 1 << 16)
+            if data:
+                key.data.feed(data)
+            else:
+                selector.unregister(key.fileobj)
+    return True
 
 
 class LocalSandbox:
-    """Command execution rooted in a local directory."""
+    """Command execution rooted in a local directory.
+
+    A run ends when both output streams reach end of file and the shell
+    has exited, or when the timeout passes; a child the command left in
+    the background that still holds a stream keeps the run going until
+    then. Each stream is kept within DEFAULT_LOG_CAP bytes (_Capture).
+    """
 
     def __init__(self, workspace: Path | str):
         self.workspace = Path(workspace)
@@ -73,33 +175,47 @@ class LocalSandbox:
     def exec(self, command: str,
              timeout: float = DEFAULT_POC_TIMEOUT) -> ExecResult:
         # a session of its own, so a timeout kills the command's children
-        # along with its shell; surrogateescape keeps any output bytes
+        # along with its shell
+        out, err = _Capture(DEFAULT_LOG_CAP), _Capture(DEFAULT_LOG_CAP)
         with subprocess.Popen(command, shell=True, cwd=self.workspace,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              text=True, errors="surrogateescape",
-                              start_new_session=True) as proc:
-            try:
-                stdout, stderr = proc.communicate(timeout=timeout)
-                exit_code, timed_out = proc.returncode, False
-            except subprocess.TimeoutExpired:
+                              start_new_session=True) as proc, \
+                selectors.DefaultSelector() as selector:
+            selector.register(proc.stdout, selectors.EVENT_READ, out)
+            selector.register(proc.stderr, selectors.EVENT_READ, err)
+            deadline = time.monotonic() + timeout
+            timed_out = not _drain(selector, deadline)
+            if not timed_out:
+                try:
+                    exit_code = proc.wait(max(0.0,
+                                              deadline - time.monotonic()))
+                except subprocess.TimeoutExpired:
+                    timed_out = True
+            if timed_out:
                 # the shell is not reaped yet, so its group still exists
                 os.killpg(proc.pid, signal.SIGKILL)
-                stdout, stderr = proc.communicate()
-                exit_code, timed_out = 124, True
+                _drain(selector, None)
+                proc.wait()
+                exit_code = 124
             else:
                 # a child the command left in the background (`sleep &`)
                 # dies with the run; the group is gone if it left none
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
+        stdout, stdout_scan = out.close()
+        stderr, stderr_scan = err.close()
         return ExecResult(exit_code=exit_code, stdout=stdout, stderr=stderr,
-                          timed_out=timed_out)
+                          timed_out=timed_out, stdout_scan=stdout_scan,
+                          stderr_scan=stderr_scan)
 
 
 # -- log plumbing ------------------------------------------------------------
 
 
 class LogStore:
-    """Process-lifetime store of full, untruncated run logs."""
+    """Process-lifetime store of run logs as the PoC runner kept them:
+    whole, unless a stream passed DEFAULT_LOG_CAP bytes; then its head
+    and tail, with a marker line in place of the rest."""
 
     def __init__(self):
         self._logs: dict[str, str] = {}
@@ -174,25 +290,55 @@ class AssertionSummary:
         return "Safety property assertions: " + "; ".join(parts)
 
 
+class LogScan:
+    """What the verdicts read off a log: whether it holds a sanitizer
+    signature or a compile-error signature, and its [SPA] tallies.
+
+    Text is fed in blocks of whole lines, so a log need not be held at
+    once to be scanned; a match that would span two blocks is not found.
+    """
+
+    def __init__(self, text: str = ""):
+        self.sanitizer = False
+        self.compile_error = False
+        # id -> [passes, fails, expr of the last FAIL], in first-seen order
+        self._tallies: dict[str, list] = {}
+        self.feed(text)
+
+    def feed(self, text: str) -> None:
+        self.sanitizer = self.sanitizer or _found(SANITIZER_SIGNATURES, text)
+        self.compile_error = (self.compile_error
+                              or _found(COMPILE_ERROR_SIGNATURES, text))
+        if "[SPA] " not in text:
+            return
+        for m in _SPA_LINE_RE.finditer(text):
+            tally = self._tallies.setdefault(m.group(1), [0, 0, ""])
+            if m.group(2) == "PASS":
+                tally[0] += 1
+            else:
+                tally[1] += 1
+                tally[2] = m.group(3) or tally[2]
+
+    def then(self, later: LogScan) -> LogScan:
+        """The scan of this log followed by later's log."""
+        joined = LogScan()
+        joined.sanitizer = self.sanitizer or later.sanitizer
+        joined.compile_error = self.compile_error or later.compile_error
+        for scan in (self, later):
+            for prop_id, (passes, fails, expr) in scan._tallies.items():
+                tally = joined._tallies.setdefault(prop_id, [0, 0, ""])
+                tally[0] += passes
+                tally[1] += fails
+                tally[2] = expr or tally[2]
+        return joined
+
+    def summary(self) -> AssertionSummary:
+        return AssertionSummary(counts=tuple(
+            (prop_id, *tally) for prop_id, tally in self._tallies.items()))
+
+
 def summarize_assertions(log: str) -> AssertionSummary:
-    order: list[str] = []
-    passes: dict[str, int] = {}
-    fails: dict[str, int] = {}
-    exprs: dict[str, str] = {}
-    for m in _SPA_LINE_RE.finditer(log):
-        prop_id, verdict, expr = m.group(1), m.group(2), m.group(3)
-        if prop_id not in passes:
-            order.append(prop_id)
-            passes[prop_id] = 0
-            fails[prop_id] = 0
-        if verdict == "PASS":
-            passes[prop_id] += 1
-        else:
-            fails[prop_id] += 1
-            if expr:
-                exprs[prop_id] = expr
-    return AssertionSummary(counts=tuple(
-        (p, passes[p], fails[p], exprs.get(p, "")) for p in order))
+    return LogScan(log).summary()
 
 
 # -- PoC runner ---------------------------------------------------------------
@@ -252,13 +398,16 @@ class PocRunner:
     """Compile-and-run of the instance's repro command, with log capture.
 
     One instance descriptor, one runner. Each run gets a caller-chosen
-    name (deduplicated with numeric suffixes) under which the full raw
-    log stays retrievable for the life of the process. The excerpt in
-    the result, which goes into prompts, drops the ASan shadow byte map
-    and keeps the head and tail of what is left, each cut marked with
-    the run's name. It names the workspace `.` and every sanitizer
-    process `==PID==`, so prompts do not depend on where the checkout
-    lives; verdicts and summaries read the raw log.
+    name (deduplicated with numeric suffixes) under which the raw log
+    stays retrievable for the life of the process: stdout, then stderr,
+    as the sandbox returned them (LocalSandbox cuts a stream past
+    DEFAULT_LOG_CAP bytes to its head and tail). The excerpt in the
+    result, which goes into prompts, drops the ASan shadow byte map and
+    keeps the head and tail of what is left, each cut marked with the
+    run's name. It names the workspace `.` and every sanitizer process
+    `==PID==`, so prompts do not depend on where the checkout lives.
+    Verdicts and summaries read all of the output: the raw log, or for a
+    stream past the cap the scan made while it was read.
     """
 
     def __init__(self, sandbox, repro_command: str,
@@ -283,12 +432,15 @@ class PocRunner:
         full_log += res.stderr
         self.log_store.put(fixed, full_log)
 
-        sanitizer = any(rx.search(full_log) for rx in SANITIZER_SIGNATURES)
-        compile_error = (res.exit_code != 0 and not sanitizer
-                         and any(rx.search(full_log)
-                                 for rx in COMPILE_ERROR_SIGNATURES))
-        # the summary always reflects the complete log, not the excerpt
-        summary = summarize_assertions(full_log)
+        # the verdict and the summary reflect the complete output, not
+        # the excerpt: a stream past the cap was scanned as it was read
+        if res.stdout_scan is None and res.stderr_scan is None:
+            scan = LogScan(full_log)
+        else:
+            scan = (res.stdout_scan or LogScan(res.stdout)).then(
+                res.stderr_scan or LogScan(res.stderr))
+        compile_error = (res.exit_code != 0 and not scan.sanitizer
+                         and scan.compile_error)
         excerpt = _placeless(
             truncate_log(_elide_shadow_map(full_log, fixed), self.head_lines,
                          self.tail_lines, name=fixed),
@@ -298,9 +450,9 @@ class PocRunner:
             phase="compile_error" if compile_error else "ran",
             exit_code=res.exit_code,
             compiled=not compile_error,
-            sanitizer_triggered=sanitizer,
+            sanitizer_triggered=scan.sanitizer,
             timed_out=res.timed_out,
-            summary=summary,
+            summary=scan.summary(),
             log=excerpt,
         )
 
@@ -590,7 +742,9 @@ class PythonScriptSandbox:
     """In-process interpreter cage for agent-written helper scripts.
 
     Scripts get pure-computation builtins, a short import allowlist and a
-    `get_poc_output(name)` bridge. File, process and network access is
+    `get_poc_output(name)` bridge, which returns a PoC run's raw log as
+    the LogStore keeps it: a stream past DEFAULT_LOG_CAP bytes is only
+    its head and tail there. File, process and network access is
     stubbed to record a violation and raise. The scripts come from a
     model that reads the issue text, and that text is attacker-supplied,
     so a script may be hostile. This cage only catches honest mistakes:

@@ -37,7 +37,8 @@ class ReplayBackend:
     exhausted script is an error naming the step, because a desync means
     the pipeline under test changed.
     A multi-instance script {"instances": {"<id>": {"entries": [...]}}}
-    holds one such script per instance; pass one of them.
+    holds one such script per instance; pass one of them. A script of
+    another shape is a ValueError here, before any call.
     """
 
     def __init__(self, script: dict | list):
@@ -48,7 +49,15 @@ class ReplayBackend:
                 f"{', '.join(sorted(script['instances']))}; build one "
                 "ReplayBackend per instance from "
                 'script["instances"][<id>]')
-        entries = script["entries"] if isinstance(script, dict) else script
+        entries = script.get("entries") if isinstance(script, dict) else script
+        if not isinstance(entries, list):
+            raise ValueError('a replay script is a list of entries, '
+                             '{"entries": [...]} or {"instances": {...}}')
+        for number, entry in enumerate(entries, 1):
+            if not (isinstance(entry, dict)
+                    and isinstance(entry.get("response", {}), dict)):
+                raise ValueError(f"entry {number} is not an object whose "
+                                 f"response is an object")
         self.entries = list(entries)
         self.position = 0
         self.records: list[RequestRecord] = []

@@ -27,22 +27,35 @@ def _load_config(args) -> RunConfig:
     return RunConfig().validate()
 
 
-def _backend_factory(spec: str, args):
+def _backend_factory(spec: str, args, instance_ids=()):
     if spec.startswith("replay:"):
         path = Path(spec[len("replay:"):])
+        # the whole script is checked here, before --out is made
         with input_file("replay script", path) as fh:
             script = json.load(fh)
-        if isinstance(script, dict) and "instances" in script:
+            if not (isinstance(script, dict) and "instances" in script):
+                shared = ReplayBackend(script)
+                return lambda instance_id: shared
             per_instance = script["instances"]
+            if not isinstance(per_instance, dict):
+                raise ValueError('"instances" is not an object')
+            missing = [i for i in instance_ids if i not in per_instance]
+            if missing:
+                raise ValueError("no entries for instance "
+                                 + ", ".join(map(repr, missing)))
+            backends = {}
+            for instance_id, entries in per_instance.items():
+                try:
+                    backends[instance_id] = ReplayBackend(entries)
+                except ValueError as exc:
+                    raise ValueError(f"instance {instance_id!r}: {exc}")
 
-            def factory(instance_id: str):
-                if instance_id not in per_instance:
-                    raise SystemExit(
-                        f"replay script has no entries for {instance_id!r}")
-                return ReplayBackend(per_instance[instance_id])
-            return factory
-        shared = ReplayBackend(script)
-        return lambda instance_id: shared
+        def factory(instance_id: str):
+            if instance_id not in backends:
+                raise SystemExit(
+                    f"replay script has no entries for {instance_id!r}")
+            return backends[instance_id]
+        return factory
     if spec == "live":
         base_url = args.base_url or os.environ.get("VULNMEND_BASE_URL")
         model = args.model or os.environ.get("VULNMEND_MODEL")
@@ -66,7 +79,8 @@ def _cmd_run(args) -> int:
                      if i.instance_id in set(args.instance_id)]
         if not instances:
             raise SystemExit("no instances left after --instance-id filter")
-    backend_for = _backend_factory(args.backend, args)
+    backend_for = _backend_factory(
+        args.backend, args, [i.instance_id for i in instances])
     results = run_all(instances, config, backend_for, args.out)
     for result in results:
         state = ("patch selected (candidate "

@@ -1,10 +1,12 @@
 """Fault localization: suspicious files, then suspicious elements.
 
 Two complementary file routes. The prompt route asks the model directly
-over the issue and the repository tree. The retrieval route embeds
-fixed-size line chunks of every candidate file and ranks files by their
-best chunk's cosine similarity to the issue text, after the model names
-folders to ignore. Their merge keeps prompt picks first. Element
+over the issue and the repository tree. The retrieval route, after the
+model names folders to ignore, embeds the issue text, then scores the
+candidate files one at a time: each file's fixed-size line chunks are
+embedded and only its best chunk's cosine similarity to the issue is
+kept, so memory does not grow with the tree. Files rank by that score.
+The merge of the two routes keeps prompt picks first. Element
 localization then narrows the merged files to concrete functions over
 code skeletons.
 """
@@ -188,25 +190,16 @@ def localize_files_retrieval(llm: LLMBackend, index: RepoIndex,
     """
     embedder = embedder or HashingEmbedder()
     skipped = ignore_folders(llm, index, issue_text)
-
-    chunks: list[str] = []
-    owners: list[str] = []
+    issue_vec = embedder.embed([issue_text])[0]
+    # one file at a time: only its text, chunks and rows are held at once
+    best: dict[str, float] = {}
     for rel in index.files():
         if _under(rel, skipped):
             continue
-        for chunk in chunk_file(read_text(index.root / rel), chunk_lines):
-            chunks.append(chunk)
-            owners.append(rel)
-    if not chunks:
-        return []
-
-    vectors = embedder.embed(chunks + [issue_text])
-    issue_vec = vectors[-1]
-    best: dict[str, float] = {}
-    for vec, rel in zip(vectors[:-1], owners):
-        sim = cosine(vec, issue_vec)
-        if rel not in best or sim > best[rel]:
-            best[rel] = sim
+        chunks = chunk_file(read_text(index.root / rel), chunk_lines)
+        if chunks:
+            best[rel] = max(cosine(vec, issue_vec)
+                            for vec in embedder.embed(chunks))
     ranked = sorted(best, key=lambda rel: (-best[rel], rel))
     return ranked[:n]
 

@@ -2,6 +2,7 @@ import os
 import random
 import shutil
 import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import pytest
 from conftest import copier_running, join_the_copier, total_evaluations
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vulnmend.execution as execution
 from vulnmend.errors import SandboxUnavailable, UnknownLogName
@@ -228,6 +231,112 @@ def test_local_sandbox_rejects_missing_dir(tmp_path):
         LocalSandbox(tmp_path / "ghost")
 
 
+def test_local_sandbox_waits_for_a_background_writer(tmp_path):
+    # the shell exits at once; the run ends when its streams close
+    res = LocalSandbox(tmp_path).exec("(sleep 0.2; echo late >&2) &")
+    assert (res.exit_code, res.timed_out) == (0, False)
+    assert res.stderr == "late\n"
+
+
+def test_local_sandbox_maps_carriage_returns_to_newlines(tmp_path):
+    res = LocalSandbox(tmp_path).exec(
+        r"printf 'a\r\nb\rc\n'; printf 'd\r' >&2")
+    assert (res.stdout, res.stderr) == ("a\nb\nc\n", "d\n")
+
+
+SRC = str(Path(execution.__file__).resolve().parents[1])
+
+
+def _in_child(code: str, **env: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this package."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": SRC, **env})
+
+
+def test_local_sandbox_decodes_utf8_whatever_the_locale(tmp_path):
+    command = r"printf 'caf\303\251 \377'"
+    proc = _in_child(
+        "from vulnmend.execution import LocalSandbox\n"
+        f"print(ascii(LocalSandbox({str(tmp_path)!r}).exec({command!r})"
+        ".stdout))", PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ascii("caf\u00e9 \udcff") + "\n"
+
+
+def _filler(size: int) -> str:
+    """What `yes abcdefghi | head -c size` writes."""
+    return ("abcdefghi\n" * (size // 10 + 1))[:size]
+
+
+def test_a_stream_at_the_cap_is_kept_whole(tmp_path):
+    cap = execution.DEFAULT_LOG_CAP
+    res = LocalSandbox(tmp_path).exec(f"yes abcdefghi | head -c {cap}")
+    assert res.stdout == _filler(cap)
+    assert res.stdout_scan is None
+
+
+def test_a_stream_one_byte_over_the_cap_keeps_its_head_and_tail(tmp_path):
+    cap = execution.DEFAULT_LOG_CAP
+    res = LocalSandbox(tmp_path).exec(
+        f"yes abcdefghi | head -c {cap + 1} >&2")
+    full = _filler(cap + 1)
+    head, tail = full[:cap // 2], full[cap // 2 + 1:]
+    assert len(head) + len(tail) == cap and not head.endswith("\n")
+    assert res.stderr == (head + "\n" + f"... [1 of {cap + 1} bytes dropped: "
+                          f"over the {cap}-byte cap] ...\n" + tail)
+    assert res.stderr_scan is not None and res.stdout_scan is None
+
+
+@pytest.mark.parametrize("signature, exit_code, phase, triggered", [
+    ("==7==ERROR: AddressSanitizer: heap-buffer-overflow", 1, "ran", True),
+    ("src/buf.c:14:5: error: expected ';'", 2, "compile_error", False),
+], ids=["sanitizer", "compile-error"])
+def test_the_verdict_reads_what_the_cap_dropped(tmp_path, signature,
+                                                 exit_code, phase, triggered):
+    # the signature and a tally sit in the middle of a stdout far past
+    # the cap; stderr, kept whole, adds to the tallies
+    command = ("yes filler | head -c 2800000; echo '[SPA] guard PASS'; "
+               f"echo {signature!r}; "
+               "echo '[SPA] guard FAIL expr=\"n < cap\"'; "
+               "yes filler | head -c 2800000; "
+               "echo '[SPA] other PASS' >&2; echo '[SPA] guard PASS' >&2; "
+               f"exit {exit_code}")
+    runner = PocRunner(LocalSandbox(tmp_path), command)
+    result = runner.run_poc("flood")
+    assert (result.phase, result.sanitizer_triggered) == (phase, triggered)
+    assert result.summary.counts == (("guard", 2, 1, "n < cap"),
+                                     ("other", 1, 0, ""))
+    stored = runner.log_store.get("flood")
+    assert signature not in stored and "[SPA] guard FAIL" not in stored
+    assert len(stored) < execution.DEFAULT_LOG_CAP + 200
+    assert "bytes dropped: over the" in stored
+
+
+def test_a_poc_that_prints_without_end_runs_in_bounded_memory(tmp_path):
+    # the child's own peak resident set (VmHWM): its ru_maxrss would also
+    # count this test process, whose pages the spawned child starts from.
+    # The address space limit makes a reader that keeps all the output
+    # fail early rather than take the machine's memory.
+    code = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from vulnmend.execution import LocalSandbox, PocRunner
+command = ("yes 'a line of a PoC that prints without end' | head -c 200000000;"
+           " echo 'SUMMARY: AddressSanitizer: heap-buffer-overflow'; exit 1")
+result = PocRunner(LocalSandbox({str(tmp_path)!r}), command).run_poc("flood")
+with open("/proc/self/status", encoding="utf-8") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(result.sanitizer_triggered, result.exit_code, peak)
+"""
+    proc = _in_child(code)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    triggered, exit_code, peak_kib = proc.stdout.split()
+    assert (triggered, exit_code) == ("True", "1")
+    # a reader that keeps all of the output needs several times its size
+    assert int(peak_kib) < 64 * 1024
+
+
 # -- PoC runner over a stub sandbox ----------------------------------------------
 
 
@@ -310,6 +419,68 @@ def test_poc_runner_summary_reflects_full_log_not_excerpt():
     result = runner.run_poc("tally")
     assert result.summary.counts == (("guard", 30, 1, "a < b"),)
     assert "guard: 30 PASS, 1 FAIL" in result.render()
+
+
+_SCAN_LINES = ("[SPA] a PASS", '[SPA] a FAIL expr="x < 1"', "[SPA] b FAIL",
+               '[SPA] b FAIL expr="y"', '[SPA] a FAIL expr="x < 2"',
+               "==3==ERROR: AddressSanitizer: x",
+               "SUMMARY: AddressSanitizer: x", "a.c:1:2: error: no",
+               "undefined reference to `f'", "BUILD FAILED", "plain",
+               "", "plain " * 100)
+
+
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _verdict(scan):
+    return scan.sanitizer, scan.compile_error, scan.summary()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_SCAN_LINES), max_size=30),
+       st.lists(st.integers(0, 30), max_size=5), st.integers(0, 30))
+def test_log_scan_in_blocks_matches_the_scan_of_the_whole_log(lines, cuts,
+                                                              split):
+    whole = execution.LogScan(_lines(lines))
+    # the literal looked for first never hides a match
+    for found, signatures in ((whole.sanitizer,
+                               execution.SANITIZER_SIGNATURES),
+                              (whole.compile_error,
+                               execution.COMPILE_ERROR_SIGNATURES)):
+        assert found == any(rx.search(_lines(lines))
+                            for _, rx in signatures)
+    blocks = execution.LogScan()
+    bounds = sorted({0, len(lines), *(min(c, len(lines)) for c in cuts)})
+    for start, end in zip(bounds, bounds[1:]):
+        blocks.feed(_lines(lines[start:end]))
+    joined = execution.LogScan(_lines(lines[:split])).then(
+        execution.LogScan(_lines(lines[split:])))
+    assert _verdict(blocks) == _verdict(joined) == _verdict(whole)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+           st.sampled_from([b"[SPA] p PASS", b'[SPA] p FAIL expr="caf\xc3\xa9"',
+                            b"[SPA] q FAIL", b"\xff\xfe", b"\xc3",
+                            b"==1==ERROR: x", b"x", b""]),
+           st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=40),
+       st.lists(st.integers(0, 1200), max_size=8))
+def test_a_capture_scans_the_stream_as_text_mode_decodes_it(pieces, cuts):
+    # a cap that most streams pass and that no line is longer than; the
+    # cuts fall anywhere, inside a character or a "\r\n" too
+    data = b"".join(piece + end for piece, end in pieces)
+    capture = execution._Capture(cap=64)
+    bounds = sorted({0, len(data), *(min(c, len(data)) for c in cuts)})
+    for start, end in zip(bounds, bounds[1:]):
+        capture.feed(data[start:end])
+    text, scan = capture.close()
+    whole = execution._decode(data)
+    if scan is None:
+        assert text == whole
+    else:
+        assert len(data) > 64 and "bytes dropped" in text
+        assert _verdict(scan) == _verdict(execution.LogScan(whole))
 
 
 def test_poc_runner_name_dedup_keeps_old_logs():

@@ -2149,10 +2149,19 @@ NOT_JSON = "Expecting value: line 1 column 1 (char 0)"
     ("run", "config", '{"candidates": 0}', "candidates must be >= 1"),
     ("run", "replay", None, "No such file or directory"),
     ("run", "replay", "not json", NOT_JSON),
+    ("run", "replay", "{}", 'a replay script is a list of entries, '
+     '{"entries": [...]} or {"instances": {...}}'),
+    ("run", "replay", '{"instances": 5}', '"instances" is not an object'),
+    ("run", "replay", '{"entries": [5]}',
+     "entry 1 is not an object whose response is an object"),
+    ("run", "replay", '{"instances": {"other-1": {"entries": []}}}',
+     "no entries for instance 'namecache-obo-1'"),
 ], ids=["run-instances-missing", "run-instances-not-json",
         "evaluate-instances-missing", "evaluate-instances-empty",
         "config-missing", "config-not-json", "config-invalid",
-        "replay-missing", "replay-not-json"])
+        "replay-missing", "replay-not-json", "replay-no-entries",
+        "replay-instances-not-an-object", "replay-entry-not-an-object",
+        "replay-lacks-an-instance"])
 def test_cli_names_an_input_file_it_cannot_use(tmp_path, fixtures_dir,
                                                monkeypatch, command, kind,
                                                content, problem):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from conftest import ScriptedLLM
@@ -220,25 +221,71 @@ def test_ignore_folders_junk_means_no_pruning(crepo_index, issue_text):
                           issue_text) == []
 
 
+def _oracle_ranking(root, skipped, issue_text, n,
+                    chunk_lines=DEFAULT_CHUNK_LINES):
+    """Brute force: every chunk of every file not skipped, scored alone."""
+    issue_vec = _counts(issue_text)
+    best = {}
+    for rel in source_files(root):
+        if rel.startswith(tuple(f"{folder}/" for folder in skipped)):
+            continue
+        lines = read_text(root / rel).splitlines(keepends=True)
+        for i in range(0, len(lines), chunk_lines):
+            sim = _pure_cosine(_counts("".join(lines[i:i + chunk_lines])),
+                               issue_vec)
+            best[rel] = max(best.get(rel, -2.0), sim)
+    return sorted(best, key=lambda rel: (-best[rel], rel))[:n]
+
+
 def test_retrieval_ranking_matches_brute_force_oracle(crepo, crepo_index,
                                                      issue_text):
     llm = ScriptedLLM([_text('["njs", "cpp"]')])
     ranked = localize_files_retrieval(llm, crepo_index, issue_text, n=3)
     assert ranked == ["src/buf.c", "src/main.c", "src/buf.h"]
+    assert ranked == _oracle_ranking(crepo, ["njs", "cpp"], issue_text, 3)
 
-    issue_vec = _counts(issue_text)
-    best = {}
-    for rel in source_files(crepo):
-        if rel.startswith(("njs/", "cpp/")):
-            continue
-        text = read_text(crepo / rel)
-        lines = text.splitlines(keepends=True)
-        for i in range(0, len(lines), 512):
-            sim = _pure_cosine(_counts("".join(lines[i:i + 512])),
-                               issue_vec)
-            best[rel] = max(best.get(rel, -2.0), sim)
-    oracle = sorted(best, key=lambda rel: (-best[rel], rel))[:3]
-    assert ranked == oracle
+
+def test_retrieval_scores_files_of_many_chunks_as_the_oracle_does(tmp_path):
+    words = ("copy_name", "cap", "len", "dst", "buf", "free", "node", "hash")
+    rng = random.Random(5)
+    (tmp_path / "src").mkdir()
+    for k in range(6):
+        (tmp_path / "src" / f"f{k}.c").write_text("".join(
+            " ".join(rng.choice(words) for _ in range(4)) + ";\n"
+            for _ in range(rng.randint(4, 11))))
+    (tmp_path / "src" / "empty.c").write_text("")
+    (tmp_path / "src" / "latin1.c").write_bytes(
+        b"/* caf\xe9 */\nint copy_name(char *dst, int cap);\n\xff len\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "copy.c").write_text("copy_name cap dst\n" * 5)
+    issue = "copy_name writes past cap into dst"
+    ranked = localize_files_retrieval(
+        ScriptedLLM([_text('["tests"]')]), RepoIndex(tmp_path), issue, n=20,
+        chunk_lines=3)
+    assert ranked == _oracle_ranking(tmp_path, ["tests"], issue, 20,
+                                     chunk_lines=3)
+    assert len(ranked) == 7 and "src/latin1.c" in ranked
+    assert "src/empty.c" not in ranked and "tests/copy.c" not in ranked
+
+
+def test_retrieval_memory_does_not_grow_with_the_tree(tmp_path):
+    line = "int copy_name(char *dst, const char *src, int cap);\n"
+    for k in range(200):
+        (tmp_path / f"f{k:03}.c").write_text(f"/* file {k} */\n"
+                                             + line * 400)
+    index = RepoIndex(tmp_path)
+    index.files()
+    tracemalloc.start()
+    try:
+        ranked = localize_files_retrieval(ScriptedLLM([_text("[]")]), index,
+                                          "copy_name overflows dst", n=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) == 3
+    # the tree is 4 MB of source; one file's text, lines, chunk and row
+    # are about 0.1 MB
+    assert peak < 1_000_000
 
 
 def test_retrieval_tie_breaks_lexicographically(tmp_path):
