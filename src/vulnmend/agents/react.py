@@ -1,26 +1,38 @@
-"""The reasoning/tool loop both agents run on.
+"""The reasoning/tool loop both agents run on, and how they end.
 
 One step = one model turn: either a tool call (executed, observation fed
 back) or final text (the report, ending the loop). Tool errors become
 observations rather than crashes; the model is expected to read them and
 adjust. When the step budget runs out the loop demands a final report in
-one last turn.
+one last turn. read_report turns that text into the agent's report.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from importlib.resources import files
 from pathlib import Path
 from typing import Callable
 
-from ..errors import (MaxStepsExceededWithoutReport, VulnmendError,
-                      placeless_message)
+from ..errors import (MaxStepsExceededWithoutReport, ReportParseFailure,
+                      VulnmendError, placeless_message)
 from ..llm import ChatRequest, LLMBackend
+from .reports import AgentReport
 
 FINALIZE_PROMPT = ("You have reached the step limit. Produce your final "
                    "report now in the required output format. Do not call "
                    "any more tools.")
+
+
+def load_prompt(name: str) -> str:
+    return (files("vulnmend.agents") / "prompts" / f"{name}.md").read_text(
+        encoding="utf-8")
+
+
+def initial_message(issue_text: str, tree: str) -> str:
+    return (f"# Issue report\n\n{issue_text.strip()}\n\n"
+            f"# Repository layout\n\n```\n{tree.rstrip()}\n```")
 
 
 @dataclass
@@ -85,7 +97,7 @@ def _execute(tool: Tool, args: dict, workspace: Path | None) -> ToolOutcome:
 
 
 def run_react(spec: AgentSpec, llm: LLMBackend,
-              initial_message: str) -> Transcript:
+              first_message: str) -> Transcript:
     """Drive the agent until it produces final text.
 
     Raises MaxStepsExceededWithoutReport if even the forced finalize turn
@@ -95,7 +107,7 @@ def run_react(spec: AgentSpec, llm: LLMBackend,
     tool_schemas = tuple(t.schema() for t in spec.tools.values())
     messages: list[dict] = [
         {"role": "system", "content": spec.system_prompt},
-        {"role": "user", "content": initial_message},
+        {"role": "user", "content": first_message},
     ]
 
     for _ in range(spec.max_steps):
@@ -142,3 +154,34 @@ def run_react(spec: AgentSpec, llm: LLMBackend,
             f"still tried to call {response.tool_call.name!r}")
     transcript.final_text = response.text or ""
     return transcript
+
+
+def read_report(llm: LLMBackend, tag: str, raw: str,
+                parse: Callable[[str], AgentReport]) -> AgentReport:
+    """The report an agent's final text holds.
+
+    Text that does not parse gets one reformatting turn; if that fails
+    too, the raw text is kept with parse_ok=False so the pipeline can
+    still splice it into the enhanced report.
+    """
+    try:
+        return parse(raw)
+    except ReportParseFailure as failure:
+        prompt = (
+            "Your previous report did not parse "
+            f"({failure}). Here it is:\n\n{raw}\n\n"
+            "Rewrite it in the exact required output format from your "
+            "instructions, preserving the content. Reply with the report "
+            "only.")
+    response = llm.chat(ChatRequest(
+        tag=f"{tag}_reformat",
+        messages=(
+            {"role": "system",
+             "content": "You reformat reports into a required structure."},
+            {"role": "user", "content": prompt},
+        ),
+        tools=(), temperature=0.0))
+    try:
+        return parse(response.text or "")
+    except ReportParseFailure:
+        return AgentReport(items=(), parse_ok=False, raw_text=raw)

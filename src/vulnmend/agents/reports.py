@@ -2,8 +2,8 @@
 
 Agents speak markdown; downstream stages need fields. These types pin an
 exact item grammar so that render -> parse is lossless for well-formed
-reports, and parsing model output is a single code path with one retry
-policy decided by the callers.
+reports. Both agents end in one AgentReport; what happens when their
+text does not parse is decided in one place, react.read_report.
 """
 
 from __future__ import annotations
@@ -50,21 +50,6 @@ class ContextItem:
 
 
 @dataclass(frozen=True)
-class ContextAnalysisReport:
-    items: tuple
-    insights: str = ""
-    parse_ok: bool = True
-    raw_text: str | None = None
-
-    def render(self) -> str:
-        if not self.parse_ok and self.raw_text is not None:
-            return self.raw_text
-        parts = [item.render(i) for i, item in enumerate(self.items, 1)]
-        parts.append("### Insights\n" + self.insights.strip())
-        return "\n\n".join(parts)
-
-
-@dataclass(frozen=True)
 class SafetyProperty:
     """One property the agent asserted against the live PoC."""
 
@@ -91,8 +76,12 @@ class SafetyProperty:
 
 
 @dataclass(frozen=True)
-class PropertyAnalysisReport:
-    properties: tuple
+class AgentReport:
+    """What an agent ended with: its items (ContextItem or
+    SafetyProperty) and insights, or, when its text did not parse even
+    after the reformat turn, that raw text."""
+
+    items: tuple
     insights: str = ""
     parse_ok: bool = True
     raw_text: str | None = None
@@ -100,7 +89,7 @@ class PropertyAnalysisReport:
     def render(self) -> str:
         if not self.parse_ok and self.raw_text is not None:
             return self.raw_text
-        parts = [p.render(i) for i, p in enumerate(self.properties, 1)]
+        parts = [item.render(i) for i, item in enumerate(self.items, 1)]
         parts.append("### Insights\n" + self.insights.strip())
         return "\n\n".join(parts)
 
@@ -132,7 +121,7 @@ def _item_blocks(text: str, want: str) -> tuple[list[str], str]:
     return blocks, insights
 
 
-def parse_context_report(text: str) -> ContextAnalysisReport:
+def parse_context_report(text: str) -> AgentReport:
     blocks, insights = _item_blocks(text, "Context")
     items = []
     for block in blocks:
@@ -159,10 +148,10 @@ def parse_context_report(text: str) -> ContextAnalysisReport:
             trace_link=_labeled(block, "Trace link"),
             rationale=rationale,
         ))
-    return ContextAnalysisReport(items=tuple(items), insights=insights)
+    return AgentReport(items=tuple(items), insights=insights)
 
 
-def parse_property_report(text: str) -> PropertyAnalysisReport:
+def parse_property_report(text: str) -> AgentReport:
     blocks, insights = _item_blocks(text, "Property")
     props = []
     for block in blocks:
@@ -185,7 +174,7 @@ def parse_property_report(text: str) -> PropertyAnalysisReport:
             result=result,
             interpretation=_labeled(block, "Interpretation") or "",
         ))
-    return PropertyAnalysisReport(properties=tuple(props), insights=insights)
+    return AgentReport(items=tuple(props), insights=insights)
 
 
 @dataclass(frozen=True)
@@ -193,8 +182,8 @@ class EnhancedIssueReport:
     """The issue text plus whichever agent reports this run produced."""
 
     issue_text: str
-    context_report: ContextAnalysisReport | None = None
-    property_report: PropertyAnalysisReport | None = None
+    context_report: AgentReport | None = None
+    property_report: AgentReport | None = None
 
     def render(self) -> str:
         parts = [ISSUE_HEADING, "", self.issue_text.strip()]

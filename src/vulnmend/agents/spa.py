@@ -5,14 +5,14 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..edit_engine import EditHistory
-from ..errors import EmptyHistory, ReportParseFailure
+from ..errors import EmptyHistory
 from ..execution import PocRunner, PythonScriptSandbox
 from ..llm import LLMBackend
 from ..repo_model import RepoIndex, render_repo_tree, write_text
 from ..symbol_analysis import IndexBackend
-from .cpc import initial_message, load_prompt, reparse_with_retry
-from .react import AgentSpec, Transcript, run_react
-from .reports import PropertyAnalysisReport, parse_property_report
+from .react import (AgentSpec, Transcript, initial_message, load_prompt,
+                    read_report, run_react)
+from .reports import AgentReport, parse_property_report
 from .toolkits import spa_toolkit
 
 DEFAULT_SPA_MAX_STEPS = 40
@@ -53,7 +53,7 @@ def run_spa_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
                   history: EditHistory, runner: PocRunner,
                   script_sandbox: PythonScriptSandbox, issue_text: str,
                   max_steps: int = DEFAULT_SPA_MAX_STEPS,
-                  ) -> tuple[PropertyAnalysisReport, Transcript]:
+                  ) -> tuple[AgentReport, Transcript]:
     """Analyze which safety property the PoC violates.
 
     The assertion header is installed at index.root once the repository
@@ -80,13 +80,5 @@ def run_spa_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
         except EmptyHistory:
             pass
 
-    raw = transcript.final_text or ""
-    try:
-        report = parse_property_report(raw)
-    except ReportParseFailure as exc:
-        report = reparse_with_retry(llm, "spa", raw, parse_property_report,
-                                    exc)
-        if report is None:
-            report = PropertyAnalysisReport(properties=(), insights="",
-                                            parse_ok=False, raw_text=raw)
-    return report, transcript
+    return (read_report(llm, "spa", transcript.final_text or "",
+                        parse_property_report), transcript)

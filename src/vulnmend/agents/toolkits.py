@@ -266,15 +266,10 @@ def cpc_toolkit(index: RepoIndex, backend: IndexBackend) -> dict[str, Tool]:
 def spa_toolkit(index: RepoIndex, backend: IndexBackend,
                 history: EditHistory, runner: PocRunner,
                 script_sandbox: PythonScriptSandbox) -> dict[str, Tool]:
-    """Full toolset for the safety-property analysis agent."""
-    tools = [
-        build_search_tool(index),
-        build_read_tool(index.root),
-        build_resolve_tool(index.root, backend),
-        build_run_poc_tool(runner),
-        build_apply_edits_tool(history),
-        build_rollback_latest_tool(history),
-        build_rollback_all_tool(history),
-        build_run_python_tool(script_sandbox),
-    ]
-    return {t.name: t for t in tools}
+    """The context agent's tools, then dynamic validation, editing with
+    history and the python scratchpad."""
+    tools = [build_run_poc_tool(runner), build_apply_edits_tool(history),
+             build_rollback_latest_tool(history),
+             build_rollback_all_tool(history),
+             build_run_python_tool(script_sandbox)]
+    return {**cpc_toolkit(index, backend), **{t.name: t for t in tools}}

@@ -46,6 +46,7 @@ DEFAULT_SCRIPT_OUTPUT_CAP = 8192
 DEFAULT_POC_TIMEOUT = 300.0
 
 DEFAULT_LOG_CAP = 1 << 20  # bytes kept of each output stream of a run
+_KILL_DRAIN_GRACE = 0.5  # seconds a timed-out run is read after its kill
 
 # (a literal every match holds, the pattern): the pattern is searched for
 # only in text that holds its literal, so a long log is read fast
@@ -163,7 +164,8 @@ class LocalSandbox:
     A run ends when both output streams reach end of file and the shell
     has exited, or when the timeout passes; a child the command left in
     the background that still holds a stream keeps the run going until
-    then. Each stream is kept within DEFAULT_LOG_CAP bytes (_Capture).
+    then. A timed-out run returns within _KILL_DRAIN_GRACE seconds of its
+    timeout. Each stream is kept within DEFAULT_LOG_CAP bytes (_Capture).
     """
 
     def __init__(self, workspace: Path | str):
@@ -191,17 +193,18 @@ class LocalSandbox:
                                               deadline - time.monotonic()))
                 except subprocess.TimeoutExpired:
                     timed_out = True
-            if timed_out:
-                # the shell is not reaped yet, so its group still exists
+            # the command's group dies with the run, a child it left in
+            # the background (`sleep &`) too; the group is gone if the
+            # shell was reaped and left none
+            with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
-                _drain(selector, None)
+            if timed_out:
+                # a child that left the session may hold a stream open
+                # past the kill, so what the group wrote last is read
+                # for a short while only
+                _drain(selector, time.monotonic() + _KILL_DRAIN_GRACE)
                 proc.wait()
                 exit_code = 124
-            else:
-                # a child the command left in the background (`sleep &`)
-                # dies with the run; the group is gone if it left none
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
         stdout, stdout_scan = out.close()
         stderr, stderr_scan = err.close()
         return ExecResult(exit_code=exit_code, stdout=stdout, stderr=stderr,
@@ -272,11 +275,16 @@ _SPA_LINE_RE = re.compile(
     r'^\[SPA\] (\S+) (PASS|FAIL)(?: expr="(.*)")?\s*$', re.MULTILINE)
 
 
+MAX_TALLIED_PROPERTIES = 100  # [SPA] ids a scan tallies one by one
+
+
 @dataclass(frozen=True)
 class AssertionSummary:
     """Per-property PASS/FAIL tallies pulled from a full run log."""
 
     counts: tuple  # ((id, passes, fails, expr), ...) in first-seen order
+    # (passes, fails) of the ids past the first MAX_TALLIED_PROPERTIES
+    more: tuple = (0, 0)
 
     def render(self) -> str:
         if not self.counts:
@@ -287,6 +295,10 @@ class AssertionSummary:
             if fails and expr:
                 bit += f' (expr "{expr}")'
             parts.append(bit)
+        if any(self.more):
+            passes, fails = self.more
+            parts.append(f"properties past the first {len(self.counts)}: "
+                         f"{passes} PASS, {fails} FAIL")
         return "Safety property assertions: " + "; ".join(parts)
 
 
@@ -296,6 +308,9 @@ class LogScan:
 
     Text is fed in blocks of whole lines, so a log need not be held at
     once to be scanned; a match that would span two blocks is not found.
+    The first MAX_TALLIED_PROPERTIES ids are tallied one by one; every
+    later id counts in one shared tally, so a log of many ids costs
+    bounded memory and a bounded summary.
     """
 
     def __init__(self, text: str = ""):
@@ -303,7 +318,19 @@ class LogScan:
         self.compile_error = False
         # id -> [passes, fails, expr of the last FAIL], in first-seen order
         self._tallies: dict[str, list] = {}
+        self._more = [0, 0, ""]  # the one tally of the ids past the bound
         self.feed(text)
+
+    def _count(self, prop_id: str, passes: int, fails: int,
+               expr: str) -> None:
+        tally = self._tallies.get(prop_id)
+        if tally is None:
+            tally = (self._tallies.setdefault(prop_id, [0, 0, ""])
+                     if len(self._tallies) < MAX_TALLIED_PROPERTIES
+                     else self._more)
+        tally[0] += passes
+        tally[1] += fails
+        tally[2] = expr or tally[2]
 
     def feed(self, text: str) -> None:
         self.sanitizer = self.sanitizer or _found(SANITIZER_SIGNATURES, text)
@@ -312,33 +339,30 @@ class LogScan:
         if "[SPA] " not in text:
             return
         for m in _SPA_LINE_RE.finditer(text):
-            tally = self._tallies.setdefault(m.group(1), [0, 0, ""])
             if m.group(2) == "PASS":
-                tally[0] += 1
+                self._count(m.group(1), 1, 0, "")
             else:
-                tally[1] += 1
-                tally[2] = m.group(3) or tally[2]
+                self._count(m.group(1), 0, 1, m.group(3) or "")
 
     def then(self, later: LogScan) -> LogScan:
-        """The scan of this log followed by later's log."""
+        """The scan of this log followed by later's log, within the same
+        bound: an id that either scan counted past its bound stays in
+        the shared tally."""
         joined = LogScan()
         joined.sanitizer = self.sanitizer or later.sanitizer
         joined.compile_error = self.compile_error or later.compile_error
         for scan in (self, later):
-            for prop_id, (passes, fails, expr) in scan._tallies.items():
-                tally = joined._tallies.setdefault(prop_id, [0, 0, ""])
-                tally[0] += passes
-                tally[1] += fails
-                tally[2] = expr or tally[2]
+            for prop_id, tally in scan._tallies.items():
+                joined._count(prop_id, *tally)
+            joined._more[0] += scan._more[0]
+            joined._more[1] += scan._more[1]
         return joined
 
     def summary(self) -> AssertionSummary:
-        return AssertionSummary(counts=tuple(
-            (prop_id, *tally) for prop_id, tally in self._tallies.items()))
-
-
-def summarize_assertions(log: str) -> AssertionSummary:
-    return LogScan(log).summary()
+        return AssertionSummary(
+            counts=tuple((prop_id, *tally)
+                         for prop_id, tally in self._tallies.items()),
+            more=tuple(self._more[:2]))
 
 
 # -- PoC runner ---------------------------------------------------------------

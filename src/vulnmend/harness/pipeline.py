@@ -160,16 +160,20 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     telemetry: dict = {"instance_id": instance.instance_id,
                        "agents": {}, "stages": {}}
 
+    def agent(name: str, run):
+        # the report, summed up in telemetry; None if the stage failed
+        out = stage.run(name, run)
+        if out is None:
+            return None
+        report, transcript = out
+        telemetry["agents"][name] = transcript_summary(transcript, report)
+        return report
+
     context_report = None
     if config.enable_cpc:
-        cpc_out = stage.run("cpc", lambda: run_cpc_agent(
+        context_report = agent("cpc", lambda: run_cpc_agent(
             llm, index, symbols, issue_text,
             max_steps=config.cpc_max_steps))
-        if cpc_out is not None:
-            context_report, transcript = cpc_out
-            telemetry["agents"]["cpc"] = transcript_summary(transcript)
-            telemetry["agents"]["cpc"]["report_parse_ok"] = \
-                context_report.parse_ok
 
     # not before: the copier's Python work would slow cpc's. spa's PoC
     # builds, like a live model's answers, leave the main thread idle
@@ -181,14 +185,9 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
             spa_issue = EnhancedIssueReport(
                 issue_text=issue_text,
                 context_report=context_report).render()
-        spa_out = stage.run("spa", lambda: run_spa_agent(
+        property_report = agent("spa", lambda: run_spa_agent(
             llm, index, symbols, history, runner, script_sandbox,
             spa_issue, max_steps=config.spa_max_steps))
-        if spa_out is not None:
-            property_report, transcript = spa_out
-            telemetry["agents"]["spa"] = transcript_summary(transcript)
-            telemetry["agents"]["spa"]["report_parse_ok"] = \
-                property_report.parse_ok
 
     enhanced = EnhancedIssueReport(issue_text=issue_text,
                                    context_report=context_report,

@@ -97,8 +97,9 @@ def classify_script_calls(transcript) -> Counter:
     return counts
 
 
-def transcript_summary(transcript) -> dict:
-    """JSON-ready digest of an agent transcript."""
+def transcript_summary(transcript, report) -> dict:
+    """JSON-ready digest of an agent transcript and whether its report
+    parsed."""
     return {
         "agent": transcript.agent,
         "steps": len(transcript.steps),
@@ -108,6 +109,7 @@ def transcript_summary(transcript) -> dict:
         "errored_calls": sum(1 for s in transcript.steps
                              if "error" in s.meta),
         "hit_step_limit": transcript.hit_step_limit,
+        "report_parse_ok": report.parse_ok,
         "script_calls": dict(sorted(
             classify_script_calls(transcript).items())),
     }

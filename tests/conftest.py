@@ -77,7 +77,7 @@ def parse_annotations(text: str) -> list[tuple[str, int]]:
 
 def total_evaluations(summary) -> int:
     """PASS plus FAIL lines over every property of an AssertionSummary."""
-    return sum(p + f for _, p, f, _ in summary.counts)
+    return sum(p + f for _, p, f, _ in summary.counts) + sum(summary.more)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ from replay_scripts import PROBE_EDITS, SPA_REPORT
 from vulnmend.agents.spa import install_assert_prelude, run_spa_agent
 from vulnmend.code_search import format_marker, read_code, search_code_element
 from vulnmend.edit_engine import EditHistory, SearchReplaceEdit
-from vulnmend.execution import (ExecResult, LocalSandbox, LogStore,
-                                PocRunner, PythonScriptSandbox,
-                                summarize_assertions, truncate_log)
+from vulnmend.execution import (ExecResult, LocalSandbox, LogScan,
+                                LogStore, PocRunner, PythonScriptSandbox,
+                                truncate_log)
 from vulnmend.harness.backends import ReplayBackend
 from vulnmend.harness.cli import main
 from vulnmend.harness.config import VARIANTS, RunConfig, variant
@@ -280,7 +280,7 @@ def test_log_pipeline_at_hundred_thousand_lines(criterion):
     log = "\n".join(lines)
     assert len(log.split("\n")) == total
 
-    summary = summarize_assertions(log)
+    summary = LogScan(log).summary()
     got = {ident: (p, f) for ident, p, f, _ in summary.counts}
     assert got == {ident: (want_pass[ident], want_fail[ident])
                    for ident in got}
@@ -304,8 +304,8 @@ def test_log_pipeline_at_hundred_thousand_lines(criterion):
     result = runner.run_poc("big-run")
     assert result.phase == "ran"
     assert result.sanitizer_triggered is False
-    assert result.summary == summarize_assertions(
-        runner.log_store.get("big-run"))
+    assert result.summary == LogScan(
+        runner.log_store.get("big-run")).summary()
     assert result.summary == summary
     assert "full log stored as 'big-run'" in result.log
     assert len(result.log.split("\n")) == head + tail + 1

@@ -5,14 +5,14 @@ import pytest
 from conftest import ScriptedLLM, snapshot
 from replay_scripts import CPC_REPORT, PROBE_EDITS, SPA_REPORT
 
-from vulnmend.agents.cpc import initial_message, load_prompt, run_cpc_agent
+from vulnmend.agents.cpc import run_cpc_agent
 from vulnmend.agents.react import (FINALIZE_PROMPT, AgentSpec, Tool,
-                                   ToolOutcome, run_react)
+                                   ToolOutcome, initial_message, load_prompt,
+                                   run_react)
 from vulnmend.agents.reports import (CONTEXT_HEADING, ISSUE_HEADING,
-                                     PROPERTY_HEADING, ContextAnalysisReport,
+                                     PROPERTY_HEADING, AgentReport,
                                      ContextItem, EnhancedIssueReport,
-                                     PropertyAnalysisReport, SafetyProperty,
-                                     parse_context_report,
+                                     SafetyProperty, parse_context_report,
                                      parse_property_report)
 from vulnmend.agents.spa import (ASSERT_PRELUDE, ASSERT_PRELUDE_NAME,
                                  install_assert_prelude, run_spa_agent)
@@ -49,7 +49,7 @@ def _tool(name, args, thought=None):
 
 
 def test_context_report_round_trip():
-    report = ContextAnalysisReport(
+    report = AgentReport(
         items=(
             ContextItem(code="int x = 1;", file="src/a.c", element="x",
                         line_start=3, line_end=3,
@@ -66,8 +66,8 @@ def test_context_report_round_trip():
 
 
 def test_property_report_round_trip():
-    report = PropertyAnalysisReport(
-        properties=(
+    report = AgentReport(
+        items=(
             SafetyProperty(assertion='SAFETY_PROPERTY_ASSERT(i < n, "p1");',
                            file="src/a.c", line=12,
                            purpose="index stays in bounds",
@@ -80,7 +80,7 @@ def test_property_report_round_trip():
         ),
         insights="p1 is the violated property.")
     parsed = parse_property_report(report.render())
-    assert parsed.properties == report.properties
+    assert parsed.items == report.items
     assert parsed.insights == report.insights
 
 
@@ -92,10 +92,10 @@ def test_bundled_reports_parse():
     assert context.insights
 
     props = parse_property_report(SPA_REPORT)
-    assert len(props.properties) == 1
-    assert props.properties[0].result == "FAIL"
-    assert props.properties[0].file == "src/buf.c"
-    assert props.properties[0].line == 18
+    assert len(props.items) == 1
+    assert props.items[0].result == "FAIL"
+    assert props.items[0].file == "src/buf.c"
+    assert props.items[0].line == 18
 
 
 def test_parse_context_rejections():
@@ -128,14 +128,14 @@ def test_result_value_normalization():
     base = ("### Property 1\nAssertion:\n```\nx\n```\n"
             "Location: a.c\nPurpose: p\nResult: {}\nInterpretation: i")
     assert parse_property_report(
-        base.format("not evaluated")).properties[0].result == "NOT_EVALUATED"
+        base.format("not evaluated")).items[0].result == "NOT_EVALUATED"
     assert parse_property_report(
-        base.format("pass")).properties[0].result == "PASS"
+        base.format("pass")).items[0].result == "PASS"
 
 
 def test_unparsed_report_renders_raw_text():
-    report = ContextAnalysisReport(items=(), insights="", parse_ok=False,
-                                   raw_text="whatever the model said")
+    report = AgentReport(items=(), insights="", parse_ok=False,
+                         raw_text="whatever the model said")
     assert report.render() == "whatever the model said"
 
 
@@ -453,24 +453,38 @@ def test_tools_refuse_paths_outside_the_workspace(crepo_index, issue_text):
     assert script.meta == {"start": 1, "end": 3}
 
 
-def test_run_cpc_agent_reformat_recovers(crepo_index, issue_text):
+def _run_agent(agent, llm, root, issue_text):
+    """Run either agent on a scratch tree, as the pipeline calls it."""
+    index = RepoIndex(root)
+    if agent == "cpc":
+        return run_cpc_agent(llm, index, IndexBackend(index), issue_text)
+    runner = PocRunner(_CannedSandbox(ExecResult(0, "", "")), "cmd")
+    return run_spa_agent(llm, index, None, EditHistory(root), runner,
+                         PythonScriptSandbox(), issue_text)
+
+
+_REPORTS = {"cpc": CPC_REPORT, "spa": SPA_REPORT}
+
+
+@pytest.mark.parametrize("agent", ["cpc", "spa"])
+def test_agent_reformat_recovers(agent, scratch_crepo, issue_text):
     llm = ScriptedLLM([_text("prose summary, not the required format"),
-                       _text(CPC_REPORT)])
-    report, _ = run_cpc_agent(llm, crepo_index, IndexBackend(crepo_index),
-                              issue_text)
+                       _text(_REPORTS[agent])])
+    report, _ = _run_agent(agent, llm, scratch_crepo, issue_text)
     assert report.parse_ok is True
-    assert len(report.items) == 3
-    assert llm.tags == ["cpc", "cpc_reformat"]
+    assert report.render() == _REPORTS[agent].strip()
+    assert llm.tags == [agent, f"{agent}_reformat"]
     reformat_msg = llm.requests[1].messages[-1]["content"]
     assert "did not parse" in reformat_msg
     assert "prose summary, not the required format" in reformat_msg
 
 
-def test_run_cpc_agent_keeps_raw_text_when_reformat_fails(crepo_index,
-                                                         issue_text):
+@pytest.mark.parametrize("agent", ["cpc", "spa"])
+def test_agent_keeps_raw_text_when_reformat_fails(agent, scratch_crepo,
+                                                  issue_text):
     llm = ScriptedLLM([_text("junk one"), _text("junk two")])
-    report, _ = run_cpc_agent(llm, crepo_index, IndexBackend(crepo_index),
-                              issue_text)
+    report, _ = _run_agent(agent, llm, scratch_crepo, issue_text)
+    assert llm.tags == [agent, f"{agent}_reformat"]
     assert report.parse_ok is False
     assert report.raw_text == "junk one"
     assert report.items == ()
@@ -492,7 +506,7 @@ def test_run_spa_agent_rolls_back_forgotten_edits(scratch_crepo, issue_text):
                                        history, runner, PythonScriptSandbox(),
                                        issue_text)
     assert report.parse_ok is True
-    assert report.properties[0].result == "FAIL"
+    assert report.items[0].result == "FAIL"
     assert transcript.tool_counts == {"apply_edits": 1, "run_poc": 1}
     # the agent never rolled back; the wrapper must have
     assert snapshot(scratch_crepo).digest == base

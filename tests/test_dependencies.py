@@ -1,7 +1,7 @@
 """The package declares no runtime dependency and imports only the
 standard library and itself; an offline run loads nothing beyond the
 standard library, and none of the HTTP stack that only the live
-backend needs."""
+backend needs. Every name a module imports is used."""
 
 import ast
 import json
@@ -32,6 +32,44 @@ def _imported_packages(path: Path) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
     return names
+
+
+def _unused_imports(path: Path) -> set[tuple[int, str]]:
+    """(line, name) of each name path imports but never uses, outside
+    import statements that say `# noqa`; a name a module lists in
+    __all__ counts as used."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if (isinstance(node, ast.ImportFrom)
+                and node.module == "__future__"):
+            continue
+        if any("# noqa" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return {(line, name) for name, line in imported.items()
+            if name not in used}
+
+
+def test_every_imported_name_is_used():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    unused = {(path.relative_to(ROOT).as_posix(), line, name)
+              for path in files for line, name in _unused_imports(path)}
+    assert not unused
 
 
 def test_no_runtime_dependency_is_declared():

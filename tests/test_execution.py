@@ -1,3 +1,4 @@
+import contextlib
 import os
 import random
 import shutil
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 import vulnmend.execution as execution
 from vulnmend.errors import SandboxUnavailable, UnknownLogName
 from vulnmend.execution import (AheadCopies, ExecResult, LocalSandbox,
-                                LogStore, PocRunner, PristineCopy,
+                                LogScan, LogStore, PocRunner, PristineCopy,
                                 PythonScriptSandbox, harness_files, in_pool,
-                                summarize_assertions, truncate_log)
+                                truncate_log)
 from vulnmend.repo_model import read_text, write_text
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
@@ -87,7 +88,7 @@ def test_summarize_assertions_counts_and_order():
         "==123==ERROR: AddressSanitizer: stack-buffer-overflow",
         "[SPA] no_overflow PASS",
     ])
-    summary = summarize_assertions(log)
+    summary = LogScan(log).summary()
     assert summary.counts == (
         ("len_below_cap", 2, 1, "len < cap"),
         ("no_overflow", 1, 1, "i < n"),
@@ -107,7 +108,7 @@ def test_summarize_assertions_ignores_near_misses():
         "[SPA]missing_space PASS",
         "prefix [SPA] embedded PASS",
     ])
-    assert summarize_assertions(log).counts == ()
+    assert LogScan(log).summary().counts == ()
 
 
 def test_summarize_assertions_reads_an_expr_that_holds_quotes():
@@ -115,15 +116,48 @@ def test_summarize_assertions_reads_an_expr_that_holds_quotes():
     # stringified condition with its quotes
     log = ('[SPA] name_ok FAIL expr="strcmp(s, "x") == 0"\n'
            "[SPA] name_ok PASS\n")
-    summary = summarize_assertions(log)
+    summary = LogScan(log).summary()
     assert summary.counts == (("name_ok", 1, 1, 'strcmp(s, "x") == 0'),)
     assert ('name_ok: 1 PASS, 1 FAIL (expr "strcmp(s, "x") == 0")'
             in summary.render())
 
 
 def test_summarize_assertions_empty_render():
-    assert (summarize_assertions("nothing here").render()
+    assert (LogScan("nothing here").summary().render()
             == "Safety property assertions: none evaluated.")
+
+
+def test_assertion_tallies_stay_bounded_past_many_ids():
+    ids = 300_000
+    log = "".join(f"[SPA] p{i} {'FAIL' if i % 3 == 0 else 'PASS'}\n"
+                  for i in range(ids))
+    summary = LogScan(log).summary()
+    rendered = summary.render()
+    assert len(rendered) < 5000
+    bound = execution.MAX_TALLIED_PROPERTIES
+    assert [c[0] for c in summary.counts] == [f"p{i}" for i in range(bound)]
+    fails = sum(1 for i in range(bound, ids) if i % 3 == 0)
+    assert summary.more == (ids - bound - fails, fails)
+    assert total_evaluations(summary) == ids
+    assert rendered.endswith(f"; properties past the first {bound}: "
+                             f"{ids - bound - fails} PASS, {fails} FAIL")
+    # a join keeps the bound, and a tallied id keeps its own count
+    cut = log.index("\n", len(log) // 2) + 1
+    halves = LogScan(log[:cut]).then(LogScan(log[cut:]))
+    assert halves.summary() == summary
+    again = LogScan(log).then(LogScan("[SPA] p0 PASS\n")).summary()
+    assert again.counts[0] == ("p0", 1, 1, "")
+    assert again.more == summary.more
+
+
+def test_assertion_tallies_under_the_bound_render_as_before():
+    log = "".join(f'[SPA] id{i} FAIL expr="i < {i}"\n'
+                  for i in range(execution.MAX_TALLIED_PROPERTIES))
+    summary = LogScan(log).summary()
+    assert summary.more == (0, 0)
+    assert summary.render() == "Safety property assertions: " + "; ".join(
+        f'id{i}: 0 PASS, 1 FAIL (expr "i < {i}")'
+        for i in range(execution.MAX_TALLIED_PROPERTIES))
 
 
 def test_summarize_assertions_randomized_tally_oracle():
@@ -145,7 +179,7 @@ def test_summarize_assertions_randomized_tally_oracle():
             else:
                 events.append((prop_id, "FAIL"))
                 lines.append(f'[SPA] {prop_id} FAIL expr="{prop_id} ok"')
-        summary = summarize_assertions("\n".join(lines))
+        summary = LogScan("\n".join(lines)).summary()
         seen_order = list(dict.fromkeys(pid for pid, _ in events))
         assert [c[0] for c in summary.counts] == seen_order
         for prop_id, passes, fails, expr in summary.counts:
@@ -236,6 +270,23 @@ def test_local_sandbox_waits_for_a_background_writer(tmp_path):
     res = LocalSandbox(tmp_path).exec("(sleep 0.2; echo late >&2) &")
     assert (res.exit_code, res.timed_out) == (0, False)
     assert res.stderr == "late\n"
+
+
+def test_local_sandbox_times_out_past_a_child_that_left_the_session(
+        tmp_path):
+    # the child holds both streams open and the group kill misses it;
+    # the run still ends at its timeout, plus the grace of the drain
+    command = "setsid sh -c 'echo $$ > child.pid; exec sleep 5' &"
+    started = time.monotonic()
+    try:
+        res = LocalSandbox(tmp_path).exec(command, timeout=0.3)
+        elapsed = time.monotonic() - started
+    finally:
+        with contextlib.suppress(OSError, ValueError):
+            os.kill(int((tmp_path / "child.pid").read_text()),
+                    signal.SIGKILL)
+    assert (res.exit_code, res.timed_out) == (124, True)
+    assert elapsed < 2.0
 
 
 def test_local_sandbox_maps_carriage_returns_to_newlines(tmp_path):
@@ -632,7 +683,7 @@ def test_excerpt_leaves_the_verdict_to_the_full_log():
     assert (result.phase, result.exit_code, result.compiled,
             result.sanitizer_triggered, result.timed_out, result.passed) \
         == ("ran", 1, True, True, False, False)
-    assert result.summary == summarize_assertions(log)
+    assert result.summary == LogScan(log).summary()
     assert result.summary.counts == (("len_below_cap", 1, 1, "len < cap"),)
 
 

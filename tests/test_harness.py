@@ -34,6 +34,7 @@ import vulnmend.harness.pipeline as pipeline
 import vulnmend.repair as repair
 import vulnmend.repo_model as repo_model
 from vulnmend.agents.react import Step, Transcript
+from vulnmend.agents.reports import AgentReport
 from vulnmend.edit_engine import (EditHistory, edited_texts,
                                   parse_edit_blocks, to_unified_diff)
 from vulnmend.errors import (LLMBackendError, ReplayDesync, SchemaViolation,
@@ -869,7 +870,8 @@ def test_transcript_summary_shape():
              meta={"error": "ValueError"}),
         _python_step("print('hm')"),
     ], final_text="report", hit_step_limit=True)
-    summary = transcript_summary(transcript)
+    summary = transcript_summary(
+        transcript, AgentReport(items=(), parse_ok=False, raw_text="report"))
     assert summary == {
         "agent": "spa",
         "steps": 4,
@@ -877,6 +879,7 @@ def test_transcript_summary_shape():
         "refused_calls": 1,
         "errored_calls": 1,
         "hit_step_limit": True,
+        "report_parse_ok": False,
         "script_calls": {"think": 1},
     }
     json.dumps(summary)
