@@ -369,6 +369,9 @@ class LogScan:
 
 
 _SANITIZER_PID_RE = re.compile(r"^==\d+==", re.MULTILINE)
+# a raw address, which address space randomization moves from run to
+# run; a short module offset (+0x27249) stays
+_ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{8,}")
 
 
 def _workspace_re(workspace: Path) -> re.Pattern:
@@ -381,9 +384,11 @@ def _workspace_re(workspace: Path) -> re.Pattern:
 
 
 def _placeless(log: str, workspace_re: re.Pattern) -> str:
-    """A log as the agents see it: the same wherever the workspace lives
-    and whatever process id the PoC ran as."""
-    return _SANITIZER_PID_RE.sub("==PID==", workspace_re.sub(".", log))
+    """A log as the agents see it: the same wherever the workspace lives,
+    whatever process id the PoC ran as and wherever its memory was
+    mapped."""
+    log = _SANITIZER_PID_RE.sub("==PID==", workspace_re.sub(".", log))
+    return _ADDRESS_RE.sub("0xADDR", log)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 from ..errors import LLMBackendError, ReplayDesync, ScriptExhausted
 from ..llm import (ChatRequest, ChatResponse, RequestRecord, ToolCall, Usage,
                    messages_digest)
+from .instances import input_file
 
 
 # the one retry policy for live model calls: after the n-th transient
@@ -35,20 +37,11 @@ class ReplayBackend:
     "thought". A request for n choices consumes the next n entries and
     is recorded once, with their usages summed. A tag mismatch or an
     exhausted script is an error naming the step, because a desync means
-    the pipeline under test changed.
-    A multi-instance script {"instances": {"<id>": {"entries": [...]}}}
-    holds one such script per instance; pass one of them. A script of
-    another shape is a ValueError here, before any call.
+    the pipeline under test changed. A script of another shape is a
+    ValueError here, before any call; load_replay reads a script file.
     """
 
     def __init__(self, script: dict | list):
-        if isinstance(script, dict) and "instances" in script:
-            raise ValueError(
-                "replay script is in the per-instance form "
-                '{"instances": {...}} with instances '
-                f"{', '.join(sorted(script['instances']))}; build one "
-                "ReplayBackend per instance from "
-                'script["instances"][<id>]')
         entries = script.get("entries") if isinstance(script, dict) else script
         if not isinstance(entries, list):
             raise ValueError('a replay script is a list of entries, '
@@ -107,6 +100,37 @@ class ReplayBackend:
         in_blob = json.dumps(entry, sort_keys=True)
         return Usage(input_tokens=_approx_tokens(len(in_blob)),
                      output_tokens=_approx_tokens(len(out_text)))
+
+
+def load_replay(path: Path | str, instance_ids):
+    """The replay backend of each instance of a run, from the script
+    file at path: instance id -> ReplayBackend.
+
+    A script is one conversation that every instance shares, a list of
+    entries or {"entries": [...]}, or one per instance,
+    {"instances": {"<id>": {"entries": [...]}}}, which must hold every
+    one of instance_ids. The whole script is checked here, before any
+    call; a problem is a BadInputFile naming the file.
+    """
+    with input_file("replay script", path) as fh:
+        script = json.load(fh)
+        if not (isinstance(script, dict) and "instances" in script):
+            shared = ReplayBackend(script)
+            return lambda instance_id: shared
+        per_instance = script["instances"]
+        if not isinstance(per_instance, dict):
+            raise ValueError('"instances" is not an object')
+        missing = [i for i in instance_ids if i not in per_instance]
+        if missing:
+            raise ValueError("no entries for instance "
+                             + ", ".join(map(repr, missing)))
+        backends = {}
+        for instance_id, entries in per_instance.items():
+            try:
+                backends[instance_id] = ReplayBackend(entries)
+            except ValueError as exc:
+                raise ValueError(f"instance {instance_id!r}: {exc}")
+    return backends.__getitem__
 
 
 def _usage(body: dict) -> Usage:

@@ -6,13 +6,12 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from ..errors import BadInputFile, GitUnavailable, NoRunDirectory
 from ..execution import DEFAULT_POC_TIMEOUT
-from .backends import HttpChatBackend, ReplayBackend
+from .backends import HttpChatBackend, load_replay
 from .config import VARIANTS, RunConfig, check_poc_timeout, variant
-from .instances import input_file, load_instances
+from .instances import load_instances
 from .metrics import evaluate_run, require_run_dir
 from .pipeline import run_all
 
@@ -29,33 +28,8 @@ def _load_config(args) -> RunConfig:
 
 def _backend_factory(spec: str, args, instance_ids=()):
     if spec.startswith("replay:"):
-        path = Path(spec[len("replay:"):])
-        # the whole script is checked here, before --out is made
-        with input_file("replay script", path) as fh:
-            script = json.load(fh)
-            if not (isinstance(script, dict) and "instances" in script):
-                shared = ReplayBackend(script)
-                return lambda instance_id: shared
-            per_instance = script["instances"]
-            if not isinstance(per_instance, dict):
-                raise ValueError('"instances" is not an object')
-            missing = [i for i in instance_ids if i not in per_instance]
-            if missing:
-                raise ValueError("no entries for instance "
-                                 + ", ".join(map(repr, missing)))
-            backends = {}
-            for instance_id, entries in per_instance.items():
-                try:
-                    backends[instance_id] = ReplayBackend(entries)
-                except ValueError as exc:
-                    raise ValueError(f"instance {instance_id!r}: {exc}")
-
-        def factory(instance_id: str):
-            if instance_id not in backends:
-                raise SystemExit(
-                    f"replay script has no entries for {instance_id!r}")
-            return backends[instance_id]
-        return factory
+        # the whole script is checked before --out is made
+        return load_replay(spec[len("replay:"):], instance_ids)
     if spec == "live":
         base_url = args.base_url or os.environ.get("VULNMEND_BASE_URL")
         model = args.model or os.environ.get("VULNMEND_MODEL")
@@ -115,12 +89,13 @@ def _cmd_report(args) -> int:
               f"enhance={','.join(cfg.get('enhance_stages', [])) or 'none'} "
               f"selection={cfg.get('selection_strategy')} "
               f"input={cfg.get('input_type')}")
-    evaluation = {}
+    summary, evaluation = None, {}
     eval_path = run_dir / "evaluation.json"
     if eval_path.exists():
         with open(eval_path, encoding="utf-8") as fh:
-            evaluation = {row["instance_id"]: row
-                          for row in json.load(fh)["instances"]}
+            summary = json.load(fh)
+        evaluation = {row["instance_id"]: row
+                      for row in summary["instances"]}
 
     for instance_dir in sorted(p for p in run_dir.iterdir() if p.is_dir()):
         telemetry_path = instance_dir / "telemetry.json"
@@ -153,9 +128,7 @@ def _cmd_report(args) -> int:
         err_note = f", {len(errors)} stage error(s)" if errors else ""
         print(f"{instance_dir.name}: {picked}"
               f"{agent_note}{resolved}{cost}{err_note}")
-    if eval_path.exists():
-        with open(eval_path, encoding="utf-8") as fh:
-            summary = json.load(fh)
+    if summary is not None:
         print(f"totals: resolved {summary['resolved']}/{summary['total']} "
               f"({summary['resolved_rate_percent']}%), "
               f"cost ${summary['cost_usd']}")

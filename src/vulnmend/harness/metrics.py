@@ -12,7 +12,7 @@ concurrently, in a bounded pool, and reported in instance order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
@@ -173,15 +173,7 @@ def evaluate_run(run_dir: Path | str, instances: list[IssueInstance],
         "cost_usd": str(metrics.cost_usd.quantize(_CENT,
                                                   rounding=ROUND_HALF_UP)),
         "average_cost_usd": str(metrics.average_cost_usd),
-        "instances": [{
-            "instance_id": v.instance_id,
-            "has_patch": v.has_patch,
-            "applied": v.applied,
-            "exit_code": v.exit_code,
-            "sanitizer_triggered": v.sanitizer_triggered,
-            "resolved": v.resolved,
-            "detail": v.detail,
-        } for v in verdicts],
+        "instances": [asdict(v) for v in verdicts],
     }
     write_json(run_dir / "evaluation.json", payload)
     return metrics, verdicts

@@ -17,7 +17,7 @@ replay script write identical bytes.
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..agents.cpc import run_cpc_agent
@@ -272,16 +272,10 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
         if outcome.applied:
             save(write_text, f"candidates/candidate-{outcome.index}.diff",
                  outcome.diff)
-    save(write_json, "candidates/outcomes.json", [{
-        "index": o.index,
-        "applied": o.applied,
-        "compiled": o.compiled,
-        "sanitizer_triggered": o.sanitizer_triggered,
-        "poc_pass": o.poc_pass,
-        "poc_run_of": o.poc_run_of,
-        "fingerprint": o.fingerprint,
-        "failure": o.failure,
-    } for o in outcomes])
+    # a row is the outcome's record; its diff has a file of its own
+    save(write_json, "candidates/outcomes.json", [
+        {k: v for k, v in asdict(o).items() if k != "diff"}
+        for o in outcomes])
 
     selection = select_patch(outcomes, config.selection_strategy)
     by_index = {o.index: o for o in outcomes}
@@ -295,13 +289,7 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
         "applied": sum(1 for o in outcomes if o.applied),
         "poc_pass": sum(1 for o in outcomes if o.poc_pass),
     }
-    telemetry["selection"] = {
-        "strategy": selection.strategy,
-        "winner": selection.winner,
-        "pool": list(selection.pool),
-        "group_sizes": dict(sorted(selection.group_sizes.items())),
-        "reason": selection.reason,
-    }
+    telemetry["selection"] = asdict(selection)
     records = getattr(llm, "records", None)
     if records is not None:
         save(write_json, "cost.json",

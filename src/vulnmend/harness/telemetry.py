@@ -10,8 +10,6 @@ from __future__ import annotations
 import ast
 from collections import Counter
 
-SCRIPT_CATEGORIES = ("forbidden", "poc", "think", "string", "int", "other")
-
 _STR_METHODS = {
     "count", "find", "rfind", "index", "split", "rsplit", "splitlines",
     "join", "replace", "strip", "lstrip", "rstrip", "startswith",

@@ -7,6 +7,7 @@ implementation: plain-text scans, brute-force enumeration, pure-python
 arithmetic, or generation-side ground truth.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -23,8 +24,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import (CREPO, ScriptedLLM, parse_annotations, snapshot,
-                      total_evaluations)
+from conftest import (CREPO, FIXTURES, ScriptedLLM, parse_annotations,
+                      snapshot, total_evaluations)
 from replay_scripts import PROBE_EDITS, SPA_REPORT
 from vulnmend.agents.spa import install_assert_prelude, run_spa_agent
 from vulnmend.code_search import format_marker, read_code, search_code_element
@@ -459,9 +460,34 @@ def test_retrieval_ranking_matches_brute_force(criterion, crepo,
 # --- criterion: config fidelity ----------------------------------------------
 
 
+GOLDEN = FIXTURES / "golden_runs.json"
+
+
+@pytest.fixture(scope="module")
+def variant_runs(tmp_path_factory):
+    """One replayed run directory per variant, <root>/<variant>, and
+    full's evaluated."""
+    from replay_scripts import build_entries
+    root = tmp_path_factory.mktemp("variants")
+    instances = load_instances(FIXTURES / "instances.jsonl")
+    for name in VARIANTS:
+        cfg = variant(name)
+        run_all(instances, cfg,
+                lambda iid, c=cfg: ReplayBackend(
+                    build_entries(c.enable_cpc, c.enable_spa)), root / name)
+    evaluate_run(root / "full", instances)
+    return root
+
+
+def _digests(root):
+    """sha256 of every file under root, by its path relative to root."""
+    return {path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 @needs_gcc
-def test_variants_produce_distinct_stage_traces(criterion, fixtures_dir,
-                                                tmp_path):
+def test_variants_produce_distinct_stage_traces(criterion, variant_runs):
     criterion("config fidelity")
     cfg = RunConfig()
     assert cfg.top_files == 3
@@ -469,22 +495,14 @@ def test_variants_produce_distinct_stage_traces(criterion, fixtures_dir,
     assert cfg.candidates == 5
     assert temperature_schedule(cfg.candidates) == (0.0, 1.0, 1.0, 1.0, 1.0)
 
-    from replay_scripts import build_entries
-    instances = load_instances(fixtures_dir / "instances.jsonl")
-    traces = {}
-    for name in VARIANTS:
-        cfg_v = variant(name)
-        out = tmp_path / name
-        run_all(instances, cfg_v,
-                lambda iid, c=cfg_v: ReplayBackend(
-                    build_entries(c.enable_cpc, c.enable_spa)), out)
-        traces[name] = ((out / "config.json").read_bytes()
-                        + (out / "namecache-obo-1"
-                           / "telemetry.json").read_bytes())
+    traces = {name: (variant_runs / name / "config.json").read_bytes()
+              + (variant_runs / name / "namecache-obo-1"
+                 / "telemetry.json").read_bytes()
+              for name in VARIANTS}
     assert len(set(traces.values())) == len(VARIANTS) == 8
 
     tele = {name: json.loads(
-        (tmp_path / name / "namecache-obo-1" / "telemetry.json").read_text())
+        (variant_runs / name / "namecache-obo-1" / "telemetry.json").read_text())
         for name in VARIANTS}
     assert set(tele["base"]["agents"]) == set()
     assert set(tele["cpc"]["agents"]) == {"cpc"}
@@ -502,9 +520,30 @@ def test_variants_produce_distinct_stage_traces(criterion, fixtures_dir,
     assert tele["simpleVoting"]["selection"]["strategy"] == "simple_voting"
     assert tele["full"]["selection"]["strategy"] == "poc_voting"
     sanitizer_cfg = json.loads(
-        (tmp_path / "sanitizer" / "config.json").read_text())
+        (variant_runs / "sanitizer" / "config.json").read_text())
     assert sanitizer_cfg["input_type"] == "sanitizer_log"
 
+
+@needs_gcc
+def test_run_directories_match_the_golden_manifest(criterion, variant_runs):
+    """Every artifact of every variant's replayed run, and full's
+    evaluation.json, byte for byte. A change that alters an artifact on
+    purpose updates tests/fixtures/golden_runs.json in the same diff."""
+    criterion("golden run directories")
+    want = json.loads(GOLDEN.read_text())
+    got = _digests(variant_runs)
+    changed = sorted(set(want) ^ set(got)
+                     | {rel for rel in set(want) & set(got)
+                        if want[rel] != got[rel]})
+    report = []
+    for rel in changed:
+        if rel not in got:
+            report.append(f"--- {rel}: missing")
+        else:
+            report.append(f"--- {rel}: sha256 {got[rel]} (manifest "
+                          f"{want.get(rel, 'has no entry')}), now:\n"
+                          + (variant_runs / rel).read_text(errors="replace"))
+    assert not changed, "\n".join(report)
 
 # --- criterion: end-to-end replay --------------------------------------------
 

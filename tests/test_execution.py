@@ -1,6 +1,7 @@
 import contextlib
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
@@ -613,7 +614,9 @@ def test_excerpt_drops_the_shadow_map_and_keeps_every_other_line(report,
     result = runner.run_poc("baseline")
     assert "Shadow byte" not in result.log
     assert "f1 f1[f3]f3" not in result.log
-    placeless = [line.replace(f"=={pid}==", "==PID==") for line in report]
+    placeless = [re.sub(r"0x[0-9a-f]{8,}", "0xADDR",
+                        line.replace(f"=={pid}==", "==PID=="))
+                 for line in report]
     assert result.log.split("\n") == placeless + [
         _marker("baseline"), "==PID==ABORTING", ""]
     # the full log keeps the map, by the run's name
@@ -634,6 +637,22 @@ def test_excerpt_of_a_map_that_ends_the_log():
     result = PocRunner(_StubSandbox(ExecResult(1, "", log)),
                        "cmd").run_poc("cut")
     assert result.log.endswith("copy_name\n" + _marker("cut"))
+
+
+def test_placeless_masks_raw_addresses_and_keeps_module_offsets():
+    log = ("==31337==ERROR: AddressSanitizer: heap-buffer-overflow on "
+           "address 0x602000000020 at pc 0x55D0C0A1B2C3\n"
+           "    #0 0x7f0a1b2c3d4e in copy_name /work/ws/src/buf.c:19\n"
+           "    #1 0x7f0a1b2c in __libc_start_main "
+           "(/lib/libc.so.6+0x27249)\n"
+           "    #2 0x4011d6 in _start\n")
+    assert execution._placeless(log, execution._workspace_re(
+        Path("/work/ws"))) == (
+        "==PID==ERROR: AddressSanitizer: heap-buffer-overflow on "
+        "address 0xADDR at pc 0xADDR\n"
+        "    #0 0xADDR in copy_name ./src/buf.c:19\n"
+        "    #1 0xADDR in __libc_start_main (/lib/libc.so.6+0x27249)\n"
+        "    #2 0x4011d6 in _start\n")
 
 
 @pytest.mark.parametrize("exit_code, log", [

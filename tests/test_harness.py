@@ -37,10 +37,12 @@ from vulnmend.agents.react import Step, Transcript
 from vulnmend.agents.reports import AgentReport
 from vulnmend.edit_engine import (EditHistory, edited_texts,
                                   parse_edit_blocks, to_unified_diff)
-from vulnmend.errors import (LLMBackendError, ReplayDesync, SchemaViolation,
-                             ScriptExhausted, describe_error)
+from vulnmend.errors import (BadInputFile, LLMBackendError, ReplayDesync,
+                             SchemaViolation, ScriptExhausted,
+                             describe_error)
 from vulnmend.execution import LocalSandbox, PristineCopy
-from vulnmend.harness.backends import HttpChatBackend, ReplayBackend
+from vulnmend.harness.backends import (HttpChatBackend, ReplayBackend,
+                                       load_replay)
 from vulnmend.harness.cli import _backend_factory, _load_config, main
 from vulnmend.harness.config import VARIANTS, RunConfig, variant
 from vulnmend.harness.instances import (IssueInstance, load_instances,
@@ -333,10 +335,32 @@ def test_replay_from_file(tmp_path):
     assert backend.chat(_request("x")).text == "y"
 
 
-def test_replay_rejects_per_instance_script(fixtures_dir):
-    script = json.loads((fixtures_dir / "replays" / "full.json").read_text())
-    with pytest.raises(ValueError, match=r'"instances".*namecache-obo-1'):
-        ReplayBackend(script)
+def test_load_replay_gives_each_instance_its_own_script(fixtures_dir):
+    path = fixtures_dir / "replays" / "full.json"
+    script = json.loads(path.read_text())
+    backend_for = load_replay(path, ["namecache-obo-1"])
+    backend = backend_for("namecache-obo-1")
+    assert backend.entries == \
+        script["instances"]["namecache-obo-1"]["entries"]
+    assert backend_for("namecache-obo-1") is backend
+
+
+def test_load_replay_names_an_instance_the_script_lacks(tmp_path):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"instances": {
+        "mini-1": {"entries": [{"expect": "x", "response": {"text": "y"}}]},
+        "mini-3": {"entries": [5]},
+    }}))
+    with pytest.raises(BadInputFile) as excinfo:
+        load_replay(path, ["mini-1", "mini-2"])
+    assert str(excinfo.value) == (f"replay script {path}: no entries for "
+                                  "instance 'mini-2'")
+    # every instance's entries are checked, not only those of the run
+    with pytest.raises(BadInputFile) as excinfo:
+        load_replay(path, ["mini-1"])
+    assert str(excinfo.value) == (
+        f"replay script {path}: instance 'mini-3': entry 1 is not an "
+        "object whose response is an object")
 
 
 def test_replay_desync_names_both_stages():
@@ -1390,6 +1414,20 @@ def test_evaluate_missing_prediction_counts_as_no_patch(tmp_path):
 
 
 @needs_gcc
+def test_two_replays_of_full_send_the_same_prompts(fixtures_dir, tmp_path):
+    # the PoC excerpts in the prompts carry no address that address space
+    # randomization moves from run to run
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    digests = []
+    for name in ("a", "b"):
+        llm = ReplayBackend(build_entries(True, True))
+        run_instance(instance, variant("full"), llm, tmp_path / name)
+        digests.append([r.messages_sha256 for r in llm.records])
+    assert len(digests[0]) == 16
+    assert digests[0] == digests[1]
+
+
+@needs_gcc
 def test_replay_run_instance_spawns_git_only_to_apply_candidates(
         fixtures_dir, tmp_path, monkeypatch):
     spawned = []
@@ -2078,8 +2116,6 @@ def test_backend_factory_per_instance_scripts(tmp_path):
     factory = _backend_factory(f"replay:{path}", SimpleNamespace())
     backend = factory("mini-1")
     assert backend.chat(_request("x")).text == "y"
-    with pytest.raises(SystemExit, match="no entries for 'mini-2'"):
-        factory("mini-2")
 
 
 def test_backend_factory_flat_script_is_shared(tmp_path):
