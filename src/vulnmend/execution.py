@@ -7,7 +7,8 @@ the untouched workspace, then one PoC run, then the copy is removed.
 AheadCopies makes such copies in a thread of its own, ahead of the
 judges that take them.
 Patches are judged concurrently in one bounded pool: at most one worker
-per CPU the process may run on, the calling thread being the first.
+per CPU the process may run on, each taking the next job not yet
+started, so no job waits behind a slow one.
 What a run writes is kept within DEFAULT_LOG_CAP bytes per stream; a
 stream past it is scanned for the verdict while it is read.
 """
@@ -21,6 +22,7 @@ import io
 import os
 import posixpath
 import re
+import secrets
 import selectors
 import shlex
 import shutil
@@ -31,6 +33,7 @@ import threading
 import time
 import traceback
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -47,6 +50,9 @@ DEFAULT_POC_TIMEOUT = 300.0
 
 DEFAULT_LOG_CAP = 1 << 20  # bytes kept of each output stream of a run
 _KILL_DRAIN_GRACE = 0.5  # seconds a timed-out run is read after its kill
+# NAME=<a token of the run's own> is in the environment of every run, and
+# so of each child: one that left the run's session still holds it
+_RUN_MARKER = "VULNMEND_RUN_TOKEN"
 
 # (a literal every match holds, the pattern): the pattern is searched for
 # only in text that holds its literal, so a long log is read fast
@@ -158,14 +164,28 @@ def _drain(selector: selectors.BaseSelector,
     return True
 
 
+def _kill_marked(entry: bytes) -> None:
+    """SIGKILL every process whose environment holds entry (NAME=token);
+    where there is no /proc, none."""
+    with contextlib.suppress(OSError):
+        for pid in filter(str.isdigit, os.listdir("/proc")):
+            with contextlib.suppress(OSError):  # gone, or not ours to read
+                with open(f"/proc/{pid}/environ", "rb") as fh:
+                    if entry in fh.read().split(b"\0"):
+                        os.kill(int(pid), signal.SIGKILL)
+
+
 class LocalSandbox:
     """Command execution rooted in a local directory.
 
     A run ends when both output streams reach end of file and the shell
     has exited, or when the timeout passes; a child the command left in
     the background that still holds a stream keeps the run going until
-    then. A timed-out run returns within _KILL_DRAIN_GRACE seconds of its
-    timeout. Each stream is kept within DEFAULT_LOG_CAP bytes (_Capture).
+    then. When the run ends, its process group is killed, and so is every
+    process that still holds the run's marker in its environment, such as
+    a child that left the session. A timed-out run returns within
+    _KILL_DRAIN_GRACE seconds of its timeout. Each stream is kept within
+    DEFAULT_LOG_CAP bytes (_Capture).
     """
 
     def __init__(self, workspace: Path | str):
@@ -177,10 +197,14 @@ class LocalSandbox:
     def exec(self, command: str,
              timeout: float = DEFAULT_POC_TIMEOUT) -> ExecResult:
         # a session of its own, so a timeout kills the command's children
-        # along with its shell
+        # along with its shell, and a marker, so it kills the ones that
+        # left the session too
         out, err = _Capture(DEFAULT_LOG_CAP), _Capture(DEFAULT_LOG_CAP)
+        token = secrets.token_hex(16)
+        env = {**os.environ, _RUN_MARKER: token}
         with subprocess.Popen(command, shell=True, cwd=self.workspace,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE,
                               start_new_session=True) as proc, \
                 selectors.DefaultSelector() as selector:
             selector.register(proc.stdout, selectors.EVENT_READ, out)
@@ -198,10 +222,12 @@ class LocalSandbox:
             # shell was reaped and left none
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
+            # and so does a child that left the session (`setsid ...`)
+            _kill_marked(f"{_RUN_MARKER}={token}".encode())
             if timed_out:
-                # a child that left the session may hold a stream open
-                # past the kill, so what the group wrote last is read
-                # for a short while only
+                # a child that cleared its environment may hold a stream
+                # open past the kills, so what the run wrote last is
+                # read for a short while only
                 _drain(selector, time.monotonic() + _KILL_DRAIN_GRACE)
                 proc.wait()
                 exit_code = 124
@@ -394,7 +420,6 @@ def _placeless(log: str, workspace_re: re.Pattern) -> str:
 @dataclass(frozen=True)
 class PocResult:
     name: str
-    phase: str                 # "ran" | "compile_error"
     exit_code: int
     compiled: bool
     sanitizer_triggered: bool
@@ -410,7 +435,7 @@ class PocResult:
                 and not self.timed_out)
 
     def render(self) -> str:
-        if self.phase == "compile_error":
+        if not self.compiled:
             head = (f"PoC run '{self.name}': compilation FAILED "
                     f"(exit {self.exit_code}). Compiler log:")
         else:
@@ -476,7 +501,6 @@ class PocRunner:
             self._workspace_re)
         return PocResult(
             name=fixed,
-            phase="compile_error" if compile_error else "ran",
             exit_code=res.exit_code,
             compiled=not compile_error,
             sanitizer_triggered=scan.sanitizer,
@@ -701,37 +725,31 @@ def pool_width(jobs: int) -> int:
 
 
 def in_pool(jobs: Sequence, work: Callable) -> list:
-    """Call work(job) for every job on pool_width(len(jobs)) workers:
-    the calling thread is one of them and each other worker a thread of
-    its own. Once every worker is done, returns in job order what each
-    call returned or the exception it raised."""
-    width = pool_width(len(jobs))
-    results: list = [None] * len(jobs)
-    interrupted = threading.Event()
+    """Call work(job) for every job on pool_width(len(jobs)) worker
+    threads that share one queue: each takes the next job not yet
+    started, so no job waits behind a slow one. Returns in job order
+    what each call returned or the Exception it raised. If the caller is
+    interrupted (say, by ^C), the jobs not yet started are cancelled,
+    the ones in hand finish, and no worker outlives the call."""
+    def call(job):
+        try:
+            return work(job)
+        except Exception as exc:
+            return exc
 
-    def share(worker: int) -> None:
-        for j in range(worker, len(jobs), width):
-            if interrupted.is_set():
-                return
-            try:
-                results[j] = work(jobs[j])
-            except Exception as exc:
-                results[j] = exc
-
-    threads = [threading.Thread(target=share, args=(worker,))
-               for worker in range(1, width)]
-    for thread in threads:
-        thread.start()
+    # a call holds its caller, so no two calls at once share a prefix
+    prefix = f"in-pool-{threading.get_ident()}"
+    pool = ThreadPoolExecutor(pool_width(len(jobs)), thread_name_prefix=prefix)
     try:
-        share(0)
-    except BaseException:
-        # say, ^C: the other workers finish the job in hand and stop
-        interrupted.set()
-        raise
+        futures = [pool.submit(call, job) for job in jobs]
+        return [future.result() for future in futures]
     finally:
-        for thread in threads:
-            thread.join()
-    return results
+        pool.shutdown(cancel_futures=True)
+        # an interrupt between a worker's start and its registration
+        # leaves it out of the pool's own join
+        for thread in threading.enumerate():
+            if thread.name.startswith(prefix + "_"):
+                thread.join()
 
 
 # -- python script sandbox -----------------------------------------------------

@@ -60,6 +60,7 @@ class _Stage:
     """
 
     def __init__(self, instance: IssueInstance, instance_dir: Path):
+        self.instance_id = instance.instance_id
         self.errors: list[dict] = []
         self.instance_dir = instance_dir
         self.roots = {instance_dir: "", instance.workspace_path: "workspace"}
@@ -85,6 +86,17 @@ class _Stage:
         self.run(f"write {rel}",
                  lambda: write(self.instance_dir / rel, payload))
 
+    def finish(self, prediction: str, telemetry: dict,
+               winner: int | None = None) -> InstanceResult:
+        """Write prediction.diff, then telemetry.json with the stage
+        errors, and return the instance's result."""
+        self.save(write_text, "prediction.diff", prediction)
+        telemetry["errors"] = self.errors
+        self.save(write_json, "telemetry.json", telemetry)
+        return InstanceResult(
+            instance_id=self.instance_id, instance_dir=self.instance_dir,
+            prediction=prediction, winner=winner, errors=self.errors)
+
 
 def run_instance(instance: IssueInstance, config: RunConfig,
                  llm: LLMBackend, out_dir: Path | str) -> InstanceResult:
@@ -93,7 +105,6 @@ def run_instance(instance: IssueInstance, config: RunConfig,
 
     instance_dir = Path(out_dir) / instance.instance_id
     stage = _Stage(instance, instance_dir)
-    save = stage.save
     if instance_dir.exists():
         shutil.rmtree(instance_dir)
     workspace = instance_dir / "workspace"
@@ -105,13 +116,8 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         # it gets an empty prediction and the batch goes on
         shutil.rmtree(workspace, ignore_errors=True)
         stage.fail("workspace", exc)
-        save(write_text, "prediction.diff", "")
-        save(write_json, "telemetry.json", {
-            "instance_id": instance.instance_id, "agents": {},
-            "stages": {}, "errors": stage.errors})
-        return InstanceResult(
-            instance_id=instance.instance_id, instance_dir=instance_dir,
-            prediction="", winner=None, errors=stage.errors)
+        return stage.finish("", {"instance_id": instance.instance_id,
+                                 "agents": {}, "stages": {}})
 
     # validation judges each distinct program in a fresh copy of the
     # input; one per worker of its pool is made ahead, while the property
@@ -281,7 +287,6 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     by_index = {o.index: o for o in outcomes}
     prediction = (by_index[selection.winner].diff
                   if selection.winner is not None else "")
-    save(write_text, "prediction.diff", prediction)
 
     telemetry["stages"]["generation"] = {
         "enhanced_input": gen_text is enhanced_text,
@@ -294,17 +299,11 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     if records is not None:
         save(write_json, "cost.json",
              cost_of_records(records[records_start:], config))
-    telemetry["errors"] = stage.errors
-    save(write_json, "telemetry.json", telemetry)
-
     if not config.keep_workspaces:
         # the workspace carries volatile state (build artifacts);
         # dropping it leaves only reproducible artifacts
         shutil.rmtree(workspace, ignore_errors=True)
-    return InstanceResult(
-        instance_id=instance.instance_id, instance_dir=stage.instance_dir,
-        prediction=prediction, winner=selection.winner,
-        errors=stage.errors)
+    return stage.finish(prediction, telemetry, selection.winner)
 
 
 def run_all(instances, config: RunConfig, backend_for,

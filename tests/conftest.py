@@ -127,6 +127,16 @@ def pytest_runtest_makereport(item, call):
     return report
 
 
+@pytest.fixture(autouse=True)
+def _no_thread_left_running():
+    # a test that starts a thread also sees it end
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate()
+            if thread not in before and thread.is_alive()]
+    assert not left, f"threads still running after the test: {left}"
+
+
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES

@@ -290,6 +290,27 @@ def test_local_sandbox_times_out_past_a_child_that_left_the_session(
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("command, timeout, timed_out", [
+    ("setsid sh -c 'echo $$ > child.pid; exec sleep 30' "
+     ">/dev/null 2>&1 </dev/null & sleep 0.3", 10, False),
+    ("setsid sh -c 'echo $$ > child.pid; exec sleep 30' & sleep 30", 0.5,
+     True),
+], ids=["exit", "timeout"])
+def test_local_sandbox_kills_a_child_that_left_the_session(
+        tmp_path, command, timeout, timed_out):
+    res = LocalSandbox(tmp_path).exec(command, timeout=timeout)
+    pid = int((tmp_path / "child.pid").read_text())
+    try:
+        assert res.timed_out is timed_out
+        deadline = time.monotonic() + 5
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
 def test_local_sandbox_maps_carriage_returns_to_newlines(tmp_path):
     res = LocalSandbox(tmp_path).exec(
         r"printf 'a\r\nb\rc\n'; printf 'd\r' >&2")
@@ -340,12 +361,13 @@ def test_a_stream_one_byte_over_the_cap_keeps_its_head_and_tail(tmp_path):
     assert res.stderr_scan is not None and res.stdout_scan is None
 
 
-@pytest.mark.parametrize("signature, exit_code, phase, triggered", [
-    ("==7==ERROR: AddressSanitizer: heap-buffer-overflow", 1, "ran", True),
-    ("src/buf.c:14:5: error: expected ';'", 2, "compile_error", False),
+@pytest.mark.parametrize("signature, exit_code, compiled, triggered", [
+    ("==7==ERROR: AddressSanitizer: heap-buffer-overflow", 1, True, True),
+    ("src/buf.c:14:5: error: expected ';'", 2, False, False),
 ], ids=["sanitizer", "compile-error"])
 def test_the_verdict_reads_what_the_cap_dropped(tmp_path, signature,
-                                                 exit_code, phase, triggered):
+                                                 exit_code, compiled,
+                                                 triggered):
     # the signature and a tally sit in the middle of a stdout far past
     # the cap; stderr, kept whole, adds to the tallies
     command = ("yes filler | head -c 2800000; echo '[SPA] guard PASS'; "
@@ -356,7 +378,8 @@ def test_the_verdict_reads_what_the_cap_dropped(tmp_path, signature,
                f"exit {exit_code}")
     runner = PocRunner(LocalSandbox(tmp_path), command)
     result = runner.run_poc("flood")
-    assert (result.phase, result.sanitizer_triggered) == (phase, triggered)
+    assert (result.compiled, result.sanitizer_triggered) == (compiled,
+                                                             triggered)
     assert result.summary.counts == (("guard", 2, 1, "n < cap"),
                                      ("other", 1, 0, ""))
     stored = runner.log_store.get("flood")
@@ -430,7 +453,6 @@ def test_poc_runner_sanitizer_detection():
            "SUMMARY: AddressSanitizer: stack-buffer-overflow\n")
     runner = PocRunner(_StubSandbox(ExecResult(1, "", err)), "cmd")
     result = runner.run_poc("crash")
-    assert result.phase == "ran"
     assert result.compiled is True
     assert result.sanitizer_triggered is True
     assert "sanitizer TRIGGERED" in result.render()
@@ -440,7 +462,6 @@ def test_poc_runner_compile_error_detection():
     err = "src/buf.c:14:5: error: expected ';'\nBUILD FAILED\n"
     runner = PocRunner(_StubSandbox(ExecResult(2, "", err)), "cmd")
     result = runner.run_poc("broken")
-    assert result.phase == "compile_error"
     assert result.compiled is False
     assert "compilation FAILED" in result.render()
 
@@ -450,7 +471,7 @@ def test_poc_runner_sanitizer_outranks_compile_signature():
     err = ("==1==ERROR: AddressSanitizer: heap-use-after-free\n"
            "src/x.c:3:1: error: note from somewhere\n")
     result = PocRunner(_StubSandbox(ExecResult(1, "", err)), "cmd").run_poc("x")
-    assert result.phase == "ran"
+    assert result.compiled is True
     assert result.sanitizer_triggered is True
 
 
@@ -699,9 +720,8 @@ def test_excerpt_leaves_the_verdict_to_the_full_log():
            + _asan_log(STACK_REPORT, 4242))
     result = PocRunner(_StubSandbox(ExecResult(1, "", log)), "cmd",
                        head_lines=1, tail_lines=1).run_poc("probe")
-    assert (result.phase, result.exit_code, result.compiled,
-            result.sanitizer_triggered, result.timed_out, result.passed) \
-        == ("ran", 1, True, True, False, False)
+    assert (result.exit_code, result.compiled, result.sanitizer_triggered,
+            result.timed_out, result.passed) == (1, True, True, False, False)
     assert result.summary == LogScan(log).summary()
     assert result.summary.counts == (("len_below_cap", 1, 1, "len < cap"),)
 
@@ -713,7 +733,6 @@ def test_excerpt_leaves_the_verdict_to_the_full_log():
 def test_poc_fixture_baseline_triggers_sanitizer(scratch_crepo):
     runner = PocRunner(LocalSandbox(scratch_crepo), "sh secb.sh")
     result = runner.run_poc("baseline")
-    assert result.phase == "ran"
     assert result.compiled is True
     assert result.sanitizer_triggered is True
     assert result.exit_code != 0
@@ -729,7 +748,6 @@ def test_poc_fixture_compile_error_phase(scratch_crepo):
     write_text(path, read_text(path) + "\nthis will not compile\n")
     result = PocRunner(LocalSandbox(scratch_crepo),
                        "sh secb.sh").run_poc("broken")
-    assert result.phase == "compile_error"
     assert result.compiled is False
     assert result.sanitizer_triggered is False
 
@@ -745,7 +763,7 @@ def test_poc_fixture_clean_after_fix(scratch_crepo):
     write_text(path, fixed)
     result = PocRunner(LocalSandbox(scratch_crepo),
                        "sh secb.sh").run_poc("fixed")
-    assert result.phase == "ran"
+    assert result.compiled is True
     assert result.exit_code == 0
     assert result.sanitizer_triggered is False
 
@@ -997,21 +1015,40 @@ def test_in_pool_keeps_every_result_under_contention(monkeypatch):
     assert threading.active_count() == threads_before
 
 
-def test_in_pool_stops_its_workers_when_the_caller_is_interrupted(
-        monkeypatch):
+def test_in_pool_runs_no_job_behind_a_slow_one(monkeypatch):
     monkeypatch.setattr(execution, "usable_cpus", lambda: 2)
-    done = []
+    finished = []
 
     def work(job):
-        if threading.current_thread() is threading.main_thread():
-            raise KeyboardInterrupt
+        time.sleep(1.0 if job == 0 else 0.05)
+        finished.append(job)
+        return job
+
+    assert in_pool(list(range(5)), work) == list(range(5))
+    # the other worker took every job while job 0 ran
+    assert finished[-1] == 0 and sorted(finished[:-1]) == [1, 2, 3, 4]
+
+
+def test_in_pool_stops_its_workers_when_the_caller_is_interrupted(
+        monkeypatch):
+    # the ^C reaches the caller while it waits for the results
+    monkeypatch.setattr(execution, "usable_cpus", lambda: 2)
+    threads_before = threading.active_count()
+    started, done = [], []
+
+    def work(job):
+        started.append(job)
+        if job == 0:
+            time.sleep(0.05)
+            os.kill(os.getpid(), signal.SIGINT)
         time.sleep(0.2)
         done.append(job)
 
     with pytest.raises(KeyboardInterrupt):
         in_pool(list(range(20)), work)
-    # the other worker finished at most the job in hand
-    assert done in ([], [1])
+    # the workers finished at most the jobs in hand and took no other
+    assert sorted(started) == [0, 1] and set(done) <= {0, 1}
+    assert threading.active_count() == threads_before
 
 
 # -- python script sandbox ---------------------------------------------------------
