@@ -5,7 +5,8 @@ covers plain directories; everything above it only needs its `exec`
 surface. A PristineCopy judges a patch: `git apply` on a fresh copy of
 the untouched workspace, then one PoC run, then the copy is removed.
 AheadCopies makes such copies in a thread of its own, ahead of the
-judges that take them.
+judges that take them. Every copy of the input, the agents' workspace
+included, is a temp directory that fresh_copy makes.
 Patches are judged concurrently in one bounded pool: at most one worker
 per CPU the process may run on, each taking the next job not yet
 started, so no job waits behind a slow one.
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import (GitUnavailable, SandboxUnavailable, UnknownLogName,
-                     describe_error)
+                     describe_error, placeless_message)
 from .naming import dedupe_name
 from .repo_model import skip_dangling_links
 
@@ -487,12 +488,10 @@ class PocRunner:
         self.log_store.put(fixed, full_log)
 
         # the verdict and the summary reflect the complete output, not
-        # the excerpt: a stream past the cap was scanned as it was read
-        if res.stdout_scan is None and res.stderr_scan is None:
-            scan = LogScan(full_log)
-        else:
-            scan = (res.stdout_scan or LogScan(res.stdout)).then(
-                res.stderr_scan or LogScan(res.stderr))
+        # the excerpt: a stream past the cap was scanned as it was read.
+        # Each stream is scanned on its own, so no match spans the two
+        scan = (res.stdout_scan or LogScan(res.stdout)).then(
+            res.stderr_scan or LogScan(res.stderr))
         compile_error = (res.exit_code != 0 and not scan.sanitizer
                          and scan.compile_error)
         excerpt = _placeless(
@@ -578,6 +577,23 @@ class _Closed(Exception):
     """Raised inside an AheadCopies copy to stop it between directories."""
 
 
+def fresh_copy(source: Path | str, prefix: str,
+               ignore: Callable = skip_dangling_links) -> Path:
+    """A new temp directory, named after prefix, that holds a copy of
+    source as `workspace`; the caller removes it. A copy that fails
+    leaves no directory behind, and an OSError it raises names the
+    copy's files as `workspace/...`, not by their temp path."""
+    scratch = Path(tempfile.mkdtemp(prefix=prefix))
+    try:
+        shutil.copytree(source, scratch / "workspace", ignore=ignore)
+    except BaseException as exc:
+        shutil.rmtree(scratch, ignore_errors=True)
+        if isinstance(exc, OSError):
+            raise type(exc)(placeless_message(exc, {scratch: ""})) from exc
+        raise
+    return scratch
+
+
 class AheadCopies:
     """Fresh copies of an untouched workspace, made one after another in
     a thread of its own, so that judges need not wait for a copy.
@@ -587,7 +603,7 @@ class AheadCopies:
     yet. A copy that fails stops the thread: the judge that finds none
     makes its own and reports why it failed. close() stops the thread
     between directories, joins it and removes every copy not taken. The
-    thread calls only shutil, tempfile and skip_dangling_links.
+    thread calls only fresh_copy.
     """
 
     def __init__(self, source: Path | str, count: int):
@@ -609,14 +625,10 @@ class AheadCopies:
 
     def _make(self) -> None:
         for _ in range(self.count):
-            scratch = None
             try:
-                scratch = Path(tempfile.mkdtemp(prefix="pristine-"))
-                shutil.copytree(self.source, scratch / "workspace",
-                                ignore=self._ignore)
+                scratch = fresh_copy(self.source, "pristine-",
+                                     ignore=self._ignore)
             except (OSError, _Closed):
-                if scratch is not None:
-                    shutil.rmtree(scratch, ignore_errors=True)
                 return
             self._ready.append(scratch)
 
@@ -664,20 +676,16 @@ class PristineCopy:
         if isinstance(diff, str):
             diff = diff.encode("utf-8", errors="surrogateescape")
         scratch = self.ahead.take() if self.ahead is not None else None
-        try:
+        if scratch is None:
             try:
-                if scratch is None:
-                    scratch = Path(tempfile.mkdtemp(prefix="pristine-"))
-                    shutil.copytree(self.source, scratch / "workspace",
-                                    ignore=skip_dangling_links)
+                scratch = fresh_copy(self.source, "pristine-")
             except OSError as exc:
                 # this instance's data is broken (say, its workspace is
                 # gone)
                 roots = {Path(self.source): "workspace"}
-                if scratch is not None:
-                    roots[scratch] = ""
                 return PatchVerdict(detail="workspace copy failed: "
                                     + describe_error(exc, roots))
+        try:
             work = scratch / "workspace"
             # bytes in, so a diff of a non-UTF-8 source applies as
             # written. The ceiling keeps git from finding a repository
@@ -703,8 +711,7 @@ class PristineCopy:
                                timeout=self.timeout)
             return PatchVerdict(result=runner.run_poc(name))
         finally:
-            if scratch is not None:
-                shutil.rmtree(scratch, ignore_errors=True)
+            shutil.rmtree(scratch, ignore_errors=True)
 
 
 # -- the worker pool ---------------------------------------------------------------

@@ -52,11 +52,7 @@ class RunConfig:
     input_type: str = "issue_report"
     cpc_max_steps: int = cpc.DEFAULT_CPC_MAX_STEPS
     spa_max_steps: int = spa.DEFAULT_SPA_MAX_STEPS
-    log_head_lines: int = execution.DEFAULT_HEAD_LINES
-    log_tail_lines: int = execution.DEFAULT_TAIL_LINES
-    script_output_cap: int = execution.DEFAULT_SCRIPT_OUTPUT_CAP
     poc_timeout: float = execution.DEFAULT_POC_TIMEOUT
-    keep_workspaces: bool = False
     price_input_per_mtok: str = "3.00"
     price_output_per_mtok: str = "15.00"
 

@@ -5,9 +5,10 @@ enhanced-report assembly, file and element localization, patch
 generation, per-candidate validation, selection, artifact persistence.
 Stage failures degrade the run (recorded in telemetry) instead of
 aborting it; a run with no winning patch still produces its artifacts
-and an empty prediction. From the property-analysis agent on, a thread
-copies the input for validation's judges (AheadCopies); it is joined,
-and its untaken copies removed, however the run ends.
+and an empty prediction. The agents work in a temp copy of the input;
+from the property-analysis agent on, a thread copies the input for
+validation's judges (AheadCopies). However the run ends, that thread is
+joined, and the agents' copy and the judges' untaken ones are removed.
 
 Artifacts are deterministic by construction: no timestamps, no absolute
 paths, sorted JSON keys. Two runs from the same inputs and the same
@@ -27,15 +28,14 @@ from ..edit_engine import EditHistory
 from ..errors import (ReplayDesync, ScriptExhausted, VulnmendError,
                       describe_error)
 from ..execution import (AheadCopies, LocalSandbox, LogStore, PocRunner,
-                         PristineCopy, PythonScriptSandbox, pool_width,
-                         require_git)
+                         PristineCopy, PythonScriptSandbox, fresh_copy,
+                         pool_width, require_git)
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
 from ..repair import (CandidateBatch, build_patch_context, generate_patches,
                       select_patch, validate_candidate)
-from ..repo_model import (RepoIndex, skip_dangling_links, write_json,
-                          write_text)
+from ..repo_model import RepoIndex, write_json, write_text
 from ..symbol_analysis import make_symbol_backend
 from .config import RunConfig
 from .instances import IssueInstance
@@ -56,7 +56,8 @@ class _Stage:
     """Collects per-stage failures without stopping the pipeline.
 
     A file an error names is recorded relative to the instance
-    directory; the input workspace stands for its copy there.
+    directory. The input and the agents' copy of it (added to roots
+    once it is made) are both named `workspace`.
     """
 
     def __init__(self, instance: IssueInstance, instance_dir: Path):
@@ -107,17 +108,15 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     stage = _Stage(instance, instance_dir)
     if instance_dir.exists():
         shutil.rmtree(instance_dir)
-    workspace = instance_dir / "workspace"
     try:
-        shutil.copytree(instance.workspace_path, workspace,
-                        ignore=skip_dangling_links)
+        scratch = fresh_copy(instance.workspace_path, "agents-")
     except OSError as exc:
         # this instance's data is broken (say, its workspace is gone);
         # it gets an empty prediction and the batch goes on
-        shutil.rmtree(workspace, ignore_errors=True)
         stage.fail("workspace", exc)
         return stage.finish("", {"instance_id": instance.instance_id,
                                  "agents": {}, "stages": {}})
+    stage.roots[scratch] = ""
 
     # validation judges each distinct program in a fresh copy of the
     # input; one per worker of its pool is made ahead, while the property
@@ -125,9 +124,11 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     ahead = AheadCopies(instance.workspace_path,
                         pool_width(config.candidates))
     try:
-        return _resolve(instance, config, llm, stage, workspace, ahead)
+        return _resolve(instance, config, llm, stage, scratch / "workspace",
+                        ahead)
     finally:
         ahead.close()
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
@@ -151,12 +152,9 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
 
     log_store = LogStore()
     history = EditHistory(workspace)
-    runner = PocRunner(
-        LocalSandbox(workspace), instance.repro_command, log_store=log_store,
-        head_lines=config.log_head_lines, tail_lines=config.log_tail_lines,
-        timeout=config.poc_timeout)
-    script_sandbox = PythonScriptSandbox(
-        log_provider=log_store.get, output_cap=config.script_output_cap)
+    runner = PocRunner(LocalSandbox(workspace), instance.repro_command,
+                       log_store=log_store, timeout=config.poc_timeout)
+    script_sandbox = PythonScriptSandbox(log_provider=log_store.get)
     # one index for every file listing and element lookup of this
     # instance; it lists and parses lazily, inside the stage that first
     # needs it
@@ -299,10 +297,6 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     if records is not None:
         save(write_json, "cost.json",
              cost_of_records(records[records_start:], config))
-    if not config.keep_workspaces:
-        # the workspace carries volatile state (build artifacts);
-        # dropping it leaves only reproducible artifacts
-        shutil.rmtree(workspace, ignore_errors=True)
     return stage.finish(prediction, telemetry, selection.winner)
 
 

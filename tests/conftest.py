@@ -1,6 +1,7 @@
 import hashlib
 import re
 import shutil
+import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,6 +136,17 @@ def _no_thread_left_running():
     left = [thread.name for thread in threading.enumerate()
             if thread not in before and thread.is_alive()]
     assert not left, f"threads still running after the test: {left}"
+
+
+@pytest.fixture(autouse=True)
+def _no_temp_file_left(tmp_path_factory, monkeypatch):
+    # a test that makes a temp file or directory also removes it; each
+    # test gets a temp dir of its own, so a leak is the test's
+    temp = tmp_path_factory.mktemp("tempdir")
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    yield
+    left = sorted(path.name for path in temp.iterdir())
+    assert not left, f"left in the temp dir after the test: {left}"
 
 
 @pytest.fixture

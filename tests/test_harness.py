@@ -198,12 +198,10 @@ def test_config_defaults():
     assert cfg.input_type == "issue_report"
     assert cfg.cpc_max_steps == 25
     assert cfg.spa_max_steps == 40
-    assert cfg.log_head_lines == cfg.log_tail_lines == 100
-    assert cfg.script_output_cap == 8192
     assert cfg.poc_timeout == 300.0
-    assert cfg.keep_workspaces is False
     assert cfg.price_input_per_mtok == "3.00"
     assert cfg.price_output_per_mtok == "15.00"
+    assert len(dataclasses.fields(cfg)) == 15
     assert cfg.validate() is cfg
 
 
@@ -223,7 +221,7 @@ def test_config_validation_errors(overrides, message):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("enable_spa", "false"), ("enable_cpc", 1), ("keep_workspaces", "no"),
+    ("enable_spa", "false"), ("enable_cpc", 1), ("enable_cpc", "no"),
     ("top_files", 2.5), ("candidates", True), ("candidates", "5"),
     ("spa_max_steps", None), ("poc_timeout", "300"), ("poc_timeout", True),
     ("price_input_per_mtok", 3), ("enhance_stages", "generation"),
@@ -246,7 +244,7 @@ def test_config_takes_an_int_or_a_float_timeout():
 
 def test_config_round_trips_through_dict(tmp_path):
     cfg = RunConfig(candidates=2, enhance_stages=("generation",),
-                    keep_workspaces=True)
+                    enable_spa=False)
     data = cfg.to_dict()
     assert data["enhance_stages"] == ["generation"]
     assert RunConfig.from_dict(data) == cfg
@@ -258,6 +256,12 @@ def test_config_round_trips_through_dict(tmp_path):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         RunConfig.from_dict({"candidates": 3, "zap": 1})
+    # the keys of fields that are gone are unknown too
+    for key in ("keep_workspaces", "log_head_lines", "log_tail_lines",
+                "script_output_cap"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown config keys: ['{key}']")):
+            RunConfig.from_dict({key: 1})
 
 
 def test_all_variants_distinct_and_valid():
@@ -1427,6 +1431,23 @@ def test_two_replays_of_full_send_the_same_prompts(fixtures_dir, tmp_path):
     assert digests[0] == digests[1]
 
 
+def at_selection(monkeypatch, look) -> list:
+    """What look(the agents' workspace) returns when the pipeline
+    selects a patch: the agents are done, and their temp copy is not yet
+    removed. One entry per selection. The temp dir is the test's own
+    (conftest's _no_temp_file_left), so it holds one agents' copy."""
+    seen = []
+    select = pipeline.select_patch
+
+    def watched(*args, **kwargs):
+        (scratch,) = Path(tempfile.gettempdir()).glob("agents-*")
+        seen.append(look(scratch / "workspace"))
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "select_patch", watched)
+    return seen
+
+
 @needs_gcc
 def test_replay_run_instance_spawns_git_only_to_apply_candidates(
         fixtures_dir, tmp_path, monkeypatch):
@@ -1440,9 +1461,10 @@ def test_replay_run_instance_spawns_git_only_to_apply_candidates(
             super().__init__(args, *rest, **kwargs)
 
     monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    agents_git = at_selection(
+        monkeypatch, lambda workspace: (workspace / ".git").exists())
     instance = load_instances(fixtures_dir / "instances.jsonl")[0]
-    config = dataclasses.replace(variant("full"), keep_workspaces=True)
-    result = run_instance(instance, config,
+    result = run_instance(instance, variant("full"),
                           ReplayBackend(build_entries(True, True)), tmp_path)
 
     assert result.winner is not None and not result.errors
@@ -1454,7 +1476,7 @@ def test_replay_run_instance_spawns_git_only_to_apply_candidates(
         == [["git", "apply", "--whitespace=nowarn", "-"]] * 2
     instance_dir = tmp_path / instance.instance_id
     assert not (instance_dir / "base").exists()
-    assert not (instance_dir / "workspace" / ".git").exists()
+    assert agents_git == [False]
 
 
 @needs_gcc
@@ -1758,7 +1780,6 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
     instance = dataclasses.replace(
         load_instances(fixtures_dir / "instances.jsonl")[0],
         workspace_path=str(scratch_crepo))
-    workspace = tmp_path / "run" / instance.instance_id / "workspace"
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
@@ -1768,10 +1789,11 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
     copytree = shutil.copytree
 
     def counted(src, dst, *args, **kwargs):
-        # copytree calls itself for each subdirectory
+        # copytree calls itself for each subdirectory; the first copy is
+        # the agents' workspace
         if Path(src) == scratch_crepo:
             copies.append((Path(dst), threading.current_thread().name))
-        elif Path(src) == workspace:
+        elif copies and Path(src) == copies[0][0]:
             from_workspace.append(dst)
         return copytree(src, dst, *args, **kwargs)
 
@@ -1792,35 +1814,40 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
         if not seen:
             # the agents ran long enough for every copy made ahead
             join_the_copier()
-        seen.append((snapshot(workspace), snapshot(scratch_crepo),
+        seen.append((snapshot(copies[0][0]), snapshot(scratch_crepo),
                      len(copies)))
         try:
             return validate(*args, **kwargs)
         finally:
-            seen.append((snapshot(workspace), snapshot(scratch_crepo),
+            seen.append((snapshot(copies[0][0]), snapshot(scratch_crepo),
                          len(copies)))
 
     monkeypatch.setattr(pipeline, "validate_candidate", watched)
-    config = dataclasses.replace(variant("full"), keep_workspaces=True)
-    result = run_instance(instance, config,
+    result = run_instance(instance, variant("full"),
                           ReplayBackend(build_entries(True, True)),
                           tmp_path / "run")
 
     assert result.winner == 0 and not result.errors
     assert len(seen) == 10
     assert len({(run_tree, source) for run_tree, source, _ in seen}) == 1
-    # one copy is the run's workspace; the copier makes one per pool
-    # worker, 3, before validation, which makes none of its own. Nothing
-    # is copied from the agents' workspace
-    assert copies[0] == (workspace, "MainThread")
+    # one copy is the agents' workspace, in a temp dir of its own; the
+    # copier makes one per pool worker, 3, before validation, which makes
+    # none of its own. Nothing is copied from the agents' workspace
+    workspace, thread = copies[0]
+    assert (workspace.parent.parent, workspace.name) == (temp, "workspace")
+    assert workspace.parent.name.startswith("agents-")
+    assert thread == "MainThread"
     assert [thread for _, thread in copies[1:]] == ["pristine-copier"] * 3
     assert (seen[0][2], seen[-1][2]) == (4, 4)
     assert from_workspace == []
     # each distinct program, 2, runs its PoC in a copy of its own
     assert len(judged) == len(set(judged)) == 2
     assert set(judged) <= {path for path, _ in copies[1:]}
-    # and the validation copies, used or not, are gone
+    # and the validation copies, used or not, and the agents' copy are
+    # gone
     assert list(temp.iterdir()) == []
+    assert not (tmp_path / "run" / instance.instance_id
+                / "workspace").exists()
 
 
 def test_a_replay_desync_leaves_no_copy_and_no_copier(fixtures_dir,
@@ -1837,17 +1864,22 @@ def test_a_replay_desync_leaves_no_copy_and_no_copier(fixtures_dir,
     class Desyncs(ReplayBackend):
         def chat(self, request):
             if request.tag == "spa":
-                # the copies made ahead are finished when spa desyncs
+                # the copies made ahead are finished when spa desyncs,
+                # and the agents work in a temp copy of their own
                 join_the_copier()
                 assert len(list(temp.glob("pristine-*"))) == 2
+                assert len(list(temp.glob("agents-*"))) == 1
             return super().chat(request)
 
     instance = load_instances(fixtures_dir / "instances.jsonl")[0]
     with pytest.raises(ReplayDesync):
         run_instance(instance, variant("full"), Desyncs(entries),
                      tmp_path / "run")
-    assert list(temp.glob("pristine-*")) == []
+    assert list(temp.iterdir()) == []
     assert not copier_running()
+    # no artifact was written before spa, so the instance has no
+    # directory, and no workspace in it
+    assert not (tmp_path / "run" / instance.instance_id).exists()
 
 
 def test_validation_reports_an_input_gone_after_the_agents_copy(
@@ -1856,12 +1888,13 @@ def test_validation_reports_an_input_gone_after_the_agents_copy(
         load_instances(fixtures_dir / "instances.jsonl")[0],
         workspace_path=str(scratch_crepo),
         repro_command="grep -q 'len >= cap' src/buf.c")
-    workspace = tmp_path / "run" / instance.instance_id / "workspace"
+    agents = []
     copytree = shutil.copytree
 
     def then_gone(src, dst, *args, **kwargs):
         copied = copytree(src, dst, *args, **kwargs)
-        if Path(dst) == workspace:
+        if Path(dst).parent.name.startswith("agents-"):
+            agents.append(Path(dst))
             shutil.rmtree(scratch_crepo)
         return copied
 
@@ -1871,7 +1904,7 @@ def test_validation_reports_an_input_gone_after_the_agents_copy(
     # that every applying program reaches its judge
     texts = repair.edited_texts
     monkeypatch.setattr(repair, "edited_texts",
-                        lambda root, edits: texts(workspace, edits))
+                        lambda root, edits: texts(agents[0], edits))
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
@@ -1886,6 +1919,40 @@ def test_validation_reports_an_input_gone_after_the_agents_copy(
             "file or directory: 'workspace'")
     assert [(o["applied"], o["poc_pass"], o["failure"])
             for o in outcomes[:3]] == [(True, False, gone)] * 3
+    assert list(temp.iterdir()) == []
+
+
+@pytest.mark.parametrize("prefix", ["agents-", "pristine-"])
+def test_a_failed_copy_names_the_workspace_not_its_temp_dir(
+        prefix, fixtures_dir, tmp_path, monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    copyfile = shutil.copyfile
+
+    def full_disk(src, dst, *args, **kwargs):
+        # copytree copies each file through copy2, which calls copyfile
+        if Path(dst).name == "buf.c" and str(dst).startswith(
+                str(temp / prefix)):
+            raise OSError(28, "No space left on device", str(dst))
+        return copyfile(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "copyfile", full_disk)
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    result = run_instance(instance, variant("base"),
+                          ReplayBackend(build_entries(False, False)),
+                          tmp_path / "run")
+
+    error = ("Error: [('workspace/src/buf.c', 'workspace/src/buf.c', "
+             "\"[Errno 28] No space left on device: 'workspace/src/buf.c'\")]")
+    if prefix == "agents-":
+        assert result.errors == [{"stage": "workspace", "error": error}]
+    else:
+        assert not result.errors
+        outcomes = json.loads((tmp_path / "run" / instance.instance_id
+                               / "candidates" / "outcomes.json").read_text())
+        failures = {o["failure"] for o in outcomes if o["applied"]}
+        assert failures == {"workspace copy failed: " + error}
     assert list(temp.iterdir()) == []
 
 
@@ -1925,7 +1992,8 @@ def test_outcomes_do_not_depend_on_how_many_copies_are_made_ahead(
 
 @needs_gcc
 def test_dangling_symlink_in_workspace_is_skipped(fixtures_dir,
-                                                 scratch_crepo, tmp_path):
+                                                 scratch_crepo, tmp_path,
+                                                 monkeypatch):
     (scratch_crepo / "src" / "stale.h").symlink_to("nowhere.h")
     # valid relative links, whose targets do not exist from the process's
     # working directory: they are copied as the files they point to
@@ -1935,17 +2003,17 @@ def test_dangling_symlink_in_workspace_is_skipped(fixtures_dir,
         load_instances(fixtures_dir / "instances.jsonl")[0],
         workspace_path=str(scratch_crepo))
     run_dir = tmp_path / "run"
-    config = dataclasses.replace(variant("full"), keep_workspaces=True)
-    (result,) = run_all([instance], config,
+    header = (scratch_crepo / "src" / "buf.h").read_bytes()
+    # what the agents' copy holds once the agents are done with it
+    seen = at_selection(monkeypatch, lambda workspace: (
+        [((workspace / rel).is_symlink(), (workspace / rel).read_bytes())
+         for rel in ("src/alias.h", "cpp/buf.h")],
+        (workspace / "src" / "stale.h").exists()))
+    (result,) = run_all([instance], variant("full"),
                         lambda _: ReplayBackend(build_entries(True, True)),
                         run_dir)
     assert result.winner is not None and not result.errors
-    workspace = run_dir / instance.instance_id / "workspace"
-    header = (scratch_crepo / "src" / "buf.h").read_bytes()
-    for rel in ("src/alias.h", "cpp/buf.h"):
-        assert not (workspace / rel).is_symlink()
-        assert (workspace / rel).read_bytes() == header
-    assert not (workspace / "src" / "stale.h").exists()
+    assert seen == [([(False, header)] * 2, False)]
 
     metrics, (verdict,) = evaluate_run(run_dir, [instance])
     assert verdict.applied and verdict.resolved
