@@ -163,6 +163,8 @@ def parse_property_report(text: str) -> AgentReport:
         if not location:
             raise ReportParseFailure("property item without a Location line")
         lm = re.match(r"(\S+?)(?::(\d+))?$", location)
+        if not lm:
+            raise ReportParseFailure(f"bad Location value {location!r}")
         result = (_labeled(block, "Result") or "").upper().replace(" ", "_")
         if result not in ("PASS", "FAIL", "NOT_EVALUATED"):
             raise ReportParseFailure(f"bad Result value {result!r}")

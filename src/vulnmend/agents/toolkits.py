@@ -2,13 +2,12 @@
 
 The context agent gets the three read-only exploration tools. The
 property-analysis agent additionally gets dynamic validation (PoC runs),
-code editing with history, and a python scratchpad. Argument problems
+code editing with history, and a python scratchpad. The exploration
+tools read only through the workspace's RepoIndex. Argument problems
 come back as observations so the model can correct itself.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from ..code_search import read_code, search_code_element
 from ..edit_engine import EditHistory
@@ -78,10 +77,10 @@ def build_search_tool(index: RepoIndex) -> Tool:
     )
 
 
-def build_read_tool(root: Path) -> Tool:
+def build_read_tool(index: RepoIndex) -> Tool:
     def fn(args: dict) -> ToolOutcome:
         window = read_code(
-            root, str(_req(args, "file")),
+            index, str(_req(args, "file")),
             center=int(_req(args, "center")),
             num=int(_req(args, "num")),
             mark_lines=_opt_lines(args))
@@ -108,10 +107,9 @@ def build_read_tool(root: Path) -> Tool:
     )
 
 
-def build_resolve_tool(root: Path, backend: IndexBackend) -> Tool:
+def build_resolve_tool(backend: IndexBackend) -> Tool:
     def fn(args: dict) -> ToolOutcome:
-        result = resolve_code_symbol(root, str(_req(args, "queries")),
-                                     backend)
+        result = resolve_code_symbol(str(_req(args, "queries")), backend)
         return ToolOutcome(observation=result.render(),
                            meta={"queries": len(result.outcomes)})
 
@@ -258,8 +256,8 @@ def build_run_python_tool(sandbox: PythonScriptSandbox) -> Tool:
 
 def cpc_toolkit(index: RepoIndex, backend: IndexBackend) -> dict[str, Tool]:
     """Read-only exploration tools for the context pre-collection agent."""
-    tools = [build_search_tool(index), build_read_tool(index.root),
-             build_resolve_tool(index.root, backend)]
+    tools = [build_search_tool(index), build_read_tool(index),
+             build_resolve_tool(backend)]
     return {t.name: t for t in tools}
 
 

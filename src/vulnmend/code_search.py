@@ -1,4 +1,5 @@
-"""Read-only code viewing: element search and line-window reads.
+"""Read-only code viewing: element search and line-window reads, both
+through the workspace's RepoIndex.
 
 Windows render with 1-based line numbers, and any line the caller asks to
 mark gets an annotation of the form
@@ -11,13 +12,12 @@ without guessing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ElementNotFound
-from .repo_model import CodeElement, RepoIndex, read_text, split_lines
+from .repo_model import CodeElement, RepoIndex, split_lines
 from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 DEFAULT_SEARCH_LIMIT = 10
@@ -83,19 +83,6 @@ def _window_for_element(element: CodeElement,
                       end_line=element.end_line, lines=lines, marked=marked)
 
 
-def _workspace_file(root: Path, file: str) -> Path:
-    """root / file, for a file that exists inside root. File names come
-    from model output, so a path that climbs above root (even to come
-    back), an absolute path elsewhere and a symlink out are refused."""
-    path = root / file
-    climbs = os.path.normpath(file).split(os.sep)[0] == ".."
-    if climbs or not path.resolve().is_relative_to(root.resolve()):
-        raise ValueError(f"{file} is outside the workspace")
-    if not path.is_file():
-        raise FileNotFoundError(file)
-    return path
-
-
 def search_code_element(index: RepoIndex | Path, name: str,
                         file: str | None = None,
                         mark_lines: Iterable[int] | None = None,
@@ -115,7 +102,6 @@ def search_code_element(index: RepoIndex | Path, name: str,
         # caller in the package passes its index
         index = RepoIndex(index)
     if file is not None:
-        _workspace_file(index.root, file)
         found = (e for e in index.elements(file) if e.is_named(name))
     elif bare:
         found = (e for rel in index.files() for e in index.elements(rel)
@@ -136,13 +122,13 @@ def search_code_element(index: RepoIndex | Path, name: str,
     return SearchResult(matches=tuple(matches), truncated=truncated)
 
 
-def read_code(root: Path | str, file: str, center: int, num: int,
+def read_code(index: RepoIndex, file: str, center: int, num: int,
               mark_lines: Iterable[int] | None = None) -> CodeWindow:
     """A window of `num` lines centered on `center`, clamped to the file.
 
     A center beyond EOF clamps to the trailing window; it is not an error.
     """
-    all_lines = _display_lines(read_text(_workspace_file(Path(root), file)))
+    all_lines = _display_lines(index.text(file))
     total = len(all_lines)
     if total == 0:
         return CodeWindow(file=file, start_line=1, end_line=0, lines=(),

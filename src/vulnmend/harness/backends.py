@@ -104,10 +104,10 @@ class ReplayBackend:
 
 def load_replay(path: Path | str, instance_ids):
     """The replay backend of each instance of a run, from the script
-    file at path: instance id -> ReplayBackend.
+    file at path: instance id -> a ReplayBackend of its own.
 
-    A script is one conversation that every instance shares, a list of
-    entries or {"entries": [...]}, or one per instance,
+    A script is one conversation that every instance replays from its
+    start, a list of entries or {"entries": [...]}, or one per instance,
     {"instances": {"<id>": {"entries": [...]}}}, which must hold every
     one of instance_ids. The whole script is checked here, before any
     call; a problem is a BadInputFile naming the file.
@@ -115,8 +115,8 @@ def load_replay(path: Path | str, instance_ids):
     with input_file("replay script", path) as fh:
         script = json.load(fh)
         if not (isinstance(script, dict) and "instances" in script):
-            shared = ReplayBackend(script)
-            return lambda instance_id: shared
+            ReplayBackend(script)  # checked once, before any call
+            return lambda instance_id: ReplayBackend(script)
         per_instance = script["instances"]
         if not isinstance(per_instance, dict):
             raise ValueError('"instances" is not an object')

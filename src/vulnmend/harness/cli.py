@@ -37,10 +37,9 @@ def _backend_factory(spec: str, args, instance_ids=()):
             raise SystemExit(
                 "live backend needs --base-url and --model (or the "
                 "VULNMEND_BASE_URL / VULNMEND_MODEL environment variables)")
-        shared = HttpChatBackend(
-            base_url=base_url, model=model,
-            api_key=args.api_key or os.environ.get("VULNMEND_API_KEY", ""))
-        return lambda instance_id: shared
+        api_key = args.api_key or os.environ.get("VULNMEND_API_KEY", "")
+        return lambda instance_id: HttpChatBackend(
+            base_url=base_url, model=model, api_key=api_key)
     raise SystemExit(f"unknown backend {spec!r}; use 'live' or "
                      "'replay:<script.json>'")
 

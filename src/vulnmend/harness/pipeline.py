@@ -136,7 +136,6 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
              ahead: AheadCopies) -> InstanceResult:
     """run_instance's stages, once the agents' workspace is copied."""
     save = stage.save
-    records_start = len(getattr(llm, "records", []) or [])
 
     if config.input_type == "sanitizer_log":
         if instance.sanitizer_log:
@@ -241,7 +240,7 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     }
 
     context = build_patch_context(
-        workspace, selections,
+        index, selections,
         whole_files=merged if not selections else None,
         margin=config.context_margin)
 
@@ -296,13 +295,14 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     records = getattr(llm, "records", None)
     if records is not None:
         save(write_json, "cost.json",
-             cost_of_records(records[records_start:], config))
+             cost_of_records(records, config))
     return stage.finish(prediction, telemetry, selection.winner)
 
 
 def run_all(instances, config: RunConfig, backend_for,
             out_dir: Path | str) -> list[InstanceResult]:
-    """Run every instance; backend_for(instance_id) supplies its model."""
+    """Run every instance; backend_for(instance_id) gives each instance
+    a model backend of its own, so its records are its calls alone."""
     # before any model call is paid for
     require_git()
     out_dir = Path(out_dir)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import JSONParseFailure
 from .llm import ChatRequest, LLMBackend
-from .repo_model import (CodeElement, RepoIndex, read_text, render_repo_tree,
+from .repo_model import (CodeElement, RepoIndex, render_repo_tree,
                          skeletonize, split_lines)
 from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
@@ -196,7 +196,7 @@ def localize_files_retrieval(llm: LLMBackend, index: RepoIndex,
     for rel in index.files():
         if _under(rel, skipped):
             continue
-        chunks = chunk_file(read_text(index.root / rel), chunk_lines)
+        chunks = chunk_file(index.text(rel), chunk_lines)
         if chunks:
             best[rel] = max(cosine(vec, issue_vec)
                             for vec in embedder.embed(chunks))

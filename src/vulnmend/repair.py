@@ -28,7 +28,7 @@ from .errors import (MalformedBlock, NoChanges, SearchTextAmbiguous,
                      SearchTextNotFound)
 from .execution import PristineCopy, in_pool
 from .llm import ChatRequest, LLMBackend
-from .repo_model import DEFAULT_EXTENSIONS, read_text, split_lines
+from .repo_model import DEFAULT_EXTENSIONS, RepoIndex, split_lines
 
 DEFAULT_CONTEXT_MARGIN = 10
 DEFAULT_CANDIDATES = 5
@@ -67,7 +67,7 @@ def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
-def build_patch_context(root: Path | str, selections,
+def build_patch_context(index: RepoIndex, selections,
                         whole_files: list[str] | None = None,
                         margin: int = DEFAULT_CONTEXT_MARGIN) -> PatchContext:
     """Windows of code to show the patch generator.
@@ -77,7 +77,6 @@ def build_patch_context(root: Path | str, selections,
     `whole_files` adds complete files, for when element localization came
     up empty.
     """
-    root = Path(root)
     per_file: dict[str, list[tuple[int, int]]] = {}
     for sel in selections:
         span = (max(1, sel.element.start_line - margin),
@@ -86,7 +85,7 @@ def build_patch_context(root: Path | str, selections,
 
     windows = []
     for rel in sorted(per_file):
-        lines = split_lines(read_text(root / rel))
+        lines = split_lines(index.text(rel))
         for start, end in _merge_ranges(per_file[rel]):
             end = min(end, len(lines))
             windows.append(ContextWindow(
@@ -95,7 +94,7 @@ def build_patch_context(root: Path | str, selections,
     for rel in whole_files or []:
         if rel in per_file:
             continue
-        text = read_text(root / rel)
+        text = index.text(rel)
         windows.append(ContextWindow(
             file=rel, start_line=1, end_line=len(split_lines(text)),
             text=text))

@@ -2,8 +2,10 @@
 
 Everything here treats the tree as data: directory listings, top-level
 element extraction, a content-keyed element index and body-elided
-skeletons. The index and listings never write; write_text and
-write_json are the one place the package writes a file.
+skeletons. RepoIndex is the one reader of a workspace: every tool and
+stage names files through it, so one rule decides which paths a model
+may name. The index and listings never write; write_text and write_json
+are the one place the package writes a file.
 """
 
 from __future__ import annotations
@@ -18,23 +20,6 @@ from typing import Iterable, Iterator
 
 from .cparse import ElementKind, scan_elements
 from .errors import ParseFailure
-
-__all__ = [
-    "ElementKind",
-    "CodeElement",
-    "DEFAULT_EXTENSIONS",
-    "DEFAULT_IGNORE_DIRS",
-    "read_text",
-    "split_lines",
-    "skip_dangling_links",
-    "write_text",
-    "write_json",
-    "source_files",
-    "render_repo_tree",
-    "WholeWord",
-    "RepoIndex",
-    "skeletonize",
-]
 
 DEFAULT_EXTENSIONS = (".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh")
 DEFAULT_IGNORE_DIRS = frozenset({".git", ".hg", ".svn"})
@@ -113,10 +98,17 @@ class CodeElement:
         return f"::{self.qualified_name}".endswith(f"::{name}")
 
 
+def _resolves_inside(root: Path, path: Path) -> bool:
+    return path.resolve().is_relative_to(root.resolve())
+
+
 def source_files(root: Path | str,
                  extensions: Iterable[str] = DEFAULT_EXTENSIONS,
                  ignore_dirs: Iterable[str] = DEFAULT_IGNORE_DIRS) -> list[str]:
-    """Relative paths of all source files under root, sorted."""
+    """Relative paths of all source files under root, sorted. A link
+    that resolves outside root is skipped, as RepoIndex.path refuses it;
+    rglob does not enter linked directories, so only a file's own link
+    needs resolving."""
     root = Path(root)
     if not root.is_dir():
         raise NotADirectoryError(str(root))
@@ -129,8 +121,11 @@ def source_files(root: Path | str,
         rel = path.relative_to(root)
         if any(part in ignored for part in rel.parts[:-1]):
             continue
-        if path.suffix in exts:
-            found.append(rel.as_posix())
+        if path.suffix not in exts:
+            continue
+        if path.is_symlink() and not _resolves_inside(root, path):
+            continue
+        found.append(rel.as_posix())
     found.sort()
     return found
 
@@ -220,7 +215,9 @@ class WholeWord:
 
 
 class RepoIndex:
-    """The source files of one workspace and their top-level elements.
+    """The one reader of a workspace: its source files, their text and
+    their top-level elements. Tools and stages hold the index, never
+    its root, so path() decides for all of them which names may be read.
 
     The file list is taken once, on first use: edit sets rewrite files
     but never add or remove one. A file is parsed again only when the
@@ -232,18 +229,36 @@ class RepoIndex:
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self._files: list[str] | None = None
+        self._listed: frozenset[str] = frozenset()
         self._parsed: dict[str, tuple[bytes, tuple[CodeElement, ...]]] = {}
 
     def files(self) -> list[str]:
         if self._files is None:
             self._files = source_files(self.root)
+            self._listed = frozenset(self._files)
         return self._files
+
+    def path(self, name: str) -> Path:
+        """root / name, for a regular file inside root. Names come from
+        model output, so one that climbs above root (even to come back),
+        an absolute path elsewhere and a link out are refused; a listed
+        name passed that check when it was listed."""
+        path = self.root / name
+        if name not in self._listed and (
+                os.path.normpath(name).split(os.sep)[0] == ".."
+                or not _resolves_inside(self.root, path)):
+            raise ValueError(f"{name} is outside the workspace")
+        if not path.is_file():
+            raise FileNotFoundError(name)
+        return path
+
+    def text(self, name: str) -> str:
+        """The current text of the file path(name) allows."""
+        return read_text(self.path(name))
 
     def read(self, relpath: str) -> tuple[str, tuple[CodeElement, ...]]:
         """Current text of one file and its elements, by start line."""
-        path = self.root / relpath
-        if not path.is_file():
-            raise FileNotFoundError(relpath)
+        path = self.path(relpath)
         try:
             data = path.read_bytes()
         except OSError as exc:
@@ -263,7 +278,7 @@ class RepoIndex:
         found = []
         for rel in self.files():
             try:
-                text = read_text(self.root / rel)
+                text = self.text(rel)
             except OSError:
                 found.append(rel)
                 continue

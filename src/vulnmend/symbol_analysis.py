@@ -8,19 +8,20 @@ lets a language model point at "this `index`, not the other twelve" with
 plain text.
 
 Positions are 1-based for both line and column throughout this module.
+Files are read through the workspace's RepoIndex, which decides which
+names a block may point at.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .cparse import IDENT
 from .edit_engine import locate_search, parse_edit_blocks
 from .errors import MalformedBlock, NoMarkersFound, VulnmendError
-from .repo_model import RepoIndex, WholeWord, read_text
+from .repo_model import RepoIndex, WholeWord
 from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
 _MARKER_RE = re.compile(
@@ -108,7 +109,7 @@ def _strip_markers(replace: str):
     return "".join(pieces), markers
 
 
-def plan_queries(root: Path | str, blocks_text: str) -> list[MarkerQuery]:
+def plan_queries(index: RepoIndex, blocks_text: str) -> list[MarkerQuery]:
     """Turn marker-bearing edit blocks into positioned queries.
 
     The replace body must equal the search body once markers are stripped;
@@ -116,7 +117,6 @@ def plan_queries(root: Path | str, blocks_text: str) -> list[MarkerQuery]:
     which is rejected. Raises NoMarkersFound when no block carries any
     marker.
     """
-    root = Path(root)
     queries: list[MarkerQuery] = []
     edits = parse_edit_blocks(blocks_text)
     for edit in edits:
@@ -130,10 +130,7 @@ def plan_queries(root: Path | str, blocks_text: str) -> list[MarkerQuery]:
         if stripped != edit.search:
             raise MalformedBlock(
                 "replace body must differ from search only by markers")
-        path = root / edit.file
-        if not path.is_file():
-            raise FileNotFoundError(edit.file)
-        content = read_text(path)
+        content = index.text(edit.file)
         start_idx, _, mode = locate_search(content, edit.search)
         file_lines = content.split("\n")
         search_lines = edit.search.split("\n")
@@ -165,16 +162,15 @@ def plan_queries(root: Path | str, blocks_text: str) -> list[MarkerQuery]:
     return queries
 
 
-def resolve_code_symbol(root: Path | str, blocks_text: str,
-                        backend: IndexBackend,
+def resolve_code_symbol(blocks_text: str, backend: IndexBackend,
                         reference_cap: int = DEFAULT_REFERENCE_CAP
                         ) -> ResolutionResult:
-    """Plan queries from blocks_text and run them against the backend.
+    """Plan queries over backend.index and run them against the backend.
 
     Per-query backend failures become error outcomes; they never abort
     the sibling queries.
     """
-    queries = plan_queries(root, blocks_text)
+    queries = plan_queries(backend.index, blocks_text)
     outcomes = []
     for q in queries:
         try:
@@ -222,12 +218,11 @@ class IndexBackend:
 
     def __init__(self, index: RepoIndex):
         self.index = index
-        self.root = index.root
 
     def _token_at(self, file: str, line: int, col: int) -> str | None:
         """The identifier under the 1-based column: the maximal word run
         there, when it starts with a letter or underscore."""
-        lines = read_text(self.root / file).split("\n")
+        lines = self.index.text(file).split("\n")
         if not (1 <= line <= len(lines)):
             return None
         for m in IDENT.finditer(lines[line - 1]):
@@ -253,7 +248,7 @@ class IndexBackend:
         word = WholeWord(token)
         out = []
         for rel in self.index.files():
-            text = read_text(self.root / rel)
+            text = self.index.text(rel)
             out.extend(_locations(rel, text, word.offsets(text)))
         return out
 

@@ -157,9 +157,9 @@ def fixtures_dir():
 @pytest.fixture(autouse=True, scope="session")
 def _crepo_stays_pristine():
     # crepo is shared read-only; tests that mutate must copy it first
-    before = sorted(p.name for p in CREPO.iterdir())
+    before = snapshot(CREPO)
     yield
-    assert sorted(p.name for p in CREPO.iterdir()) == before
+    assert snapshot(CREPO) == before
 
 
 @pytest.fixture

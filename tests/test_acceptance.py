@@ -162,7 +162,7 @@ def test_marker_resolution_matches_text_scan(criterion, crepo, crepo_index):
                          f"FIND_DEFINITION({token})", text, count=1)
         block = (f"### {rel}\n<<<<<<< SEARCH\n{text}\n=======\n"
                  f"{wrapped}\n>>>>>>> REPLACE\n")
-        queries = plan_queries(crepo, block)
+        queries = plan_queries(crepo_index, block)
         assert [(q.kind, q.symbol, q.file, q.line, q.col)
                 for q in queries] == [
                     ("definition", token, rel, line_no, col)]
@@ -209,7 +209,7 @@ def test_symbol_queries_and_agent_runs_leave_tree_pristine(
                              f"{kind}({token})", text, count=1)
             block = (f"### {rel}\n<<<<<<< SEARCH\n{text}\n=======\n"
                      f"{wrapped}\n>>>>>>> REPLACE\n")
-            result = resolve_code_symbol(scratch_crepo, block, backend)
+            result = resolve_code_symbol(block, backend)
             assert result.outcomes
     assert snapshot(scratch_crepo) == base
 
@@ -395,7 +395,7 @@ def test_annotated_lines_parse_back(criterion, data):
     num = data.draw(st.integers(1, 120))
     marks = data.draw(st.frozensets(st.integers(1, 400), max_size=8))
 
-    window = read_code(CREPO, rel, center, num, mark_lines=marks)
+    window = read_code(_CORPUS_INDEX, rel, center, num, mark_lines=marks)
     rendered = window.render()
     inside = sorted(n for n in marks
                     if window.start_line <= n <= window.end_line)

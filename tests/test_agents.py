@@ -315,15 +315,15 @@ def test_search_tool_marks_lines(crepo_index):
     assert out.meta["matches"] >= 1
 
 
-def test_read_tool_meta_span(crepo):
-    tool = build_read_tool(crepo)
+def test_read_tool_meta_span(crepo_index):
+    tool = build_read_tool(crepo_index)
     out = tool.fn({"file": "src/buf.c", "center": 1, "num": 5})
     assert out.meta["start"] == 1
     assert "1 " in out.observation
 
 
-def test_resolve_tool_renders_definitions(crepo, crepo_index):
-    tool = build_resolve_tool(crepo, IndexBackend(crepo_index))
+def test_resolve_tool_renders_definitions(crepo_index):
+    tool = build_resolve_tool(IndexBackend(crepo_index))
     queries = """### src/main.c
 <<<<<<< SEARCH
     copy_name(name, sizeof(name), argv[1]);
@@ -336,9 +336,9 @@ def test_resolve_tool_renders_definitions(crepo, crepo_index):
     assert out.meta == {"queries": 1}
 
 
-def test_tools_reject_missing_required_args(crepo, crepo_index):
+def test_tools_reject_missing_required_args(crepo_index):
     with pytest.raises(ValueError):
-        build_read_tool(crepo).fn({"center": 3})
+        build_read_tool(crepo_index).fn({"center": 3})
     with pytest.raises(ValueError):
         build_search_tool(crepo_index).fn({})
 
@@ -477,6 +477,23 @@ def test_agent_reformat_recovers(agent, scratch_crepo, issue_text):
     reformat_msg = llm.requests[1].messages[-1]["content"]
     assert "did not parse" in reformat_msg
     assert "prose summary, not the required format" in reformat_msg
+
+
+@pytest.mark.parametrize("then, parse_ok", [(SPA_REPORT, True),
+                                            ("junk", False)])
+def test_a_location_that_is_not_path_line_is_reformatted(
+        then, parse_ok, scratch_crepo, issue_text):
+    # this Location once raised an AttributeError, which no stage caught,
+    # so the whole batch ended
+    odd = SPA_REPORT.replace("Location: src/buf.c:18",
+                             "Location: src/buf.c line 18")
+    with pytest.raises(ReportParseFailure, match="src/buf.c line 18"):
+        parse_property_report(odd)
+    llm = ScriptedLLM([_text(odd), _text(then)])
+    report, _ = _run_agent("spa", llm, scratch_crepo, issue_text)
+    assert llm.tags == ["spa", "spa_reformat"]
+    assert report.parse_ok is parse_ok
+    assert report.render() == (SPA_REPORT.strip() if parse_ok else odd)
 
 
 @pytest.mark.parametrize("agent", ["cpc", "spa"])

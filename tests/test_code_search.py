@@ -10,6 +10,7 @@ import vulnmend.repo_model as repo_model
 from vulnmend.code_search import format_marker, read_code, search_code_element
 from vulnmend.errors import ElementNotFound
 from vulnmend.repo_model import RepoIndex, WholeWord, read_text, write_text
+from vulnmend.symbol_analysis import IndexBackend, resolve_code_symbol
 
 _PATH_CHARS = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789_./-"),
@@ -36,8 +37,8 @@ def test_marker_exact_shape():
     assert format_marker("src/buf.c", 19) == "// <<<<< src/buf.c:19"
 
 
-def test_read_code_window_and_markers(crepo):
-    window = read_code(crepo, "src/buf.c", center=19, num=5,
+def test_read_code_window_and_markers(crepo, crepo_index):
+    window = read_code(crepo_index, "src/buf.c", center=19, num=5,
                        mark_lines=[19])
     assert (window.start_line, window.end_line) == (17, 21)
     rendered = window.render()
@@ -50,21 +51,21 @@ def test_read_code_window_and_markers(crepo):
     assert raw_line in marked[0]
 
 
-def test_read_code_clamps_to_file_start(crepo):
-    window = read_code(crepo, "src/buf.c", center=1, num=7)
+def test_read_code_clamps_to_file_start(crepo_index):
+    window = read_code(crepo_index, "src/buf.c", center=1, num=7)
     assert window.start_line == 1
     assert window.end_line == 7
 
 
-def test_read_code_clamps_to_file_end(crepo):
+def test_read_code_clamps_to_file_end(crepo, crepo_index):
     total = len(read_text(crepo / "src" / "buf.c").splitlines())
-    window = read_code(crepo, "src/buf.c", center=total, num=9)
+    window = read_code(crepo_index, "src/buf.c", center=total, num=9)
     assert window.end_line == total
 
 
-def test_read_code_whole_short_file(crepo):
+def test_read_code_whole_short_file(crepo, crepo_index):
     raw_lines = read_text(crepo / "src" / "buf.h").splitlines()
-    window = read_code(crepo, "src/buf.h", center=1, num=10_000)
+    window = read_code(crepo_index, "src/buf.h", center=1, num=10_000)
     assert (window.start_line, window.end_line) == (1, len(raw_lines))
     assert list(window.lines) == raw_lines
 
@@ -110,11 +111,11 @@ def test_line_numbers_count_newlines_only(tmp_path, brk):
                           check=True)
     line = int(grep.stdout.split(":")[0])
 
-    (element, window), = search_code_element(RepoIndex(tmp_path),
-                                             "f").matches
+    index = RepoIndex(tmp_path)
+    (element, window), = search_code_element(index, "f").matches
     assert (element.start_line, element.end_line) == (line - 2, line + 1)
     assert window.lines[line - element.start_line] == "  return x;"
-    assert read_code(tmp_path, "m.c", line, 1).lines == ("  return x;",)
+    assert read_code(index, "m.c", line, 1).lines == ("  return x;",)
 
 
 def test_paths_outside_the_workspace_are_refused(scratch_crepo):
@@ -126,12 +127,66 @@ def test_paths_outside_the_workspace_are_refused(scratch_crepo):
     for name in ("../secret.c", str(secret), "src/leak.c",
                  "src/../../secret.c", "../crepo/src/buf.c"):
         with pytest.raises(ValueError, match="outside the workspace"):
-            read_code(scratch_crepo, name, 1, 3)
+            read_code(index, name, 1, 3)
         with pytest.raises(ValueError, match="outside the workspace"):
             search_code_element(index, "secret", file=name)
     # a link that stays inside the tree and a non-source file still read
     assert search_code_element(index, "copy_name", file="src/alias.c")
-    assert read_code(scratch_crepo, "secb.sh", 1, 3).lines
+    assert read_code(index, "secb.sh", 1, 3).lines
+
+
+def test_every_reader_agrees_on_which_files_exist(tmp_path):
+    # one tree with a link out, a link that stays inside and a dangling
+    # link: what the index lists is what every tool reads, and nothing else
+    write_text(tmp_path / "outside" / "s.c",
+               "int secret_fn(void)\n{\n  return 1;\n}\n")
+    root = tmp_path / "ws"
+    call = "int main(void) { return secret_fn() + shared_fn(); }"
+    write_text(root / "main.c", call + "\n")
+    write_text(root / "lib" / "real.c",
+               "int shared_fn(void)\n{\n  return 0;\n}\n")
+    (root / "link.c").symlink_to("../outside/s.c")
+    (root / "alias.c").symlink_to("lib/real.c")
+    (root / "stale.c").symlink_to("nowhere.c")
+    index = RepoIndex(root)
+    backend = IndexBackend(index)
+
+    assert index.files() == ["alias.c", "lib/real.c", "main.c"]
+    with pytest.raises(ElementNotFound):
+        search_code_element(index, "secret_fn")
+    assert {element.file for element, _ in
+            search_code_element(index, "shared_fn").matches} == {
+        "alias.c", "lib/real.c"}
+
+    def found(marker, symbol):
+        block = (f"### main.c\n<<<<<<< SEARCH\n{call}\n=======\n"
+                 f"{call.replace(symbol, f'{marker}({symbol})')}\n"
+                 ">>>>>>> REPLACE\n")
+        outcome, = resolve_code_symbol(block, backend).outcomes
+        return {location.file for location in outcome.locations}
+
+    assert found("FIND_DEFINITION", "secret_fn") == set()
+    assert found("FIND_REFERENCES", "shared_fn") == {
+        "alias.c", "lib/real.c", "main.c"}
+
+    def readers(name):
+        block = (f"### {name}\n<<<<<<< SEARCH\nint shared_fn(void)\n"
+                 "=======\nint FIND_DEFINITION(shared_fn)(void)\n"
+                 ">>>>>>> REPLACE\n")
+        return (lambda: read_code(index, name, 1, 1),
+                lambda: search_code_element(index, "shared_fn", file=name),
+                lambda: resolve_code_symbol(block, backend))
+
+    for name in ("alias.c", "lib/real.c"):
+        window, search, resolved = (read() for read in readers(name))
+        assert window.lines == ("int shared_fn(void)",)
+        assert [element.file for element, _ in search.matches] == [name]
+        assert resolved.outcomes[0].locations
+    for name, refusal in (("link.c", ValueError),
+                          ("stale.c", FileNotFoundError)):
+        for read in readers(name):
+            with pytest.raises(refusal, match=name):
+                read()
 
 
 def test_search_unknown_name_raises(crepo_index):
@@ -144,10 +199,10 @@ def test_search_result_render_lists_location(crepo_index):
     assert re.search(r"src/buf\.h:\d+", rendered)
 
 
-def test_pinned_marker_listing(crepo):
+def test_pinned_marker_listing(crepo_index):
     """The annotated read of the loop body renders the exact expected
     marker lines."""
-    window = read_code(crepo, "njs/src/njs_array.c", center=151, num=3,
+    window = read_code(crepo_index, "njs/src/njs_array.c", center=151, num=3,
                        mark_lines=[150, 151, 152])
     rendered = window.render()
     assert parse_annotations(rendered) == [

@@ -2186,11 +2186,16 @@ def test_backend_factory_per_instance_scripts(tmp_path):
     assert backend.chat(_request("x")).text == "y"
 
 
-def test_backend_factory_flat_script_is_shared(tmp_path):
+def test_backend_factory_replays_a_flat_script_per_instance(tmp_path):
     path = tmp_path / "script.json"
     path.write_text(json.dumps([{"expect": "x", "response": {"text": "y"}}]))
     factory = _backend_factory(f"replay:{path}", SimpleNamespace())
-    assert factory("a") is factory("b")
+    a, b = factory("a"), factory("b")
+    # each instance replays the script from its start, and its records
+    # are its own calls
+    assert a is not b
+    assert a.chat(_request("x")).text == b.chat(_request("x")).text == "y"
+    assert len(a.records) == len(b.records) == 1
 
 
 def test_backend_factory_live_needs_endpoint(monkeypatch):
@@ -2205,7 +2210,9 @@ def test_backend_factory_live_from_flags(monkeypatch):
     monkeypatch.delenv("VULNMEND_API_KEY", raising=False)
     args = SimpleNamespace(base_url="http://api.test", model="m",
                            api_key="sk")
-    backend = _backend_factory("live", args)("any")
+    factory = _backend_factory("live", args)
+    backend = factory("any")
+    assert factory("other") is not backend
     assert isinstance(backend, HttpChatBackend)
     assert backend.model == "m"
     assert backend.api_key == "sk"

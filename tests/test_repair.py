@@ -50,30 +50,30 @@ def test_merge_ranges_semantics():
     assert _merge_ranges([]) == []
 
 
-def test_context_windows_merge_and_clamp(crepo):
+def test_context_windows_merge_and_clamp(crepo, crepo_index):
     copy_name = _element(crepo, "src/buf.c", "copy_name")
     slot_used = _element(crepo, "src/buf.c", "slot_used")
     selections = [ElementSelection("src/buf.c", copy_name),
                   ElementSelection("src/buf.c", slot_used)]
     file_lines = len(read_text(crepo / "src/buf.c").splitlines())
 
-    merged = build_patch_context(crepo, selections, margin=10)
+    merged = build_patch_context(crepo_index, selections, margin=10)
     assert len(merged.windows) == 1
     window = merged.windows[0]
     assert window.start_line == 1
     assert window.end_line == file_lines
     assert window.text == read_text(crepo / "src/buf.c")
 
-    split = build_patch_context(crepo, selections, margin=0)
+    split = build_patch_context(crepo_index, selections, margin=0)
     assert [(w.start_line, w.end_line) for w in split.windows] == [
         (copy_name.start_line, copy_name.end_line),
         (slot_used.start_line, slot_used.end_line)]
 
 
-def test_context_window_text_matches_span(crepo):
+def test_context_window_text_matches_span(crepo, crepo_index):
     element = _element(crepo, "src/buf.c", "copy_name")
     context = build_patch_context(
-        crepo, [ElementSelection("src/buf.c", element)], margin=2)
+        crepo_index, [ElementSelection("src/buf.c", element)], margin=2)
     window = context.windows[0]
     lines = read_text(crepo / "src/buf.c").splitlines(keepends=True)
     assert window.text == "".join(
@@ -81,10 +81,10 @@ def test_context_window_text_matches_span(crepo):
     assert "void copy_name" in window.text
 
 
-def test_whole_files_fill_in(crepo):
+def test_whole_files_fill_in(crepo, crepo_index):
     element = _element(crepo, "src/buf.c", "copy_name")
     context = build_patch_context(
-        crepo, [ElementSelection("src/buf.c", element)],
+        crepo_index, [ElementSelection("src/buf.c", element)],
         whole_files=["src/buf.c", "src/main.c"], margin=5)
     by_file = {}
     for w in context.windows:
@@ -97,10 +97,11 @@ def test_whole_files_fill_in(crepo):
     assert main.text == read_text(crepo / "src/main.c")
 
 
-def test_context_render_shape(crepo):
+def test_context_render_shape(crepo, crepo_index):
     element = _element(crepo, "src/buf.c", "copy_name")
     rendered = build_patch_context(
-        crepo, [ElementSelection("src/buf.c", element)], margin=0).render()
+        crepo_index, [ElementSelection("src/buf.c", element)],
+        margin=0).render()
     assert rendered.startswith(
         f"## src/buf.c (lines {element.start_line}-{element.end_line})\n```")
     assert rendered.rstrip().endswith("```")
@@ -115,10 +116,10 @@ def test_temperature_schedule():
     assert temperature_schedule(5) == (0.0, 1.0, 1.0, 1.0, 1.0)
 
 
-def test_generate_patches_parses_and_records(crepo, issue_text):
+def test_generate_patches_parses_and_records(crepo, crepo_index, issue_text):
     element = _element(crepo, "src/buf.c", "copy_name")
     context = build_patch_context(
-        crepo, [ElementSelection("src/buf.c", element)])
+        crepo_index, [ElementSelection("src/buf.c", element)])
     llm = ScriptedLLM([
         ChatResponse(text=REFERENCE_FIX),
         ChatResponse(text="### src/buf.c\n<<<<<<< SEARCH\nno divider\n"

@@ -37,7 +37,7 @@ def _grep_references(root, token):
 # -- marker planning ----------------------------------------------------------
 
 
-def test_plan_queries_maps_marker_to_position(crepo):
+def test_plan_queries_maps_marker_to_position(crepo, crepo_index):
     blocks = """### src/main.c
 <<<<<<< SEARCH
     copy_name(name, sizeof(name), argv[1]);
@@ -45,7 +45,7 @@ def test_plan_queries_maps_marker_to_position(crepo):
     FIND_REFERENCES(copy_name)(name, sizeof(name), argv[1]);
 >>>>>>> REPLACE
 """
-    queries = plan_queries(crepo, blocks)
+    queries = plan_queries(crepo_index, blocks)
     assert len(queries) == 1
     q = queries[0]
     assert (q.kind, q.symbol, q.file) == ("references", "copy_name",
@@ -54,7 +54,7 @@ def test_plan_queries_maps_marker_to_position(crepo):
     assert q.col == _col_of(crepo, "src/main.c", 14, "copy_name")
 
 
-def test_plan_queries_multiple_markers_one_block(crepo):
+def test_plan_queries_multiple_markers_one_block(crepo, crepo_index):
     blocks = """### src/main.c
 <<<<<<< SEARCH
     copy_name(name, sizeof(name), argv[1]);
@@ -64,7 +64,7 @@ def test_plan_queries_multiple_markers_one_block(crepo):
     printf("stored %zu bytes (count=%d)\\n", strlen(name), FIND_REFERENCES(g_count));
 >>>>>>> REPLACE
 """
-    queries = plan_queries(crepo, blocks)
+    queries = plan_queries(crepo_index, blocks)
     assert [(q.kind, q.symbol, q.line) for q in queries] == [
         ("definition", "copy_name", 14),
         ("references", "g_count", 15),
@@ -72,21 +72,21 @@ def test_plan_queries_multiple_markers_one_block(crepo):
     assert queries[1].col == _col_of(crepo, "src/main.c", 15, "g_count")
 
 
-def test_plan_queries_normalized_mode_nth_occurrence(crepo):
+def test_plan_queries_normalized_mode_nth_occurrence(crepo, crepo_index):
     # altered spacing forces the normalized pass; the marker wraps the
     # second `i` on the line, so the mapped column must be the second
     # occurrence in the real file text
     blocks = ("### src/buf.c\n<<<<<<< SEARCH\n"
               "  dst[i]  =  src[i];\n=======\n"
               "  dst[i]  =  src[FIND_REFERENCES(i)];\n>>>>>>> REPLACE\n")
-    queries = plan_queries(crepo, blocks)
+    queries = plan_queries(crepo_index, blocks)
     assert len(queries) == 1
     q = queries[0]
     assert (q.file, q.line) == ("src/buf.c", 17)
     assert q.col == _col_of(crepo, "src/buf.c", 17, "i", nth=2)
 
 
-def test_plan_queries_rejects_real_edit(crepo):
+def test_plan_queries_rejects_real_edit(crepo_index):
     blocks = """### src/main.c
 <<<<<<< SEARCH
     copy_name(name, sizeof(name), argv[1]);
@@ -95,10 +95,10 @@ def test_plan_queries_rejects_real_edit(crepo):
 >>>>>>> REPLACE
 """
     with pytest.raises(MalformedBlock):
-        plan_queries(crepo, blocks)
+        plan_queries(crepo_index, blocks)
 
 
-def test_plan_queries_rejects_non_identifier_wrap(crepo):
+def test_plan_queries_rejects_non_identifier_wrap(crepo_index):
     blocks = """### src/main.c
 <<<<<<< SEARCH
     copy_name(name, sizeof(name), argv[1]);
@@ -107,10 +107,10 @@ def test_plan_queries_rejects_non_identifier_wrap(crepo):
 >>>>>>> REPLACE
 """
     with pytest.raises(MalformedBlock):
-        plan_queries(crepo, blocks)
+        plan_queries(crepo_index, blocks)
 
 
-def test_plan_queries_requires_some_marker(crepo):
+def test_plan_queries_requires_some_marker(crepo_index):
     blocks = """### src/main.c
 <<<<<<< SEARCH
     copy_name(name, sizeof(name), argv[1]);
@@ -119,14 +119,14 @@ def test_plan_queries_requires_some_marker(crepo):
 >>>>>>> REPLACE
 """
     with pytest.raises(NoMarkersFound):
-        plan_queries(crepo, blocks)
+        plan_queries(crepo_index, blocks)
 
 
-def test_plan_queries_missing_file(crepo):
+def test_plan_queries_missing_file(crepo_index):
     blocks = ("### src/ghost.c\n<<<<<<< SEARCH\nx\n=======\n"
               "FIND_DEFINITION(x)\n>>>>>>> REPLACE\n")
     with pytest.raises(FileNotFoundError):
-        plan_queries(crepo, blocks)
+        plan_queries(crepo_index, blocks)
 
 
 def test_resolution_is_virtual_only(scratch_crepo):
@@ -139,7 +139,7 @@ def test_resolution_is_virtual_only(scratch_crepo):
 >>>>>>> REPLACE
 """
     backend = IndexBackend(RepoIndex(scratch_crepo))
-    result = resolve_code_symbol(scratch_crepo, blocks, backend)
+    result = resolve_code_symbol(blocks, backend)
     assert result.outcomes[0].total > 0
     assert snapshot(scratch_crepo).digest == before
 
@@ -194,9 +194,9 @@ def test_cross_file_references_for_struct_member(crepo, crepo_index):
     uint32_t    FIND_REFERENCES(index);
 >>>>>>> REPLACE
 """
-    q = plan_queries(crepo, blocks)[0]
+    q = plan_queries(crepo_index, blocks)[0]
     assert (q.file, q.line, q.col) == ("njs/src/njs_vmcode.c", 9, 17)
-    result = resolve_code_symbol(crepo, blocks, backend)
+    result = resolve_code_symbol(blocks, backend)
     outcome = result.outcomes[0]
     got = {(l.file, l.line, l.col) for l in outcome.locations}
     assert got == set(_grep_references(crepo, "index"))
@@ -256,7 +256,7 @@ def test_reference_cap_truncates_and_reports_total(crepo, crepo_index):
 >>>>>>> REPLACE
 """
     total = len(_grep_references(crepo, "index"))
-    result = resolve_code_symbol(crepo, blocks, backend, reference_cap=3)
+    result = resolve_code_symbol(blocks, backend, reference_cap=3)
     outcome = result.outcomes[0]
     assert outcome.truncated is True
     assert outcome.total == total
@@ -267,6 +267,9 @@ def test_reference_cap_truncates_and_reports_total(crepo, crepo_index):
 
 
 class _FlakyBackend:
+    def __init__(self, index):
+        self.index = index
+
     def definition(self, file, line, col):
         return [SymbolLocation(file="src/buf.c", line=8, col=6,
                                preview="void copy_name(...)")]
@@ -275,7 +278,7 @@ class _FlakyBackend:
         raise VulnmendError("backend exploded")
 
 
-def test_backend_error_isolated_per_query(crepo):
+def test_backend_error_isolated_per_query(crepo_index):
     blocks = """### src/main.c
 <<<<<<< SEARCH
     copy_name(name, sizeof(name), argv[1]);
@@ -285,7 +288,7 @@ def test_backend_error_isolated_per_query(crepo):
     printf("stored %zu bytes (count=%d)\\n", strlen(name), FIND_DEFINITION(g_count));
 >>>>>>> REPLACE
 """
-    result = resolve_code_symbol(crepo, blocks, _FlakyBackend())
+    result = resolve_code_symbol(blocks, _FlakyBackend(crepo_index))
     first, second = result.outcomes
     assert first.error == "backend exploded"
     assert first.locations == ()
@@ -360,7 +363,7 @@ def test_definition_fails_on_a_file_that_cannot_be_read(tmp_path,
     blocks = ("### a.c\n<<<<<<< SEARCH\nint name(void) { return 0; }\n"
               "=======\nint FIND_DEFINITION(name)(void) { return 0; }\n"
               ">>>>>>> REPLACE\n")
-    outcome, = resolve_code_symbol(tmp_path, blocks, backend).outcomes
+    outcome, = resolve_code_symbol(blocks, backend).outcomes
     assert outcome.error and outcome.locations == ()
 
 
@@ -451,5 +454,5 @@ def test_lookups_take_whole_words_only(tmp_path_factory, a, b, line):
                    + search[at + len("name"):])
         blocks = (f"### q.c\n<<<<<<< SEARCH\n{search}\n=======\n"
                   f"{replace}\n>>>>>>> REPLACE\n")
-        q, = plan_queries(root, blocks)
+        q, = plan_queries(index, blocks)
         assert (q.line, q.col) == (1, sites[nth] + 1)
