@@ -1,11 +1,11 @@
-"""Safety-property analysis agent: hypothesize, instrument, run, report."""
+"""Safety-property analysis agent: hypothesize, instrument, run, report.
+The one stage that writes a tree, in a copy of the input made for it."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 from ..edit_engine import EditHistory
-from ..errors import EmptyHistory
 from ..execution import PocRunner, PythonScriptSandbox
 from ..llm import LLMBackend
 from ..repo_model import RepoIndex, render_repo_tree, write_text
@@ -56,12 +56,10 @@ def run_spa_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
                   ) -> tuple[AgentReport, Transcript]:
     """Analyze which safety property the PoC violates.
 
-    The assertion header is installed at index.root once the repository
-    tree is taken, so that no prompt lists it; it stays for the agent's
-    instrumented builds only (validation judges candidates in a
-    pristine copy). Whatever the agent leaves applied is rolled back
-    afterwards, so the workspace the repair stage sees is the baseline
-    one.
+    index, history and runner share one tree that no one reads after
+    the agent, so whatever it leaves applied stays. The assertion header
+    is installed at index.root once the repository tree is taken, so
+    that no prompt lists it.
     """
     spec = AgentSpec(
         name="spa",
@@ -72,13 +70,6 @@ def run_spa_agent(llm: LLMBackend, index: RepoIndex, backend: IndexBackend,
     )
     first_message = initial_message(issue_text, render_repo_tree(index))
     install_assert_prelude(index.root)
-    try:
-        transcript = run_react(spec, llm, first_message)
-    finally:
-        try:
-            history.rollback_all()
-        except EmptyHistory:
-            pass
-
+    transcript = run_react(spec, llm, first_message)
     return (read_report(llm, "spa", transcript.final_text or "",
                         parse_property_report), transcript)

@@ -13,7 +13,8 @@ reliably:
 Marker lines tolerate any run of 7 or more marker characters. An edit
 set is applied in memory first (edited_texts): the old and new text of
 each file it changes. The history writes the new text and keeps the old
-to roll back; diffs compare the two.
+to roll back; diffs compare the two. Both name files through a RepoIndex,
+so an edit reaches only a file its readers may read.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from __future__ import annotations
 import difflib
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import (EmptyHistory, MalformedBlock, NoChanges,
                      SearchTextAmbiguous, SearchTextNotFound)
 from .naming import dedupe_name
-from .repo_model import read_text, split_lines, write_text
+from .repo_model import RepoIndex, split_lines, write_text
 
 _HEADER_RE = re.compile(r"^###\s+(\S.*?)\s*$")
 _OPEN_RE = re.compile(r"^<{7,}\s*SEARCH\s*$")
@@ -188,32 +188,28 @@ def apply_edits_to_text(content: str, edits: Sequence[SearchReplaceEdit]) -> str
     return content
 
 
-def edited_texts(root: Path | str,
+def edited_texts(index: RepoIndex,
                  edits: Sequence[SearchReplaceEdit] | str,
                  ) -> tuple[dict[str, str], dict[str, str]]:
-    """Apply an edit set in memory to the files under root.
+    """Apply an edit set in memory to the files of index.
 
     Returns (before, after): the current and the edited text of each
     file the set changes. Nothing is written, so the set applies all or
     nothing. Raises NoChanges for an empty set or one that changes no
-    file, FileNotFoundError for a file that is not there, and the errors
-    of parsing blocks and locating their SEARCH text.
+    file, index.path's errors for a file it refuses or that is not
+    there, and the errors of parsing blocks and locating SEARCH text.
     """
     if isinstance(edits, str):
         edits = parse_edit_blocks(edits)
     if not edits:
         raise NoChanges("no changes: empty edit set")
-    root = Path(root)
     before: dict[str, str] = {}
     after: dict[str, str] = {}
     by_file: dict[str, list[SearchReplaceEdit]] = {}
     for edit in edits:
         by_file.setdefault(edit.file, []).append(edit)
     for rel, file_edits in by_file.items():
-        path = root / rel
-        if not path.is_file():
-            raise FileNotFoundError(rel)
-        content = read_text(path)
+        content = index.text(rel)
         updated = apply_edits_to_text(content, file_edits)
         if updated != content:
             before[rel] = content
@@ -233,8 +229,8 @@ class EditHistory:
     no edit set wrote, build artifacts among them, stay as they are.
     """
 
-    def __init__(self, root: Path | str):
-        self.root = Path(root)
+    def __init__(self, index: RepoIndex):
+        self.index = index
         self._applied: list[tuple[str, dict[str, str]]] = []
         self._name_counts: dict[str, int] = {}
 
@@ -243,15 +239,12 @@ class EditHistory:
         return HistoryView(count=len(names), names=names,
                            latest=names[-1] if names else None)
 
-    def fix_name(self, unique_name: str) -> str:
-        return dedupe_name(self._name_counts, unique_name)
-
     def apply_edits(self, unique_name: str,
                     edits: Sequence[SearchReplaceEdit] | str) -> ApplyResult:
-        saved, new_contents = edited_texts(self.root, edits)
-        fixed_name = self.fix_name(unique_name)
+        saved, new_contents = edited_texts(self.index, edits)
+        fixed_name = dedupe_name(self._name_counts, unique_name)
         for rel, text in new_contents.items():
-            write_text(self.root / rel, text)
+            write_text(self.index.path(rel), text)
         self._applied.append((fixed_name, saved))
         return ApplyResult(fixed_name=fixed_name, files=tuple(sorted(saved)),
                            history=self.history_view())
@@ -259,7 +252,7 @@ class EditHistory:
     def _undo_latest(self) -> None:
         _, saved = self._applied.pop()
         for rel, text in saved.items():
-            write_text(self.root / rel, text)
+            write_text(self.index.path(rel), text)
 
     def rollback_latest(self) -> HistoryView:
         if not self._applied:

@@ -5,7 +5,7 @@ covers plain directories; everything above it only needs its `exec`
 surface. A PristineCopy judges a patch: `git apply` on a fresh copy of
 the untouched workspace, then one PoC run, then the copy is removed.
 AheadCopies makes such copies in a thread of its own, ahead of the
-judges that take them. Every copy of the input, the agents' workspace
+judges that take them. Every copy of the input, the property agent's
 included, is a temp directory that fresh_copy makes.
 Patches are judged concurrently in one bounded pool: at most one worker
 per CPU the process may run on, each taking the next job not yet
@@ -582,14 +582,15 @@ def fresh_copy(source: Path | str, prefix: str,
     """A new temp directory, named after prefix, that holds a copy of
     source as `workspace`; the caller removes it. A copy that fails
     leaves no directory behind, and an OSError it raises names the
-    copy's files as `workspace/...`, not by their temp path."""
+    copy's files as `copy/...`, apart from source's own files."""
     scratch = Path(tempfile.mkdtemp(prefix=prefix))
     try:
         shutil.copytree(source, scratch / "workspace", ignore=ignore)
     except BaseException as exc:
         shutil.rmtree(scratch, ignore_errors=True)
         if isinstance(exc, OSError):
-            raise type(exc)(placeless_message(exc, {scratch: ""})) from exc
+            raise type(exc)(placeless_message(
+                exc, {scratch / "workspace": "copy"})) from exc
         raise
     return scratch
 

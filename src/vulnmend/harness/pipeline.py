@@ -5,10 +5,11 @@ enhanced-report assembly, file and element localization, patch
 generation, per-candidate validation, selection, artifact persistence.
 Stage failures degrade the run (recorded in telemetry) instead of
 aborting it; a run with no winning patch still produces its artifacts
-and an empty prediction. The agents work in a temp copy of the input;
-from the property-analysis agent on, a thread copies the input for
-validation's judges (AheadCopies). However the run ends, that thread is
-joined, and the agents' copy and the judges' untaken ones are removed.
+and an empty prediction. Every stage reads the input in place, through
+one RepoIndex, but the property-analysis agent, the one writer: it works
+in a temp copy of its own, removed when it ends. From then on, a thread
+copies the input for validation's judges (AheadCopies). However the run
+ends, that thread is joined and the judges' untaken copies are removed.
 
 Artifacts are deterministic by construction: no timestamps, no absolute
 paths, sorted JSON keys. Two runs from the same inputs and the same
@@ -17,6 +18,7 @@ replay script write identical bytes.
 
 from __future__ import annotations
 
+import os
 import shutil
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -27,9 +29,9 @@ from ..agents.spa import run_spa_agent
 from ..edit_engine import EditHistory
 from ..errors import (ReplayDesync, ScriptExhausted, VulnmendError,
                       describe_error)
-from ..execution import (AheadCopies, LocalSandbox, LogStore, PocRunner,
-                         PristineCopy, PythonScriptSandbox, fresh_copy,
-                         pool_width, require_git)
+from ..execution import (AheadCopies, LocalSandbox, PocRunner, PristineCopy,
+                         PythonScriptSandbox, fresh_copy, pool_width,
+                         require_git)
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
@@ -56,8 +58,8 @@ class _Stage:
     """Collects per-stage failures without stopping the pipeline.
 
     A file an error names is recorded relative to the instance
-    directory. The input and the agents' copy of it (added to roots
-    once it is made) are both named `workspace`.
+    directory. The input and the property agent's copy of it (added to
+    roots once it is made) are both named `workspace`.
     """
 
     def __init__(self, instance: IssueInstance, instance_dir: Path):
@@ -109,14 +111,13 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     if instance_dir.exists():
         shutil.rmtree(instance_dir)
     try:
-        scratch = fresh_copy(instance.workspace_path, "agents-")
+        os.listdir(instance.workspace_path)
     except OSError as exc:
         # this instance's data is broken (say, its workspace is gone);
         # it gets an empty prediction and the batch goes on
         stage.fail("workspace", exc)
         return stage.finish("", {"instance_id": instance.instance_id,
                                  "agents": {}, "stages": {}})
-    stage.roots[scratch] = ""
 
     # validation judges each distinct program in a fresh copy of the
     # input; one per worker of its pool is made ahead, while the property
@@ -124,17 +125,35 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     ahead = AheadCopies(instance.workspace_path,
                         pool_width(config.candidates))
     try:
-        return _resolve(instance, config, llm, stage, scratch / "workspace",
-                        ahead)
+        return _resolve(instance, config, llm, stage, ahead)
     finally:
         ahead.close()
+
+
+def _run_spa_in_a_copy(instance: IssueInstance, config: RunConfig,
+                       llm: LLMBackend, stage: _Stage, ahead: AheadCopies,
+                       issue_text: str):
+    """run_spa_agent in a fresh copy of the input, with an index, history,
+    PoC runner and script sandbox of its own; the copy is removed when
+    the agent ends."""
+    scratch = fresh_copy(instance.workspace_path, "agents-")
+    try:
+        ahead.start()  # not before: two tree copies would slow each other
+        stage.roots[scratch] = ""
+        index = RepoIndex(scratch / "workspace")
+        runner = PocRunner(LocalSandbox(index.root), instance.repro_command,
+                           timeout=config.poc_timeout)
+        return run_spa_agent(
+            llm, index, make_symbol_backend(index), EditHistory(index),
+            runner, PythonScriptSandbox(log_provider=runner.log_store.get),
+            issue_text, max_steps=config.spa_max_steps)
+    finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
-             stage: _Stage, workspace: Path,
-             ahead: AheadCopies) -> InstanceResult:
-    """run_instance's stages, once the agents' workspace is copied."""
+             stage: _Stage, ahead: AheadCopies) -> InstanceResult:
+    """run_instance's stages, once the input is found."""
     save = stage.save
 
     if config.input_type == "sanitizer_log":
@@ -149,15 +168,10 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     else:
         issue_text = instance.issue_report
 
-    log_store = LogStore()
-    history = EditHistory(workspace)
-    runner = PocRunner(LocalSandbox(workspace), instance.repro_command,
-                       log_store=log_store, timeout=config.poc_timeout)
-    script_sandbox = PythonScriptSandbox(log_provider=log_store.get)
-    # one index for every file listing and element lookup of this
-    # instance; it lists and parses lazily, inside the stage that first
-    # needs it
-    index = RepoIndex(workspace)
+    # one index over the input for every stage but spa, down to
+    # validation's in-memory apply; it lists and parses lazily, inside the
+    # stage that first needs it
+    index = RepoIndex(instance.workspace_path)
     symbols = make_symbol_backend(index)
 
     telemetry: dict = {"instance_id": instance.instance_id,
@@ -178,9 +192,8 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
             llm, index, symbols, issue_text,
             max_steps=config.cpc_max_steps))
 
-    # not before: the copier's Python work would slow cpc's. spa's PoC
-    # builds, like a live model's answers, leave the main thread idle
-    ahead.start()
+    # the copier starts after cpc, whose Python work it would slow; spa's
+    # PoC builds, like a live model's answers, leave the main thread idle
     property_report = None
     if config.enable_spa:
         spa_issue = issue_text
@@ -188,9 +201,10 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
             spa_issue = EnhancedIssueReport(
                 issue_text=issue_text,
                 context_report=context_report).render()
-        property_report = agent("spa", lambda: run_spa_agent(
-            llm, index, symbols, history, runner, script_sandbox,
-            spa_issue, max_steps=config.spa_max_steps))
+        property_report = agent("spa", lambda: _run_spa_in_a_copy(
+            instance, config, llm, stage, ahead, spa_issue))
+    else:
+        ahead.start()
 
     enhanced = EnhancedIssueReport(issue_text=issue_text,
                                    context_report=context_report,
@@ -268,7 +282,7 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
              candidate.raw_text)
         outcome = stage.run(
             f"validate-{candidate.index}",
-            lambda c=candidate: validate_candidate(c, pristine, batch))
+            lambda c=candidate: validate_candidate(c, index, pristine, batch))
         if outcome is None:
             continue
         outcomes.append(outcome)

@@ -2,7 +2,7 @@
 
 Generation samples several SEARCH/REPLACE candidates over a focused
 context. Validation applies each candidate alone, in memory, to the
-pristine workspace's text, and judges its diff once per distinct program,
+input's text, and judges its diff once per distinct program,
 the way evaluation judges a prediction: in a fresh copy of the workspace,
 removed afterwards. A batch's distinct programs are judged concurrently,
 in a bounded pool, with the same outcomes as one after another. Selection
@@ -269,12 +269,13 @@ _DOES_NOT_APPLY = (SearchTextNotFound, SearchTextAmbiguous, NoChanges,
                    FileNotFoundError, ValueError)
 
 
-def validate_candidate(candidate: CandidatePatch, pristine: PristineCopy,
+def validate_candidate(candidate: CandidatePatch, repo: RepoIndex,
+                       pristine: PristineCopy,
                        batch: CandidateBatch | None = None
                        ) -> CandidateOutcome:
-    """Apply one candidate alone, in memory, to the pristine workspace's
-    text, take its diff and fingerprint, and judge the diff in a fresh
-    pristine copy.
+    """Apply one candidate alone, in memory, to the text of repo (the
+    untouched input that pristine copies), take its diff and fingerprint,
+    and judge the diff in a fresh pristine copy.
 
     batch holds the candidates to validate along with this one. The
     first call given the batch validates them all: each distinct program
@@ -288,7 +289,7 @@ def validate_candidate(candidate: CandidatePatch, pristine: PristineCopy,
     if candidate.index not in batch.results:
         todo = {c.index: c for c in (*batch.candidates, candidate)
                 if c.index not in batch.results}
-        batch.results.update(_validate_all(todo, pristine))
+        batch.results.update(_validate_all(todo, repo, pristine))
     result = batch.results[candidate.index]
     if isinstance(result, Exception):
         raise result
@@ -296,7 +297,7 @@ def validate_candidate(candidate: CandidatePatch, pristine: PristineCopy,
 
 
 def _validate_all(candidates: Mapping[int, CandidatePatch],
-                  pristine: PristineCopy) -> dict:
+                  repo: RepoIndex, pristine: PristineCopy) -> dict:
     """Index -> CandidateOutcome, or the error validating it raised."""
     results: dict = {}
     programs = {}  # index -> (diff, fingerprint)
@@ -307,7 +308,7 @@ def _validate_all(candidates: Mapping[int, CandidatePatch],
                 failure=candidate.parse_error or "no edits")
             continue
         try:
-            before, after = edited_texts(pristine.source, candidate.edits)
+            before, after = edited_texts(repo, candidate.edits)
         except _DOES_NOT_APPLY as exc:
             results[index] = CandidateOutcome(
                 index=index, applied=False,

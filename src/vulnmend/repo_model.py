@@ -135,7 +135,7 @@ def render_repo_tree(index: RepoIndex) -> str:
 
     Two spaces per level, directories carry a trailing slash, children are
     sorted lexicographically. Directories without any source file beneath
-    them are omitted entirely.
+    them are omitted entirely. The root is `workspace/`, wherever it is.
     """
     tree: dict = {}
     for rel in index.files():
@@ -145,7 +145,7 @@ def render_repo_tree(index: RepoIndex) -> str:
             node = node.setdefault(part + "/", {})
         node[parts[-1]] = None
 
-    lines = [index.root.name + "/"]
+    lines = ["workspace/"]
 
     def emit(node: dict, depth: int) -> None:
         for name in sorted(node):

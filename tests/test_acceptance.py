@@ -7,6 +7,7 @@ implementation: plain-text scans, brute-force enumeration, pure-python
 arithmetic, or generation-side ground truth.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -26,13 +27,11 @@ from hypothesis import strategies as st
 
 from conftest import (CREPO, FIXTURES, ScriptedLLM, parse_annotations,
                       snapshot, total_evaluations)
-from replay_scripts import PROBE_EDITS, SPA_REPORT
-from vulnmend.agents.spa import install_assert_prelude, run_spa_agent
+from replay_scripts import build_entries
 from vulnmend.code_search import format_marker, read_code, search_code_element
 from vulnmend.edit_engine import EditHistory, SearchReplaceEdit
-from vulnmend.execution import (ExecResult, LocalSandbox, LogScan,
-                                LogStore, PocRunner, PythonScriptSandbox,
-                                truncate_log)
+from vulnmend.execution import (ExecResult, LogScan, LogStore, PocRunner,
+                                PythonScriptSandbox, truncate_log)
 from vulnmend.harness.backends import ReplayBackend
 from vulnmend.harness.cli import main
 from vulnmend.harness.config import VARIANTS, RunConfig, variant
@@ -113,7 +112,7 @@ def _identifier_sites(root, cap=None):
 def test_randomized_edit_sets_round_trip(criterion, scratch_crepo):
     criterion("edit-engine round-trip")
     started = time.monotonic()
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     base = snapshot(scratch_crepo).digest
     per_file = _unique_lines(scratch_crepo)
     files = sorted(per_file)
@@ -195,11 +194,8 @@ def test_marker_resolution_matches_text_scan(criterion, crepo, crepo_index):
 
 @needs_gcc
 def test_symbol_queries_and_agent_runs_leave_tree_pristine(
-        criterion, scratch_crepo, issue_text):
+        criterion, scratch_crepo, tmp_path):
     criterion("virtual-edit purity")
-    sandbox = LocalSandbox(scratch_crepo)
-    install_assert_prelude(scratch_crepo)
-    history = EditHistory(scratch_crepo)
     base = snapshot(scratch_crepo)
 
     backend = IndexBackend(RepoIndex(scratch_crepo))
@@ -213,31 +209,23 @@ def test_symbol_queries_and_agent_runs_leave_tree_pristine(
             assert result.outcomes
     assert snapshot(scratch_crepo) == base
 
-    # an agent that applies probes and never rolls back still hands the
-    # tree back at its baseline: cleanup is the runner's job, not the
-    # model's
-    log_store = LogStore()
-    runner = PocRunner(sandbox, "sh secb.sh", log_store=log_store,
-                       timeout=120.0)
-    scripts = PythonScriptSandbox(log_provider=log_store.get)
-    forgetful = ReplayBackend([
-        {"expect": "spa", "response": {"tool": "run_poc",
-                                       "args": {"unique_name": "baseline"}}},
-        {"expect": "spa", "response": {"tool": "apply_edits",
-                                       "args": {"unique_name": "probe",
-                                                "edits": PROBE_EDITS}}},
-        {"expect": "spa", "response": {"tool": "run_poc",
-                                       "args": {"unique_name": "probe"}}},
-        {"expect": "spa", "response": {"text": SPA_REPORT}},
-    ])
-    report, transcript = run_spa_agent(
-        forgetful, backend.index, backend, history, runner, scripts,
-        issue_text, max_steps=10)
-    assert report.parse_ok
-    assert transcript.steps
-    # the PoC runs leave build artifacts; the baseline files are intact
-    assert snapshot(scratch_crepo, base.files) == base
-    assert history.history_view().count == 0
+    # an agent that applies a probe, builds it and never rolls back still
+    # hands the input back as it was, build artifacts and all: the
+    # pipeline gives it a copy of its own, which is gone when it ends
+    forgetful = [entry for entry in build_entries(False, True)
+                 if entry["response"].get("tool")
+                 != "rollback_all_applied_edits"]
+    instance = dataclasses.replace(
+        load_instances(FIXTURES / "instances.jsonl")[0],
+        workspace_path=str(scratch_crepo))
+    (result,) = run_all([instance], variant("spa"),
+                        lambda _: ReplayBackend(forgetful), tmp_path / "run")
+    assert result.winner is not None and not result.errors
+    telemetry = json.loads((result.instance_dir / "telemetry.json")
+                           .read_text())
+    assert telemetry["agents"]["spa"]["tool_counts"] == {
+        "apply_edits": 1, "run_poc": 2, "run_python_code": 1}
+    assert snapshot(scratch_crepo) == base
 
 
 # --- criterion: log pipeline ------------------------------------------------
@@ -467,7 +455,6 @@ GOLDEN = FIXTURES / "golden_runs.json"
 def variant_runs(tmp_path_factory):
     """One replayed run directory per variant, <root>/<variant>, and
     full's evaluated."""
-    from replay_scripts import build_entries
     root = tmp_path_factory.mktemp("variants")
     instances = load_instances(FIXTURES / "instances.jsonl")
     for name in VARIANTS:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import vulnmend.repo_model as repo_model
 from vulnmend.code_search import format_marker, read_code, search_code_element
+from vulnmend.edit_engine import EditHistory, SearchReplaceEdit, edited_texts
 from vulnmend.errors import ElementNotFound
 from vulnmend.repo_model import RepoIndex, WholeWord, read_text, write_text
 from vulnmend.symbol_analysis import IndexBackend, resolve_code_symbol
@@ -137,9 +138,10 @@ def test_paths_outside_the_workspace_are_refused(scratch_crepo):
 
 def test_every_reader_agrees_on_which_files_exist(tmp_path):
     # one tree with a link out, a link that stays inside and a dangling
-    # link: what the index lists is what every tool reads, and nothing else
-    write_text(tmp_path / "outside" / "s.c",
-               "int secret_fn(void)\n{\n  return 1;\n}\n")
+    # link: what the index lists is what every tool reads and the one
+    # writer writes, and nothing else
+    secret = "int secret_fn(void)\n{\n  return 1;\n}\n"
+    write_text(tmp_path / "outside" / "s.c", secret)
     root = tmp_path / "ws"
     call = "int main(void) { return secret_fn() + shared_fn(); }"
     write_text(root / "main.c", call + "\n")
@@ -187,6 +189,19 @@ def test_every_reader_agrees_on_which_files_exist(tmp_path):
         for read in readers(name):
             with pytest.raises(refusal, match=name):
                 read()
+
+    # validation's in-memory apply and spa's edit history refuse the link
+    # out too, and the file it points to keeps its text
+    probe = [SearchReplaceEdit("link.c", "  return 1;", "  return 2;")]
+    for write in (lambda: edited_texts(index, probe),
+                  lambda: EditHistory(index).apply_edits("out", probe)):
+        with pytest.raises(ValueError, match="link.c is outside"):
+            write()
+    assert read_text(tmp_path / "outside" / "s.c") == secret
+    # an edit through the link that stays inside lands in the tree
+    EditHistory(index).apply_edits("in", [SearchReplaceEdit(
+        "alias.c", "  return 0;", "  return 3;")])
+    assert "return 3;" in read_text(root / "lib" / "real.c")
 
 
 def test_search_unknown_name_raises(crepo_index):

@@ -1,7 +1,8 @@
 """The package declares no runtime dependency and imports only the
 standard library and itself; an offline run loads nothing beyond the
 standard library, and none of the HTTP stack that only the live
-backend needs. Every name a module imports is used."""
+backend needs. Every name a module imports is used. One function
+copies a tree and makes a temp directory: execution.fresh_copy."""
 
 import ast
 import json
@@ -70,6 +71,41 @@ def test_every_imported_name_is_used():
     unused = {(path.relative_to(ROOT).as_posix(), line, name)
               for path in files for line, name in _unused_imports(path)}
     assert not unused
+
+
+_COPIERS = frozenset({"copytree", "mkdtemp"})
+
+
+def _copier_sites(path: Path) -> set[tuple[str | None, str]]:
+    """(enclosing function, name) of each mention of shutil.copytree or
+    tempfile.mkdtemp in path: a call, a reference or an import; the
+    function is None at module level."""
+    sites = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            name = (child.attr if isinstance(child, ast.Attribute)
+                    else child.id if isinstance(child, ast.Name)
+                    else child.name if isinstance(child, ast.alias)
+                    else None)
+            if name in _COPIERS:
+                sites.add((function, name))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), None)
+    return sites
+
+
+def test_only_fresh_copy_copies_a_tree_or_makes_a_temp_dir():
+    # every copy of the input is a temp directory that fresh_copy makes
+    sites = {(path.relative_to(SRC).as_posix(), function, name)
+             for path in sorted(SRC.rglob("*.py"))
+             for function, name in _copier_sites(path)}
+    assert sites == {("vulnmend/execution.py", "fresh_copy", "copytree"),
+                     ("vulnmend/execution.py", "fresh_copy", "mkdtemp")}
 
 
 def test_no_runtime_dependency_is_declared():

@@ -12,7 +12,7 @@ from vulnmend.edit_engine import (EditHistory, SearchReplaceEdit,
                                   to_unified_diff)
 from vulnmend.errors import (EmptyHistory, MalformedBlock, NoChanges,
                              SearchTextAmbiguous, SearchTextNotFound)
-from vulnmend.repo_model import read_text, write_text
+from vulnmend.repo_model import RepoIndex, read_text, write_text
 
 GOOD_BLOCK = """### src/buf.c
 <<<<<<< SEARCH
@@ -198,7 +198,7 @@ def test_insert_then_remove_is_identity(body, salt):
 
 
 def test_history_apply_and_rollback_digest_oracle(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     base = snapshot(scratch_crepo).digest
     result = history.apply_edits("fix", GOOD_BLOCK)
     assert result.fixed_name == "fix"
@@ -210,7 +210,7 @@ def test_history_apply_and_rollback_digest_oracle(scratch_crepo):
 
 
 def test_history_name_dedup(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     first = history.apply_edits("fix", GOOD_BLOCK)
     second = history.apply_edits("fix", SECOND_BLOCK)
     assert first.fixed_name == "fix"
@@ -219,7 +219,7 @@ def test_history_name_dedup(scratch_crepo):
 
 
 def test_history_rollback_all(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     base = snapshot(scratch_crepo).digest
     history.apply_edits("one", GOOD_BLOCK)
     history.apply_edits("two", SECOND_BLOCK)
@@ -229,7 +229,7 @@ def test_history_rollback_all(scratch_crepo):
 
 
 def test_history_empty_rollback_raises(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     with pytest.raises(EmptyHistory):
         history.rollback_latest()
     with pytest.raises(EmptyHistory):
@@ -237,7 +237,7 @@ def test_history_empty_rollback_raises(scratch_crepo):
 
 
 def test_history_stacked_rollback_is_lifo(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     history.apply_edits("one", GOOD_BLOCK)
     mid = snapshot(scratch_crepo).digest
     history.apply_edits("two", SECOND_BLOCK)
@@ -246,7 +246,7 @@ def test_history_stacked_rollback_is_lifo(scratch_crepo):
 
 
 def test_history_noop_edit_rejected(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     noop = GOOD_BLOCK.replace(
         "    if (len >= cap) {\n        len = cap - 1;\n    }",
         "    if (len > cap) {\n        len = cap;\n    }")
@@ -256,7 +256,7 @@ def test_history_noop_edit_rejected(scratch_crepo):
 
 
 def test_history_untracked_artifacts_survive_rollback(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     artifact = scratch_crepo / "build" / "poc"
     artifact.parent.mkdir()
     artifact.write_bytes(b"\x7fELF")
@@ -269,13 +269,13 @@ def test_edited_texts_rewrite_in_memory_what_the_history_writes(
         scratch_crepo):
     base = snapshot(scratch_crepo).digest
     original = read_text(scratch_crepo / "src" / "buf.c")
-    before, after = edited_texts(scratch_crepo, GOOD_BLOCK)
+    before, after = edited_texts(RepoIndex(scratch_crepo), GOOD_BLOCK)
     assert before == {"src/buf.c": original}
     assert after == {"src/buf.c": apply_edits_to_text(
         original, parse_edit_blocks(GOOD_BLOCK))}
     assert "+    if (len >= cap) {" in to_unified_diff(before, after)
     assert snapshot(scratch_crepo).digest == base
-    EditHistory(scratch_crepo).apply_edits("one", GOOD_BLOCK)
+    EditHistory(RepoIndex(scratch_crepo)).apply_edits("one", GOOD_BLOCK)
     assert read_texts(scratch_crepo, "src/buf.c") == after
 
 
@@ -288,9 +288,9 @@ def test_edited_texts_rewrite_in_memory_what_the_history_writes(
 ], ids=["empty", "missing-file", "not-found", "no-op"])
 def test_edited_texts_fail_as_the_history_does(scratch_crepo, text):
     with pytest.raises(Exception) as in_memory:
-        edited_texts(scratch_crepo, text)
+        edited_texts(RepoIndex(scratch_crepo), text)
     with pytest.raises(Exception) as on_disk:
-        EditHistory(scratch_crepo).apply_edits("x", text)
+        EditHistory(RepoIndex(scratch_crepo)).apply_edits("x", text)
     assert type(in_memory.value) is type(on_disk.value)
     assert str(in_memory.value) == str(on_disk.value)
     assert isinstance(in_memory.value,
@@ -300,7 +300,7 @@ def test_edited_texts_fail_as_the_history_does(scratch_crepo, text):
 def test_history_rollback_restores_non_utf8_bytes(tmp_path):
     raw = b"int a; /* caf\xe9 */\nint b;\n"
     (tmp_path / "x.c").write_bytes(raw)
-    history = EditHistory(tmp_path)
+    history = EditHistory(RepoIndex(tmp_path))
     history.apply_edits("b", [SearchReplaceEdit("x.c", "int b;",
                                                 "int b = 1;")])
     assert (tmp_path / "x.c").read_bytes() == raw.replace(b"b;", b"b = 1;")
@@ -309,7 +309,7 @@ def test_history_rollback_restores_non_utf8_bytes(tmp_path):
 
 
 def test_history_view_render(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     assert "no applied edit sets" in history.history_view().render()
     history.apply_edits("fix", GOOD_BLOCK)
     rendered = history.history_view().render()
@@ -317,7 +317,7 @@ def test_history_view_render(scratch_crepo):
 
 
 def test_apply_is_atomic_across_files(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     base = snapshot(scratch_crepo).digest
     text = GOOD_BLOCK + ("\n### src/buf.h\n<<<<<<< SEARCH\n"
                          "this does not exist\n=======\nnope\n"

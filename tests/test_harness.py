@@ -7,6 +7,7 @@ import http.client
 import http.server
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -56,6 +57,7 @@ from vulnmend.harness.telemetry import (classify_script,
 from vulnmend.llm import ChatRequest, RequestRecord, ToolCall, Usage
 from vulnmend.repair import (CandidatePatch, PatchContext, generate_patches,
                              validate_candidate)
+from vulnmend.repo_model import RepoIndex
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
                                reason="gcc not available")
@@ -1204,7 +1206,8 @@ def test_a_patch_to_the_poc_harness_is_rejected(fixtures_dir, scratch_crepo,
     candidate = CandidatePatch(index=0, temperature=0.0, raw_text=edit,
                                edits=tuple(parse_edit_blocks(edit)))
     outcome = validate_candidate(
-        candidate, PristineCopy(scratch_crepo, instance.repro_command))
+        candidate, RepoIndex(scratch_crepo),
+        PristineCopy(scratch_crepo, instance.repro_command))
     assert outcome.applied and "secb.sh" in outcome.diff
     assert (outcome.compiled, outcome.poc_pass) == (False, False)
     assert outcome.failure == "touches the PoC harness: secb.sh"
@@ -1272,7 +1275,8 @@ def test_a_content_line_that_reads_as_a_harness_header_is_no_header(
     candidate = CandidatePatch(index=0, temperature=0.0, raw_text=edit,
                                edits=tuple(parse_edit_blocks(edit)))
     outcome = validate_candidate(
-        candidate, PristineCopy(scratch_crepo, instance.repro_command))
+        candidate, RepoIndex(scratch_crepo),
+        PristineCopy(scratch_crepo, instance.repro_command))
     assert "\n+++ b/secb.sh\n" in outcome.diff
     assert (outcome.failure, outcome.poc_pass) == (None, True)
     verdict = verify_prediction(instance, outcome.diff)
@@ -1357,7 +1361,8 @@ def test_validation_and_evaluation_agree_on_the_poc(tmp_path, command,
     instance = _mini_instance(tmp_path, command)
     workspace = tmp_path / "ws-mini-1"
     outcome = validate_candidate(
-        HELLO_EDIT, PristineCopy(workspace, command, timeout=timeout))
+        HELLO_EDIT, RepoIndex(workspace),
+        PristineCopy(workspace, command, timeout=timeout))
     verdict = verify_prediction(instance, HELLO_DIFF, timeout=timeout)
     assert outcome.applied and verdict.applied
     assert outcome.poc_pass is verdict.resolved is passed
@@ -1431,20 +1436,19 @@ def test_two_replays_of_full_send_the_same_prompts(fixtures_dir, tmp_path):
     assert digests[0] == digests[1]
 
 
-def at_selection(monkeypatch, look) -> list:
-    """What look(the agents' workspace) returns when the pipeline
-    selects a patch: the agents are done, and their temp copy is not yet
-    removed. One entry per selection. The temp dir is the test's own
-    (conftest's _no_temp_file_left), so it holds one agents' copy."""
+def at_spa_end(monkeypatch, look) -> list:
+    """What look(the property agent's workspace) returns when the agent
+    ends: its temp copy is not yet removed. One entry per spa run."""
     seen = []
-    select = pipeline.select_patch
+    spa = pipeline.run_spa_agent
 
-    def watched(*args, **kwargs):
-        (scratch,) = Path(tempfile.gettempdir()).glob("agents-*")
-        seen.append(look(scratch / "workspace"))
-        return select(*args, **kwargs)
+    def watched(llm, index, *args, **kwargs):
+        try:
+            return spa(llm, index, *args, **kwargs)
+        finally:
+            seen.append(look(index.root))
 
-    monkeypatch.setattr(pipeline, "select_patch", watched)
+    monkeypatch.setattr(pipeline, "run_spa_agent", watched)
     return seen
 
 
@@ -1461,7 +1465,7 @@ def test_replay_run_instance_spawns_git_only_to_apply_candidates(
             super().__init__(args, *rest, **kwargs)
 
     monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
-    agents_git = at_selection(
+    agents_git = at_spa_end(
         monkeypatch, lambda workspace: (workspace / ".git").exists())
     instance = load_instances(fixtures_dir / "instances.jsonl")[0]
     result = run_instance(instance, variant("full"),
@@ -1790,7 +1794,7 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
 
     def counted(src, dst, *args, **kwargs):
         # copytree calls itself for each subdirectory; the first copy is
-        # the agents' workspace
+        # the property agent's workspace
         if Path(src) == scratch_crepo:
             copies.append((Path(dst), threading.current_thread().name))
         elif copies and Path(src) == copies[0][0]:
@@ -1805,7 +1809,7 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
             judged.append(Path(root))
             super().__init__(root)
 
-    # the judges' sandboxes; the agents' one is looked up in the pipeline
+    # the judges' sandboxes; the agent's one is looked up in the pipeline
     monkeypatch.setattr(execution, "LocalSandbox", Recorded)
     seen = []
     validate = pipeline.validate_candidate
@@ -1814,12 +1818,12 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
         if not seen:
             # the agents ran long enough for every copy made ahead
             join_the_copier()
-        seen.append((snapshot(copies[0][0]), snapshot(scratch_crepo),
+        seen.append((copies[0][0].exists(), snapshot(scratch_crepo),
                      len(copies)))
         try:
             return validate(*args, **kwargs)
         finally:
-            seen.append((snapshot(copies[0][0]), snapshot(scratch_crepo),
+            seen.append((copies[0][0].exists(), snapshot(scratch_crepo),
                          len(copies)))
 
     monkeypatch.setattr(pipeline, "validate_candidate", watched)
@@ -1829,10 +1833,14 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
 
     assert result.winner == 0 and not result.errors
     assert len(seen) == 10
-    assert len({(run_tree, source) for run_tree, source, _ in seen}) == 1
-    # one copy is the agents' workspace, in a temp dir of its own; the
-    # copier makes one per pool worker, 3, before validation, which makes
-    # none of its own. Nothing is copied from the agents' workspace
+    # the input does not change, and the property agent's copy is gone
+    # before validation starts
+    assert len({source for _, source, _ in seen}) == 1
+    assert {exists for exists, _, _ in seen} == {False}
+    # one copy is the property agent's workspace, in a temp dir of its
+    # own; the copier makes one per pool worker, 3, after it and before
+    # validation, which makes none of its own. Nothing is copied from the
+    # agent's workspace
     workspace, thread = copies[0]
     assert (workspace.parent.parent, workspace.name) == (temp, "workspace")
     assert workspace.parent.name.startswith("agents-")
@@ -1843,8 +1851,7 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
     # each distinct program, 2, runs its PoC in a copy of its own
     assert len(judged) == len(set(judged)) == 2
     assert set(judged) <= {path for path, _ in copies[1:]}
-    # and the validation copies, used or not, and the agents' copy are
-    # gone
+    # and the validation copies, used or not, are gone
     assert list(temp.iterdir()) == []
     assert not (tmp_path / "run" / instance.instance_id
                 / "workspace").exists()
@@ -1865,7 +1872,7 @@ def test_a_replay_desync_leaves_no_copy_and_no_copier(fixtures_dir,
         def chat(self, request):
             if request.tag == "spa":
                 # the copies made ahead are finished when spa desyncs,
-                # and the agents work in a temp copy of their own
+                # and the agent works in a temp copy of its own
                 join_the_copier()
                 assert len(list(temp.glob("pristine-*"))) == 2
                 assert len(list(temp.glob("agents-*"))) == 1
@@ -1882,32 +1889,93 @@ def test_a_replay_desync_leaves_no_copy_and_no_copier(fixtures_dir,
     assert not (tmp_path / "run" / instance.instance_id).exists()
 
 
-def test_validation_reports_an_input_gone_after_the_agents_copy(
+@needs_gcc
+@pytest.mark.parametrize("name, agents_copies", [("base", 0), ("cpc", 0),
+                                                 ("full", 1)])
+def test_only_spa_gets_a_copy_and_it_is_gone_when_spa_ends(
+        name, agents_copies, fixtures_dir, tmp_path, monkeypatch):
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recorded(*args, **kwargs):
+        made.append(Path(mkdtemp(*args, **kwargs)))
+        return str(made[-1])
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recorded)
+    left = at_spa_end(monkeypatch, lambda workspace: None)
+    at_validation = []
+    validate = pipeline.validate_candidate
+
+    def watched(*args, **kwargs):
+        at_validation.append([path for path in made if path.exists()
+                              and path.name.startswith("agents-")])
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "validate_candidate", watched)
+    cfg = variant(name)
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    result = run_instance(instance, cfg, ReplayBackend(build_entries(
+        cfg.enable_cpc, cfg.enable_spa)), tmp_path / "run")
+
+    assert result.winner is not None and not result.errors
+    assert len([path for path in made
+                if path.name.startswith("agents-")]) == agents_copies
+    assert len(left) == agents_copies
+    assert at_validation and all(seen == [] for seen in at_validation)
+
+
+def _tree_state(root: Path) -> dict:
+    """Every path under root, and root itself, with its mode and a
+    file's bytes or a link's target."""
+    state = {}
+    for path in [root, *sorted(root.rglob("*"))]:
+        info = path.lstat()
+        if path.is_symlink():
+            content = os.readlink(path)
+        elif path.is_file():
+            content = path.read_bytes()
+        else:
+            content = None
+        state[path.relative_to(root).as_posix()] = (info.st_mode, content)
+    return state
+
+
+@needs_gcc
+def test_a_full_run_and_evaluation_leave_the_input_as_it_was(
+        fixtures_dir, scratch_crepo, tmp_path):
+    (scratch_crepo / "secb.sh").chmod(0o755)
+    (scratch_crepo / "src" / "alias.h").symlink_to("buf.h")
+    before = _tree_state(scratch_crepo)
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        workspace_path=str(scratch_crepo))
+    run_dir = tmp_path / "run"
+    (result,) = run_all([instance], variant("full"),
+                        lambda _: ReplayBackend(build_entries(True, True)),
+                        run_dir)
+    metrics, _ = evaluate_run(run_dir, [instance])
+
+    assert result.winner is not None and not result.errors
+    assert metrics.resolved == 1
+    assert _tree_state(scratch_crepo) == before
+
+
+def test_validation_reports_an_input_gone_before_its_judges_copy(
         fixtures_dir, scratch_crepo, tmp_path, monkeypatch):
     instance = dataclasses.replace(
         load_instances(fixtures_dir / "instances.jsonl")[0],
         workspace_path=str(scratch_crepo),
         repro_command="grep -q 'len >= cap' src/buf.c")
-    agents = []
-    copytree = shutil.copytree
+    # the candidates are applied in memory to the input's text; then the
+    # input goes, before any judge copies it, and no copy is made ahead
+    in_pool = repair.in_pool
 
-    def then_gone(src, dst, *args, **kwargs):
-        copied = copytree(src, dst, *args, **kwargs)
-        if Path(dst).parent.name.startswith("agents-"):
-            agents.append(Path(dst))
-            shutil.rmtree(scratch_crepo)
-        return copied
+    def then_gone(jobs, work):
+        shutil.rmtree(scratch_crepo)
+        return in_pool(jobs, work)
 
-    monkeypatch.setattr(shutil, "copytree", then_gone)
-    # validation reads the candidates' files from the input too; here it
-    # reads them from the agents' copy, which holds the same text, so
-    # that every applying program reaches its judge
-    texts = repair.edited_texts
-    monkeypatch.setattr(repair, "edited_texts",
-                        lambda root, edits: texts(agents[0], edits))
-    temp = tmp_path / "temp"
-    temp.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(repair, "in_pool", then_gone)
+    monkeypatch.setattr(execution.AheadCopies, "start", lambda self: None)
     result = run_instance(instance, variant("base"),
                           ReplayBackend(build_entries(False, False)),
                           tmp_path / "run")
@@ -1919,7 +1987,6 @@ def test_validation_reports_an_input_gone_after_the_agents_copy(
             "file or directory: 'workspace'")
     assert [(o["applied"], o["poc_pass"], o["failure"])
             for o in outcomes[:3]] == [(True, False, gone)] * 3
-    assert list(temp.iterdir()) == []
 
 
 @pytest.mark.parametrize("prefix", ["agents-", "pristine-"])
@@ -1939,14 +2006,19 @@ def test_a_failed_copy_names_the_workspace_not_its_temp_dir(
 
     monkeypatch.setattr(shutil, "copyfile", full_disk)
     instance = load_instances(fixtures_dir / "instances.jsonl")[0]
-    result = run_instance(instance, variant("base"),
-                          ReplayBackend(build_entries(False, False)),
-                          tmp_path / "run")
+    # the property agent's copy fails before its first request, so spa's
+    # run replays base's script
+    result = run_instance(instance, variant(
+        "spa" if prefix == "agents-" else "base"),
+        ReplayBackend(build_entries(False, False)), tmp_path / "run")
 
-    error = ("Error: [('workspace/src/buf.c', 'workspace/src/buf.c', "
-             "\"[Errno 28] No space left on device: 'workspace/src/buf.c'\")]")
+    # the input's file is `workspace/...`, the copy's `copy/...`, so a
+    # full temp disk reads otherwise than an unreadable input
+    error = ("Error: [('workspace/src/buf.c', 'copy/src/buf.c', "
+             "\"[Errno 28] No space left on device: 'copy/src/buf.c'\")]")
     if prefix == "agents-":
-        assert result.errors == [{"stage": "workspace", "error": error}]
+        # the agent's stage fails; the run goes on without its report
+        assert result.errors == [{"stage": "spa", "error": error}]
     else:
         assert not result.errors
         outcomes = json.loads((tmp_path / "run" / instance.instance_id
@@ -2004,8 +2076,8 @@ def test_dangling_symlink_in_workspace_is_skipped(fixtures_dir,
         workspace_path=str(scratch_crepo))
     run_dir = tmp_path / "run"
     header = (scratch_crepo / "src" / "buf.h").read_bytes()
-    # what the agents' copy holds once the agents are done with it
-    seen = at_selection(monkeypatch, lambda workspace: (
+    # what the property agent's copy holds once the agent is done with it
+    seen = at_spa_end(monkeypatch, lambda workspace: (
         [((workspace / rel).is_symlink(), (workspace / rel).read_bytes())
          for rel in ("src/alias.h", "cpp/buf.h")],
         (workspace / "src" / "stale.h").exists()))
@@ -2120,7 +2192,7 @@ def test_write_keeps_non_utf8_diff_bytes(tmp_path):
     for side in ("before", "after"):
         (tmp_path / side / "src").mkdir(parents=True)
         (tmp_path / side / "src" / "a.c").write_bytes(source)
-    history = EditHistory(tmp_path / "after")
+    history = EditHistory(RepoIndex(tmp_path / "after"))
     history.apply_edits("bump", "### src/a.c\n<<<<<<< SEARCH\nint x = 1;\n"
                                 "=======\nint x = 2;\n>>>>>>> REPLACE\n")
     diff = to_unified_diff(
@@ -2143,7 +2215,7 @@ def test_evaluate_applies_non_utf8_prediction(tmp_path):
     run_dir = tmp_path / "run"
     repo_model.write_text(run_dir / "mini-1" / "prediction.diff",
                           to_unified_diff(*edited_texts(
-                              workspace,
+                              RepoIndex(workspace),
                               "### src/a.c\n<<<<<<< SEARCH\nint x = 1;\n"
                               "=======\nint x = 2;\n>>>>>>> REPLACE\n")))
     instance = IssueInstance(instance_id="mini-1", issue_report="r",

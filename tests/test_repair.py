@@ -191,7 +191,7 @@ def test_normalize_equates_comment_variants(crepo):
 
 
 def test_fingerprint_ignores_comment_differences(scratch_crepo):
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
 
     history.apply_edits("plain", REFERENCE_FIX)
     fp_plain = patch_fingerprint(read_texts(scratch_crepo, "src/buf.c"))
@@ -284,8 +284,9 @@ def test_fingerprint_binds_path_and_sorts_file_set(tmp_path):
 def test_validate_candidate_poc_verdicts(scratch_crepo):
     before = snapshot(scratch_crepo)
 
+    repo = RepoIndex(scratch_crepo)
     pristine = PristineCopy(scratch_crepo, "sh secb.sh")
-    fixed = validate_candidate(_candidate(0, REFERENCE_FIX), pristine)
+    fixed = validate_candidate(_candidate(0, REFERENCE_FIX), repo, pristine)
     assert fixed.applied and fixed.compiled and fixed.poc_pass
     assert fixed.sanitizer_triggered is False
     assert fixed.fingerprint
@@ -293,7 +294,7 @@ def test_validate_candidate_poc_verdicts(scratch_crepo):
     assert fixed.diff.startswith("diff --git")
     assert snapshot(scratch_crepo, before.files) == before
 
-    cosmetic = validate_candidate(_candidate(1, COMMENT_ONLY_PATCH),
+    cosmetic = validate_candidate(_candidate(1, COMMENT_ONLY_PATCH), repo,
                                   pristine)
     assert cosmetic.applied and cosmetic.compiled
     assert cosmetic.sanitizer_triggered is True
@@ -312,16 +313,17 @@ def test_validation_runs_the_poc_once_per_fingerprint(scratch_crepo,
     exec_ = LocalSandbox.exec
     monkeypatch.setattr(LocalSandbox, "exec", lambda self, command, **kw: (
         execs.append(command) or exec_(self, command, **kw)))
+    repo = RepoIndex(scratch_crepo)
     pristine = PristineCopy(scratch_crepo, _GREP_POC)
     batch = CandidateBatch((_candidate(0, REFERENCE_FIX),
                             _candidate(1, COMMENTED_FIX),
                             _candidate(2, COMMENT_ONLY_PATCH)))
 
     first, *rest = batch.candidates
-    fixed = validate_candidate(first, pristine, batch)
+    fixed = validate_candidate(first, repo, pristine, batch)
     # the first call judged the batch: two programs, one run each
     assert len(execs) == 2
-    commented, cosmetic = (validate_candidate(c, pristine, batch)
+    commented, cosmetic = (validate_candidate(c, repo, pristine, batch)
                            for c in rest)
     assert len(execs) == 2
     assert commented.fingerprint == fixed.fingerprint != cosmetic.fingerprint
@@ -337,6 +339,7 @@ def test_validation_runs_the_poc_once_per_fingerprint(scratch_crepo,
 def test_validate_candidate_unmatched_search(scratch_crepo):
     before = snapshot(scratch_crepo)
     outcome = validate_candidate(_candidate(2, UNMATCHED_PATCH),
+                                 RepoIndex(scratch_crepo),
                                  PristineCopy(scratch_crepo, "true"))
     assert outcome.applied is False
     assert outcome.failure.startswith("SearchTextNotFound")
@@ -346,7 +349,7 @@ def test_validate_candidate_unmatched_search(scratch_crepo):
 def test_validate_candidate_parse_error_short_circuits(scratch_crepo):
     candidate = CandidatePatch(index=3, temperature=1.0, raw_text="junk",
                                edits=(), parse_error="no edit blocks found")
-    outcome = validate_candidate(candidate,
+    outcome = validate_candidate(candidate, RepoIndex(scratch_crepo),
                                  PristineCopy(scratch_crepo, "true"))
     assert outcome.applied is False
     assert outcome.failure == "no edit blocks found"
@@ -375,8 +378,9 @@ _BATCH = (
 
 
 def _validate_batch(root, candidates, poc=_GREP_POC):
-    pristine, batch = PristineCopy(root, poc), CandidateBatch(candidates)
-    return [validate_candidate(c, pristine, batch) for c in candidates]
+    repo, batch = RepoIndex(root), CandidateBatch(candidates)
+    pristine = PristineCopy(root, poc)
+    return [validate_candidate(c, repo, pristine, batch) for c in candidates]
 
 
 def _pin_workers(monkeypatch, workers):

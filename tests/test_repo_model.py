@@ -47,9 +47,10 @@ def test_source_files_skips_ignored_dirs(scratch_crepo):
 def test_tree_rendering_matches_layout(crepo_index):
     tree = render_repo_tree(crepo_index)
     lines = tree.splitlines()
-    # exact shape: root first, lexicographic children, two-space indent,
-    # trailing slash on directories
-    assert lines[0] == "crepo/"
+    # exact shape: root first, named `workspace/` wherever the tree lives,
+    # lexicographic children, two-space indent, trailing slash on
+    # directories
+    assert lines[0] == "workspace/"
     assert lines[1] == "  cpp/"
     assert "    fileio.cpp" in lines
     idx = lines.index("  src/")

@@ -227,7 +227,7 @@ def test_lookups_follow_applied_edits(scratch_crepo):
                 [(l.file, l.line, l.col) for l in refs])
 
     assert buf_sites() == ({8}, _grep_references(scratch_crepo, "copy_name"))
-    history = EditHistory(scratch_crepo)
+    history = EditHistory(RepoIndex(scratch_crepo))
     history.apply_edits("shift", SHIFT_COPY_NAME)
     defs, refs = buf_sites()
     assert defs == {11}
