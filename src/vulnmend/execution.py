@@ -4,9 +4,10 @@ A sandbox is a place where the repro command can run. The local sandbox
 covers plain directories; everything above it only needs its `exec`
 surface. A PristineCopy judges a patch: `git apply` on a fresh copy of
 the untouched workspace, then one PoC run, then the copy is removed.
-AheadCopies makes such copies in a thread of its own, ahead of the
-judges that take them. Every copy of the input, the property agent's
-included, is a temp directory that fresh_copy makes.
+AheadCopies decides when an instance's copies are made: it queues them
+all, the property agent's first, on a worker of its own, ahead of
+those who take them. Every copy of the input is a temp directory that
+fresh_copy makes.
 Patches are judged concurrently in one bounded pool: at most one worker
 per CPU the process may run on, each taking the next job not yet
 started, so no job waits behind a slow one.
@@ -34,7 +35,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -596,57 +597,50 @@ def fresh_copy(source: Path | str, prefix: str,
 
 
 class AheadCopies:
-    """Fresh copies of an untouched workspace, made one after another in
-    a thread of its own, so that judges need not wait for a copy.
-
-    start() starts the thread, which makes count copies. take() hands
-    out a finished copy, each one once, or None when none is finished
-    yet. A copy that fails stops the thread: the judge that finds none
-    makes its own and reports why it failed. close() stops the thread
-    between directories, joins it and removes every copy not taken. The
-    thread calls only fresh_copy.
+    """Copies of an untouched workspace, made ahead of whoever takes them:
+    one fresh_copy per prefix, in order, on a worker that ends with its
+    queue. take() hands them out in that order, each once; it waits for
+    one in the making, and gives None once none is left or a copy failed,
+    which stops the ones after it. close() stops the copy in the making
+    between directories, cancels the rest, joins the worker and removes
+    every copy not taken; it may be called again.
     """
 
-    def __init__(self, source: Path | str, count: int):
+    def __init__(self, source: Path | str, prefixes: Sequence[str]):
         self.source = source
-        self.count = count
-        self._ready: deque = deque()
-        self._closing = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._make,
-                                        name="pristine-copier")
-        self._thread.start()
+        self._stopped = threading.Event()
+        self._pool = ThreadPoolExecutor(1,
+                                        thread_name_prefix="pristine-copier")
+        self._queued = deque(self._pool.submit(self._make, prefix)
+                             for prefix in prefixes)
+        self._pool.shutdown(wait=False)
 
     def _ignore(self, directory: str, names: list[str]) -> set[str]:
-        if self._closing.is_set():
+        if self._stopped.is_set():
             raise _Closed
         return skip_dangling_links(directory, names)
 
-    def _make(self) -> None:
-        for _ in range(self.count):
-            try:
-                scratch = fresh_copy(self.source, "pristine-",
-                                     ignore=self._ignore)
-            except (OSError, _Closed):
-                return
-            self._ready.append(scratch)
+    def _make(self, prefix: str) -> Path:
+        try:
+            return fresh_copy(self.source, prefix, ignore=self._ignore)
+        except BaseException:
+            self._stopped.set()
+            raise
 
     def take(self) -> Path | None:
-        """A finished copy's temp directory, holding the copy as
+        """The next copy's temp directory, holding the copy as
         `workspace`; the caller removes it."""
         try:
-            return self._ready.popleft()
-        except IndexError:
+            return self._queued.popleft().result()
+        except (IndexError, OSError, _Closed, CancelledError):
             return None
 
     def close(self) -> None:
-        self._closing.set()
-        if self._thread is not None:
-            self._thread.join()
-        while (scratch := self.take()) is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
+        self._stopped.set()
+        self._pool.shutdown(cancel_futures=True)
+        while self._queued:
+            if (scratch := self.take()) is not None:
+                shutil.rmtree(scratch, ignore_errors=True)
 
 
 @dataclass(frozen=True)
@@ -656,8 +650,8 @@ class PristineCopy:
     through a PocRunner and PocResult.passed gives the verdict. The copy
     is removed afterwards, so no verdict depends on what another diff's
     run left behind. Validation and evaluation both judge patches here.
-    The copy is one that `ahead` (an AheadCopies of source) has finished,
-    if there is one, or else one made here.
+    The copy is the next one `ahead` (an AheadCopies of source) hands
+    out, if there is one, or else one made here.
 
     A diff that touches the PoC harness, a workspace script named in the
     command or in one of the instance's other commands (harness_commands),

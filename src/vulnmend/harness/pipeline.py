@@ -7,9 +7,9 @@ Stage failures degrade the run (recorded in telemetry) instead of
 aborting it; a run with no winning patch still produces its artifacts
 and an empty prediction. Every stage reads the input in place, through
 one RepoIndex, but the property-analysis agent, the one writer: it works
-in a temp copy of its own, removed when it ends. From then on, a thread
-copies the input for validation's judges (AheadCopies). However the run
-ends, that thread is joined and the judges' untaken copies are removed.
+in a temp copy of its own, removed when it ends. One copier, AheadCopies,
+makes the agent's copy and then one per judge of validation's pool,
+ahead; once validation ends, or the run fails, it removes what is left.
 
 Artifacts are deterministic by construction: no timestamps, no absolute
 paths, sorted JSON keys. Two runs from the same inputs and the same
@@ -119,11 +119,11 @@ def run_instance(instance: IssueInstance, config: RunConfig,
         return stage.finish("", {"instance_id": instance.instance_id,
                                  "agents": {}, "stages": {}})
 
-    # validation judges each distinct program in a fresh copy of the
-    # input; one per worker of its pool is made ahead, while the property
-    # agent runs
+    # the property agent's copy of the input and one per worker of
+    # validation's pool are made ahead, while the stages before them run
     ahead = AheadCopies(instance.workspace_path,
-                        pool_width(config.candidates))
+                        ("agents-",) * config.enable_spa
+                        + ("pristine-",) * pool_width(config.candidates))
     try:
         return _resolve(instance, config, llm, stage, ahead)
     finally:
@@ -132,15 +132,14 @@ def run_instance(instance: IssueInstance, config: RunConfig,
 
 def _run_spa_in_a_copy(instance: IssueInstance, config: RunConfig,
                        llm: LLMBackend, stage: _Stage, ahead: AheadCopies,
-                       issue_text: str):
-    """run_spa_agent in a fresh copy of the input, with an index, history,
-    PoC runner and script sandbox of its own; the copy is removed when
-    the agent ends."""
-    scratch = fresh_copy(instance.workspace_path, "agents-")
+                       listed: RepoIndex, issue_text: str):
+    """run_spa_agent in the copy of the input made ahead for it, with an
+    index over listed's files, history, PoC runner and script sandbox of
+    its own; the copy is removed when the agent ends."""
+    scratch = ahead.take() or fresh_copy(instance.workspace_path, "agents-")
     try:
-        ahead.start()  # not before: two tree copies would slow each other
         stage.roots[scratch] = ""
-        index = RepoIndex(scratch / "workspace")
+        index = listed.moved_to(scratch / "workspace")
         runner = PocRunner(LocalSandbox(index.root), instance.repro_command,
                            timeout=config.poc_timeout)
         return run_spa_agent(
@@ -192,8 +191,6 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
             llm, index, symbols, issue_text,
             max_steps=config.cpc_max_steps))
 
-    # the copier starts after cpc, whose Python work it would slow; spa's
-    # PoC builds, like a live model's answers, leave the main thread idle
     property_report = None
     if config.enable_spa:
         spa_issue = issue_text
@@ -202,9 +199,7 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
                 issue_text=issue_text,
                 context_report=context_report).render()
         property_report = agent("spa", lambda: _run_spa_in_a_copy(
-            instance, config, llm, stage, ahead, spa_issue))
-    else:
-        ahead.start()
+            instance, config, llm, stage, ahead, index, spa_issue))
 
     enhanced = EnhancedIssueReport(issue_text=issue_text,
                                    context_report=context_report,
@@ -253,25 +248,24 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
                              if element_loc is not None else False),
     }
 
-    context = build_patch_context(
-        index, selections,
-        whole_files=merged if not selections else None,
-        margin=config.context_margin)
-
     gen_text = (enhanced_text
                 if has_reports and "generation" in config.enhance_stages
                 else issue_text)
     # a failed request keeps the candidates answered before it
     candidates: list = []
     stage.run("generate", lambda: generate_patches(
-        llm, gen_text, context, t=config.candidates, out=candidates))
+        llm, gen_text, build_patch_context(
+            index, selections,
+            whole_files=merged if not selections else None,
+            margin=config.context_margin),
+        t=config.candidates, out=candidates))
 
     outcomes = []
     # one PoC run per distinct program, judged as evaluate judges a
     # prediction, in a fresh pristine copy of its own, but by the repro
     # command: the verify command is held out. The first candidate's call
     # judges every program, in a bounded pool; the others read the
-    # batch's results. A judge takes a copy made ahead if one is finished
+    # batch's results. A judge takes the next copy made ahead, if any
     batch = CandidateBatch(candidates)
     pristine = PristineCopy(instance.workspace_path, instance.repro_command,
                             timeout=config.poc_timeout,
@@ -289,6 +283,7 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
         if outcome.applied:
             save(write_text, f"candidates/candidate-{outcome.index}.diff",
                  outcome.diff)
+    ahead.close()  # the copies no judge took go now
     # a row is the outcome's record; its diff has a file of its own
     save(write_json, "candidates/outcomes.json", [
         {k: v for k, v in asdict(o).items() if k != "diff"}

@@ -10,6 +10,7 @@ are the one place the package writes a file.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -111,7 +112,7 @@ def source_files(root: Path | str,
     needs resolving."""
     root = Path(root)
     if not root.is_dir():
-        raise NotADirectoryError(str(root))
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(root))
     exts = tuple(extensions)
     ignored = set(ignore_dirs)
     found = []
@@ -237,6 +238,13 @@ class RepoIndex:
             self._files = source_files(self.root)
             self._listed = frozenset(self._files)
         return self._files
+
+    def moved_to(self, root: Path | str) -> RepoIndex:
+        """An index over root, a copy of this tree, that keeps this
+        index's list: a file only the copy holds stays unlisted."""
+        moved = RepoIndex(root)
+        moved._files, moved._listed = self.files(), self._listed
+        return moved
 
     def path(self, name: str) -> Path:
         """root / name, for a regular file inside root. Names come from

@@ -49,17 +49,22 @@ class RecordingReplay(ReplayBackend):
         return super().chat(request)
 
 
+def is_the_copier(thread: threading.Thread) -> bool:
+    """Whether thread is the worker that makes an instance's copies ahead."""
+    return thread.name.startswith("pristine-copier")
+
+
 def join_the_copier() -> None:
-    """Wait for the thread that makes validation's copies ahead."""
+    """Wait until the copier has made every copy it queued: its worker
+    ends with its queue."""
     for thread in threading.enumerate():
-        if thread.name == "pristine-copier":
+        if is_the_copier(thread):
             thread.join(10)
             assert not thread.is_alive()
 
 
 def copier_running() -> bool:
-    return any(thread.name == "pristine-copier"
-               for thread in threading.enumerate())
+    return any(map(is_the_copier, threading.enumerate()))
 
 
 _MARKER_RE = re.compile(r"// <<<<< (\S+):(\d+)\s*$")

@@ -2,7 +2,8 @@
 standard library and itself; an offline run loads nothing beyond the
 standard library, and none of the HTTP stack that only the live
 backend needs. Every name a module imports is used. One function
-copies a tree and makes a temp directory: execution.fresh_copy."""
+copies a tree and makes a temp directory: execution.fresh_copy, which
+AheadCopies calls ahead of time; no module starts a thread of its own."""
 
 import ast
 import json
@@ -73,39 +74,53 @@ def test_every_imported_name_is_used():
     assert not unused
 
 
-_COPIERS = frozenset({"copytree", "mkdtemp"})
-
-
-def _copier_sites(path: Path) -> set[tuple[str | None, str]]:
-    """(enclosing function, name) of each mention of shutil.copytree or
-    tempfile.mkdtemp in path: a call, a reference or an import; the
-    function is None at module level."""
+def _sites(path: Path, names) -> set[tuple[str | None, str]]:
+    """(enclosing function, name) of each mention in path of one of
+    names: a call, a reference or an import. A method is named
+    `Class.method`; the function is None at module level."""
     sites = set()
 
-    def visit(node, function):
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
             name = (child.attr if isinstance(child, ast.Attribute)
                     else child.id if isinstance(child, ast.Name)
                     else child.name if isinstance(child, ast.alias)
                     else None)
-            if name in _COPIERS:
-                sites.add((function, name))
-            visit(child, function)
+            if name in names:
+                sites.add((scope, name))
+            visit(child, scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), None)
     return sites
 
 
+def _sites_in_src(names) -> set[tuple[str, str | None, str]]:
+    return {(path.relative_to(SRC).as_posix(), scope, name)
+            for path in sorted(SRC.rglob("*.py"))
+            for scope, name in _sites(path, names)}
+
+
 def test_only_fresh_copy_copies_a_tree_or_makes_a_temp_dir():
     # every copy of the input is a temp directory that fresh_copy makes
-    sites = {(path.relative_to(SRC).as_posix(), function, name)
-             for path in sorted(SRC.rglob("*.py"))
-             for function, name in _copier_sites(path)}
-    assert sites == {("vulnmend/execution.py", "fresh_copy", "copytree"),
-                     ("vulnmend/execution.py", "fresh_copy", "mkdtemp")}
+    assert _sites_in_src({"copytree", "mkdtemp"}) == {
+        ("vulnmend/execution.py", "fresh_copy", "copytree"),
+        ("vulnmend/execution.py", "fresh_copy", "mkdtemp")}
+
+
+def test_background_work_goes_through_the_pool_and_the_one_copier():
+    # no hand-rolled thread: every background job is a ThreadPoolExecutor
+    # job; and what is copied ahead, and when, is AheadCopies' to decide,
+    # apart from a copy of its own where a copy made ahead failed
+    assert _sites_in_src({"Thread", "fresh_copy"}) == {
+        ("vulnmend/execution.py", "AheadCopies._make", "fresh_copy"),
+        ("vulnmend/execution.py", "PristineCopy.judge", "fresh_copy"),
+        ("vulnmend/harness/pipeline.py", None, "fresh_copy"),
+        ("vulnmend/harness/pipeline.py", "_run_spa_in_a_copy",
+         "fresh_copy")}
 
 
 def test_no_runtime_dependency_is_declared():

@@ -12,7 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import copier_running, join_the_copier, total_evaluations
+from conftest import (copier_running, is_the_copier, join_the_copier,
+                      total_evaluations)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -845,24 +846,26 @@ def _hello_tree(root: Path) -> Path:
     return root
 
 
-def test_ahead_copies_hand_out_each_finished_copy_once(tmp_path, temp):
+def test_ahead_copies_hand_out_each_copy_once_in_queue_order(tmp_path,
+                                                             temp):
     source = _hello_tree(tmp_path / "src")
-    ahead = AheadCopies(source, 2)
-    assert ahead.take() is None  # not started
-    ahead.start()
-    join_the_copier()
-    taken = [ahead.take(), ahead.take()]
-    assert ahead.take() is None
-    assert sorted(taken) == sorted(temp.iterdir())
+    ahead = AheadCopies(source, ("first-", "second-"))
+    try:
+        taken = [ahead.take(), ahead.take()]
+        assert ahead.take() is None
+    finally:
+        ahead.close()
+    # the first take gets the first copy queued, whenever each is done
+    assert [scratch.name.split("-")[0] for scratch in taken] == [
+        "first", "second"]
     for scratch in taken:
-        assert scratch.name.startswith("pristine-")
         work = scratch / "workspace"
         assert (work / "hello.txt").read_text() == "old\n"
         assert (work / "sub" / "note.txt").read_text() == "note\n"
         assert not os.path.lexists(work / "sub" / "stale.h")
-    ahead.close()
     # a copy taken is the taker's to remove
     assert sorted(temp.iterdir()) == sorted(taken)
+    assert not copier_running()
 
 
 def test_ahead_copies_go_to_one_taker_each_under_contention(tmp_path,
@@ -870,22 +873,18 @@ def test_ahead_copies_go_to_one_taker_each_under_contention(tmp_path,
     source = tmp_path / "src"
     source.mkdir()
     (source / "a.txt").write_text("a\n")
-    ahead = AheadCopies(source, 30)
+    ahead = AheadCopies(source, ("pristine-",) * 30)
     taken: list = [[] for _ in range(8)]
 
     def taker(mine: list) -> None:
-        deadline = time.monotonic() + 10
-        while sum(map(len, taken)) < 30 and time.monotonic() < deadline:
-            scratch = ahead.take()
-            if scratch is not None:
-                mine.append(scratch)
+        while (scratch := ahead.take()) is not None:
+            mine.append(scratch)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=taker, args=(mine,))
                    for mine in taken]
-        ahead.start()
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -899,31 +898,44 @@ def test_ahead_copies_go_to_one_taker_each_under_contention(tmp_path,
     assert sorted(every) == sorted(temp.iterdir())
 
 
-def test_a_closed_copier_leaves_nothing(tmp_path, temp):
-    source = tmp_path / "src"
-    for k in range(40):
-        (source / f"d{k}").mkdir(parents=True)
-        (source / f"d{k}" / "f.c").write_text("int x;\n")
-    ahead = AheadCopies(source, 3)
-    ahead.start()
-    ahead.close()  # most likely in the middle of a copy
+def test_a_closed_copier_leaves_nothing(tmp_path, temp, monkeypatch):
+    # one copy finished, one held in the making, one queued
+    source = _hello_tree(tmp_path / "src")
+    bound, entered = threading.Event(), threading.Event()
+    visits = []
+    skip = execution.skip_dangling_links
+
+    def held(directory, names):
+        visits.append(directory)
+        if len(visits) == 3:  # the second copy's top directory
+            entered.set()
+            bound.wait(10)
+            ahead._stopped.wait(10)  # until close() begins
+        return skip(directory, names)
+
+    monkeypatch.setattr(execution, "skip_dangling_links", held)
+    ahead = AheadCopies(source, ("pristine-",) * 3)
+    bound.set()
+    assert entered.wait(10)
+    ahead.close()
     assert not copier_running()
     assert list(temp.iterdir()) == []
-    ahead = AheadCopies(source, 3)
-    ahead.start()
+    # the copy in the making stopped before its next directory, and the
+    # queued one never started
+    assert visits == [str(source), str(source / "sub"), str(source)]
+    ahead.close()  # closing again is fine
+    # so is closing one whose copies are all finished, none taken
+    ahead = AheadCopies(source, ("pristine-",) * 2)
     join_the_copier()
-    assert len(list(temp.iterdir())) == 3
-    ahead.close()  # every copy finished, none taken
+    assert len(list(temp.iterdir())) == 2
+    ahead.close()
     assert list(temp.iterdir()) == []
-    # closing one never started is fine too
-    AheadCopies(source, 3).close()
 
 
 def test_a_judge_takes_a_finished_copy_and_removes_it(tmp_path, temp,
                                                       monkeypatch):
     source = _hello_tree(tmp_path / "src")
-    ahead = AheadCopies(source, 2)
-    ahead.start()
+    ahead = AheadCopies(source, ("pristine-",) * 2)
     join_the_copier()
     copied = []
     copytree = shutil.copytree
@@ -938,38 +950,45 @@ def test_a_judge_takes_a_finished_copy_and_removes_it(tmp_path, temp,
     assert (source / "hello.txt").read_text() == "old\n"
 
 
-def test_a_judge_never_waits_for_a_copy_in_the_making(tmp_path, temp,
-                                                      monkeypatch):
+def test_a_taker_waits_for_a_copy_in_the_making_instead_of_making_its_own(
+        tmp_path, temp, monkeypatch):
     source = _hello_tree(tmp_path / "src")
     release = threading.Event()
+    copiers = []
     copytree = shutil.copytree
 
     def held(src, dst, *args, **kwargs):
-        if threading.current_thread().name == "pristine-copier":
-            release.wait(10)
+        if Path(src) == source:
+            copiers.append(threading.current_thread())
+            if is_the_copier(copiers[-1]):
+                release.wait(10)
         return copytree(src, dst, *args, **kwargs)
 
     monkeypatch.setattr(shutil, "copytree", held)
-    ahead = AheadCopies(source, 1)
-    ahead.start()
+    ahead = AheadCopies(source, ("pristine-",))
+    verdicts = []
+    judge = threading.Thread(target=lambda: verdicts.append(PristineCopy(
+        source, "grep -q new hello.txt", ahead=ahead).judge(HELLO_DIFF, "v")))
     try:
-        started = time.monotonic()
-        verdict = PristineCopy(source, "grep -q new hello.txt",
-                               ahead=ahead).judge(HELLO_DIFF, "v")
-        assert verdict.passed, verdict.detail
-        assert time.monotonic() - started < 5
+        judge.start()
+        judge.join(0.3)
+        assert judge.is_alive() and verdicts == []  # waiting, not copying
+        release.set()
+        judge.join(10)
+        assert not judge.is_alive()
     finally:
         release.set()
         ahead.close()
-    assert not copier_running()
+    assert verdicts[0].passed, verdicts[0].detail
+    # the one copy made is the copier's
+    assert len(copiers) == 1 and is_the_copier(copiers[0])
     assert list(temp.iterdir()) == []
 
 
 def test_a_judge_whose_copies_ahead_failed_says_why_as_before(tmp_path,
                                                               temp):
     source = tmp_path / "src"  # gone before any copy
-    ahead = AheadCopies(source, 2)
-    ahead.start()
+    ahead = AheadCopies(source, ("pristine-",) * 2)
     join_the_copier()
     assert list(temp.iterdir()) == []
     verdict = PristineCopy(source, "true", ahead=ahead).judge(HELLO_DIFF,
@@ -980,6 +999,38 @@ def test_a_judge_whose_copies_ahead_failed_says_why_as_before(tmp_path,
         HELLO_DIFF, "v").detail == (
         "workspace copy failed: FileNotFoundError: [Errno 2] No such file "
         "or directory: 'workspace'")
+    assert list(temp.iterdir()) == []
+
+
+def test_a_failed_copy_stops_the_ones_after_it(tmp_path, temp, monkeypatch):
+    source = _hello_tree(tmp_path / "src")
+    written = []
+    copyfile = shutil.copyfile
+
+    def full_disk(src, dst, *args, **kwargs):
+        # copytree copies each file through copy2, which calls copyfile
+        written.append((Path(dst).relative_to(temp).parts[0],
+                        threading.current_thread()))
+        raise OSError(28, "No space left on device", str(dst))
+
+    monkeypatch.setattr(shutil, "copyfile", full_disk)
+    ahead = AheadCopies(source, ("pristine-",) * 3)
+    try:
+        assert [ahead.take() for _ in range(4)] == [None] * 4
+        verdict = PristineCopy(source, "true", ahead=ahead).judge(
+            HELLO_DIFF, "v")
+    finally:
+        ahead.close()
+    # only the first copy wrote a file; the copier made no other
+    copier = {scratch for scratch, thread in written if is_the_copier(thread)}
+    assert len(copier) == 1
+    # the judge made its own, which names the copy's side `copy/...`
+    assert verdict.detail == (
+        "workspace copy failed: Error: [('workspace/hello.txt', "
+        "'copy/hello.txt', \"[Errno 28] No space left on device: "
+        "'copy/hello.txt'\"), ('workspace/sub/note.txt', "
+        "'copy/sub/note.txt', \"[Errno 28] No space left on device: "
+        "'copy/sub/note.txt'\")]")
     assert list(temp.iterdir()) == []
 
 

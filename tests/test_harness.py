@@ -23,8 +23,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import (RecordingReplay, copier_running, join_the_copier,
-                      snapshot)
+from conftest import (RecordingReplay, copier_running, is_the_copier,
+                      join_the_copier, snapshot)
 from replay_scripts import (COMMENT_ONLY_PATCH, COMMENTED_FIX, REFERENCE_FIX,
                             build_entries, localization_entries, spa_entries)
 
@@ -57,7 +57,7 @@ from vulnmend.harness.telemetry import (classify_script,
 from vulnmend.llm import ChatRequest, RequestRecord, ToolCall, Usage
 from vulnmend.repair import (CandidatePatch, PatchContext, generate_patches,
                              validate_candidate)
-from vulnmend.repo_model import RepoIndex
+from vulnmend.repo_model import RepoIndex, WholeWord, write_text
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
                                reason="gcc not available")
@@ -1796,7 +1796,7 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
         # copytree calls itself for each subdirectory; the first copy is
         # the property agent's workspace
         if Path(src) == scratch_crepo:
-            copies.append((Path(dst), threading.current_thread().name))
+            copies.append((Path(dst), threading.current_thread()))
         elif copies and Path(src) == copies[0][0]:
             from_workspace.append(dst)
         return copytree(src, dst, *args, **kwargs)
@@ -1837,15 +1837,16 @@ def test_validation_leaves_both_trees_as_they_were_and_copies_once(
     # before validation starts
     assert len({source for _, source, _ in seen}) == 1
     assert {exists for exists, _, _ in seen} == {False}
-    # one copy is the property agent's workspace, in a temp dir of its
-    # own; the copier makes one per pool worker, 3, after it and before
+    # the copier makes every copy: first the property agent's workspace,
+    # in a temp dir of its own, then one per pool worker, 3, before
     # validation, which makes none of its own. Nothing is copied from the
     # agent's workspace
-    workspace, thread = copies[0]
+    workspace, _ = copies[0]
     assert (workspace.parent.parent, workspace.name) == (temp, "workspace")
     assert workspace.parent.name.startswith("agents-")
-    assert thread == "MainThread"
-    assert [thread for _, thread in copies[1:]] == ["pristine-copier"] * 3
+    assert all(is_the_copier(thread) for _, thread in copies)
+    assert all(path.parent.name.startswith("pristine-")
+               for path, _ in copies[1:])
     assert (seen[0][2], seen[-1][2]) == (4, 4)
     assert from_workspace == []
     # each distinct program, 2, runs its PoC in a copy of its own
@@ -1975,7 +1976,8 @@ def test_validation_reports_an_input_gone_before_its_judges_copy(
         return in_pool(jobs, work)
 
     monkeypatch.setattr(repair, "in_pool", then_gone)
-    monkeypatch.setattr(execution.AheadCopies, "start", lambda self: None)
+    monkeypatch.setattr(pipeline, "AheadCopies", lambda source, prefixes: (
+        execution.AheadCopies(source, ())))
     result = run_instance(instance, variant("base"),
                           ReplayBackend(build_entries(False, False)),
                           tmp_path / "run")
@@ -1987,6 +1989,98 @@ def test_validation_reports_an_input_gone_before_its_judges_copy(
             "file or directory: 'workspace'")
     assert [(o["applied"], o["poc_pass"], o["failure"])
             for o in outcomes[:3]] == [(True, False, gone)] * 3
+
+
+def test_an_input_gone_after_cpc_ends_its_instance_not_the_batch(
+        fixtures_dir, scratch_crepo, tmp_path, monkeypatch):
+    first = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        repro_command="grep -q 'len >= cap' src/buf.c")
+    instances = [dataclasses.replace(first, instance_id="gone",
+                                     workspace_path=str(scratch_crepo)),
+                 dataclasses.replace(first, instance_id="kept")]
+    cpc = pipeline.run_cpc_agent
+
+    def then_gone(llm, index, *args, **kwargs):
+        try:
+            return cpc(llm, index, *args, **kwargs)
+        finally:
+            shutil.rmtree(scratch_crepo, ignore_errors=True)
+
+    monkeypatch.setattr(pipeline, "run_cpc_agent", then_gone)
+    gone, kept = run_all(instances, variant("cpc"),
+                         lambda _: ReplayBackend(build_entries(True, False)),
+                         tmp_path / "run")
+
+    # the patch context cannot be read, so generation fails as a stage
+    assert gone.winner is None and gone.prediction == ""
+    assert gone.errors[-1] == {"stage": "generate",
+                               "error": "FileNotFoundError: src/buf.c"}
+    assert kept.winner is not None and not kept.errors
+
+
+@needs_gcc
+def test_the_copies_no_judge_took_are_gone_before_selection(
+        fixtures_dir, tmp_path, monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    # four copies made ahead for the fixture's two distinct programs
+    monkeypatch.setattr(execution, "usable_cpus", lambda: 4)
+    left = []
+    select = pipeline.select_patch
+
+    def watched(*args, **kwargs):
+        left.append(sorted(path.name for path in temp.iterdir()))
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "select_patch", watched)
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    result = run_instance(instance, variant("full"),
+                          ReplayBackend(build_entries(True, True)),
+                          tmp_path / "run")
+    assert result.winner == 0 and not result.errors
+    assert left == [[]]
+
+
+@needs_gcc
+def test_spas_copy_takes_the_inputs_listing_so_a_link_out_stays_unlisted(
+        fixtures_dir, scratch_crepo, tmp_path, monkeypatch):
+    write_text(tmp_path / "outside" / "s.c",
+               "int outside_fn(void)\n{\n  return 1;\n}\n")
+    (scratch_crepo / "src" / "out.c").symlink_to("../../outside/s.c")
+    listed = []
+    source_files = repo_model.source_files
+    monkeypatch.setattr(repo_model, "source_files", lambda root: (
+        listed.append(Path(root)) or source_files(root)))
+    seen = []
+    spa = pipeline.run_spa_agent
+
+    def watched(llm, index, *args, **kwargs):
+        copied = index.root / "src" / "out.c"
+        seen.append((copied.is_file() and not copied.is_symlink(),
+                     index.files(),
+                     index.files_with_word(WholeWord("outside_fn"))))
+        return spa(llm, index, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_spa_agent", watched)
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        workspace_path=str(scratch_crepo))
+    llm = RecordingReplay(build_entries(True, True))
+    result = run_instance(instance, variant("full"), llm, tmp_path / "run")
+
+    assert result.winner is not None and not result.errors
+    # one listing, of the input, serves every stage, spa's copy included
+    assert listed == [scratch_crepo]
+    ((regular, files, found),) = seen
+    # in the copy the link is a regular file, yet spa's tree and search
+    # leave it out, as the input's readers do
+    assert regular
+    assert "src/out.c" not in files and found == []
+    first_spa = next(r for r in llm.requests if r.tag == "spa")
+    assert not any("out.c" in (m["content"] or "")
+                   for m in first_spa.messages)
 
 
 @pytest.mark.parametrize("prefix", ["agents-", "pristine-"])

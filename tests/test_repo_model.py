@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnmend.cparse import ElementKind
+from vulnmend.errors import describe_error
 from vulnmend.repo_model import (RepoIndex, read_text, render_repo_tree,
                                  skeletonize, source_files, write_text)
 
@@ -42,6 +43,16 @@ def test_source_files_skips_ignored_dirs(scratch_crepo):
     (scratch_crepo / ".git" / "junk.c").write_text("int hidden;\n")
     assert all(not f.startswith(".git/")
                for f in source_files(scratch_crepo))
+
+
+def test_listing_a_missing_root_names_it_as_an_error_record_maps_it(
+        tmp_path):
+    root = tmp_path / "nope"
+    with pytest.raises(NotADirectoryError) as info:
+        source_files(root)
+    assert info.value.filename == str(root)
+    assert describe_error(info.value, {root: "workspace"}) == (
+        "NotADirectoryError: [Errno 20] Not a directory: 'workspace'")
 
 
 def test_tree_rendering_matches_layout(crepo_index):
