@@ -4,10 +4,8 @@ A sandbox is a place where the repro command can run. The local sandbox
 covers plain directories; everything above it only needs its `exec`
 surface. A PristineCopy judges a patch: `git apply` on a fresh copy of
 the untouched workspace, then one PoC run, then the copy is removed.
-AheadCopies decides when an instance's copies are made: it queues them
-all, the property agent's first, on a worker of its own, ahead of
-those who take them. Every copy of the input is a temp directory that
-fresh_copy makes.
+AheadCopies is the one code that copies an input: ahead, on a worker
+of its own (the property agent's copy first), or when a copy is taken.
 Patches are judged concurrently in one bounded pool: at most one worker
 per CPU the process may run on, each taking the next job not yet
 started, so no job waits behind a slow one.
@@ -43,7 +41,6 @@ from typing import Callable, Sequence
 from .errors import (GitUnavailable, SandboxUnavailable, UnknownLogName,
                      describe_error, placeless_message)
 from .naming import dedupe_name
-from .repo_model import skip_dangling_links
 
 DEFAULT_HEAD_LINES = 100
 DEFAULT_TAIL_LINES = 100
@@ -574,40 +571,29 @@ def _unchanged(original: Path, copy: Path) -> bool:
         return False
 
 
-class _Closed(Exception):
-    """Raised inside an AheadCopies copy to stop it between directories."""
-
-
-def fresh_copy(source: Path | str, prefix: str,
-               ignore: Callable = skip_dangling_links) -> Path:
-    """A new temp directory, named after prefix, that holds a copy of
-    source as `workspace`; the caller removes it. A copy that fails
-    leaves no directory behind, and an OSError it raises names the
-    copy's files as `copy/...`, apart from source's own files."""
-    scratch = Path(tempfile.mkdtemp(prefix=prefix))
-    try:
-        shutil.copytree(source, scratch / "workspace", ignore=ignore)
-    except BaseException as exc:
-        shutil.rmtree(scratch, ignore_errors=True)
-        if isinstance(exc, OSError):
-            raise type(exc)(placeless_message(
-                exc, {scratch / "workspace": "copy"})) from exc
-        raise
-    return scratch
+def skip_dangling_links(directory: str, names: list[str]) -> set[str]:
+    """The links among names whose target is missing, looked up from the
+    link's own directory: a copy drops them, and copies a valid link as
+    the file it points to."""
+    return {name for name in names
+            if os.path.islink(os.path.join(directory, name))
+            and not os.path.exists(os.path.join(directory, name))}
 
 
 class AheadCopies:
-    """Copies of an untouched workspace, made ahead of whoever takes them:
-    one fresh_copy per prefix, in order, on a worker that ends with its
-    queue. take() hands them out in that order, each once; it waits for
-    one in the making, and gives None once none is left or a copy failed,
-    which stops the ones after it. close() stops the copy in the making
-    between directories, cancels the rest, joins the worker and removes
-    every copy not taken; it may be called again.
+    """The one owner of every copy of an untouched workspace, source: a
+    temp directory holding it as `workspace`, which the taker removes.
+    The copies named by prefixes are made in order on a worker that ends
+    with its queue, none with no prefix; one that fails stops the rest.
+    take() hands them out in order, each once, waiting for one in the
+    making; with none left, or the next failed or stopped, it makes one
+    in the taker's thread. close() stops the copy in the making between
+    directories, cancels the rest and removes those not taken; it makes
+    none, stops none made on demand, and may be called again.
     """
 
-    def __init__(self, source: Path | str, prefixes: Sequence[str]):
-        self.source = source
+    def __init__(self, source: Path | str, prefixes: Sequence[str] = ()):
+        self.source = Path(source)
         self._stopped = threading.Event()
         self._pool = ThreadPoolExecutor(1,
                                         thread_name_prefix="pristine-copier")
@@ -615,32 +601,45 @@ class AheadCopies:
                              for prefix in prefixes)
         self._pool.shutdown(wait=False)
 
-    def _ignore(self, directory: str, names: list[str]) -> set[str]:
-        if self._stopped.is_set():
-            raise _Closed
-        return skip_dangling_links(directory, names)
+    def _copy(self, prefix: str, ahead: bool = False) -> Path:
+        """A new copy in a temp dir named after prefix. A failed one leaves
+        none, and its OSError names the copy's files `copy/...`."""
+        def ignore(directory: str, names: list[str]) -> set[str]:
+            if ahead and self._stopped.is_set():
+                raise CancelledError
+            return skip_dangling_links(directory, names)
+
+        scratch = Path(tempfile.mkdtemp(prefix=prefix))
+        try:
+            shutil.copytree(self.source, scratch / "workspace", ignore=ignore)
+        except BaseException as exc:
+            shutil.rmtree(scratch, ignore_errors=True)
+            if isinstance(exc, OSError):
+                raise type(exc)(placeless_message(
+                    exc, {scratch / "workspace": "copy"})) from exc
+            raise
+        return scratch
 
     def _make(self, prefix: str) -> Path:
         try:
-            return fresh_copy(self.source, prefix, ignore=self._ignore)
+            return self._copy(prefix, ahead=True)
         except BaseException:
             self._stopped.set()
             raise
 
-    def take(self) -> Path | None:
-        """The next copy's temp directory, holding the copy as
-        `workspace`; the caller removes it."""
-        try:
+    def take(self, prefix: str) -> Path:
+        """The next queued copy, or else a new one named after prefix."""
+        with contextlib.suppress(IndexError, OSError, CancelledError):
             return self._queued.popleft().result()
-        except (IndexError, OSError, _Closed, CancelledError):
-            return None
+        return self._copy(prefix)
 
     def close(self) -> None:
         self._stopped.set()
         self._pool.shutdown(cancel_futures=True)
         while self._queued:
-            if (scratch := self.take()) is not None:
-                shutil.rmtree(scratch, ignore_errors=True)
+            future = self._queued.popleft()
+            if not future.cancelled() and future.exception() is None:
+                shutil.rmtree(future.result(), ignore_errors=True)
 
 
 @dataclass(frozen=True)
@@ -649,9 +648,8 @@ class PristineCopy:
     `git apply` takes the diff as bytes, then the command runs once
     through a PocRunner and PocResult.passed gives the verdict. The copy
     is removed afterwards, so no verdict depends on what another diff's
-    run left behind. Validation and evaluation both judge patches here.
-    The copy is the next one `ahead` (an AheadCopies of source) hands
-    out, if there is one, or else one made here.
+    run left behind. Validation and evaluation both judge patches here,
+    in the copy that copies hands out, or say why it failed.
 
     A diff that touches the PoC harness, a workspace script named in the
     command or in one of the instance's other commands (harness_commands),
@@ -660,26 +658,22 @@ class PristineCopy:
     file there that is gone, or has other bytes or another mode, is touched.
     """
 
-    source: Path | str
+    copies: AheadCopies
     command: str
     timeout: float = DEFAULT_POC_TIMEOUT
     harness_commands: tuple = ()
-    ahead: AheadCopies | None = None
 
     def judge(self, diff: str | bytes, name: str) -> PatchVerdict:
         """Apply diff to a fresh copy and run the PoC under name."""
         if isinstance(diff, str):
             diff = diff.encode("utf-8", errors="surrogateescape")
-        scratch = self.ahead.take() if self.ahead is not None else None
-        if scratch is None:
-            try:
-                scratch = fresh_copy(self.source, "pristine-")
-            except OSError as exc:
-                # this instance's data is broken (say, its workspace is
-                # gone)
-                roots = {Path(self.source): "workspace"}
-                return PatchVerdict(detail="workspace copy failed: "
-                                    + describe_error(exc, roots))
+        source = self.copies.source
+        try:
+            scratch = self.copies.take("pristine-")
+        except OSError as exc:
+            # this instance's data is broken (say, its workspace is gone)
+            return PatchVerdict(detail="workspace copy failed: "
+                                + describe_error(exc, {source: "workspace"}))
         try:
             work = scratch / "workspace"
             # bytes in, so a diff of a non-UTF-8 source applies as
@@ -696,9 +690,9 @@ class PristineCopy:
                 return PatchVerdict(
                     detail=f"patch does not apply: {stderr.strip()[:200]}")
             touched = sorted(
-                rel for rel in harness_files(self.source, self.command,
+                rel for rel in harness_files(source, self.command,
                                              *self.harness_commands)
-                if not _unchanged(Path(self.source) / rel, work / rel))
+                if not _unchanged(source / rel, work / rel))
             if touched:
                 return PatchVerdict(detail="touches the PoC harness: "
                                     + ", ".join(touched))

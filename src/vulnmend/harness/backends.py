@@ -18,9 +18,12 @@ from .instances import input_file
 
 
 # the one retry policy for live model calls: after the n-th transient
-# failure sleep RETRY_BACKOFF_S[n - 1] seconds and try again
+# failure sleep RETRY_BACKOFF_S[n - 1] seconds and try again, or as many
+# seconds as a 429 or 503 answer's Retry-After gives (RFC 9110 10.2.3),
+# up to MAX_RETRY_AFTER_S
 RETRY_BACKOFF_S = (1.0, 2.0)
 MAX_ATTEMPTS = len(RETRY_BACKOFF_S) + 1
+MAX_RETRY_AFTER_S = 60.0
 
 
 def _approx_tokens(char_count: int) -> int:
@@ -171,6 +174,13 @@ def _tool_call(message: dict) -> ToolCall | None:
     return ToolCall(name=name, args=args if isinstance(args, dict) else {})
 
 
+def _retry_after(status: int, headers) -> float | None:
+    value = (headers.get("Retry-After") or "").strip()
+    if status in (429, 503) and value.isascii() and value.isdigit():
+        return min(float(value), MAX_RETRY_AFTER_S)
+    return None  # an HTTP-date or a malformed value too
+
+
 class _Refused(LLMBackendError):
     """A 4xx other than 429: the server will not answer this payload."""
 
@@ -179,7 +189,7 @@ class HttpChatBackend:
     """OpenAI-compatible chat-completions client.
 
     Network problems and 429/5xx answers are transient: the call is
-    tried up to MAX_ATTEMPTS times with exponential backoff, then fails.
+    tried up to MAX_ATTEMPTS times with backoff or Retry-After, then fails.
     Other HTTP failures and malformed bodies fail at once. Only an
     answered POST keeps a RequestRecord, so retries cost nothing in
     cost.json. A request for n > 1 choices sends `n`; when the server
@@ -248,7 +258,9 @@ class HttpChatBackend:
             data=json.dumps(payload).encode(), headers=headers)
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(RETRY_BACKOFF_S[attempt - 1])
+                time.sleep(RETRY_BACKOFF_S[attempt - 1] if asked is None
+                           else asked)
+            asked = None  # the wait this answer asks for, if any
             # urlopen raises HTTPError for every status but 2xx, and a
             # dropped connection as RemoteDisconnected, unwrapped
             try:
@@ -258,6 +270,7 @@ class HttpChatBackend:
                         status, raw = answer.status, answer.read()
                 except urllib.error.HTTPError as exc:
                     status, raw = exc.code, exc.read()
+                    asked = _retry_after(status, exc.headers)
             except (OSError, http.client.HTTPException) as exc:
                 failure = f"request failed: {exc}"
                 continue

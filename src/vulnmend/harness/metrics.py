@@ -1,12 +1,12 @@
 """Run evaluation and cost accounting.
 
 Money is Decimal end to end; rates render at one decimal place from
-exact fractions. The built-in verifier judges each prediction the way
-validation judges a candidate, in a fresh copy of the workspace (PristineCopy):
-resolved means the patch leaves the PoC harness alone, applies cleanly
-with `git apply`, and the verify command's run passes by the one PoC
-verdict, PocResult.passed. A batch's predictions are judged
-concurrently, in a bounded pool, and reported in instance order.
+exact fractions. The built-in verifier judges each prediction as
+validation judges a candidate (PristineCopy), in a fresh copy that a
+copier with nothing queued makes when taken: resolved means the patch
+leaves the PoC harness alone, applies with `git apply`, and the verify
+command's run passes by the one PoC verdict, PocResult.passed. A batch's
+predictions are judged concurrently, in a bounded pool, in order.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
 from ..errors import NoRunDirectory
-from ..execution import (DEFAULT_POC_TIMEOUT, PristineCopy, in_pool,
-                         require_git)
+from ..execution import (DEFAULT_POC_TIMEOUT, AheadCopies, PristineCopy,
+                         in_pool, require_git)
 from ..llm import RequestRecord
 from ..repo_model import write_json
 from .config import RunConfig
@@ -104,7 +104,7 @@ def verify_prediction(instance: IssueInstance, diff: str | bytes,
                                detail="empty prediction")
     command = instance.verify_command or instance.repro_command
     verdict = PristineCopy(
-        instance.workspace_path, command, timeout=timeout,
+        AheadCopies(instance.workspace_path), command, timeout=timeout,
         harness_commands=(instance.repro_command,)).judge(diff, "verify")
     result = verdict.result
     if result is None:

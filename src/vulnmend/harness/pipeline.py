@@ -8,8 +8,8 @@ aborting it; a run with no winning patch still produces its artifacts
 and an empty prediction. Every stage reads the input in place, through
 one RepoIndex, but the property-analysis agent, the one writer: it works
 in a temp copy of its own, removed when it ends. One copier, AheadCopies,
-makes the agent's copy and then one per judge of validation's pool,
-ahead; once validation ends, or the run fails, it removes what is left.
+makes every copy: the agent's and one per judge ahead, any other when
+taken; once validation ends, or the run fails, it removes what is left.
 
 Artifacts are deterministic by construction: no timestamps, no absolute
 paths, sorted JSON keys. Two runs from the same inputs and the same
@@ -30,8 +30,7 @@ from ..edit_engine import EditHistory
 from ..errors import (ReplayDesync, ScriptExhausted, VulnmendError,
                       describe_error)
 from ..execution import (AheadCopies, LocalSandbox, PocRunner, PristineCopy,
-                         PythonScriptSandbox, fresh_copy, pool_width,
-                         require_git)
+                         PythonScriptSandbox, pool_width, require_git)
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
@@ -136,7 +135,7 @@ def _run_spa_in_a_copy(instance: IssueInstance, config: RunConfig,
     """run_spa_agent in the copy of the input made ahead for it, with an
     index over listed's files, history, PoC runner and script sandbox of
     its own; the copy is removed when the agent ends."""
-    scratch = ahead.take() or fresh_copy(instance.workspace_path, "agents-")
+    scratch = ahead.take("agents-")
     try:
         stage.roots[scratch] = ""
         index = listed.moved_to(scratch / "workspace")
@@ -265,12 +264,11 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     # prediction, in a fresh pristine copy of its own, but by the repro
     # command: the verify command is held out. The first candidate's call
     # judges every program, in a bounded pool; the others read the
-    # batch's results. A judge takes the next copy made ahead, if any
+    # batch's results. A judge takes the next copy the copier hands out
     batch = CandidateBatch(candidates)
-    pristine = PristineCopy(instance.workspace_path, instance.repro_command,
+    pristine = PristineCopy(ahead, instance.repro_command,
                             timeout=config.poc_timeout,
-                            harness_commands=(instance.verify_command,),
-                            ahead=ahead)
+                            harness_commands=(instance.verify_command,))
     for candidate in candidates:
         save(write_text, f"candidates/candidate-{candidate.index}.md",
              candidate.raw_text)

@@ -46,15 +46,6 @@ def split_lines(text: str) -> list[str]:
     return _LINE.findall(text)
 
 
-def skip_dangling_links(directory: str, names: list[str]) -> set[str]:
-    """shutil.copytree ignore= callable that drops links whose target is
-    missing. The target is looked up from the link's own directory, so a
-    valid relative link is kept and copied as the file it points to."""
-    return {name for name in names
-            if os.path.islink(os.path.join(directory, name))
-            and not os.path.exists(os.path.join(directory, name))}
-
-
 def write_text(path: Path | str, text: str) -> None:
     """Write text as read_text decoded it, creating missing parent
     directories; surrogate escapes go back out as their raw bytes."""
@@ -103,26 +94,23 @@ def _resolves_inside(root: Path, path: Path) -> bool:
     return path.resolve().is_relative_to(root.resolve())
 
 
-def source_files(root: Path | str,
-                 extensions: Iterable[str] = DEFAULT_EXTENSIONS,
-                 ignore_dirs: Iterable[str] = DEFAULT_IGNORE_DIRS) -> list[str]:
-    """Relative paths of all source files under root, sorted. A link
+def source_files(root: Path | str) -> list[str]:
+    """Relative paths of all source files under root, sorted: files with
+    one of DEFAULT_EXTENSIONS, outside DEFAULT_IGNORE_DIRS. A link
     that resolves outside root is skipped, as RepoIndex.path refuses it;
     rglob does not enter linked directories, so only a file's own link
     needs resolving."""
     root = Path(root)
     if not root.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(root))
-    exts = tuple(extensions)
-    ignored = set(ignore_dirs)
     found = []
     for path in root.rglob("*"):
         if not path.is_file():
             continue
         rel = path.relative_to(root)
-        if any(part in ignored for part in rel.parts[:-1]):
+        if any(part in DEFAULT_IGNORE_DIRS for part in rel.parts[:-1]):
             continue
-        if path.suffix not in exts:
+        if path.suffix not in DEFAULT_EXTENSIONS:
             continue
         if path.is_symlink() and not _resolves_inside(root, path):
             continue
@@ -232,6 +220,7 @@ class RepoIndex:
         self._files: list[str] | None = None
         self._listed: frozenset[str] = frozenset()
         self._parsed: dict[str, tuple[bytes, tuple[CodeElement, ...]]] = {}
+        self._roots = (self.root,)  # and those of the trees it copies
 
     def files(self) -> list[str]:
         if self._files is None:
@@ -241,20 +230,23 @@ class RepoIndex:
 
     def moved_to(self, root: Path | str) -> RepoIndex:
         """An index over root, a copy of this tree, that keeps this
-        index's list: a file only the copy holds stays unlisted."""
+        index's list and refuses what it refuses: a file only the copy
+        holds stays unlisted, and a link out stays out."""
         moved = RepoIndex(root)
         moved._files, moved._listed = self.files(), self._listed
+        moved._roots += self._roots
         return moved
 
     def path(self, name: str) -> Path:
         """root / name, for a regular file inside root. Names come from
         model output, so one that climbs above root (even to come back),
-        an absolute path elsewhere and a link out are refused; a listed
-        name passed that check when it was listed."""
+        an absolute path elsewhere and a link out (of root or of a tree
+        it copies) are refused; a listed name passed that check."""
         path = self.root / name
         if name not in self._listed and (
                 os.path.normpath(name).split(os.sep)[0] == ".."
-                or not _resolves_inside(self.root, path)):
+                or not all(_resolves_inside(root, root / name)
+                           for root in self._roots)):
             raise ValueError(f"{name} is outside the workspace")
         if not path.is_file():
             raise FileNotFoundError(name)

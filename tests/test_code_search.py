@@ -1,4 +1,5 @@
 import re
+import shutil
 import subprocess
 
 import pytest
@@ -134,6 +135,28 @@ def test_paths_outside_the_workspace_are_refused(scratch_crepo):
     # a link that stays inside the tree and a non-source file still read
     assert search_code_element(index, "copy_name", file="src/alias.c")
     assert read_code(index, "secb.sh", 1, 3).lines
+
+
+def test_a_copys_index_refuses_every_name_its_input_refuses(scratch_crepo,
+                                                            tmp_path):
+    secret = tmp_path / "secret.c"
+    secret.write_text("int secret(void) { return 1; }\n")
+    (scratch_crepo / "src" / "leak.c").symlink_to(secret)
+    (scratch_crepo / "src" / "alias.c").symlink_to("buf.c")
+    # a copy follows links, so leak.c is a regular file there
+    copy = tmp_path / "copy"
+    shutil.copytree(scratch_crepo, copy)
+    (copy / "only_here.h").write_text("#define ONLY_HERE 1\n")
+    index = RepoIndex(scratch_crepo).moved_to(copy)
+    for name in ("../secret.c", str(secret), "src/leak.c",
+                 "src/../../secret.c", "../crepo/src/buf.c"):
+        with pytest.raises(ValueError, match="outside the workspace"):
+            read_code(index, name, 1, 3)
+    # what the input allows still reads, and so does a file the copy
+    # alone holds
+    assert search_code_element(index, "copy_name", file="src/alias.c")
+    assert read_code(index, "only_here.h", 1, 1).lines == (
+        "#define ONLY_HERE 1",)
 
 
 def test_every_reader_agrees_on_which_files_exist(tmp_path):

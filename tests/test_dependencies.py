@@ -1,9 +1,9 @@
 """The package declares no runtime dependency and imports only the
 standard library and itself; an offline run loads nothing beyond the
 standard library, and none of the HTTP stack that only the live
-backend needs. Every name a module imports is used. One function
-copies a tree and makes a temp directory: execution.fresh_copy, which
-AheadCopies calls ahead of time; no module starts a thread of its own."""
+backend needs. Every name a module imports is used. One class copies
+a tree and makes a temp directory: execution.AheadCopies, made ahead or
+when taken; no module starts a thread of its own."""
 
 import ast
 import json
@@ -104,23 +104,27 @@ def _sites_in_src(names) -> set[tuple[str, str | None, str]]:
             for scope, name in _sites(path, names)}
 
 
-def test_only_fresh_copy_copies_a_tree_or_makes_a_temp_dir():
-    # every copy of the input is a temp directory that fresh_copy makes
-    assert _sites_in_src({"copytree", "mkdtemp"}) == {
-        ("vulnmend/execution.py", "fresh_copy", "copytree"),
-        ("vulnmend/execution.py", "fresh_copy", "mkdtemp")}
+# the calls that copy files or make a temp file or directory; shutil's
+# plain `copy` is left out, as a name too common to tell apart
+_COPYING = {"copytree", "copy2", "copyfile", "copyfileobj", "mkdtemp",
+            "mkstemp", "TemporaryDirectory", "NamedTemporaryFile"}
+
+
+def test_only_the_copier_copies_a_tree_or_makes_a_temp_dir():
+    # every copy of an input is a temp directory that AheadCopies makes
+    assert {(path, scope.split(".")[0], name)
+            for path, scope, name in _sites_in_src(_COPYING)} == {
+        ("vulnmend/execution.py", "AheadCopies", "copytree"),
+        ("vulnmend/execution.py", "AheadCopies", "mkdtemp")}
 
 
 def test_background_work_goes_through_the_pool_and_the_one_copier():
     # no hand-rolled thread: every background job is a ThreadPoolExecutor
-    # job; and what is copied ahead, and when, is AheadCopies' to decide,
-    # apart from a copy of its own where a copy made ahead failed
-    assert _sites_in_src({"Thread", "fresh_copy"}) == {
-        ("vulnmend/execution.py", "AheadCopies._make", "fresh_copy"),
-        ("vulnmend/execution.py", "PristineCopy.judge", "fresh_copy"),
-        ("vulnmend/harness/pipeline.py", None, "fresh_copy"),
-        ("vulnmend/harness/pipeline.py", "_run_spa_in_a_copy",
-         "fresh_copy")}
+    # job; and no module but execution.py makes a copy, so every other
+    # takes its copies from AheadCopies, made ahead or when taken
+    assert _sites_in_src({"Thread"}) == set()
+    assert {site for site in _sites_in_src(_COPYING | {"_copy", "_make"})
+            if site[0] != "vulnmend/execution.py"} == set()
 
 
 def test_no_runtime_dependency_is_declared():

@@ -789,8 +789,9 @@ def test_a_diff_to_another_commands_script_is_rejected(tmp_path):
     diff = ("diff --git a/verify.sh b/verify.sh\n--- a/verify.sh\n"
             "+++ b/verify.sh\n@@ -1,2 +1,2 @@\n #!/bin/sh\n"
             "-grep -q new hello.txt\n+exit 0\n")
-    verdict = PristineCopy(tmp_path, "grep -q new hello.txt",
-                           harness_commands=("sh verify.sh",)).judge(diff, "v")
+    verdict = PristineCopy(AheadCopies(tmp_path), "grep -q new hello.txt",
+                           harness_commands=("sh verify.sh",)).judge(diff,
+                                                                     "v")
     assert verdict.result is None
     assert verdict.detail == "touches the PoC harness: verify.sh"
 
@@ -808,7 +809,8 @@ def test_a_harness_swapped_for_a_link_to_its_copy_is_rejected(tmp_path):
             "diff --git a/copy.sh b/copy.sh\nnew file mode 100644\n"
             "--- /dev/null\n+++ b/copy.sh\n@@ -0,0 +1,2 @@\n"
             "+#!/bin/sh\n+exit 1\n")
-    verdict = PristineCopy(tmp_path, "sh verify.sh").judge(diff, "v")
+    verdict = PristineCopy(AheadCopies(tmp_path), "sh verify.sh").judge(
+        diff, "v")
     assert verdict.result is None
     assert verdict.detail == "touches the PoC harness: verify.sh"
 
@@ -817,7 +819,8 @@ def test_a_harness_diff_that_does_not_apply_says_so(tmp_path):
     (tmp_path / "verify.sh").write_text("#!/bin/sh\nexit 1\n")
     diff = ("--- a/verify.sh\n+++ b/verify.sh\n@@ -1,2 +1,2 @@\n"
             " #!/bin/sh\n-exit 7\n+exit 0\n")
-    verdict = PristineCopy(tmp_path, "sh verify.sh").judge(diff, "v")
+    verdict = PristineCopy(AheadCopies(tmp_path), "sh verify.sh").judge(
+        diff, "v")
     assert verdict.result is None
     assert verdict.detail.startswith("patch does not apply: ")
 
@@ -846,18 +849,37 @@ def _hello_tree(root: Path) -> Path:
     return root
 
 
-def test_ahead_copies_hand_out_each_copy_once_in_queue_order(tmp_path,
-                                                             temp):
+def _copies_by_thread(monkeypatch) -> list:
+    """(temp dir, thread) of each copy of a tree made from now on."""
+    made = []
+    copytree = shutil.copytree
+
+    def recorded(src, dst, *args, **kwargs):
+        # copytree calls itself for each subdirectory
+        if Path(dst).name == "workspace":
+            made.append((Path(dst).parent, threading.current_thread()))
+        return copytree(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "copytree", recorded)
+    return made
+
+
+def test_ahead_copies_hand_out_each_copy_once_in_queue_order(
+        tmp_path, temp, monkeypatch):
     source = _hello_tree(tmp_path / "src")
+    made = _copies_by_thread(monkeypatch)
     ahead = AheadCopies(source, ("first-", "second-"))
     try:
-        taken = [ahead.take(), ahead.take()]
-        assert ahead.take() is None
+        taken = [ahead.take("other-") for _ in range(3)]
     finally:
         ahead.close()
-    # the first take gets the first copy queued, whenever each is done
+    # the first take gets the first copy queued, whenever each is done;
+    # once the queue is empty, the taker gets a copy made in its thread
     assert [scratch.name.split("-")[0] for scratch in taken] == [
-        "first", "second"]
+        "first", "second", "other"]
+    assert [(scratch, is_the_copier(thread)) for scratch, thread in made] == [
+        (taken[0], True), (taken[1], True), (taken[2], False)]
+    assert made[2][1] is threading.current_thread()
     for scratch in taken:
         work = scratch / "workspace"
         assert (work / "hello.txt").read_text() == "old\n"
@@ -868,17 +890,19 @@ def test_ahead_copies_hand_out_each_copy_once_in_queue_order(tmp_path,
     assert not copier_running()
 
 
-def test_ahead_copies_go_to_one_taker_each_under_contention(tmp_path,
-                                                            temp):
+def test_ahead_copies_go_to_one_taker_each_under_contention(
+        tmp_path, temp, monkeypatch):
     source = tmp_path / "src"
     source.mkdir()
     (source / "a.txt").write_text("a\n")
-    ahead = AheadCopies(source, ("pristine-",) * 30)
+    made = _copies_by_thread(monkeypatch)
+    ahead = AheadCopies(source, ("ahead-",) * 30)
     taken: list = [[] for _ in range(8)]
 
     def taker(mine: list) -> None:
-        while (scratch := ahead.take()) is not None:
-            mine.append(scratch)
+        # 8 takers of 4 copies each: 2 more than are queued
+        for _ in range(4):
+            mine.append(ahead.take("demand-"))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -894,8 +918,52 @@ def test_ahead_copies_go_to_one_taker_each_under_contention(tmp_path,
         sys.setswitchinterval(interval)
         ahead.close()
     every = [scratch for mine in taken for scratch in mine]
-    assert len(every) == len(set(every)) == 30
+    assert len(every) == len(set(every)) == 32
     assert sorted(every) == sorted(temp.iterdir())
+    # each queued copy went to one taker, and the 2 takers that found
+    # the queue empty made theirs in their own threads
+    assert sorted(scratch.name.split("-")[0] for scratch in every) == (
+        ["ahead"] * 30 + ["demand"] * 2)
+    assert sorted(is_the_copier(thread) for _, thread in made) == (
+        [False] * 2 + [True] * 30)
+
+
+def test_a_copier_with_nothing_queued_starts_no_thread(tmp_path, temp,
+                                                       monkeypatch):
+    source = _hello_tree(tmp_path / "src")
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (
+        started.append(self.name) or start(self)))
+    made = _copies_by_thread(monkeypatch)
+    copies = AheadCopies(source)
+    scratch = copies.take("pristine-")
+    assert (scratch / "workspace" / "hello.txt").read_text() == "old\n"
+    shutil.rmtree(scratch)
+    copies.close()
+    assert started == []
+    assert [thread for _, thread in made] == [threading.current_thread()]
+    assert list(temp.iterdir()) == []
+
+
+def test_close_makes_no_copy_and_stops_none_made_on_demand(tmp_path, temp,
+                                                           monkeypatch):
+    source = _hello_tree(tmp_path / "src")
+    made = _copies_by_thread(monkeypatch)
+    ahead = AheadCopies(source, ("pristine-",) * 2)
+    ahead.close()
+    ahead.close()
+    assert not copier_running()
+    # the queued copies the copier made before close() began are gone;
+    # close() itself made none
+    assert all(is_the_copier(thread) for _, thread in made)
+    assert list(temp.iterdir()) == []
+    # a copy taken from a closed copier is made on demand, whole
+    scratch = ahead.take("late-")
+    assert (scratch / "workspace" / "sub" / "note.txt").read_text() == (
+        "note\n")
+    assert made[-1] == (scratch, threading.current_thread())
+    shutil.rmtree(scratch)
 
 
 def test_a_closed_copier_leaves_nothing(tmp_path, temp, monkeypatch):
@@ -941,7 +1009,7 @@ def test_a_judge_takes_a_finished_copy_and_removes_it(tmp_path, temp,
     copytree = shutil.copytree
     monkeypatch.setattr(shutil, "copytree", lambda src, dst, *args, **kw: (
         copied.append(dst) or copytree(src, dst, *args, **kw)))
-    pristine = PristineCopy(source, "grep -q new hello.txt", ahead=ahead)
+    pristine = PristineCopy(ahead, "grep -q new hello.txt")
     verdict = pristine.judge(HELLO_DIFF, "v")
     assert verdict.passed, verdict.detail
     assert copied == [] and len(list(temp.iterdir())) == 1
@@ -968,7 +1036,7 @@ def test_a_taker_waits_for_a_copy_in_the_making_instead_of_making_its_own(
     ahead = AheadCopies(source, ("pristine-",))
     verdicts = []
     judge = threading.Thread(target=lambda: verdicts.append(PristineCopy(
-        source, "grep -q new hello.txt", ahead=ahead).judge(HELLO_DIFF, "v")))
+        ahead, "grep -q new hello.txt").judge(HELLO_DIFF, "v")))
     try:
         judge.start()
         judge.join(0.3)
@@ -991,11 +1059,11 @@ def test_a_judge_whose_copies_ahead_failed_says_why_as_before(tmp_path,
     ahead = AheadCopies(source, ("pristine-",) * 2)
     join_the_copier()
     assert list(temp.iterdir()) == []
-    verdict = PristineCopy(source, "true", ahead=ahead).judge(HELLO_DIFF,
-                                                              "v")
+    verdict = PristineCopy(ahead, "true").judge(HELLO_DIFF, "v")
     ahead.close()
     assert verdict.result is None
-    assert verdict.detail == PristineCopy(source, "true").judge(
+    # as a judge whose copier has nothing queued, such as evaluate's
+    assert verdict.detail == PristineCopy(AheadCopies(source), "true").judge(
         HELLO_DIFF, "v").detail == (
         "workspace copy failed: FileNotFoundError: [Errno 2] No such file "
         "or directory: 'workspace'")
@@ -1005,26 +1073,40 @@ def test_a_judge_whose_copies_ahead_failed_says_why_as_before(tmp_path,
 def test_a_failed_copy_stops_the_ones_after_it(tmp_path, temp, monkeypatch):
     source = _hello_tree(tmp_path / "src")
     written = []
+    full = [True]
     copyfile = shutil.copyfile
 
     def full_disk(src, dst, *args, **kwargs):
         # copytree copies each file through copy2, which calls copyfile
         written.append((Path(dst).relative_to(temp).parts[0],
                         threading.current_thread()))
-        raise OSError(28, "No space left on device", str(dst))
+        if full[0]:
+            raise OSError(28, "No space left on device", str(dst))
+        return copyfile(src, dst, *args, **kwargs)
 
     monkeypatch.setattr(shutil, "copyfile", full_disk)
     ahead = AheadCopies(source, ("pristine-",) * 3)
     try:
-        assert [ahead.take() for _ in range(4)] == [None] * 4
-        verdict = PristineCopy(source, "true", ahead=ahead).judge(
-            HELLO_DIFF, "v")
+        join_the_copier()
+        # each take makes a copy of its own, which fails too
+        for _ in range(3):
+            with pytest.raises(OSError, match="No space left"):
+                ahead.take("pristine-")
+        verdict = PristineCopy(ahead, "true").judge(HELLO_DIFF, "v")
+        # an earlier failure does not stop a copy made on demand
+        full[0] = False
+        scratch = ahead.take("pristine-")
     finally:
         ahead.close()
+    assert (scratch / "workspace" / "hello.txt").read_text() == "old\n"
+    shutil.rmtree(scratch)
     # only the first copy wrote a file; the copier made no other
-    copier = {scratch for scratch, thread in written if is_the_copier(thread)}
+    copier = {name for name, thread in written if is_the_copier(thread)}
     assert len(copier) == 1
-    # the judge made its own, which names the copy's side `copy/...`
+    # the other five, each made in the taker's thread
+    assert len({name for name, thread in written
+                if thread is threading.current_thread()}) == 5
+    # the judge's own names the copy's side `copy/...`, as before
     assert verdict.detail == (
         "workspace copy failed: Error: [('workspace/hello.txt', "
         "'copy/hello.txt', \"[Errno 28] No space left on device: "

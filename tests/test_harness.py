@@ -41,7 +41,7 @@ from vulnmend.edit_engine import (EditHistory, edited_texts,
 from vulnmend.errors import (BadInputFile, LLMBackendError, ReplayDesync,
                              SchemaViolation, ScriptExhausted,
                              describe_error)
-from vulnmend.execution import LocalSandbox, PristineCopy
+from vulnmend.execution import AheadCopies, LocalSandbox, PristineCopy
 from vulnmend.harness.backends import (HttpChatBackend, ReplayBackend,
                                        load_replay)
 from vulnmend.harness.cli import _backend_factory, _load_config, main
@@ -466,10 +466,11 @@ def test_replay_n_request_past_the_end_is_exhaustion():
 class _Response:
     """A server's answer: a status and a JSON body, or raw text."""
 
-    def __init__(self, status_code=200, body=None, text=""):
+    def __init__(self, status_code=200, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text
+        self.headers = headers or {}
 
     def opened(self, request):
         """What urlopen makes of this answer: a 200 is returned, any
@@ -478,7 +479,8 @@ class _Response:
                 else self.text).encode()
         if self.status_code != 200:
             raise urllib.error.HTTPError(request.full_url, self.status_code,
-                                         "error", {}, io.BytesIO(data))
+                                         "error", self.headers,
+                                         io.BytesIO(data))
         return urllib.response.addinfourl(io.BytesIO(data), {},
                                           request.full_url, 200)
 
@@ -627,6 +629,40 @@ def test_http_throttling_and_server_errors_retryable(monkeypatch, status):
     assert len(posts) == 3
     assert sleeps == [1.0, 2.0]
     assert backend.records == []
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_http_throttled_call_waits_as_long_as_retry_after_asks(monkeypatch,
+                                                               status):
+    throttled = _Response(status_code=status, headers={"Retry-After": "5"})
+    posts, sleeps = _serve(monkeypatch, throttled, throttled,
+                           _Response(body=_OK))
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    assert backend.chat(_request("generate")).text == "done"
+    assert len(posts) == 3
+    assert sleeps == [5, 5]
+    assert len(backend.records) == 1
+
+
+@pytest.mark.parametrize("status, retry_after, slept", [
+    (429, "3600", 60),  # capped
+    (503, " 0 ", 0),
+    (429, "Wed, 21 Oct 2026 07:28:00 GMT", 1.0),  # a date: the backoff
+    (429, "-1", 1.0),
+    (429, "2.5", 1.0),
+    (503, "", 1.0),
+    (500, "5", 1.0),  # only a throttled answer says when
+])
+def test_http_retry_after_is_honoured_only_as_delta_seconds(
+        monkeypatch, status, retry_after, slept):
+    posts, sleeps = _serve(
+        monkeypatch,
+        _Response(status_code=status, headers={"Retry-After": retry_after}),
+        _Response(body=_OK))
+    backend = HttpChatBackend(base_url="http://api.test", model="m")
+    assert backend.chat(_request("generate")).text == "done"
+    assert len(posts) == 2
+    assert sleeps == [slept]
 
 
 def test_http_client_error_permanent(monkeypatch):
@@ -1207,7 +1243,7 @@ def test_a_patch_to_the_poc_harness_is_rejected(fixtures_dir, scratch_crepo,
                                edits=tuple(parse_edit_blocks(edit)))
     outcome = validate_candidate(
         candidate, RepoIndex(scratch_crepo),
-        PristineCopy(scratch_crepo, instance.repro_command))
+        PristineCopy(AheadCopies(scratch_crepo), instance.repro_command))
     assert outcome.applied and "secb.sh" in outcome.diff
     assert (outcome.compiled, outcome.poc_pass) == (False, False)
     assert outcome.failure == "touches the PoC harness: secb.sh"
@@ -1276,7 +1312,7 @@ def test_a_content_line_that_reads_as_a_harness_header_is_no_header(
                                edits=tuple(parse_edit_blocks(edit)))
     outcome = validate_candidate(
         candidate, RepoIndex(scratch_crepo),
-        PristineCopy(scratch_crepo, instance.repro_command))
+        PristineCopy(AheadCopies(scratch_crepo), instance.repro_command))
     assert "\n+++ b/secb.sh\n" in outcome.diff
     assert (outcome.failure, outcome.poc_pass) == (None, True)
     verdict = verify_prediction(instance, outcome.diff)
@@ -1362,7 +1398,7 @@ def test_validation_and_evaluation_agree_on_the_poc(tmp_path, command,
     workspace = tmp_path / "ws-mini-1"
     outcome = validate_candidate(
         HELLO_EDIT, RepoIndex(workspace),
-        PristineCopy(workspace, command, timeout=timeout))
+        PristineCopy(AheadCopies(workspace), command, timeout=timeout))
     verdict = verify_prediction(instance, HELLO_DIFF, timeout=timeout)
     assert outcome.applied and verdict.applied
     assert outcome.poc_pass is verdict.resolved is passed
@@ -2067,7 +2103,14 @@ def test_spas_copy_takes_the_inputs_listing_so_a_link_out_stays_unlisted(
     instance = dataclasses.replace(
         load_instances(fixtures_dir / "instances.jsonl")[0],
         workspace_path=str(scratch_crepo))
-    llm = RecordingReplay(build_entries(True, True))
+    # spa's first step reads the link by name
+    entries = build_entries(True, True)
+    first_spa = next(k for k, entry in enumerate(entries)
+                     if entry["expect"] == "spa")
+    entries.insert(first_spa, {"expect": "spa", "response": {
+        "tool": "read_code",
+        "args": {"file": "src/out.c", "center": 1, "num": 4}}})
+    llm = RecordingReplay(entries)
     result = run_instance(instance, variant("full"), llm, tmp_path / "run")
 
     assert result.winner is not None and not result.errors
@@ -2078,9 +2121,13 @@ def test_spas_copy_takes_the_inputs_listing_so_a_link_out_stays_unlisted(
     # leave it out, as the input's readers do
     assert regular
     assert "src/out.c" not in files and found == []
-    first_spa = next(r for r in llm.requests if r.tag == "spa")
+    first, second = [r for r in llm.requests if r.tag == "spa"][:2]
     assert not any("out.c" in (m["content"] or "")
-                   for m in first_spa.messages)
+                   for m in first.messages)
+    # and spa's reader refuses it by name, as the input's index does
+    observation = second.messages[-1]["content"]
+    assert observation == "Error: src/out.c is outside the workspace"
+    assert "outside_fn" not in observation
 
 
 @pytest.mark.parametrize("prefix", ["agents-", "pristine-"])

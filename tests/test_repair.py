@@ -11,7 +11,7 @@ from replay_scripts import (COMMENT_ONLY_PATCH, COMMENTED_FIX, REFERENCE_FIX,
 import vulnmend.execution as execution
 from vulnmend.edit_engine import (EditHistory, apply_edits_to_text,
                                   parse_edit_blocks)
-from vulnmend.execution import LocalSandbox, PristineCopy
+from vulnmend.execution import AheadCopies, LocalSandbox, PristineCopy
 from vulnmend.llm import ChatResponse
 from vulnmend.localization import ElementSelection
 from vulnmend.repair import (CandidateBatch, CandidateOutcome, CandidatePatch,
@@ -285,7 +285,7 @@ def test_validate_candidate_poc_verdicts(scratch_crepo):
     before = snapshot(scratch_crepo)
 
     repo = RepoIndex(scratch_crepo)
-    pristine = PristineCopy(scratch_crepo, "sh secb.sh")
+    pristine = PristineCopy(AheadCopies(scratch_crepo), "sh secb.sh")
     fixed = validate_candidate(_candidate(0, REFERENCE_FIX), repo, pristine)
     assert fixed.applied and fixed.compiled and fixed.poc_pass
     assert fixed.sanitizer_triggered is False
@@ -314,7 +314,7 @@ def test_validation_runs_the_poc_once_per_fingerprint(scratch_crepo,
     monkeypatch.setattr(LocalSandbox, "exec", lambda self, command, **kw: (
         execs.append(command) or exec_(self, command, **kw)))
     repo = RepoIndex(scratch_crepo)
-    pristine = PristineCopy(scratch_crepo, _GREP_POC)
+    pristine = PristineCopy(AheadCopies(scratch_crepo), _GREP_POC)
     batch = CandidateBatch((_candidate(0, REFERENCE_FIX),
                             _candidate(1, COMMENTED_FIX),
                             _candidate(2, COMMENT_ONLY_PATCH)))
@@ -340,7 +340,8 @@ def test_validate_candidate_unmatched_search(scratch_crepo):
     before = snapshot(scratch_crepo)
     outcome = validate_candidate(_candidate(2, UNMATCHED_PATCH),
                                  RepoIndex(scratch_crepo),
-                                 PristineCopy(scratch_crepo, "true"))
+                                 PristineCopy(AheadCopies(scratch_crepo),
+                                              "true"))
     assert outcome.applied is False
     assert outcome.failure.startswith("SearchTextNotFound")
     assert snapshot(scratch_crepo) == before
@@ -350,7 +351,8 @@ def test_validate_candidate_parse_error_short_circuits(scratch_crepo):
     candidate = CandidatePatch(index=3, temperature=1.0, raw_text="junk",
                                edits=(), parse_error="no edit blocks found")
     outcome = validate_candidate(candidate, RepoIndex(scratch_crepo),
-                                 PristineCopy(scratch_crepo, "true"))
+                                 PristineCopy(AheadCopies(scratch_crepo),
+                                              "true"))
     assert outcome.applied is False
     assert outcome.failure == "no edit blocks found"
 
@@ -379,7 +381,7 @@ _BATCH = (
 
 def _validate_batch(root, candidates, poc=_GREP_POC):
     repo, batch = RepoIndex(root), CandidateBatch(candidates)
-    pristine = PristineCopy(root, poc)
+    pristine = PristineCopy(AheadCopies(root), poc)
     return [validate_candidate(c, repo, pristine, batch) for c in candidates]
 
 
