@@ -80,7 +80,7 @@ class GitUnavailable(VulnmendError, FileNotFoundError):
 
 
 class NoRunDirectory(VulnmendError, FileNotFoundError):
-    """The run directory to evaluate or report on is not there."""
+    """The run directory is missing (evaluate, report) or unwritable (run)."""
 
 
 # --- agents ---------------------------------------------------------------

@@ -668,19 +668,16 @@ class PristineCopy:
         if isinstance(diff, str):
             diff = diff.encode("utf-8", errors="surrogateescape")
         source = self.copies.source
+        step, scratch = "workspace copy", None
         try:
             scratch = self.copies.take("pristine-")
-        except OSError as exc:
-            # this instance's data is broken (say, its workspace is gone)
-            return PatchVerdict(detail="workspace copy failed: "
-                                + describe_error(exc, {source: "workspace"}))
-        try:
             work = scratch / "workspace"
             # bytes in, so a diff of a non-UTF-8 source applies as
             # written. The ceiling keeps git from finding a repository
             # that encloses the temp directory: it would resolve the
             # diff's paths against that repository's top level and skip
             # them without an error.
+            step = "git apply"
             applied = subprocess.run(
                 ["git", "apply", "--whitespace=nowarn", "-"], input=diff,
                 cwd=work, capture_output=True,
@@ -696,11 +693,18 @@ class PristineCopy:
             if touched:
                 return PatchVerdict(detail="touches the PoC harness: "
                                     + ", ".join(touched))
+            step = "PoC run"
             runner = PocRunner(LocalSandbox(work), self.command,
                                timeout=self.timeout)
             return PatchVerdict(result=runner.run_poc(name))
+        except OSError as exc:
+            # a step that cannot start is the diff's verdict: the copy (say,
+            # the workspace is gone) or a spawn (say, EAGAIN) failed
+            return PatchVerdict(detail=f"{step} failed: "
+                                + describe_error(exc, {source: "workspace"}))
         finally:
-            shutil.rmtree(scratch, ignore_errors=True)
+            if scratch is not None:
+                shutil.rmtree(scratch, ignore_errors=True)
 
 
 # -- the worker pool ---------------------------------------------------------------
@@ -772,6 +776,18 @@ _ALLOWED_IMPORTS = frozenset({
     "re", "math", "json", "string", "itertools", "functools", "collections",
     "textwrap", "struct", "binascii", "base64", "statistics",
 })
+
+
+def _script_traceback(exc: BaseException) -> str:
+    """exc's traceback with only the script's own frames, the first three
+    of each exception: no path or line of the package is in it."""
+    shown = traceback.TracebackException.from_exception(exc)
+    chain = [shown]
+    for link in chain:  # the chain grows as it is walked
+        link.stack = traceback.StackSummary.from_list(
+            [f for f in link.stack if f.filename == "<agent-script>"][:3])
+        chain += filter(None, (link.__cause__, link.__context__))
+    return "".join(shown.format())
 
 
 @dataclass
@@ -849,8 +865,8 @@ class PythonScriptSandbox:
             exec(compile(code, "<agent-script>", "exec"), env)  # noqa: S102
         except SandboxViolation as exc:
             violation = str(exc)
-        except BaseException:
-            error = traceback.format_exc(limit=4)
+        except BaseException as exc:
+            error = _script_traceback(exc)
         if violation is None and len(self.violations) > before:
             # the script swallowed the violation; it still counts
             violation = self.violations[before]

@@ -8,9 +8,8 @@ import os
 import sys
 
 from ..errors import BadInputFile, GitUnavailable, NoRunDirectory
-from ..execution import DEFAULT_POC_TIMEOUT
 from .backends import HttpChatBackend, load_replay
-from .config import VARIANTS, RunConfig, check_poc_timeout, variant
+from .config import VARIANTS, RunConfig, variant
 from .instances import load_instances
 from .metrics import evaluate_run, require_run_dir
 from .pipeline import run_all
@@ -66,9 +65,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    instances = load_instances(args.instances)
-    metrics, verdicts = evaluate_run(args.run, instances,
-                                     timeout=args.timeout)
+    metrics, verdicts = evaluate_run(args.run, load_instances(args.instances))
     for v in verdicts:
         mark = "resolved" if v.resolved else "unresolved"
         detail = f" ({v.detail})" if v.detail else ""
@@ -134,14 +131,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _poc_timeout(text: str) -> float:
-    try:
-        return check_poc_timeout(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive, finite number of seconds, got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vulnmend",
@@ -171,10 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--run", required=True, help="run directory")
     eval_p.add_argument("--instances", required=True,
                         help="JSONL instance file")
-    eval_p.add_argument("--timeout", type=_poc_timeout,
-                        default=DEFAULT_POC_TIMEOUT,
-                        help="seconds each PoC run may take: positive and "
-                             "finite (default %(default)s)")
     eval_p.set_defaults(fn=_cmd_evaluate)
 
     report_p = sub.add_parser("report", help="summarize a run directory")

@@ -8,16 +8,25 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .. import execution, localization, repair
-from ..agents import cpc, spa
+from .. import execution
 from .instances import input_file
 
 SELECTION_STRATEGIES = ("poc_voting", "simple_voting")
 INPUT_TYPES = ("issue_report", "sanitizer_log")
 ENHANCE_STAGES = ("localization", "generation")
 
-VARIANTS = ("base", "cpc", "spa", "full", "enhanceVulnLoc",
-            "enhancePatchGen", "simpleVoting", "sanitizer")
+# the standard ablations, as deltas on the default config
+_DELTAS = {
+    "base": dict(enable_cpc=False, enable_spa=False, enhance_stages=()),
+    "cpc": dict(enable_cpc=True, enable_spa=False),
+    "spa": dict(enable_cpc=False, enable_spa=True),
+    "full": dict(enable_cpc=True, enable_spa=True),
+    "enhanceVulnLoc": dict(enhance_stages=("localization",)),
+    "enhancePatchGen": dict(enhance_stages=("generation",)),
+    "simpleVoting": dict(selection_strategy="simple_voting"),
+    "sanitizer": dict(input_type="sanitizer_log"),
+}
+VARIANTS = tuple(_DELTAS)
 
 # USD per million tokens; far above any real price, and small enough
 # that a cost of any plausible token count quantizes to cents
@@ -40,43 +49,29 @@ def check_poc_timeout(value) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    top_files: int = 3
-    context_margin: int = repair.DEFAULT_CONTEXT_MARGIN
-    candidates: int = repair.DEFAULT_CANDIDATES
-    chunk_lines: int = localization.DEFAULT_CHUNK_LINES
-    element_limit: int = localization.DEFAULT_ELEMENT_LIMIT
+    """Each field is a variant's switch, or a deployment's timeout or price."""
+
     enable_cpc: bool = True
     enable_spa: bool = True
     enhance_stages: tuple = ("localization", "generation")
     selection_strategy: str = "poc_voting"
     input_type: str = "issue_report"
-    cpc_max_steps: int = cpc.DEFAULT_CPC_MAX_STEPS
-    spa_max_steps: int = spa.DEFAULT_SPA_MAX_STEPS
     poc_timeout: float = execution.DEFAULT_POC_TIMEOUT
     price_input_per_mtok: str = "3.00"
     price_output_per_mtok: str = "15.00"
 
     def validate(self) -> "RunConfig":
-        # JSON has no schema: "false" or 2.5 must not pass for a flag or
-        # a count, and bool is an int to isinstance. Every int field is a
-        # count of at least 1.
+        # JSON has no schema: "false" must not pass for a flag
         for field in dataclasses.fields(self):
-            name, value = field.name, getattr(self, field.name)
+            value = getattr(self, field.name)
             if field.type == "bool" and not isinstance(value, bool):
-                raise _wrong_type(name, "a bool", value)
-            if field.type == "int":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise _wrong_type(name, "an int", value)
-                if value < 1:
-                    raise ValueError(f"{name} must be >= 1")
+                raise _wrong_type(field.name, "a bool", value)
         check_poc_timeout(self.poc_timeout)
-        if self.selection_strategy not in SELECTION_STRATEGIES:
-            raise ValueError(
-                f"selection_strategy must be one of "
-                f"{SELECTION_STRATEGIES}, got {self.selection_strategy!r}")
-        if self.input_type not in INPUT_TYPES:
-            raise ValueError(f"input_type must be one of {INPUT_TYPES}, "
-                             f"got {self.input_type!r}")
+        for name, known in (("selection_strategy", SELECTION_STRATEGIES),
+                            ("input_type", INPUT_TYPES)):
+            if getattr(self, name) not in known:
+                raise ValueError(f"{name} must be one of {known}, "
+                                 f"got {getattr(self, name)!r}")
         if not isinstance(self.enhance_stages, (tuple, list)) or not all(
                 isinstance(stage, str) for stage in self.enhance_stages):
             raise _wrong_type("enhance_stages", "a list of stage names",
@@ -131,20 +126,22 @@ class RunConfig:
             return cls.from_dict(data)
 
 
-def variant(name: str, base: RunConfig | None = None) -> RunConfig:
-    """The standard ablations, expressed as deltas on a base config."""
-    cfg = base or RunConfig()
-    deltas = {
-        "base": dict(enable_cpc=False, enable_spa=False,
-                     enhance_stages=()),
-        "cpc": dict(enable_cpc=True, enable_spa=False),
-        "spa": dict(enable_cpc=False, enable_spa=True),
-        "full": dict(enable_cpc=True, enable_spa=True),
-        "enhanceVulnLoc": dict(enhance_stages=("localization",)),
-        "enhancePatchGen": dict(enhance_stages=("generation",)),
-        "simpleVoting": dict(selection_strategy="simple_voting"),
-        "sanitizer": dict(input_type="sanitizer_log"),
-    }
-    if name not in deltas:
+def run_poc_timeout(run_dir: Path) -> float:
+    """The poc_timeout of run_dir's config.json, read alone, so a run
+    made with fields since dropped still serves; the default if none."""
+    path = run_dir / "config.json"
+    if not path.exists():
+        return RunConfig.poc_timeout
+    with input_file("config file", path) as fh:
+        data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        return check_poc_timeout(
+            data.get("poc_timeout", RunConfig.poc_timeout))
+
+
+def variant(name: str) -> RunConfig:
+    """The named standard ablation."""
+    if name not in _DELTAS:
         raise ValueError(f"unknown variant {name!r}; known: {VARIANTS}")
-    return dataclasses.replace(cfg, **deltas[name]).validate()
+    return RunConfig(**_DELTAS[name]).validate()

@@ -26,7 +26,6 @@ class IssueInstance:
     repro_command: str
     workspace_path: str
     sanitizer_log: str | None = None
-    language: str = "c"
     verify_command: str | None = None
 
 
@@ -69,9 +68,9 @@ def parse_instance(obj: dict, line: int, base_dir: Path) -> IssueInstance:
     if sanitizer_log is not None and not isinstance(sanitizer_log, str):
         raise SchemaViolation("sanitizer_log must be a string",
                               field="sanitizer_log", line=line)
-    language = obj.get("language", "c")
-    if language not in ("c", "cpp"):
-        raise SchemaViolation(f"unsupported language {language!r}",
+    # read by no stage, but a row in another language is refused
+    if obj.get("language", "c") not in ("c", "cpp"):
+        raise SchemaViolation(f"unsupported language {obj['language']!r}",
                               field="language", line=line)
     verify_command = obj.get("verify_command")
     if verify_command is not None and not isinstance(verify_command, str):
@@ -84,7 +83,6 @@ def parse_instance(obj: dict, line: int, base_dir: Path) -> IssueInstance:
         repro_command=_field(obj, "repro_command", line),
         workspace_path=str(resolved),
         sanitizer_log=sanitizer_log,
-        language=language,
         verify_command=verify_command,
     )
 

@@ -5,8 +5,9 @@ exact fractions. The built-in verifier judges each prediction as
 validation judges a candidate (PristineCopy), in a fresh copy that a
 copier with nothing queued makes when taken: resolved means the patch
 leaves the PoC harness alone, applies with `git apply`, and the verify
-command's run passes by the one PoC verdict, PocResult.passed. A batch's
-predictions are judged concurrently, in a bounded pool, in order.
+command's run passes within the run's poc_timeout by the one PoC verdict,
+PocResult.passed. A batch's predictions are judged concurrently, in a
+bounded pool, in order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..execution import (DEFAULT_POC_TIMEOUT, AheadCopies, PristineCopy,
                          in_pool, require_git)
 from ..llm import RequestRecord
 from ..repo_model import write_json
-from .config import RunConfig
+from .config import RunConfig, run_poc_timeout
 from .instances import IssueInstance
 
 _CENT = Decimal("0.01")
@@ -129,12 +130,13 @@ def require_run_dir(run_dir: Path | str) -> Path:
     return run_dir
 
 
-def evaluate_run(run_dir: Path | str, instances: list[IssueInstance],
-                 timeout: float = DEFAULT_POC_TIMEOUT
+def evaluate_run(run_dir: Path | str, instances: list[IssueInstance]
                  ) -> tuple[Metrics, list[InstanceVerdict]]:
-    """Judge every instance of a finished run and persist the verdicts."""
+    """Judge every instance of a finished run, each PoC run within the
+    run's own poc_timeout, and persist the verdicts."""
     require_git()
     run_dir = require_run_dir(run_dir)
+    timeout = run_poc_timeout(run_dir)
     by_id = {i.instance_id: i for i in instances}
     jobs = []
     for instance_dir in sorted(p for p in run_dir.iterdir() if p.is_dir()):

@@ -27,15 +27,15 @@ from ..agents.cpc import run_cpc_agent
 from ..agents.reports import EnhancedIssueReport
 from ..agents.spa import run_spa_agent
 from ..edit_engine import EditHistory
-from ..errors import (ReplayDesync, ScriptExhausted, VulnmendError,
-                      describe_error)
+from ..errors import (NoRunDirectory, ReplayDesync, ScriptExhausted,
+                      VulnmendError, describe_error)
 from ..execution import (AheadCopies, LocalSandbox, PocRunner, PristineCopy,
                          PythonScriptSandbox, pool_width, require_git)
 from ..llm import LLMBackend
 from ..localization import (localize_elements, localize_files_prompt,
                             localize_files_retrieval, merge_rankings)
-from ..repair import (CandidateBatch, build_patch_context, generate_patches,
-                      select_patch, validate_candidate)
+from ..repair import (DEFAULT_CANDIDATES, CandidateBatch, build_patch_context,
+                      generate_patches, select_patch, validate_candidate)
 from ..repo_model import RepoIndex, write_json, write_text
 from ..symbol_analysis import make_symbol_backend
 from .config import RunConfig
@@ -122,7 +122,7 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     # validation's pool are made ahead, while the stages before them run
     ahead = AheadCopies(instance.workspace_path,
                         ("agents-",) * config.enable_spa
-                        + ("pristine-",) * pool_width(config.candidates))
+                        + ("pristine-",) * pool_width(DEFAULT_CANDIDATES))
     try:
         return _resolve(instance, config, llm, stage, ahead)
     finally:
@@ -144,7 +144,7 @@ def _run_spa_in_a_copy(instance: IssueInstance, config: RunConfig,
         return run_spa_agent(
             llm, index, make_symbol_backend(index), EditHistory(index),
             runner, PythonScriptSandbox(log_provider=runner.log_store.get),
-            issue_text, max_steps=config.spa_max_steps)
+            issue_text)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -187,8 +187,7 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     context_report = None
     if config.enable_cpc:
         context_report = agent("cpc", lambda: run_cpc_agent(
-            llm, index, symbols, issue_text,
-            max_steps=config.cpc_max_steps))
+            llm, index, symbols, issue_text))
 
     property_report = None
     if config.enable_spa:
@@ -216,14 +215,12 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
                 if has_reports and "localization" in config.enhance_stages
                 else issue_text)
     prompt_files = stage.run("localize_files", lambda: localize_files_prompt(
-        llm, index, loc_text, config.top_files), fallback=[])
-    retrieval_files = stage.run(
-        "localize_retrieval", lambda: localize_files_retrieval(
-            llm, index, loc_text, config.top_files,
-            chunk_lines=config.chunk_lines), fallback=[])
-    merged = merge_rankings(prompt_files, retrieval_files, config.top_files)
+        llm, index, loc_text), fallback=[])
+    retrieval_files = stage.run("localize_retrieval", lambda: (
+        localize_files_retrieval(llm, index, loc_text)), fallback=[])
+    merged = merge_rankings(prompt_files, retrieval_files)
     element_loc = stage.run("localize_elements", lambda: localize_elements(
-        llm, index, merged, loc_text, limit=config.element_limit))
+        llm, index, merged, loc_text))
     selections = element_loc.selections if element_loc is not None else ()
 
     save(write_json, "rankings/files.json", {
@@ -255,9 +252,8 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     stage.run("generate", lambda: generate_patches(
         llm, gen_text, build_patch_context(
             index, selections,
-            whole_files=merged if not selections else None,
-            margin=config.context_margin),
-        t=config.candidates, out=candidates))
+            whole_files=merged if not selections else None),
+        out=candidates))
 
     outcomes = []
     # one PoC run per distinct program, judged as evaluate judges a
@@ -313,7 +309,11 @@ def run_all(instances, config: RunConfig, backend_for,
     # before any model call is paid for
     require_git()
     out_dir = Path(out_dir)
-    write_json(out_dir / "config.json", config.to_dict())
+    try:
+        write_json(out_dir / "config.json", config.to_dict())
+    except OSError as exc:
+        raise NoRunDirectory(f"cannot write --out {out_dir}: "
+                             f"{exc.strerror or exc}") from None
     results = []
     for instance in instances:
         results.append(run_instance(instance, config,

@@ -26,6 +26,7 @@ from .repo_model import (CodeElement, RepoIndex, render_repo_tree,
                          skeletonize, split_lines)
 from .repo_model import source_files  # noqa: F401  (probed by bench/spans.py)
 
+DEFAULT_TOP_FILES = 3
 DEFAULT_CHUNK_LINES = 512
 DEFAULT_EMBED_DIM = 256
 DEFAULT_ELEMENT_LIMIT = 10
@@ -131,8 +132,8 @@ _IGNORE_SYSTEM = (
     "[] if nothing should be ignored.")
 
 
-def localize_files_prompt(llm: LLMBackend, index: RepoIndex,
-                          issue_text: str, n: int) -> list[str]:
+def localize_files_prompt(llm: LLMBackend, index: RepoIndex, issue_text: str,
+                          n: int = DEFAULT_TOP_FILES) -> list[str]:
     """Ask the model directly which files are suspicious."""
     tree = render_repo_tree(index)
     raw = _chat_text(
@@ -178,7 +179,7 @@ def _under(rel: str, folders: list[str]) -> bool:
 
 
 def localize_files_retrieval(llm: LLMBackend, index: RepoIndex,
-                             issue_text: str, n: int,
+                             issue_text: str, n: int = DEFAULT_TOP_FILES,
                              embedder: HashingEmbedder | None = None,
                              chunk_lines: int = DEFAULT_CHUNK_LINES,
                              ) -> list[str]:
@@ -205,7 +206,7 @@ def localize_files_retrieval(llm: LLMBackend, index: RepoIndex,
 
 
 def merge_rankings(prompt_files: list[str], retrieval_files: list[str],
-                   n: int) -> list[str]:
+                   n: int = DEFAULT_TOP_FILES) -> list[str]:
     """Prompt picks first, then retrieval picks not already present."""
     out = list(dict.fromkeys(prompt_files))
     for rel in retrieval_files:

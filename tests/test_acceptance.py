@@ -34,14 +34,15 @@ from vulnmend.execution import (ExecResult, LogScan, LogStore, PocRunner,
                                 PythonScriptSandbox, truncate_log)
 from vulnmend.harness.backends import ReplayBackend
 from vulnmend.harness.cli import main
-from vulnmend.harness.config import VARIANTS, RunConfig, variant
+from vulnmend.harness.config import VARIANTS, variant
 from vulnmend.harness.instances import IssueInstance, load_instances
 from vulnmend.harness.metrics import Metrics, evaluate_run
 from vulnmend.harness.pipeline import run_all
 from vulnmend.llm import ChatResponse
-from vulnmend.localization import (HashingEmbedder, chunk_file,
-                                   localize_files_retrieval)
-from vulnmend.repair import (CandidateOutcome, select_patch,
+from vulnmend.localization import (DEFAULT_TOP_FILES, HashingEmbedder,
+                                   chunk_file, localize_files_retrieval)
+from vulnmend.repair import (DEFAULT_CANDIDATES, DEFAULT_CONTEXT_MARGIN,
+                             CandidateOutcome, select_patch,
                              temperature_schedule)
 from vulnmend.repo_model import RepoIndex, read_text, source_files
 from vulnmend.symbol_analysis import (IndexBackend, plan_queries,
@@ -476,11 +477,12 @@ def _digests(root):
 @needs_gcc
 def test_variants_produce_distinct_stage_traces(criterion, variant_runs):
     criterion("config fidelity")
-    cfg = RunConfig()
-    assert cfg.top_files == 3
-    assert cfg.context_margin == 10
-    assert cfg.candidates == 5
-    assert temperature_schedule(cfg.candidates) == (0.0, 1.0, 1.0, 1.0, 1.0)
+    # the pipeline's fixed settings, which no variant changes
+    assert DEFAULT_TOP_FILES == 3
+    assert DEFAULT_CONTEXT_MARGIN == 10
+    assert DEFAULT_CANDIDATES == 5
+    assert temperature_schedule(DEFAULT_CANDIDATES) == (0.0, 1.0, 1.0, 1.0,
+                                                        1.0)
 
     traces = {name: (variant_runs / name / "config.json").read_bytes()
               + (variant_runs / name / "namecache-obo-1"

@@ -1226,6 +1226,45 @@ def test_script_sandbox_error_becomes_traceback_output():
     assert result.output.startswith("pre\n")
 
 
+@pytest.mark.parametrize("code, frames, last", [
+    ("x = 1 / 0", ['line 1, in <module>'],
+     "ZeroDivisionError: division by zero"),
+    # the standard library's frames go too
+    ("import json\njson.loads('x')", ['line 2, in <module>'],
+     "json.decoder.JSONDecodeError: Expecting value: line 1 column 1 "
+     "(char 0)"),
+    # a script that recurses without end shows its first three frames
+    ("def f(n):\n    return f(n + 1)\nf(0)",
+     ['line 3, in <module>', 'line 2, in f', 'line 2, in f'],
+     "RecursionError: maximum recursion depth exceeded"),
+    ("get_poc_output('missing')", ['line 1, in <module>'],
+     "vulnmend.errors.UnknownLogName: no log named 'missing' "
+     "(known: <none>)"),
+], ids=["raise", "stdlib", "recursion", "log-bridge"])
+def test_script_sandbox_traceback_shows_only_the_scripts_frames(
+        code, frames, last):
+    # no path or line of the package: the observation a model reads
+    # does not depend on where the package lives or on its edits
+    result = PythonScriptSandbox(log_provider=LogStore().get).run_script(
+        code)
+    assert result.error == result.output == "".join([
+        "Traceback (most recent call last):\n",
+        *(f'  File "<agent-script>", {frame}\n' for frame in frames),
+        last, "\n"])
+
+
+def test_script_sandbox_traceback_keeps_a_chained_error_placeless():
+    code = ("try:\n    1 / 0\n"
+            "except ZeroDivisionError as exc:\n"
+            "    raise ValueError('bad') from exc\n")
+    result = PythonScriptSandbox().run_script(code)
+    assert "ZeroDivisionError: division by zero" in result.output
+    assert result.output.endswith("ValueError: bad\n")
+    assert "execution.py" not in result.output
+    assert result.output.count('File "') == result.output.count(
+        'File "<agent-script>"') == 2
+
+
 def test_script_sandbox_output_cap():
     sandbox = PythonScriptSandbox(output_cap=100)
     result = sandbox.run_script("for i in range(1000):\n    print('x' * 10)\n")

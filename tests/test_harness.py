@@ -2,6 +2,7 @@
 metrics and the command line."""
 
 import dataclasses
+import errno
 import hashlib
 import http.client
 import http.server
@@ -57,7 +58,7 @@ from vulnmend.harness.telemetry import (classify_script,
 from vulnmend.llm import ChatRequest, RequestRecord, ToolCall, Usage
 from vulnmend.repair import (CandidatePatch, PatchContext, generate_patches,
                              validate_candidate)
-from vulnmend.repo_model import RepoIndex, WholeWord, write_text
+from vulnmend.repo_model import RepoIndex, WholeWord, write_json, write_text
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
                                reason="gcc not available")
@@ -100,7 +101,6 @@ def test_load_bundled_instances(fixtures_dir):
     assert len(instances) == 1
     inst = instances[0]
     assert inst.instance_id == "namecache-obo-1"
-    assert inst.language == "c"
     assert inst.repro_command == "sh secb.sh"
     assert inst.verify_command is None
     assert "AddressSanitizer" in inst.sanitizer_log
@@ -189,27 +189,38 @@ def test_empty_file_rejected(instances_file):
 
 def test_config_defaults():
     cfg = RunConfig()
-    assert cfg.top_files == 3
-    assert cfg.context_margin == 10
-    assert cfg.candidates == 5
-    assert cfg.chunk_lines == 512
-    assert cfg.element_limit == 10
     assert cfg.enable_cpc and cfg.enable_spa
     assert cfg.enhance_stages == ("localization", "generation")
     assert cfg.selection_strategy == "poc_voting"
     assert cfg.input_type == "issue_report"
-    assert cfg.cpc_max_steps == 25
-    assert cfg.spa_max_steps == 40
     assert cfg.poc_timeout == 300.0
     assert cfg.price_input_per_mtok == "3.00"
     assert cfg.price_output_per_mtok == "15.00"
-    assert len(dataclasses.fields(cfg)) == 15
+    assert len(dataclasses.fields(cfg)) == 8
     assert cfg.validate() is cfg
 
 
+# a deployment's settings; every other field is a variant's switch
+DEPLOYMENT_FIELDS = {"poc_timeout", "price_input_per_mtok",
+                     "price_output_per_mtok"}
+
+
+def test_every_config_field_is_a_variant_switch_or_a_deployment_setting():
+    # a field that no variant changes and no deployment sets is one
+    # value: it belongs in a module constant of the stage that reads it
+    default = RunConfig()
+    switched = {field.name for field in dataclasses.fields(RunConfig)
+                for name in VARIANTS
+                if getattr(variant(name), field.name)
+                != getattr(default, field.name)}
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    assert fields - DEPLOYMENT_FIELDS == switched
+    assert DEPLOYMENT_FIELDS <= fields
+
+
 @pytest.mark.parametrize("overrides, message", [
-    (dict(top_files=0), "top_files must be >= 1"),
-    (dict(spa_max_steps=-2), "spa_max_steps must be >= 1"),
+    (dict(poc_timeout=float("inf")), "poc_timeout must be positive and"),
+    (dict(price_input_per_mtok="2000000"), "must be a finite price from 0"),
     (dict(poc_timeout=0.0), "poc_timeout must be positive"),
     (dict(selection_strategy="ranked"), "selection_strategy"),
     (dict(input_type="stack_trace"), "input_type"),
@@ -224,8 +235,8 @@ def test_config_validation_errors(overrides, message):
 
 @pytest.mark.parametrize("key, value", [
     ("enable_spa", "false"), ("enable_cpc", 1), ("enable_cpc", "no"),
-    ("top_files", 2.5), ("candidates", True), ("candidates", "5"),
-    ("spa_max_steps", None), ("poc_timeout", "300"), ("poc_timeout", True),
+    ("selection_strategy", 5), ("input_type", None), ("poc_timeout", None),
+    ("enable_spa", None), ("poc_timeout", "300"), ("poc_timeout", True),
     ("price_input_per_mtok", 3), ("enhance_stages", "generation"),
     ("enhance_stages", [["generation"]]),
     # prices that would break cost accounting
@@ -245,7 +256,7 @@ def test_config_takes_an_int_or_a_float_timeout():
 
 
 def test_config_round_trips_through_dict(tmp_path):
-    cfg = RunConfig(candidates=2, enhance_stages=("generation",),
+    cfg = RunConfig(poc_timeout=2.5, enhance_stages=("generation",),
                     enable_spa=False)
     data = cfg.to_dict()
     assert data["enhance_stages"] == ["generation"]
@@ -257,10 +268,13 @@ def test_config_round_trips_through_dict(tmp_path):
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
-        RunConfig.from_dict({"candidates": 3, "zap": 1})
-    # the keys of fields that are gone are unknown too
+        RunConfig.from_dict({"poc_timeout": 3, "zap": 1})
+    # the keys of fields that are gone are unknown too: the pipeline's
+    # fixed settings are module constants, set by no config
     for key in ("keep_workspaces", "log_head_lines", "log_tail_lines",
-                "script_output_cap"):
+                "script_output_cap", "top_files", "context_margin",
+                "candidates", "chunk_lines", "element_limit",
+                "cpc_max_steps", "spa_max_steps"):
         with pytest.raises(ValueError, match=re.escape(
                 f"unknown config keys: ['{key}']")):
             RunConfig.from_dict({key: 1})
@@ -288,13 +302,6 @@ def test_variant_deltas():
     assert variant("enhancePatchGen").enhance_stages == ("generation",)
     assert variant("simpleVoting").selection_strategy == "simple_voting"
     assert variant("sanitizer").input_type == "sanitizer_log"
-
-
-def test_variant_on_custom_base_keeps_other_fields():
-    custom = RunConfig(candidates=7)
-    cfg = variant("simpleVoting", base=custom)
-    assert cfg.candidates == 7
-    assert cfg.selection_strategy == "simple_voting"
 
 
 def test_unknown_variant_rejected():
@@ -1195,6 +1202,8 @@ def test_a_timed_out_poc_holds_up_no_other_verdict(tmp_path, monkeypatch):
         (run_dir / instance.instance_id).mkdir(parents=True)
         (run_dir / instance.instance_id / "prediction.diff").write_text(
             HELLO_DIFF)
+    # evaluate bounds each PoC run by the run's own poc_timeout
+    write_json(run_dir / "config.json", RunConfig(poc_timeout=0.6).to_dict())
     finished = {}
     verify = harness_metrics.verify_prediction
 
@@ -1206,14 +1215,48 @@ def test_a_timed_out_poc_holds_up_no_other_verdict(tmp_path, monkeypatch):
     # evaluate_run looks verify_prediction up when it calls it
     monkeypatch.setattr(harness_metrics, "verify_prediction", timed)
     started = time.monotonic()
-    _, (timed_out, solved) = evaluate_run(run_dir, [slow, fast],
-                                          timeout=0.6)
+    _, (timed_out, solved) = evaluate_run(run_dir, [slow, fast])
     assert (timed_out.exit_code, timed_out.resolved) == (124, False)
     assert solved.resolved is True
     assert finished["mini-2"] < finished["mini-1"] < started + 2.0
     # the PoC's process group died with it
     time.sleep(max(0.0, started + 2.5 - time.monotonic()))
     assert not marker.exists()
+
+
+@pytest.mark.parametrize("step", ["git apply", "PoC run"])
+def test_a_spawn_that_fails_is_the_verdict_in_validation_and_evaluation(
+        tmp_path, monkeypatch, step):
+    # a full process table: the git apply spawn, or the PoC's shell,
+    # cannot start. Both commands record the candidate's or prediction's
+    # verdict, as for a failed copy, and go on
+    spawn = subprocess.Popen
+
+    def popen(args, *rest, **kwargs):
+        if kwargs.get("shell", False) == (step == "PoC run"):
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return spawn(args, *rest, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    detail = (f"{step} failed: BlockingIOError: [Errno {errno.EAGAIN}] "
+              f"{os.strerror(errno.EAGAIN)}")
+    instance = _mini_instance(tmp_path, "grep -q new hello.txt")
+    workspace = Path(instance.workspace_path)
+    outcome = validate_candidate(
+        HELLO_EDIT, RepoIndex(workspace),
+        PristineCopy(AheadCopies(workspace), instance.repro_command))
+    assert (outcome.poc_pass, outcome.failure) == (False, detail)
+    run_dir = tmp_path / "run"
+    (run_dir / "mini-1").mkdir(parents=True)
+    (run_dir / "mini-1" / "prediction.diff").write_text(HELLO_DIFF)
+    evaluate_run(run_dir, [instance])
+    (row,) = json.loads((run_dir / "evaluation.json").read_text())[
+        "instances"]
+    assert (row["resolved"], row["detail"]) == (False, detail)
+    assert os.listdir(temp) == []  # each judge removed its copy
 
 
 # edits that rewrite the fixture's PoC harness, secb.sh, so that the
@@ -1796,14 +1839,15 @@ ASSERTED_FIX = REFERENCE_FIX.replace(
 def test_validation_judges_a_candidate_as_evaluate_does(fixtures_dir,
                                                         tmp_path):
     instance = load_instances(fixtures_dir / "instances.jsonl")[0]
-    config = dataclasses.replace(variant("spa"), candidates=1)
+    # five samples of one program, which validation judges once
     entries = spa_entries() + localization_entries() + [
-        {"expect": "generate", "response": {"text": ASSERTED_FIX}}]
-    result = run_instance(instance, config, ReplayBackend(entries),
+        {"expect": "generate", "response": {"text": ASSERTED_FIX}}] * 5
+    result = run_instance(instance, variant("spa"), ReplayBackend(entries),
                           tmp_path)
     assert not result.errors
     candidates = tmp_path / instance.instance_id / "candidates"
-    (outcome,) = json.loads((candidates / "outcomes.json").read_text())
+    outcome, *others = json.loads((candidates / "outcomes.json").read_text())
+    assert [o["poc_run_of"] for o in others] == [0] * 4
     verdict = verify_prediction(
         instance, (candidates / "candidate-0.diff").read_bytes())
     # the property agent's header is in neither pristine copy, so the
@@ -2377,9 +2421,9 @@ def test_load_config_routes(tmp_path):
     assert _load_config(SimpleNamespace(config=None, variant="sanitizer")) \
         == variant("sanitizer")
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(RunConfig(candidates=2).to_dict()))
+    path.write_text(json.dumps(RunConfig(poc_timeout=2.5).to_dict()))
     assert _load_config(SimpleNamespace(config=str(path), variant=None)) \
-        == RunConfig(candidates=2)
+        == RunConfig(poc_timeout=2.5)
     with pytest.raises(SystemExit, match="mutually exclusive"):
         _load_config(SimpleNamespace(config=str(path), variant="base"))
 
@@ -2473,7 +2517,8 @@ NOT_JSON = "Expecting value: line 1 column 1 (char 0)"
     ("evaluate", "instances", "\n", "no instances in file"),
     ("run", "config", None, "No such file or directory"),
     ("run", "config", "not json", NOT_JSON),
-    ("run", "config", '{"candidates": 0}', "candidates must be >= 1"),
+    ("run", "config", '{"poc_timeout": 0}',
+     "poc_timeout must be positive and finite"),
     ("run", "replay", None, "No such file or directory"),
     ("run", "replay", "not json", NOT_JSON),
     ("run", "replay", "{}", 'a replay script is a list of entries, '
@@ -2560,19 +2605,110 @@ def test_cli_run_evaluate_report_roundtrip(tmp_path, fixtures_dir, capsys):
     assert "totals: resolved 1/1 (100.0%)" in stdout
 
 
+@pytest.mark.parametrize("fault", ["out-under-a-file", "disk-full"])
+def test_run_stops_with_a_message_when_it_cannot_write_out(
+        tmp_path, fixtures_dir, monkeypatch, fault):
+    out = tmp_path / "out"
+    reason = os.strerror(errno.ENOSPC)
+    if fault == "out-under-a-file":
+        (tmp_path / "file").write_text("")
+        out, reason = tmp_path / "file" / "out", os.strerror(errno.ENOTDIR)
+    else:
+        def full(path, payload):
+            raise OSError(errno.ENOSPC, reason, str(path))
+        monkeypatch.setattr(pipeline, "write_json", full)
+    started = []
+    monkeypatch.setattr(pipeline, "run_instance",
+                        lambda *args, **kwargs: started.append(args))
+    with pytest.raises(SystemExit) as stopped:
+        main(["run", "--out", str(out), "--backend",
+              f"replay:{fixtures_dir / 'replays' / 'full.json'}",
+              "--instances", str(fixtures_dir / "instances.jsonl")])
+    assert stopped.value.code == f"vulnmend run: cannot write --out {out}: " \
+        f"{reason}"
+    assert started == []
+
+
 @pytest.mark.parametrize("timeout", ["0", "-5", "nan", "inf", "soon"])
 def test_evaluate_refuses_a_timeout_that_bounds_nothing(tmp_path,
                                                         fixtures_dir,
-                                                        capsys, timeout):
+                                                        timeout):
+    # the run's config.json holds the timeout: a number, or text that
+    # is none, that no PoC run could be bounded by
+    try:
+        value = float(timeout)
+    except ValueError:
+        value = timeout
     run_dir = tmp_path / "run"
     (run_dir / "namecache-obo-1").mkdir(parents=True)
     (run_dir / "namecache-obo-1" / "prediction.diff").write_text(HELLO_DIFF)
+    config = run_dir / "config.json"
+    config.write_text(json.dumps({"poc_timeout": value}))
     with pytest.raises(SystemExit) as stopped:
-        main(["evaluate", "--run", str(run_dir), "--timeout", timeout,
+        main(["evaluate", "--run", str(run_dir),
+              "--instances", str(fixtures_dir / "instances.jsonl")])
+    assert re.fullmatch(
+        rf"vulnmend evaluate: config file {re.escape(str(config))}: "
+        r"poc_timeout must be (positive and finite|a number, got 'soon')",
+        stopped.value.code)
+    assert not (run_dir / "evaluation.json").exists()
+
+
+def test_evaluate_has_no_timeout_of_its_own(tmp_path, fixtures_dir, capsys):
+    with pytest.raises(SystemExit) as stopped:
+        main(["evaluate", "--run", str(tmp_path), "--timeout", "10",
               "--instances", str(fixtures_dir / "instances.jsonl")])
     assert stopped.value.code == 2
-    assert "argument --timeout" in capsys.readouterr().err
-    assert not (run_dir / "evaluation.json").exists()
+    assert "unrecognized arguments: --timeout 10" in capsys.readouterr().err
+
+
+# what a config.json of an earlier version held besides poc_timeout
+_OLD_CONFIG_KEYS = {"top_files": 3, "context_margin": 10, "candidates": 5,
+                    "chunk_lines": 512, "element_limit": 10,
+                    "cpc_max_steps": 25, "spa_max_steps": 40}
+
+
+def test_evaluate_times_a_poc_out_as_the_run_did(tmp_path, instances_file):
+    instances = instances_file([_row(repro_command="sleep 5")])
+    workspace = tmp_path / "ws"
+    (workspace / "hello.txt").write_text("old\n")
+    run_dir = tmp_path / "run"
+    (run_dir / "mini-1").mkdir(parents=True)
+    (run_dir / "mini-1" / "prediction.diff").write_text(HELLO_DIFF)
+    # a run made before the pipeline's fixed settings left the config:
+    # evaluate reads its poc_timeout alone
+    (run_dir / "config.json").write_text(json.dumps(
+        {**RunConfig(poc_timeout=0.6).to_dict(), **_OLD_CONFIG_KEYS}))
+    started = time.monotonic()
+    assert main(["evaluate", "--run", str(run_dir),
+                 "--instances", str(instances)]) == 0
+    assert time.monotonic() - started < 4
+    (row,) = json.loads((run_dir / "evaluation.json").read_text())[
+        "instances"]
+    assert (row["exit_code"], row["resolved"]) == (124, False)
+    # validation, with the same config, judges the PoC alike
+    config = RunConfig(poc_timeout=0.6)
+    outcome = validate_candidate(
+        HELLO_EDIT, RepoIndex(workspace),
+        PristineCopy(AheadCopies(workspace), "sleep 5",
+                     timeout=config.poc_timeout))
+    assert outcome.applied and not outcome.poc_pass
+
+
+def test_evaluate_without_a_run_config_takes_the_default_timeout(
+        tmp_path, monkeypatch):
+    seen = []
+    verify = harness_metrics.verify_prediction
+
+    def spy(instance, diff, timeout):
+        seen.append(timeout)
+        return verify(instance, diff, timeout=timeout)
+
+    monkeypatch.setattr(harness_metrics, "verify_prediction", spy)
+    instance = _mini_instance(tmp_path, "true")
+    (tmp_path / "run" / "mini-1").mkdir(parents=True)
+    evaluate_run(tmp_path / "run", [instance])
+    assert seen == [RunConfig().poc_timeout] == [300.0]
 
 
 def test_evaluate_exit_code_reflects_empty_run(tmp_path, fixtures_dir,
