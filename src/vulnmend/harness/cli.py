@@ -10,8 +10,8 @@ import sys
 from ..errors import BadInputFile, GitUnavailable, NoRunDirectory
 from .backends import HttpChatBackend, load_replay
 from .config import VARIANTS, RunConfig, variant
-from .instances import load_instances
-from .metrics import evaluate_run, require_run_dir
+from .instances import input_file, load_instances
+from .metrics import evaluate_run, read_cost, require_run_dir
 from .pipeline import run_all
 
 
@@ -74,60 +74,79 @@ def _cmd_evaluate(args) -> int:
     return 0 if metrics.total else 1
 
 
+def _read_json(kind: str, path, pick):
+    """pick(the JSON in path), what report prints of it. A file that is
+    not JSON, or whose JSON pick cannot read, is a BadInputFile that
+    names it."""
+    with input_file(kind, path) as fh:
+        data = json.load(fh)
+        try:
+            return pick(data)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"unexpected content ({type(exc).__name__}: "
+                             f"{exc})") from None
+
+
+def _configuration(cfg: dict) -> str:
+    return (f"configuration: cpc={cfg.get('enable_cpc')} "
+            f"spa={cfg.get('enable_spa')} "
+            f"enhance={','.join(cfg.get('enhance_stages', [])) or 'none'} "
+            f"selection={cfg.get('selection_strategy')} "
+            f"input={cfg.get('input_type')}")
+
+
+def _instance_line(name: str, telemetry: dict, verdict: str) -> str:
+    """The report line of one instance: its telemetry, with verdict (its
+    evaluation and cost) after the agents' steps."""
+    winner = telemetry.get("selection", {}).get("winner")
+    gen = telemetry.get("stages", {}).get("generation", {})
+    picked = ("no patch" if winner is None
+              else f"candidate {winner} of {gen.get('candidates', '?')}")
+    agents = telemetry.get("agents", {})
+    agent_bits = [f"{agent}:{agents[agent]['steps']} steps"
+                  for agent in ("cpc", "spa") if agent in agents]
+    agent_note = f" [{', '.join(agent_bits)}]" if agent_bits else ""
+    errors = telemetry.get("errors", [])
+    err_note = f", {len(errors)} stage error(s)" if errors else ""
+    return f"{name}: {picked}{agent_note}{verdict}{err_note}"
+
+
+def _evaluation(summary: dict) -> tuple[dict, str]:
+    """Each instance's resolved flag, and the totals line."""
+    return ({row["instance_id"]: row["resolved"]
+             for row in summary["instances"]},
+            f"totals: resolved {summary['resolved']}/{summary['total']} "
+            f"({summary['resolved_rate_percent']}%), "
+            f"cost ${summary['cost_usd']}")
+
+
 def _cmd_report(args) -> int:
     run_dir = require_run_dir(args.run)
     config_path = run_dir / "config.json"
     if config_path.exists():
-        with open(config_path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        print(f"configuration: cpc={cfg.get('enable_cpc')} "
-              f"spa={cfg.get('enable_spa')} "
-              f"enhance={','.join(cfg.get('enhance_stages', [])) or 'none'} "
-              f"selection={cfg.get('selection_strategy')} "
-              f"input={cfg.get('input_type')}")
-    summary, evaluation = None, {}
+        print(_read_json("config file", config_path, _configuration))
+    resolved_by_id, totals = {}, None
     eval_path = run_dir / "evaluation.json"
     if eval_path.exists():
-        with open(eval_path, encoding="utf-8") as fh:
-            summary = json.load(fh)
-        evaluation = {row["instance_id"]: row
-                      for row in summary["instances"]}
+        resolved_by_id, totals = _read_json("evaluation file", eval_path,
+                                            _evaluation)
 
     for instance_dir in sorted(p for p in run_dir.iterdir() if p.is_dir()):
         telemetry_path = instance_dir / "telemetry.json"
         if not telemetry_path.exists():
             continue
-        with open(telemetry_path, encoding="utf-8") as fh:
-            telemetry = json.load(fh)
-        selection = telemetry.get("selection", {})
-        gen = telemetry.get("stages", {}).get("generation", {})
-        cost = ""
+        verdict = ""
+        if instance_dir.name in resolved_by_id:
+            verdict = (", resolved" if resolved_by_id[instance_dir.name]
+                       else ", unresolved")
         cost_path = instance_dir / "cost.json"
         if cost_path.exists():
-            with open(cost_path, encoding="utf-8") as fh:
-                cost = f", cost ${json.load(fh)['cost_usd']}"
-        verdict = evaluation.get(instance_dir.name)
-        resolved = ""
-        if verdict is not None:
-            resolved = (", resolved" if verdict["resolved"]
-                        else ", unresolved")
-        winner = selection.get("winner")
-        picked = ("no patch" if winner is None
-                  else f"candidate {winner} of {gen.get('candidates', '?')}")
-        agents = telemetry.get("agents", {})
-        agent_bits = []
-        for name in ("cpc", "spa"):
-            if name in agents:
-                agent_bits.append(f"{name}:{agents[name]['steps']} steps")
-        agent_note = f" [{', '.join(agent_bits)}]" if agent_bits else ""
-        errors = telemetry.get("errors", [])
-        err_note = f", {len(errors)} stage error(s)" if errors else ""
-        print(f"{instance_dir.name}: {picked}"
-              f"{agent_note}{resolved}{cost}{err_note}")
-    if summary is not None:
-        print(f"totals: resolved {summary['resolved']}/{summary['total']} "
-              f"({summary['resolved_rate_percent']}%), "
-              f"cost ${summary['cost_usd']}")
+            verdict += f", cost ${read_cost(cost_path)}"
+        print(_read_json("telemetry file", telemetry_path,
+                         lambda telemetry: _instance_line(
+                             instance_dir.name, telemetry, verdict)))
+    if totals is not None:
+        print(totals)
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
 
 from ..errors import NoRunDirectory
@@ -23,7 +23,7 @@ from ..execution import (DEFAULT_POC_TIMEOUT, AheadCopies, PristineCopy,
 from ..llm import RequestRecord
 from ..repo_model import write_json
 from .config import RunConfig, run_poc_timeout
-from .instances import IssueInstance
+from .instances import IssueInstance, input_file
 
 _CENT = Decimal("0.01")
 _TENTH = Decimal("0.1")
@@ -130,40 +130,55 @@ def require_run_dir(run_dir: Path | str) -> Path:
     return run_dir
 
 
+def read_cost(path: Path) -> Decimal:
+    """The cost_usd of a cost.json, a finite decimal string. A file
+    that holds no such value is a BadInputFile that names it."""
+    with input_file("cost file", path) as fh:
+        data = json.load(fh)
+        usd = data.get("cost_usd") if isinstance(data, dict) else None
+        try:
+            cost = Decimal(usd) if isinstance(usd, str) else None
+        except InvalidOperation:
+            cost = None
+        if cost is None or not cost.is_finite():
+            raise ValueError("cost_usd is not a decimal string")
+        return cost
+
+
 def evaluate_run(run_dir: Path | str, instances: list[IssueInstance]
                  ) -> tuple[Metrics, list[InstanceVerdict]]:
     """Judge every instance of a finished run, each PoC run within the
-    run's own poc_timeout, and persist the verdicts."""
+    run's own poc_timeout, and persist the verdicts. Every cost.json is
+    read before any prediction is judged."""
     require_git()
     run_dir = require_run_dir(run_dir)
     timeout = run_poc_timeout(run_dir)
     by_id = {i.instance_id: i for i in instances}
     jobs = []
+    cost = Decimal(0)
     for instance_dir in sorted(p for p in run_dir.iterdir() if p.is_dir()):
         instance = by_id.get(instance_dir.name)
         if instance is None:
             continue
         diff_path = instance_dir / "prediction.diff"
         diff = diff_path.read_bytes() if diff_path.exists() else b""
-        jobs.append((instance_dir, instance, diff))
+        jobs.append((instance, diff))
+        cost_path = instance_dir / "cost.json"
+        if cost_path.exists():
+            cost += read_cost(cost_path)
     # each prediction in a fresh copy of its own, in a bounded pool;
     # verify_prediction is looked up at each call, not bound here
     judged = in_pool(jobs, lambda job: verify_prediction(
-        job[1], job[2], timeout=timeout))
+        job[0], job[1], timeout=timeout))
 
     verdicts = []
     patched = resolved = 0
-    cost = Decimal(0)
-    for (instance_dir, _, _), verdict in zip(jobs, judged):
+    for verdict in judged:
         if isinstance(verdict, Exception):
             raise verdict
         verdicts.append(verdict)
         patched += verdict.has_patch
         resolved += verdict.resolved
-        cost_path = instance_dir / "cost.json"
-        if cost_path.exists():
-            with open(cost_path, encoding="utf-8") as fh:
-                cost += Decimal(json.load(fh)["cost_usd"])
 
     metrics = Metrics(total=len(verdicts), patched=patched,
                       resolved=resolved, cost_usd=cost)

@@ -10,6 +10,11 @@ one RepoIndex, but the property-analysis agent, the one writer: it works
 in a temp copy of its own, removed when it ends. One copier, AheadCopies,
 makes every copy: the agent's and one per judge ahead, any other when
 taken; once validation ends, or the run fails, it removes what is left.
+Once that agent holds its copy, the input's chunk rows for retrieval
+(localization.file_rows) are made on a worker of their own, while its
+PoC builds run; the retrieval stage waits for them. Without that agent
+the stage makes them itself. Every model call stays on the calling
+thread, in order.
 
 Artifacts are deterministic by construction: no timestamps, no absolute
 paths, sorted JSON keys. Two runs from the same inputs and the same
@@ -20,6 +25,8 @@ from __future__ import annotations
 
 import os
 import shutil
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,8 +39,9 @@ from ..errors import (NoRunDirectory, ReplayDesync, ScriptExhausted,
 from ..execution import (AheadCopies, LocalSandbox, PocRunner, PristineCopy,
                          PythonScriptSandbox, pool_width, require_git)
 from ..llm import LLMBackend
-from ..localization import (localize_elements, localize_files_prompt,
-                            localize_files_retrieval, merge_rankings)
+from ..localization import (file_rows, localize_elements,
+                            localize_files_prompt, localize_files_retrieval,
+                            merge_rankings)
 from ..repair import (DEFAULT_CANDIDATES, CandidateBatch, build_patch_context,
                       generate_patches, select_patch, validate_candidate)
 from ..repo_model import RepoIndex, write_json, write_text
@@ -100,6 +108,26 @@ class _Stage:
             prediction=prediction, winner=winner, errors=self.errors)
 
 
+class _RowsAhead:
+    """The input's chunk rows, made on one worker of their own once
+    submitted; future is None until then. close() stops them between
+    files and waits for the worker to end; it may be called again."""
+
+    def __init__(self):
+        self.future: Future | None = None
+        self._stopped = threading.Event()
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="chunk-rows")
+
+    def submit(self, index: RepoIndex) -> None:
+        files = index.files()  # listed here, not on the worker
+        self.future = self._pool.submit(
+            lambda: dict(file_rows(index, files, stopped=self._stopped)))
+
+    def close(self) -> None:
+        self._stopped.set()
+        self._pool.shutdown(cancel_futures=True)
+
+
 def run_instance(instance: IssueInstance, config: RunConfig,
                  llm: LLMBackend, out_dir: Path | str) -> InstanceResult:
     """Resolve one instance into out_dir/<instance_id>/."""
@@ -123,22 +151,27 @@ def run_instance(instance: IssueInstance, config: RunConfig,
     ahead = AheadCopies(instance.workspace_path,
                         ("agents-",) * config.enable_spa
                         + ("pristine-",) * pool_width(DEFAULT_CANDIDATES))
+    rows = _RowsAhead()
     try:
-        return _resolve(instance, config, llm, stage, ahead)
+        return _resolve(instance, config, llm, stage, ahead, rows)
     finally:
+        rows.close()
         ahead.close()
 
 
 def _run_spa_in_a_copy(instance: IssueInstance, config: RunConfig,
                        llm: LLMBackend, stage: _Stage, ahead: AheadCopies,
-                       listed: RepoIndex, issue_text: str):
+                       rows: _RowsAhead, listed: RepoIndex, issue_text: str):
     """run_spa_agent in the copy of the input made ahead for it, with an
     index over listed's files, history, PoC runner and script sandbox of
-    its own; the copy is removed when the agent ends."""
+    its own; the copy is removed when the agent ends. Once the agent
+    holds its copy, rows starts on listed's files: that waits for no
+    copying, and the agent's PoC builds leave the interpreter idle."""
     scratch = ahead.take("agents-")
     try:
         stage.roots[scratch] = ""
         index = listed.moved_to(scratch / "workspace")
+        rows.submit(listed)
         runner = PocRunner(LocalSandbox(index.root), instance.repro_command,
                            timeout=config.poc_timeout)
         return run_spa_agent(
@@ -150,7 +183,8 @@ def _run_spa_in_a_copy(instance: IssueInstance, config: RunConfig,
 
 
 def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
-             stage: _Stage, ahead: AheadCopies) -> InstanceResult:
+             stage: _Stage, ahead: AheadCopies,
+             rows: _RowsAhead) -> InstanceResult:
     """run_instance's stages, once the input is found."""
     save = stage.save
 
@@ -197,7 +231,7 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
                 issue_text=issue_text,
                 context_report=context_report).render()
         property_report = agent("spa", lambda: _run_spa_in_a_copy(
-            instance, config, llm, stage, ahead, index, spa_issue))
+            instance, config, llm, stage, ahead, rows, index, spa_issue))
 
     enhanced = EnhancedIssueReport(issue_text=issue_text,
                                    context_report=context_report,
@@ -217,7 +251,8 @@ def _resolve(instance: IssueInstance, config: RunConfig, llm: LLMBackend,
     prompt_files = stage.run("localize_files", lambda: localize_files_prompt(
         llm, index, loc_text), fallback=[])
     retrieval_files = stage.run("localize_retrieval", lambda: (
-        localize_files_retrieval(llm, index, loc_text)), fallback=[])
+        localize_files_retrieval(llm, index, loc_text, rows=rows.future)),
+        fallback=[])
     merged = merge_rankings(prompt_files, retrieval_files)
     element_loc = stage.run("localize_elements", lambda: localize_elements(
         llm, index, merged, loc_text))

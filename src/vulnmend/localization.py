@@ -1,14 +1,15 @@
 """Fault localization: suspicious files, then suspicious elements.
 
 Two complementary file routes. The prompt route asks the model directly
-over the issue and the repository tree. The retrieval route, after the
-model names folders to ignore, embeds the issue text, then scores the
-candidate files one at a time: each file's fixed-size line chunks are
-embedded and only its best chunk's cosine similarity to the issue is
-kept, so memory does not grow with the tree. Files rank by that score.
-The merge of the two routes keeps prompt picks first. Element
-localization then narrows the merged files to concrete functions over
-code skeletons.
+over the issue and the repository tree. The retrieval route comes in two
+parts. The issue-independent part, file_rows, embeds each listed file's
+fixed-size line chunks into rows; it makes no model call, so it can run
+ahead, on a worker of its own, while the agents wait on PoC builds. The
+issue-dependent part, after the model names folders to ignore, embeds
+the issue text and keeps, per file not ignored, only its best chunk's
+cosine similarity to the issue. Files rank by that score. The merge of
+the two routes keeps prompt picks first. Element localization then
+narrows the merged files to concrete functions over code skeletons.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ import hashlib
 import json
 import math
 import re
+import threading
+from array import array
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
+from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass
 
 from .errors import JSONParseFailure
@@ -37,6 +42,17 @@ _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d+")
 # -- embeddings ---------------------------------------------------------------
 
 
+def embed_row(text: str) -> array:
+    """text's row: DEFAULT_EMBED_DIM signed token counts, as 32-bit ints
+    (about 1 KB a row). A slot would overflow only past 2**31 tokens."""
+    row = array("i", bytes(4 * DEFAULT_EMBED_DIM))
+    for token, count in Counter(_TOKEN_RE.findall(text.lower())).items():
+        h = hashlib.sha256(token.encode("utf-8", "surrogateescape")).digest()
+        slot = int.from_bytes(h[:4], "big") % DEFAULT_EMBED_DIM
+        row[slot] += count if h[4] & 1 else -count
+    return row
+
+
 class HashingEmbedder:
     """Deterministic bag-of-tokens embedding via feature hashing.
 
@@ -48,20 +64,10 @@ class HashingEmbedder:
 
     def embed(self, texts: list[str]) -> list[list[int]]:
         """One row of DEFAULT_EMBED_DIM signed token counts per text."""
-        out = []
-        for text in texts:
-            row = [0] * DEFAULT_EMBED_DIM
-            for token, count in Counter(
-                    _TOKEN_RE.findall(text.lower())).items():
-                h = hashlib.sha256(
-                    token.encode("utf-8", "surrogateescape")).digest()
-                slot = int.from_bytes(h[:4], "big") % DEFAULT_EMBED_DIM
-                row[slot] += count if h[4] & 1 else -count
-            out.append(row)
-        return out
+        return [embed_row(text).tolist() for text in texts]
 
 
-def cosine(a: list[int], b: list[int]) -> float:
+def cosine(a: Sequence[int], b: Sequence[int]) -> float:
     """Cosine similarity of two count rows; 0.0 if either is all zeros.
 
     The dot product and both squared norms are exact integers, so the
@@ -178,29 +184,61 @@ def _under(rel: str, folders: list[str]) -> bool:
     return any(rel == f or rel.startswith(f + "/") for f in folders)
 
 
+def file_rows(index: RepoIndex, files: Iterable[str],
+              chunk_lines: int = DEFAULT_CHUNK_LINES,
+              stopped: threading.Event | None = None,
+              ) -> Iterator[tuple[str, tuple[array, ...] | Exception]]:
+    """Each of files, in order, with the rows of its chunks, or with the
+    OSError or ValueError that reading it through index raised. Once
+    stopped is set, it raises CancelledError before the next file.
+
+    It depends on no issue and calls no model, so it may run on another
+    thread than the stages; it reads index's files as listed, and embeds
+    through embed_row alone.
+    """
+    for rel in files:
+        if stopped is not None and stopped.is_set():
+            raise CancelledError
+        try:
+            text = index.text(rel)
+        except (OSError, ValueError) as exc:
+            yield rel, exc
+            continue
+        yield rel, tuple(embed_row(chunk)
+                         for chunk in chunk_file(text, chunk_lines))
+
+
 def localize_files_retrieval(llm: LLMBackend, index: RepoIndex,
                              issue_text: str, n: int = DEFAULT_TOP_FILES,
-                             embedder: HashingEmbedder | None = None,
                              chunk_lines: int = DEFAULT_CHUNK_LINES,
-                             ) -> list[str]:
+                             rows: Future | None = None) -> list[str]:
     """Rank files by their best chunk's similarity to the issue text.
 
     The model only chooses folders to skip; the ranking itself is pure
     embedding arithmetic. Ties break lexicographically so the ranking is
-    total and reproducible.
+    total and reproducible. rows, if given, is the future of a dict of
+    file_rows over all of index's files, made ahead: it is waited for,
+    and an ignored file's rows, or its error, are passed over. Without
+    it, file_rows runs here over the files not ignored, with chunk_lines,
+    and each file's rows are dropped once scored, so memory does not grow
+    with the tree. A file not ignored that could not be read fails the
+    ranking with its error.
     """
-    embedder = embedder or HashingEmbedder()
     skipped = ignore_folders(llm, index, issue_text)
-    issue_vec = embedder.embed([issue_text])[0]
-    # one file at a time: only its text, chunks and rows are held at once
+    issue_vec = HashingEmbedder().embed([issue_text])[0]
+    if rows is None:
+        made = file_rows(index, [rel for rel in index.files()
+                                 if not _under(rel, skipped)], chunk_lines)
+    else:
+        made = rows.result().items()
     best: dict[str, float] = {}
-    for rel in index.files():
+    for rel, chunk_rows in made:
         if _under(rel, skipped):
             continue
-        chunks = chunk_file(index.text(rel), chunk_lines)
-        if chunks:
-            best[rel] = max(cosine(vec, issue_vec)
-                            for vec in embedder.embed(chunks))
+        if isinstance(chunk_rows, Exception):
+            raise chunk_rows
+        if chunk_rows:
+            best[rel] = max(cosine(row, issue_vec) for row in chunk_rows)
     ranked = sorted(best, key=lambda rel: (-best[rel], rel))
     return ranked[:n]
 

@@ -435,7 +435,7 @@ def test_retrieval_ranking_matches_brute_force(criterion, crepo,
         want = sorted(best, key=lambda rel: (-best[rel], rel))
         llm = ScriptedLLM([ChatResponse(text="[]")])
         got = localize_files_retrieval(llm, RepoIndex(root), issue_text,
-                                       n=len(files), embedder=embedder)
+                                       n=len(files))
         assert got == want, str(root)
 
     # multi-chunk files split at exactly 512 lines and reassemble

@@ -33,6 +33,7 @@ import vulnmend.agents.spa as spa_agent
 import vulnmend.execution as execution
 import vulnmend.harness.metrics as harness_metrics
 import vulnmend.harness.pipeline as pipeline
+import vulnmend.localization as localization
 import vulnmend.repair as repair
 import vulnmend.repo_model as repo_model
 from vulnmend.agents.react import Step, Transcript
@@ -1970,6 +1971,119 @@ def test_a_replay_desync_leaves_no_copy_and_no_copier(fixtures_dir,
     assert not (tmp_path / "run" / instance.instance_id).exists()
 
 
+def _rows_threads() -> list:
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith("chunk-rows")]
+
+
+def test_a_replay_desync_in_spa_stops_the_rows_job_between_files(
+        fixtures_dir, tmp_path, monkeypatch):
+    started = threading.Event()
+    chunked = []
+    chunk_file = localization.chunk_file
+
+    def slow(text, chunk_lines):
+        chunked.append(text)
+        started.set()
+        time.sleep(0.2)
+        return chunk_file(text, chunk_lines)
+
+    monkeypatch.setattr(localization, "chunk_file", slow)
+    entries = build_entries(False, True)
+    entries[0] = {**entries[0], "expect": "generate"}
+
+    class Desyncs(ReplayBackend):
+        def chat(self, request):
+            if request.tag == "spa":
+                # the rows job is on its first file when spa desyncs
+                assert started.wait(10)
+                assert _rows_threads()
+            return super().chat(request)
+
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    with pytest.raises(ReplayDesync):
+        run_instance(instance, variant("spa"), Desyncs(entries),
+                     tmp_path / "run")
+    assert _rows_threads() == []
+    assert 1 <= len(chunked) < len(RepoIndex(instance.workspace_path).files())
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", ["base", "cpc", "full"])
+def test_rows_are_made_ahead_once_spa_holds_its_copy(name, fixtures_dir,
+                                                     tmp_path, monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    instance = load_instances(fixtures_dir / "instances.jsonl")[0]
+    events = []
+    submit = pipeline._RowsAhead.submit
+
+    def watched_submit(self, index):
+        # the rows are of the input, read in place, not of spa's copy
+        assert index.root == Path(instance.workspace_path)
+        events.append(("submit", len(list(temp.glob("agents-*")))))
+        return submit(self, index)
+
+    spa = pipeline.run_spa_agent
+
+    def watched_spa(*args, **kwargs):
+        events.append("spa")
+        return spa(*args, **kwargs)
+
+    retrieval = pipeline.localize_files_retrieval
+
+    def watched_retrieval(*args, rows=None, **kwargs):
+        events.append(("retrieval", "inline" if rows is None
+                       else "ahead" if rows.done() else "pending"))
+        return retrieval(*args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(pipeline._RowsAhead, "submit", watched_submit)
+    monkeypatch.setattr(pipeline, "run_spa_agent", watched_spa)
+    monkeypatch.setattr(pipeline, "localize_files_retrieval",
+                        watched_retrieval)
+    cfg = variant(name)
+    result = run_instance(instance, cfg, ReplayBackend(build_entries(
+        cfg.enable_cpc, cfg.enable_spa)), tmp_path / "run")
+    assert result.winner is not None and not result.errors
+    assert events == ([("submit", 1), "spa", ("retrieval", "ahead")]
+                      if cfg.enable_spa else [("retrieval", "inline")])
+    files = json.loads((tmp_path / "run" / instance.instance_id / "rankings"
+                        / "files.json").read_text())
+    assert len(files["retrieval"]) == 3
+
+
+@needs_gcc
+@pytest.mark.parametrize("rel, errors", [
+    ("njs/src/njs_array.c", []),
+    ("src/extra.c", [{"stage": "localize_retrieval",
+                      "error": "PermissionError: [Errno 13] Permission "
+                               "denied: 'workspace/src/extra.c'"}]),
+], ids=["ignored", "not-ignored"])
+def test_an_unreadable_input_file_is_one_retrieval_error_with_or_without_spa(
+        rel, errors, fixtures_dir, scratch_crepo, tmp_path, monkeypatch):
+    (scratch_crepo / "src" / "extra.c").write_text("int extra;\n")
+    unreadable = scratch_crepo / rel
+    read_bytes = Path.read_bytes
+
+    def refusing(self):
+        # the input's file only, not spa's copy of it
+        if self == unreadable:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", refusing)
+    instance = dataclasses.replace(
+        load_instances(fixtures_dir / "instances.jsonl")[0],
+        workspace_path=str(scratch_crepo))
+    for name in ("spa", "base"):
+        cfg = variant(name)
+        result = run_instance(instance, cfg, ReplayBackend(build_entries(
+            cfg.enable_cpc, cfg.enable_spa)), tmp_path / name)
+        assert result.errors == errors, name
+        assert result.winner is not None
+
+
 @needs_gcc
 @pytest.mark.parametrize("name, agents_copies", [("base", 0), ("cpc", 0),
                                                  ("full", 1)])
@@ -2709,6 +2823,83 @@ def test_evaluate_without_a_run_config_takes_the_default_timeout(
     (tmp_path / "run" / "mini-1").mkdir(parents=True)
     evaluate_run(tmp_path / "run", [instance])
     assert seen == [RunConfig().poc_timeout] == [300.0]
+
+
+@pytest.mark.parametrize("content, problem", [
+    ("oops", NOT_JSON),
+    ("[]", "cost_usd is not a decimal string"),
+    ('{"total": "0.02"}', "cost_usd is not a decimal string"),
+    ('{"cost_usd": 0.02}', "cost_usd is not a decimal string"),
+    ('{"cost_usd": "cheap"}', "cost_usd is not a decimal string"),
+    ('{"cost_usd": "NaN"}', "cost_usd is not a decimal string"),
+], ids=["not-json", "not-an-object", "no-cost", "number", "not-decimal",
+        "nan"])
+def test_evaluate_names_a_cost_file_it_cannot_read(tmp_path, instances_file,
+                                                   monkeypatch, content,
+                                                   problem):
+    instances = instances_file([_row(instance_id=f"mini-{k}")
+                                for k in (1, 2)])
+    run_dir = tmp_path / "run"
+    for k in (1, 2):
+        (run_dir / f"mini-{k}").mkdir(parents=True)
+        (run_dir / f"mini-{k}" / "prediction.diff").write_text(HELLO_DIFF)
+    (run_dir / "mini-1" / "cost.json").write_text('{"cost_usd": "0.01"}')
+    cost = run_dir / "mini-2" / "cost.json"
+    cost.write_text(content)
+    judged = []
+    monkeypatch.setattr(harness_metrics, "verify_prediction",
+                        lambda *args, **kwargs: judged.append(args))
+    with pytest.raises(SystemExit) as stopped:
+        main(["evaluate", "--run", str(run_dir),
+              "--instances", str(instances)])
+    assert stopped.value.code == (f"vulnmend evaluate: cost file {cost}: "
+                                  f"{problem}")
+    # the costs are read before any PoC runs
+    assert judged == []
+    assert not (run_dir / "evaluation.json").exists()
+
+
+def _reported_run(tmp_path, fixtures_dir):
+    """A replayed base run, evaluated, as report reads it."""
+    out = tmp_path / "run"
+    instances = str(fixtures_dir / "instances.jsonl")
+    main(["run", "--instances", instances, "--out", str(out),
+          "--backend", f"replay:{fixtures_dir / 'replays/base.json'}",
+          "--variant", "base"])
+    main(["evaluate", "--run", str(out), "--instances", instances])
+    return out
+
+
+@needs_gcc
+@pytest.mark.parametrize("rel, content, problem", [
+    ("config.json", "not json", f"config file {{path}}: {NOT_JSON}"),
+    ("config.json", "[1]", "config file {path}: unexpected content "
+     "(AttributeError: 'list' object has no attribute 'get')"),
+    ("evaluation.json", '{"instances": 3}', "evaluation file {path}: "
+     "unexpected content (TypeError: 'int' object is not iterable)"),
+    ("evaluation.json", '{"instances": []}', "evaluation file {path}: "
+     "unexpected content (KeyError: 'resolved')"),
+    ("namecache-obo-1/telemetry.json", "{", "telemetry file {path}: "
+     "Expecting property name enclosed in double quotes: line 1 column 2 "
+     "(char 1)"),
+    ("namecache-obo-1/telemetry.json", '{"agents": {"cpc": {}}}',
+     "telemetry file {path}: unexpected content (KeyError: 'steps')"),
+    ("namecache-obo-1/cost.json", '{"cost_usd": null}',
+     "cost file {path}: cost_usd is not a decimal string"),
+], ids=["config-not-json", "config-not-an-object", "evaluation-instances-3",
+        "evaluation-no-totals", "telemetry-not-json", "telemetry-agent",
+        "cost-null"])
+def test_report_names_a_run_file_it_cannot_read(tmp_path, fixtures_dir,
+                                                capsys, rel, content,
+                                                problem):
+    out = _reported_run(tmp_path, fixtures_dir)
+    capsys.readouterr()
+    path = out / rel
+    path.write_text(content)
+    with pytest.raises(SystemExit) as stopped:
+        main(["report", "--run", str(out)])
+    assert stopped.value.code == ("vulnmend report: "
+                                  + problem.format(path=path))
 
 
 def test_evaluate_exit_code_reflects_empty_run(tmp_path, fixtures_dir,

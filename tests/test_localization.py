@@ -1,8 +1,12 @@
 import hashlib
+import json
 import math
 import random
 import re
+import threading
 import tracemalloc
+from concurrent.futures import CancelledError, Future
+from pathlib import Path
 
 import pytest
 from conftest import ScriptedLLM
@@ -14,7 +18,8 @@ from vulnmend.errors import JSONParseFailure
 from vulnmend.llm import ChatResponse
 from vulnmend.localization import (DEFAULT_CHUNK_LINES, HashingEmbedder,
                                    chunk_file, cosine, extract_json_array,
-                                   ignore_folders, localize_elements,
+                                   file_rows, ignore_folders,
+                                   localize_elements,
                                    localize_files_prompt,
                                    localize_files_retrieval, merge_rankings)
 from vulnmend.repo_model import RepoIndex, read_text, source_files
@@ -245,19 +250,25 @@ def test_retrieval_ranking_matches_brute_force_oracle(crepo, crepo_index,
     assert ranked == _oracle_ranking(crepo, ["njs", "cpp"], issue_text, 3)
 
 
-def test_retrieval_scores_files_of_many_chunks_as_the_oracle_does(tmp_path):
+def _many_chunk_tree(root):
+    """Files of 4 to 11 lines, an empty one, a non-UTF-8 one and one
+    under tests/; at 3 lines a chunk, most files have several."""
     words = ("copy_name", "cap", "len", "dst", "buf", "free", "node", "hash")
     rng = random.Random(5)
-    (tmp_path / "src").mkdir()
+    (root / "src").mkdir()
     for k in range(6):
-        (tmp_path / "src" / f"f{k}.c").write_text("".join(
+        (root / "src" / f"f{k}.c").write_text("".join(
             " ".join(rng.choice(words) for _ in range(4)) + ";\n"
             for _ in range(rng.randint(4, 11))))
-    (tmp_path / "src" / "empty.c").write_text("")
-    (tmp_path / "src" / "latin1.c").write_bytes(
+    (root / "src" / "empty.c").write_text("")
+    (root / "src" / "latin1.c").write_bytes(
         b"/* caf\xe9 */\nint copy_name(char *dst, int cap);\n\xff len\n")
-    (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "copy.c").write_text("copy_name cap dst\n" * 5)
+    (root / "tests").mkdir()
+    (root / "tests" / "copy.c").write_text("copy_name cap dst\n" * 5)
+
+
+def test_retrieval_scores_files_of_many_chunks_as_the_oracle_does(tmp_path):
+    _many_chunk_tree(tmp_path)
     issue = "copy_name writes past cap into dst"
     ranked = localize_files_retrieval(
         ScriptedLLM([_text('["tests"]')]), RepoIndex(tmp_path), issue, n=20,
@@ -286,6 +297,95 @@ def test_retrieval_memory_does_not_grow_with_the_tree(tmp_path):
     # the tree is 4 MB of source; one file's text, lines, chunk and row
     # are about 0.1 MB
     assert peak < 1_000_000
+
+
+def _rows_ahead(index, chunk_lines=DEFAULT_CHUNK_LINES):
+    """The future of every listed file's rows, as the pipeline makes
+    them while the property agent runs."""
+    future = Future()
+    future.set_result(dict(file_rows(index, index.files(), chunk_lines)))
+    return future
+
+
+@pytest.mark.parametrize("tree, skipped, issue, chunk_lines", [
+    ("crepo", ["njs", "cpp"], None, DEFAULT_CHUNK_LINES),
+    ("crepo/njs", [], None, DEFAULT_CHUNK_LINES),
+    ("crepo/cpp", [], None, DEFAULT_CHUNK_LINES),
+    ("many-chunks", ["tests"], "copy_name writes past cap into dst", 3),
+], ids=["crepo", "njs", "cpp", "many-chunks"])
+def test_rows_made_ahead_rank_as_the_oracle_does(crepo, issue_text, tmp_path,
+                                                 tree, skipped, issue,
+                                                 chunk_lines):
+    if tree == "many-chunks":
+        root = tmp_path
+        _many_chunk_tree(root)
+    else:
+        root = crepo.parent / tree
+    issue = issue or issue_text
+    index = RepoIndex(root)
+    ahead = _rows_ahead(index, chunk_lines)
+    # every listed file has rows, the ignored ones too, one per chunk
+    rows = ahead.result()
+    assert list(rows) == source_files(root)
+    for rel, chunk_rows in rows.items():
+        assert [list(row) for row in chunk_rows] == [
+            _counts(chunk) for chunk in chunk_file(read_text(root / rel),
+                                                   chunk_lines)]
+    reply = _text(json.dumps(skipped))
+    ranked = localize_files_retrieval(ScriptedLLM([reply]), index, issue,
+                                      n=20, rows=ahead)
+    assert ranked == _oracle_ranking(root, skipped, issue, 20,
+                                     chunk_lines=chunk_lines)
+    assert ranked == localize_files_retrieval(
+        ScriptedLLM([reply]), index, issue, n=20, chunk_lines=chunk_lines)
+
+
+def _unreadable(monkeypatch, path):
+    """Reading path raises PermissionError, as a file mode 000 would for
+    a user other than root."""
+    read_bytes = Path.read_bytes
+
+    def refusing(self):
+        if self == path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", refusing)
+
+
+def test_an_unreadable_ignored_file_fails_no_ranking(crepo, crepo_index,
+                                                     issue_text, monkeypatch):
+    _unreadable(monkeypatch, crepo / "njs" / "src" / "njs_array.c")
+    ahead = _rows_ahead(crepo_index)
+    assert isinstance(ahead.result()["njs/src/njs_array.c"], PermissionError)
+    for rows in (ahead, None):
+        llm = ScriptedLLM([_text('["njs", "cpp"]')])
+        assert localize_files_retrieval(
+            llm, crepo_index, issue_text, n=3, rows=rows) == [
+                "src/buf.c", "src/main.c", "src/buf.h"]
+
+
+def test_an_unreadable_file_fails_the_ranking_with_its_error(
+        crepo, crepo_index, issue_text, monkeypatch):
+    path = crepo / "src" / "main.c"
+    _unreadable(monkeypatch, path)
+    for rows in (_rows_ahead(crepo_index), None):
+        llm = ScriptedLLM([_text('["njs", "cpp"]')])
+        with pytest.raises(PermissionError) as excinfo:
+            localize_files_retrieval(llm, crepo_index, issue_text, rows=rows)
+        assert str(excinfo.value) == (f"[Errno 13] Permission denied: "
+                                      f"'{path}'")
+
+
+def test_file_rows_stop_between_files(crepo_index):
+    stopped = threading.Event()
+    made = []
+    with pytest.raises(CancelledError):
+        for rel, _ in file_rows(crepo_index, crepo_index.files(),
+                                stopped=stopped):
+            made.append(rel)
+            stopped.set()
+    assert made == crepo_index.files()[:1]
 
 
 def test_retrieval_tie_breaks_lexicographically(tmp_path):
